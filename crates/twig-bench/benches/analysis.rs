@@ -4,7 +4,9 @@
 use twig_criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use twig::{build_coalesce_plan, TwigConfig, TwigOptimizer};
 use twig_types::BlockId;
-use twig_workload::{InputConfig, ProgramGenerator, Span, WorkloadSpec};
+use twig_workload::{
+    EventSource, InputConfig, MemSource, ProgramGenerator, Span, Walker, WorkloadSpec,
+};
 
 fn midi_spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -31,26 +33,32 @@ fn bench_profile_and_analysis(c: &mut Criterion) {
     let optimizer = TwigOptimizer::new(TwigConfig::default());
     const INSTRS: u64 = 200_000;
 
+    let mut walk = MemSource::from(
+        Walker::new(&program, InputConfig::numbered(0)).run_instructions(INSTRS),
+    );
+    let mut collect = || {
+        walk.reset();
+        optimizer
+            .collect_profile_and_stats_from_source(&program, sim, &mut walk, INSTRS)
+            .0
+    };
     group.throughput(Throughput::Elements(INSTRS));
     group.bench_function("collect_profile_200k", |b| {
-        b.iter(|| {
-            optimizer
-                .collect_profile(&program, sim, InputConfig::numbered(0), INSTRS)
-                .num_samples()
-        });
+        b.iter(|| collect().num_samples());
     });
 
-    let profile = optimizer.collect_profile(&program, sim, InputConfig::numbered(0), INSTRS);
+    let profile = collect();
     group.throughput(Throughput::Elements(profile.num_samples() as u64));
     group.bench_function("analyze_profile", |b| {
         b.iter(|| optimizer.analyze_for(&profile, &program).len());
     });
 
     let plans = optimizer.analyze_for(&profile, &program);
+    let layout = generator.layout_options();
     group.bench_function("rewrite", |b| {
         b.iter(|| {
             optimizer
-                .rewrite(&generator, &plans)
+                .rewrite_of(&program, &layout, &plans)
                 .rewrite
                 .brprefetch_ops
         });

@@ -1,10 +1,10 @@
 //! Microbenchmarks of the workload substrate: program generation, walking,
-//! trace encode/decode, and full frontend simulation throughput.
+//! `.twgc` trace encode/decode, and full frontend simulation throughput.
 
 use twig_criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twig_sim::{PlainBtb, SimConfig, Simulator};
 use twig_workload::{
-    decode_trace, encode_trace, InputConfig, ProgramGenerator, Walker, WorkloadSpec,
+    decode_columnar, encode_columnar, InputConfig, ProgramGenerator, Walker, WorkloadSpec,
 };
 
 fn bench_generation(c: &mut Criterion) {
@@ -45,11 +45,11 @@ fn bench_trace(c: &mut Criterion) {
         .collect();
     group.throughput(Throughput::Elements(events.len() as u64));
     group.bench_function("encode", |b| {
-        b.iter(|| encode_trace(&events).len());
+        b.iter(|| encode_columnar(&events).len());
     });
-    let bytes = encode_trace(&events);
+    let bytes = encode_columnar(&events);
     group.bench_function("decode", |b| {
-        b.iter(|| decode_trace(&bytes).expect("valid").len());
+        b.iter(|| decode_columnar(&bytes).expect("valid").len());
     });
     group.finish();
 }

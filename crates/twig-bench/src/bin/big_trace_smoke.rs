@@ -19,7 +19,7 @@ use std::time::Instant;
 use twig::{TwigConfig, TwigOptimizer};
 use twig_sim::{PlainBtb, SimConfig, Simulator};
 use twig_workload::{
-    write_columnar_file, AppId, BlockEvent, ColumnarReader, ColumnarSource, InputConfig,
+    write_columnar_file, AppId, ColumnarReader, ColumnarSource, InputConfig, MemSource,
     ProgramGenerator, Walker, WorkloadSpec,
 };
 
@@ -60,12 +60,14 @@ fn main() {
     // and Twig over the full streamed trace — three bounded-memory passes
     // of one resettable source.
     let t = Instant::now();
-    let prefix: Vec<BlockEvent> = ColumnarSource::from_reader(Arc::clone(&reader))
-        .take(PREFIX_EVENTS)
-        .collect();
+    let mut prefix = MemSource::from(
+        ColumnarSource::from_reader(Arc::clone(&reader))
+            .take(PREFIX_EVENTS)
+            .collect::<Vec<_>>(),
+    );
     let optimizer = TwigOptimizer::new(TwigConfig::default());
-    let profile =
-        optimizer.collect_profile_from_events(&program, config, &prefix, u64::MAX);
+    let (profile, _) =
+        optimizer.collect_profile_and_stats_from_source(&program, config, &mut prefix, u64::MAX);
     let plans = optimizer.analyze_for(&profile, &program);
     let optimized = optimizer.rewrite_of(&program, &generator.layout_options(), &plans);
     let mut source = ColumnarSource::from_reader(Arc::clone(&reader));
@@ -91,7 +93,7 @@ fn main() {
         u64::MAX,
     );
     let mut memory_sim = Simulator::new(&program, config, PlainBtb::new(&config));
-    let in_memory = memory_sim.run(prefix.iter().copied(), u64::MAX);
+    let in_memory = memory_sim.run(prefix.as_slice().iter().copied(), u64::MAX);
     assert_eq!(
         streamed, in_memory,
         "streamed and in-memory stats diverge on the 1M-event prefix"

@@ -61,6 +61,18 @@ struct BenchReport {
 /// `bench_results.json` schema version written by this binary.
 const BENCH_SCHEMA_VERSION: u32 = 2;
 
+/// Reports a bad command line on stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2);
+}
+
+/// Parses the numeric value of `flag`, or exits with a usage error.
+fn parse_number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+    text.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {text:?}")))
+}
+
 fn main() {
     let mut ctx = ExpContext {
         checkpoints: true,
@@ -73,53 +85,48 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs {what}")))
+        };
         match arg.as_str() {
             "--instructions" => {
-                ctx.instructions = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--instructions needs a number");
+                ctx.instructions = parse_number(&arg, &value("a number"));
             }
             "--sweep-instructions" => {
-                ctx.sweep_instructions = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sweep-instructions needs a number");
+                ctx.sweep_instructions = parse_number(&arg, &value("a number"));
             }
-            "--results-dir" => {
-                ctx.results_dir = args.next().expect("--results-dir needs a path").into();
-            }
+            "--results-dir" => ctx.results_dir = value("a path").into(),
             "--resume" => ctx.resume = true,
             "--shard" => {
                 // Hidden: multi-process matrix workers are spawned with
                 // `--shard i/N` by the parent run (TWIG_NUM_PROCS > 1).
-                let text = args.next().expect("--shard needs i/N");
+                let text = value("i/N");
                 ctx.shard = Some(
                     twig_sched::ShardSpec::parse(&text)
-                        .unwrap_or_else(|e| panic!("--shard: {e}")),
+                        .unwrap_or_else(|e| usage_error(&format!("--shard: {e}"))),
                 );
             }
             "--strict" => strict = true,
             "--obs" => {
-                let text = args.next().expect("--obs needs off | counters | trace[=N]");
+                let text = value("off | counters | trace[=N]");
                 obs_level = Some(
-                    twig_obs::ObsLevel::parse(&text).unwrap_or_else(|e| panic!("--obs: {e}")),
+                    twig_obs::ObsLevel::parse(&text)
+                        .unwrap_or_else(|e| usage_error(&format!("--obs: {e}"))),
                 );
             }
             "--obs-attr" => {
-                let text = args
-                    .next()
-                    .expect("--obs-attr needs off | on | k=N,sample=N");
+                let text = value("off | on | k=N,sample=N");
                 obs_attr = Some(
                     twig_obs::AttrConfig::parse(&text)
-                        .unwrap_or_else(|e| panic!("--obs-attr: {e}")),
+                        .unwrap_or_else(|e| usage_error(&format!("--obs-attr: {e}"))),
                 );
             }
             "--obs-window" => {
-                let text = args.next().expect("--obs-window needs off | window=N");
+                let text = value("off | window=N");
                 obs_window = Some(
                     twig_obs::parse_window_spec(&text)
-                        .unwrap_or_else(|e| panic!("--obs-window: {e}")),
+                        .unwrap_or_else(|e| usage_error(&format!("--obs-window: {e}"))),
                 );
             }
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
@@ -138,8 +145,7 @@ fn main() {
         }
     }
     if ids.is_empty() && ctx.shard.is_none() {
-        eprintln!("no experiment ids given; try `experiments all` or --help");
-        std::process::exit(2);
+        usage_error("no experiment ids given; try `experiments all` or --help");
     }
     // Compose the observability override: start from the environment
     // (`TWIG_OBS`/`TWIG_OBS_ATTR`), let explicit flags win field-wise, and

@@ -635,14 +635,14 @@ mod tests {
 
     #[test]
     fn cached_profile_matches_fresh_collection() {
-        use twig_workload::InputConfig;
+        use twig_workload::MemSource;
         let cache = ArtifactCache::new();
         let setup = cache.setup(AppId::Kafka);
         let cached = cache.profile(AppId::Kafka, 0, 20_000, &setup.sim_config);
-        let fresh = TwigOptimizer::default().collect_profile(
+        let (fresh, _) = TwigOptimizer::default().collect_profile_and_stats_from_source(
             &setup.program,
             setup.sim_config,
-            InputConfig::numbered(0),
+            &mut MemSource::from(setup.fresh_events(0, 20_000)),
             20_000,
         );
         assert_eq!(*cached, fresh, "cached profile must equal a fresh one");

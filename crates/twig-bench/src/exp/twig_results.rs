@@ -206,9 +206,9 @@ pub fn fig19(ctx: &ExpContext) -> String {
 /// Both consumers need the full matrix, so it is computed once per
 /// process. Within one `(app, input)` the trained and same-input
 /// evaluations share identical baseline/ideal reference runs — those go
-/// through [`TwigOptimizer::reference_stats`] once (memoized in the
+/// through [`TwigOptimizer::reference_stats_from_source`] once (memoized in the
 /// artifact cache, where input #1 additionally dedups against the
-/// headline matrix) instead of twice through `evaluate_with_events`.
+/// headline matrix) instead of twice through `evaluate_with_source`.
 /// One app's row: `(app, same-input accuracy %, training-input accuracy %)`
 /// across inputs 1..=3.
 type CrossInputRow = (AppId, Vec<f64>, Vec<f64>);

@@ -8,7 +8,7 @@ use twig_workload::{
 };
 
 use crate::error::CliError;
-use crate::io::{read_json, read_profile, open_trace_source, write_json, write_profile, write_trace_file, Args};
+use crate::io::{open_trace_source, read_json, read_profile, write_json, write_profile, Args};
 
 const USAGE: &str = "\
 twig — profile-guided BTB prefetching toolkit (MICRO'21 reproduction)
@@ -18,9 +18,9 @@ usage: twig <command> [flags]
 commands:
   apps                                   list the nine built-in applications
   spec      --app NAME --out SPEC.json   export a workload spec for editing
-  trace     --spec SPEC.json --out T.twgt|T.twgc [--input N] [--instructions N]
-                                         record a control-flow trace (.twgc =
-                                         columnar, streamed to disk unbuffered)
+  trace     --spec SPEC.json --out T.twgc [--input N] [--instructions N]
+                                         record a control-flow trace (columnar,
+                                         streamed to disk unbuffered)
   profile   --spec SPEC.json --out P.json|P.twpf [--input N]
             [--instructions N] [--period N]
                                          collect an LBR-style BTB-miss profile
@@ -28,7 +28,7 @@ commands:
   analyze   --spec SPEC.json --profile P.json --out PLANS.json
                                          select prefetch injection sites
   simulate  --spec SPEC.json [--system NAME] [--plans PLANS.json]
-            [--trace T.twgt|T.twgc] [--skip-events N] [--input N]
+            [--trace T.twgc] [--skip-events N] [--input N]
             [--instructions N] [--json]
             [--obs off|counters|trace[=N]] [--obs-attr off|on|k=N,sample=N]
             [--metrics-out M.json] [--trace-out T.json]
@@ -146,23 +146,15 @@ fn cmd_trace(args: &Args<'_>) -> Result<(), CliError> {
     let out = args.require("out")?;
     let input: u32 = args.parse_or("input", 0)?;
     let instructions: u64 = args.parse_or("instructions", 1_000_000)?;
-    let program = ProgramGenerator::new(spec).generate();
-    let count = if out.ends_with(".twgc") {
-        // Columnar output streams the walk straight to disk, one chunk
-        // at a time — arbitrarily long traces never materialize.
-        let source = twig_workload::WalkerSource::new(
-            std::sync::Arc::new(program),
-            InputConfig::numbered(input),
-            instructions,
-        );
-        twig_workload::write_columnar_file(std::path::Path::new(out), source)
-            .map_err(|e| CliError::io("write", out, e))?
-    } else {
-        let events =
-            Walker::new(&program, InputConfig::numbered(input)).run_instructions(instructions);
-        write_trace_file(out, &events)?;
-        events.len() as u64
-    };
+    // The walk streams straight to disk, one chunk at a time — arbitrarily
+    // long traces never materialize.
+    let source = twig_workload::WalkerSource::new(
+        std::sync::Arc::new(ProgramGenerator::new(spec).generate()),
+        InputConfig::numbered(input),
+        instructions,
+    );
+    let count = twig_workload::write_columnar_file(std::path::Path::new(out), source)
+        .map_err(|e| CliError::io("write", out, e))?;
     eprintln!("wrote {out}: {count} events ({instructions} instructions)");
     Ok(())
 }
@@ -264,7 +256,10 @@ fn maybe_rewrite(
         Some(path) => {
             let plans: Vec<twig::MissPlan> = read_json(path)?;
             let optimizer = TwigOptimizer::new(twig_config(args)?);
-            Ok(optimizer.rewrite(generator, &plans).program)
+            let pristine = generator.generate();
+            Ok(optimizer
+                .rewrite_of(&pristine, &generator.layout_options(), &plans)
+                .program)
         }
     }
 }
@@ -301,9 +296,9 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
     let skip: u64 = args.parse_or("skip-events", 0)?;
     let stats = match args.flag("trace") {
         Some(path) => {
-            // `.twgc` traces stream via the mmap'd chunked reader; the
-            // chunk directory makes `--skip-events` a macro-block leap
-            // over whole chunks instead of a decode-and-discard loop.
+            // Traces stream via the mmap'd chunked reader; the chunk
+            // directory makes `--skip-events` a macro-block leap over
+            // whole chunks instead of a decode-and-discard loop.
             use twig_workload::EventSource;
             let mut source = open_trace_source(path)?;
             if skip > 0 {
@@ -852,7 +847,7 @@ mod tests {
         dispatch(&strs(&[
             "trace",
             "--spec", &p("spec.json"),
-            "--out", &p("t.twgt"),
+            "--out", &p("t.twgc"),
             "--instructions", "20000",
         ]))
         .unwrap();
@@ -874,7 +869,7 @@ mod tests {
             "simulate",
             "--spec", &p("spec.json"),
             "--plans", &p("plans.json"),
-            "--trace", &p("t.twgt"),
+            "--trace", &p("t.twgc"),
             "--instructions", "20000",
             "--json",
         ]))
@@ -889,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_trace_roundtrip_matches_twgt() {
+    fn columnar_trace_roundtrip_matches_walk() {
         let dir =
             std::env::temp_dir().join(format!("twig-cli-twgc-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -899,22 +894,19 @@ mod tests {
         spec.app_funcs = 200;
         crate::io::write_json(&p("spec.json"), &spec).unwrap();
 
-        // Record the same walk in both formats.
-        for out in ["t.twgt", "t.twgc"] {
-            dispatch(&strs(&[
-                "trace",
-                "--spec", &p("spec.json"),
-                "--out", &p(out),
-                "--instructions", "20000",
-            ]))
-            .unwrap();
-        }
-        let mut row = crate::io::open_trace_source(&p("t.twgt")).unwrap();
-        let mut col = crate::io::open_trace_source(&p("t.twgc")).unwrap();
-        let row_events: Vec<_> = (&mut row).collect();
-        let col_events: Vec<_> = (&mut col).collect();
-        assert_eq!(row_events, col_events, "formats must carry identical events");
-        assert!(!row_events.is_empty());
+        dispatch(&strs(&[
+            "trace",
+            "--spec", &p("spec.json"),
+            "--out", &p("t.twgc"),
+            "--input", "1",
+            "--instructions", "20000",
+        ]))
+        .unwrap();
+        let on_disk: Vec<_> = crate::io::open_trace_source(&p("t.twgc")).unwrap().collect();
+        let program = ProgramGenerator::new(spec).generate();
+        let in_memory = Walker::new(&program, InputConfig::numbered(1)).run_instructions(20_000);
+        assert_eq!(on_disk, in_memory, "the trace must carry the walk's events");
+        assert!(!on_disk.is_empty());
 
         // Simulating from the columnar trace must work end to end.
         dispatch(&strs(&[
@@ -934,6 +926,33 @@ mod tests {
             "--instructions", "20000",
         ]))
         .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_columnar_trace_is_a_decode_error() {
+        let dir =
+            std::env::temp_dir().join(format!("twig-cli-badtrace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let mut spec = WorkloadSpec::tiny_test();
+        spec.app_funcs = 200;
+        crate::io::write_json(&p("spec.json"), &spec).unwrap();
+        // A trace in the retired row-oriented format: its magic (0x54 0x57
+        // 0x47 0x54), version 1, and one event. It is not `.twgc`.
+        std::fs::write(p("t.rows"), [0x54, 0x57, 0x47, 0x54, 1, 1, 1, 5]).unwrap();
+
+        let e = dispatch(&strs(&[
+            "simulate",
+            "--spec", &p("spec.json"),
+            "--trace", &p("t.rows"),
+            "--instructions", "1000",
+        ]))
+        .unwrap_err();
+        assert!(matches!(e, CliError::Decode { .. }), "{e:?}");
+        assert_eq!(e.exit_code(), 4);
+        let cause = std::error::Error::source(&e).unwrap().to_string();
+        assert!(cause.contains("bad magic"), "{cause}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -32,7 +32,7 @@ pub enum CliError {
         source: std::io::Error,
     },
     /// An artifact was read but could not be decoded (corrupt JSON,
-    /// bad `.twpf`/`.twgt` bytes) — or could not be encoded.
+    /// bad `.twpf`/`.twgc` bytes) — or could not be encoded.
     Decode {
         /// The path involved.
         path: String,

@@ -1,5 +1,5 @@
 //! File I/O helpers: JSON for structured artifacts (specs, profiles,
-//! plans, reports) and the binary `.twgt` format for traces. All
+//! plans, reports) and the columnar `.twgc` format for traces. All
 //! failures are typed [`CliError`]s: filesystem problems map to
 //! [`CliError::Io`] (exit 3), undecodable artifacts to
 //! [`CliError::Decode`] (exit 4). Every write publishes atomically
@@ -57,37 +57,12 @@ pub fn write_profile(path: &str, profile: &twig_profile::Profile) -> Result<(), 
     }
 }
 
-/// Opens a binary trace as a resettable event source, selecting the
-/// format by extension: `.twgc` columnar traces stream through the
-/// mmap'd chunked reader (bounded resident memory, never materialized);
-/// everything else is decoded as a row-oriented `TWGT` trace into memory.
-pub fn open_trace_source(path: &str) -> Result<twig_workload::AnySource, CliError> {
-    if path.ends_with(".twgc") {
-        let source = twig_workload::ColumnarSource::open(Path::new(path))
-            .map_err(|e| CliError::decode(path, e))?;
-        Ok(source.into())
-    } else {
-        let bytes = std::fs::read(path).map_err(|e| CliError::io("read", path, e))?;
-        let events =
-            twig_workload::decode_trace(&bytes).map_err(|e| CliError::decode(path, e))?;
-        Ok(events.into())
-    }
-}
-
-/// Writes a binary trace file, selecting the format by extension:
-/// `.twgc` columnar (chunked, CRC-framed), everything else `TWGT`. Both
-/// publish atomically.
-pub fn write_trace_file(
-    path: &str,
-    events: &[twig_workload::BlockEvent],
-) -> Result<(), CliError> {
-    if path.ends_with(".twgc") {
-        twig_workload::write_columnar_file(Path::new(path), events.iter().copied())
-            .map(|_| ())
-            .map_err(|e| CliError::io("write", path, e))
-    } else {
-        write_bytes(path, &twig_workload::encode_trace(events))
-    }
+/// Opens a `.twgc` trace as a resettable event source streaming through
+/// the mmap'd chunked reader (bounded resident memory, never
+/// materialized). Any other file fails the magic check as a
+/// [`CliError::Decode`].
+pub fn open_trace_source(path: &str) -> Result<twig_workload::ColumnarSource, CliError> {
+    twig_workload::ColumnarSource::open(Path::new(path)).map_err(|e| CliError::decode(path, e))
 }
 
 /// Tiny argument cursor: `--key value` flags plus positionals.

@@ -245,7 +245,8 @@ fn print_timeline_section(path: &str, tl: &TimelineSnapshot) {
         println!("  (no derived metrics: cycle/instruction tracks absent)");
         return;
     }
-    let series: [(&str, Vec<u64>, fn(u64) -> String); 4] = [
+    type Series<'a> = (&'a str, Vec<u64>, fn(u64) -> String);
+    let series: [Series<'_>; 4] = [
         ("ipc", tl.derived.iter().map(|d| d.ipc_micros).collect(), fmt_micros),
         ("btb mpki", tl.derived.iter().map(|d| d.btb_mpki_milli).collect(), fmt_milli),
         ("coverage", tl.derived.iter().map(|d| d.coverage_permille).collect(), fmt_permille),
@@ -355,11 +356,7 @@ fn digest_metrics(path: &str, snap: &MetricsSnapshot) -> Result<DigestMetricsCel
         id: stem(path),
         ipc_micros: instructions.saturating_mul(1_000_000) / cycles,
         btb_mpki_milli: misses.saturating_mul(1_000_000) / instructions,
-        coverage_permille: if misses == 0 {
-            1000
-        } else {
-            covered.saturating_mul(1000) / misses
-        },
+        coverage_permille: covered.saturating_mul(1000).checked_div(misses).unwrap_or(1000),
         cycles,
         instructions,
     })

@@ -472,26 +472,13 @@ pub fn derive_windows(tracks: &[TrackSnapshot], windows: &[WindowSnapshot]) -> V
             let resteers = at(decode) + at(exec);
             let would_be = misses + covered;
             DerivedWindow {
-                ipc_micros: if cycles == 0 {
-                    0
-                } else {
-                    instrs.saturating_mul(1_000_000) / cycles
-                },
-                btb_mpki_milli: if instrs == 0 {
-                    0
-                } else {
-                    misses.saturating_mul(1_000_000) / instrs
-                },
-                coverage_permille: if would_be == 0 {
-                    0
-                } else {
-                    covered.saturating_mul(1_000) / would_be
-                },
-                resteer_pki_milli: if instrs == 0 {
-                    0
-                } else {
-                    resteers.saturating_mul(1_000_000) / instrs
-                },
+                ipc_micros: instrs.saturating_mul(1_000_000).checked_div(cycles).unwrap_or(0),
+                btb_mpki_milli: misses.saturating_mul(1_000_000).checked_div(instrs).unwrap_or(0),
+                coverage_permille: covered.saturating_mul(1_000).checked_div(would_be).unwrap_or(0),
+                resteer_pki_milli: resteers
+                    .saturating_mul(1_000_000)
+                    .checked_div(instrs)
+                    .unwrap_or(0),
             }
         })
         .collect()
@@ -508,8 +495,7 @@ pub fn detect_phases(derived: &[DerivedWindow]) -> Vec<PhaseSegment> {
     let mut sum: u64 = 0;
     for (i, d) in derived.iter().enumerate() {
         let count = (i - start) as u64;
-        if count > 0 {
-            let mean = sum / count;
+        if let Some(mean) = sum.checked_div(count) {
             let deviation = d.ipc_micros.abs_diff(mean);
             if deviation > mean / PHASE_THRESHOLD_DIV {
                 phases.push(PhaseSegment {
@@ -549,6 +535,10 @@ pub struct WindowValueDiff {
     pub after: Option<u64>,
 }
 
+/// One differing window boundary: `(index, before (end_instr,
+/// end_cycle), after)`.
+pub type BoundaryDiff = (usize, (u64, u64), (u64, u64));
+
 /// The semantic difference between two timelines: structural mismatches
 /// (window period, window count, dropped windows) plus per-window
 /// per-track value differences — matched by track *name*, so reordered
@@ -561,9 +551,8 @@ pub struct TimelineDiff {
     pub count_mismatch: Option<(usize, usize)>,
     /// `(before, after)` when the dropped-window counts disagree.
     pub dropped_mismatch: Option<(u64, u64)>,
-    /// Differing window boundaries: `(index, before (end_instr,
-    /// end_cycle), after)`.
-    pub boundaries: Vec<(usize, (u64, u64), (u64, u64))>,
+    /// Differing window boundaries.
+    pub boundaries: Vec<BoundaryDiff>,
     /// Differing values over the common window prefix.
     pub values: Vec<WindowValueDiff>,
 }
@@ -808,7 +797,7 @@ mod tests {
         assert_eq!((phases[1].start_window, phases[1].end_window), (3, 4));
         assert!(phases[0].mean_ipc_micros > 2 * phases[1].mean_ipc_micros / 2);
         // A flat series is one phase; an empty one has none.
-        assert_eq!(detect_phases(&vec![ipc(7); 4]).len(), 1);
+        assert_eq!(detect_phases(&[ipc(7); 4]).len(), 1);
         assert!(detect_phases(&[]).is_empty());
     }
 

@@ -179,15 +179,18 @@ pub fn global() -> &'static CrashSpec {
     )
 }
 
-/// CRC-32 (ISO-HDLC, the zlib polynomial), bitwise — small inputs only.
-/// Shared by checkpoint records and journal frames.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (ISO-HDLC, the zlib polynomial), bitwise, over the
+/// concatenation of `parts` without materializing it. Shared by
+/// checkpoint records, journal frames, and `.twgc` trace chunks.
+pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    for part in parts {
+        for &byte in *part {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
         }
     }
     !crc
@@ -338,7 +341,7 @@ pub fn encode_journal_frame(payload: &[u8]) -> Vec<u8> {
     out.push(JOURNAL_VERSION);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc32(&[payload]).to_le_bytes());
     out
 }
 
@@ -366,7 +369,7 @@ pub fn replay_journal(bytes: &[u8]) -> Option<Vec<u8>> {
         let (payload, after_payload) = after_len.split_at(paylen);
         let (crc_bytes, after_crc) = after_payload.split_at(4);
         let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
+        if crc32(&[payload]) != stored {
             break;
         }
         last_valid = Some(payload.to_vec());
@@ -717,8 +720,19 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
+        assert_eq!(crc32(&[b""]), 0);
+        assert_eq!(crc32(&[]), 0);
+    }
+
+    #[test]
+    fn crc32_over_parts_equals_crc32_of_their_concatenation() {
+        let whole: &[u8] = b"the quick brown fox jumps over the lazy dog";
+        for cut in [0, 1, 9, whole.len() - 1, whole.len()] {
+            let (a, b) = whole.split_at(cut);
+            assert_eq!(crc32(&[a, b]), crc32(&[whole]), "cut at {cut}");
+            assert_eq!(crc32(&[a, &[], b]), crc32(&[whole]), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -339,10 +339,12 @@ mod tests {
     #[test]
     fn retire_bursts_close_windows_in_closed_form() {
         let mut state = TimelineState::from_config(&ObsConfig::windowed(100)).unwrap();
-        let mut stats = SimStats::default();
         // One burst carries the count from 90 to 310: three boundaries
         // (100, 200, 300) close at the same cycle.
-        stats.retired_instructions = 90;
+        let mut stats = SimStats {
+            retired_instructions: 90,
+            ..SimStats::default()
+        };
         state.on_retire(40, &stats);
         assert!(state.ring.is_empty());
         stats.retired_instructions = 310;
@@ -368,8 +370,10 @@ mod tests {
     #[test]
     fn exact_boundary_runs_flush_cleanly() {
         let mut state = TimelineState::from_config(&ObsConfig::windowed(50)).unwrap();
-        let mut stats = SimStats::default();
-        stats.retired_instructions = 50;
+        let mut stats = SimStats {
+            retired_instructions: 50,
+            ..SimStats::default()
+        };
         state.on_retire(75, &stats);
         stats.retired_instructions = 100;
         state.on_retire(160, &stats);

@@ -2,9 +2,12 @@
 //! with CRC-framed chunks, per-chunk branch-density summaries, and a
 //! trailing directory for macro-block fast-forward.
 //!
-//! Where `TWGT` (see [`crate::trace`]) is a row-oriented format decoded
-//! front to back, `.twgc` splits events into fixed-size chunks and stores
-//! each chunk *by column*:
+//! Plays the role of the paper's Intel Processor Trace captures (§4.1): a
+//! trace stores only the *dynamic control-flow decisions* — like real PT
+//! packets, static information (block geometry, direct-branch targets) is
+//! reconstructed from the binary, so traces are small and layout-independent.
+//! Events are split into fixed-size chunks and each chunk is stored *by
+//! column*:
 //!
 //! ```text
 //! file   := header chunk* directory footer
@@ -43,12 +46,11 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use twig_bytes::BytesMut;
+use twig_bytes::{BufMut, BytesMut};
 use twig_sched::durable::{crc32, publish_atomic_with};
 use twig_types::BlockId;
 
 use crate::mapped::MappedBytes;
-use crate::trace::{put_varint, EventDecoder, TraceError};
 use crate::walker::BlockEvent;
 
 const MAGIC: &[u8; 4] = b"TWGC";
@@ -64,6 +66,136 @@ const FOOTER_LEN: usize = 8 + 8 + 4 + 4 + 4 + 4;
 /// large enough that chunk overhead vanishes, small enough that the
 /// reader's decode buffer stays far below the documented RSS bound.
 pub const DEFAULT_CHUNK_EVENTS: u32 = 64 * 1024;
+
+/// Errors produced when opening or decoding a `.twgc` trace.
+#[derive(Debug)]
+pub enum TraceError {
+    /// The stream does not begin with the trace magic.
+    BadMagic,
+    /// Unsupported format version.
+    BadVersion(u8),
+    /// A column ended mid-varint or a varint overflowed.
+    Truncated {
+        /// Absolute byte offset where decoding failed.
+        offset: u64,
+        /// Index of the first event of the chunk whose column ended.
+        event: u64,
+    },
+    /// A structural invariant of the container failed (bad directory,
+    /// impossible length, ...); `what` names the violated invariant.
+    Corrupt {
+        /// Absolute byte offset of the rejected structure.
+        offset: u64,
+        /// The violated invariant.
+        what: &'static str,
+    },
+    /// A CRC-framed chunk failed its checksum (bit flip or torn write).
+    ChecksumMismatch {
+        /// Index of the rejected chunk.
+        chunk: u32,
+        /// Absolute byte offset of the chunk.
+        offset: u64,
+    },
+    /// Underlying I/O failure.
+    Io(io::Error),
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::BadMagic => write!(f, "stream is not a twig trace (bad magic)"),
+            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
+            TraceError::Truncated { offset, event } => write!(
+                f,
+                "trace ended unexpectedly at byte {offset} (event {event})"
+            ),
+            TraceError::Corrupt { offset, what } => {
+                write!(f, "corrupt trace at byte {offset}: {what}")
+            }
+            TraceError::ChecksumMismatch { chunk, offset } => {
+                write!(f, "trace chunk {chunk} at byte {offset} failed its checksum")
+            }
+            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TraceError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for TraceError {
+    fn from(e: io::Error) -> Self {
+        TraceError::Io(e)
+    }
+}
+
+/// Appends a LEB128 varint.
+fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf.put_u8(byte);
+            return;
+        }
+        buf.put_u8(byte | 0x80);
+    }
+}
+
+/// A LEB128 cursor over one id column that knows its absolute position in
+/// the file (`base`) and the index of the chunk's first event, so a short
+/// column is a located [`TraceError::Truncated`].
+struct ColumnDecoder<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Absolute file offset of `buf[0]`.
+    base: u64,
+    /// Index of the chunk's first event.
+    event: u64,
+}
+
+impl<'a> ColumnDecoder<'a> {
+    fn new(buf: &'a [u8], base: u64, event: u64) -> Self {
+        ColumnDecoder {
+            buf,
+            pos: 0,
+            base,
+            event,
+        }
+    }
+
+    /// Bytes consumed from the column so far.
+    fn consumed(&self) -> usize {
+        self.pos
+    }
+
+    fn truncated(&self) -> TraceError {
+        TraceError::Truncated {
+            offset: self.base + self.pos as u64,
+            event: self.event,
+        }
+    }
+
+    /// Decodes the next varint.
+    fn varint(&mut self) -> Result<u64, TraceError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = *self.buf.get(self.pos).ok_or_else(|| self.truncated())?;
+            self.pos += 1;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(self.truncated())
+    }
+}
 
 /// Branch-density summary of one chunk, replicated in its directory entry
 /// so consumers can reason about a region without decoding it.
@@ -190,7 +322,7 @@ impl<W: Write> ColumnarWriter<W> {
         header[8..12].copy_from_slice(&self.targets.to_le_bytes());
         header[12..16].copy_from_slice(&(self.blocks.len() as u32).to_le_bytes());
         header[16..20].copy_from_slice(&(self.target_col.len() as u32).to_le_bytes());
-        let crc = crc32_concat(&[
+        let crc = crc32(&[
             &header[0..20],
             &self.taken_bits,
             &self.target_bits,
@@ -245,29 +377,13 @@ impl<W: Write> ColumnarWriter<W> {
         footer[0..8].copy_from_slice(&self.total.to_le_bytes());
         footer[8..16].copy_from_slice(&dir_offset.to_le_bytes());
         footer[16..20].copy_from_slice(&(self.dir.len() as u32).to_le_bytes());
-        footer[20..24].copy_from_slice(&crc32(&dir_bytes).to_le_bytes());
-        let footer_crc = crc32(&footer[0..24]);
+        footer[20..24].copy_from_slice(&crc32(&[&dir_bytes]).to_le_bytes());
+        let footer_crc = crc32(&[&footer[0..24]]);
         footer[24..28].copy_from_slice(&footer_crc.to_le_bytes());
         footer[28..32].copy_from_slice(END_MAGIC);
         self.out.write_all(&footer)?;
         Ok(self.total)
     }
-}
-
-/// CRC-32 over the concatenation of several slices without materializing
-/// it (the chunk checksum spans header words and four columns).
-fn crc32_concat(parts: &[&[u8]]) -> u32 {
-    let mut crc: u32 = !0;
-    for part in parts {
-        for &byte in *part {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-    !crc
 }
 
 /// Encodes events into an in-memory `.twgc` buffer (tests, benches).
@@ -374,7 +490,7 @@ impl ColumnarReader {
             });
         }
         let footer_crc = u32::from_le_bytes(footer[24..28].try_into().unwrap());
-        if crc32(&footer[0..24]) != footer_crc {
+        if crc32(&[&footer[0..24]]) != footer_crc {
             return Err(TraceError::Corrupt {
                 offset: footer_at as u64,
                 what: "footer checksum mismatch",
@@ -398,7 +514,7 @@ impl ColumnarReader {
             });
         }
         let dir_bytes = &bytes[dir_offset as usize..footer_at];
-        if crc32(dir_bytes) != dir_crc {
+        if crc32(&[dir_bytes]) != dir_crc {
             return Err(TraceError::Corrupt {
                 offset: dir_offset,
                 what: "directory checksum mismatch",
@@ -526,7 +642,7 @@ impl ColumnarReader {
         let bits_len = count.div_ceil(8);
         let payload_at = at + CHUNK_HEADER_LEN;
         let payload = &bytes[payload_at..payload_at + 2 * bits_len + blocks_len + targets_len];
-        if crc32_concat(&[&header[0..20], payload]) != crc_stored {
+        if crc32(&[&header[0..20], payload]) != crc_stored {
             return Err(TraceError::ChecksumMismatch {
                 chunk: index as u32,
                 offset: summary.offset,
@@ -537,8 +653,9 @@ impl ColumnarReader {
         let blocks_col = &payload[2 * bits_len..2 * bits_len + blocks_len];
         let target_col = &payload[2 * bits_len + blocks_len..];
         let event_base: u64 = self.dir[..index].iter().map(|s| u64::from(s.events)).sum();
-        let mut blocks = EventDecoder::new(blocks_col, (payload_at + 2 * bits_len) as u64, event_base);
-        let mut targets = EventDecoder::new(
+        let mut blocks =
+            ColumnDecoder::new(blocks_col, (payload_at + 2 * bits_len) as u64, event_base);
+        let mut targets = ColumnDecoder::new(
             target_col,
             (payload_at + 2 * bits_len + blocks_len) as u64,
             event_base,
@@ -621,6 +738,38 @@ mod tests {
     fn roundtrip_empty() {
         let bytes = encode_columnar(&[]);
         assert_eq!(decode_columnar(&bytes).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn rejects_bad_version() {
+        let mut bytes = encode_columnar(&sample_events(10));
+        bytes[4] = 0x63;
+        assert!(matches!(
+            ColumnarReader::from_bytes(bytes),
+            Err(TraceError::BadVersion(0x63))
+        ));
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        let mut bytes = encode_columnar(&sample_events(10));
+        bytes[..4].copy_from_slice(b"NOPE");
+        assert!(matches!(
+            ColumnarReader::from_bytes(bytes),
+            Err(TraceError::BadMagic)
+        ));
+    }
+
+    #[test]
+    fn varint_boundaries() {
+        let mut buf = BytesMut::new();
+        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64] {
+            buf.clear();
+            put_varint(&mut buf, v);
+            let mut dec = ColumnDecoder::new(&buf, 0, 0);
+            assert_eq!(dec.varint().unwrap(), v);
+            assert_eq!(dec.consumed(), buf.len());
+        }
     }
 
     #[test]

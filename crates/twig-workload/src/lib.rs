@@ -5,7 +5,8 @@
 //! via Intel PT traces. This crate supplies the substitute: a deterministic
 //! generator of multi-megabyte synthetic programs with the control-flow
 //! statistics of data-center services, a stochastic [`Walker`] producing
-//! dynamic instruction streams, and a compact PT-like [`trace`] format.
+//! dynamic instruction streams, and a compact PT-like [`columnar`] trace
+//! format.
 //!
 //! # Quick start
 //!
@@ -20,19 +21,19 @@
 //! let _ = AppId::ALL; // nine paper applications
 //! ```
 //!
-//! # Trace format family
+//! # Trace format
 //!
-//! Two on-disk encodings share one event model and one decode layer:
+//! Traces live on disk in one encoding, `.twgc` v1 ([`columnar`]):
 //!
-//! | | `TWGT` v1 ([`trace`]) | `.twgc` v1 ([`columnar`]) |
-//! |---|---|---|
-//! | layout | row-oriented, one varint record per event | columnar chunks: packed taken/target bits + LEB128 id columns |
-//! | integrity | whole-stream (decode front to back) | CRC per chunk + CRC'd directory/footer; torn tails rejected at open |
-//! | random access | none | chunk directory with branch-density summaries (macro-block fast-forward) |
-//! | reader | materializes a `Vec<BlockEvent>` | mmap'd, one chunk resident at a time |
-//! | choose when | small traces, interchange, tests | big traces, spilled caches, bounded-RSS streaming |
+//! * **layout** — columnar chunks: packed taken/target bits + LEB128 id
+//!   columns;
+//! * **integrity** — CRC per chunk + CRC'd directory/footer; torn tails
+//!   are rejected at open;
+//! * **random access** — a chunk directory with branch-density summaries
+//!   (macro-block fast-forward);
+//! * **reader** — mmap'd, one chunk resident at a time.
 //!
-//! Consumers are format-agnostic: anything that takes an [`EventSource`]
+//! Consumers are backing-agnostic: anything that takes an [`EventSource`]
 //! accepts an in-memory slice ([`MemSource`]), a live generative walk
 //! ([`WalkerSource`]), or an out-of-core columnar stream
 //! ([`ColumnarSource`]) — see [`source`] for the contract.
@@ -54,13 +55,12 @@ pub mod program;
 pub mod source;
 pub mod spec;
 pub mod stats;
-pub mod trace;
 pub mod walker;
 
 pub use builder::ProgramBuilder;
 pub use columnar::{
     decode_columnar, encode_columnar, encode_columnar_chunked, write_columnar_file, ChunkSummary,
-    ColumnarReader, ColumnarWriter, DEFAULT_CHUNK_EVENTS,
+    ColumnarReader, ColumnarWriter, TraceError, DEFAULT_CHUNK_EVENTS,
 };
 pub use generator::ProgramGenerator;
 pub use inputs::InputConfig;
@@ -71,5 +71,4 @@ pub use program::{BasicBlock, Function, Program, Terminator};
 pub use source::{AnySource, ColumnarSource, EventSource, MemSource, WalkerSource};
 pub use spec::{AppId, Span, Span1, SpecError, TerminatorMix, WorkloadSpec};
 pub use stats::{StaticStats, WorkingSet};
-pub use trace::{decode_trace, encode_trace, read_trace, write_trace, TraceError};
 pub use walker::{BlockEvent, Walker};

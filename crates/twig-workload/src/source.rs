@@ -31,10 +31,9 @@
 
 use std::sync::Arc;
 
-use crate::columnar::ColumnarReader;
+use crate::columnar::{ColumnarReader, TraceError};
 use crate::inputs::InputConfig;
 use crate::program::Program;
-use crate::trace::TraceError;
 use crate::walker::{BlockEvent, Walker};
 
 mod sealed {

@@ -1,16 +1,16 @@
 //! Property tests for the columnar `.twgc` trace format: lossless
-//! round-trips against the row-oriented `TWGT` codec on arbitrary event
-//! streams and chunk sizes, rejection of torn tails and single-bit flips
-//! anywhere in the CRC-covered region, and reset-replay determinism of
-//! the chunked reader behind [`ColumnarSource`].
+//! round-trips on arbitrary event streams and chunk sizes, rejection of
+//! torn tails and single-bit flips anywhere in the CRC-covered region,
+//! and reset-replay determinism of the chunked reader behind
+//! [`ColumnarSource`].
 
 use std::sync::Arc;
 
 use twig_proptest::prelude::*;
 use twig_types::BlockId;
 use twig_workload::{
-    decode_columnar, decode_trace, encode_columnar_chunked, encode_trace, BlockEvent,
-    ColumnarReader, ColumnarSource, EventSource,
+    decode_columnar, encode_columnar_chunked, BlockEvent, ColumnarReader, ColumnarSource,
+    EventSource,
 };
 
 /// Bytes before the first chunk: magic (4) + version (1) + chunk_target
@@ -36,14 +36,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Columnar encode/decode is lossless for arbitrary events at any
-    /// chunk size, and agrees exactly with the `TWGT` row codec: both
-    /// formats describe the same stream.
+    /// chunk size.
     #[test]
-    fn columnar_roundtrip_matches_twgt(events in arb_events(), chunk in 1u32..300) {
+    fn columnar_roundtrip_is_lossless(events in arb_events(), chunk in 1u32..300) {
         let columnar = encode_columnar_chunked(&events, chunk);
-        prop_assert_eq!(decode_columnar(&columnar).expect("decode"), events.clone());
-        let rows = encode_trace(&events);
-        prop_assert_eq!(decode_trace(&rows).expect("twgt decode"), events);
+        prop_assert_eq!(decode_columnar(&columnar).expect("decode"), events);
     }
 
     /// Every strict prefix of a columnar file is rejected at open — the

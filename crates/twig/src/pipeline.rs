@@ -9,7 +9,7 @@ use twig_serde::{Deserialize, Serialize};
 use twig_profile::{LbrRecorder, Profile};
 use twig_sim::{speedup_percent, PlainBtb, SimConfig, SimStats, Simulator};
 use twig_workload::{
-    BlockEvent, EventSource, InputConfig, LayoutOptions, Program, ProgramGenerator, Walker,
+    EventSource, InputConfig, LayoutOptions, MemSource, Program, ProgramGenerator, Walker,
     WorkloadSpec,
 };
 
@@ -89,57 +89,15 @@ impl TwigOptimizer {
         &self.config
     }
 
-    /// Collects an LBR profile of `program` under `input` (baseline run).
-    pub fn collect_profile(
-        &self,
-        program: &Program,
-        sim_config: SimConfig,
-        input: InputConfig,
-        instructions: u64,
-    ) -> Profile {
-        let events = Walker::new(program, input).run_instructions(instructions);
-        self.collect_profile_from_events(program, sim_config, &events, instructions)
-    }
-
-    /// Collects an LBR profile from an already-materialized event stream
-    /// (the experiment harness shares one walker trace across figures via
-    /// its artifact cache instead of re-walking per profile).
-    pub fn collect_profile_from_events(
-        &self,
-        program: &Program,
-        sim_config: SimConfig,
-        events: &[BlockEvent],
-        instructions: u64,
-    ) -> Profile {
-        self.collect_profile_and_stats_from_events(program, sim_config, events, instructions)
-            .0
-    }
-
-    /// [`Self::collect_profile_from_events`], also returning the
-    /// statistics of the underlying simulation. The observer is passive,
-    /// so these are exactly the stats of a plain FDIP baseline run over
-    /// the same events — callers that need both get the baseline run for
-    /// free with the profile.
-    pub fn collect_profile_and_stats_from_events(
-        &self,
-        program: &Program,
-        sim_config: SimConfig,
-        events: &[BlockEvent],
-        instructions: u64,
-    ) -> (Profile, SimStats) {
-        let mut recorder = LbrRecorder::new(program, 1);
-        recorder.observe_events(program, events.iter().copied());
-        let mut sim = Simulator::new(program, sim_config, PlainBtb::new(&sim_config));
-        let stats = sim.run_observed(events.iter().copied(), instructions, &mut recorder);
-        (recorder.into_profile(), stats)
-    }
-
-    /// [`Self::collect_profile_and_stats_from_events`] over a streaming
-    /// [`EventSource`] — the out-of-core path. The profile pass consumes
-    /// one full pass of the source, the source is reset, and the
-    /// simulation replays the identical stream (replay determinism is the
-    /// source contract), so profile and stats agree exactly with the
-    /// materialized variant on the same events.
+    /// Collects an LBR profile of `program` over `source` (a baseline
+    /// run), also returning the statistics of the underlying simulation.
+    /// The observer is passive, so these are exactly the stats of a plain
+    /// FDIP baseline run over the same events — callers that need both get
+    /// the baseline run for free with the profile.
+    ///
+    /// The profile pass consumes one full pass of the source, the source
+    /// is reset, and the simulation replays the identical stream (replay
+    /// determinism is the source contract).
     pub fn collect_profile_and_stats_from_source<S: EventSource>(
         &self,
         program: &Program,
@@ -167,36 +125,18 @@ impl TwigOptimizer {
         analyze_profile_with_layout(profile, &self.config, Some(program))
     }
 
-    /// Rewrites a fresh copy of the program according to `plans`.
-    pub fn rewrite(
-        &self,
-        generator: &ProgramGenerator,
-        plans: &[MissPlan],
-    ) -> OptimizedBinary {
-        self.rewrite_program(generator.generate(), &generator.layout_options(), plans)
-    }
-
-    /// Rewrites a clone of an already-generated pristine (op-free) program.
-    ///
-    /// Generation is deterministic, so this produces the same binary as
-    /// [`Self::rewrite`] with that program's generator — without re-running
-    /// generation. Sweeps that rewrite the same application once per
-    /// configuration point use this with their shared pristine copy.
+    /// Rewrites a clone of an already-generated pristine (op-free) program
+    /// according to `plans`; `layout` is the layout the program was
+    /// generated with ([`ProgramGenerator::layout_options`]). Sweeps that
+    /// rewrite the same application once per configuration point share
+    /// one pristine copy.
     pub fn rewrite_of(
         &self,
         pristine: &Program,
         layout: &LayoutOptions,
         plans: &[MissPlan],
     ) -> OptimizedBinary {
-        self.rewrite_program(pristine.clone(), layout, plans)
-    }
-
-    fn rewrite_program(
-        &self,
-        mut program: Program,
-        layout: &LayoutOptions,
-        plans: &[MissPlan],
-    ) -> OptimizedBinary {
+        let mut program = pristine.clone();
         let rewrite = apply_rewrite(&mut program, plans, &self.config, layout);
         OptimizedBinary {
             program,
@@ -205,61 +145,14 @@ impl TwigOptimizer {
         }
     }
 
-    /// Evaluates an optimized binary against the baseline and the ideal BTB
-    /// under one input.
-    pub fn evaluate(
-        &self,
-        original: &Program,
-        optimized: &OptimizedBinary,
-        sim_config: SimConfig,
-        input: InputConfig,
-        instructions: u64,
-    ) -> EvalReport {
-        let events = Walker::new(original, input).run_instructions(instructions);
-        self.evaluate_with_events(original, optimized, sim_config, &events, instructions)
-    }
-
-    /// Evaluates an optimized binary over an already-materialized event
-    /// stream (cache-friendly variant of [`Self::evaluate`]).
-    pub fn evaluate_with_events(
-        &self,
-        original: &Program,
-        optimized: &OptimizedBinary,
-        sim_config: SimConfig,
-        events: &[BlockEvent],
-        instructions: u64,
-    ) -> EvalReport {
-        let (baseline, ideal) =
-            Self::reference_stats(original, sim_config, events, instructions);
-        self.evaluate_optimized(optimized, sim_config, events, instructions, baseline, ideal)
-    }
-
     /// Simulates the FDIP baseline and the ideal BTB for `original` over
-    /// `events` — the two reference runs every evaluation is scored
-    /// against. They depend only on the original binary and the input,
+    /// `source` — the two reference runs every evaluation is scored
+    /// against. The baseline pass runs, the source resets, the ideal pass
+    /// replays. They depend only on the original binary and the input,
     /// not on the optimized variant, so callers evaluating several
     /// rewrites of the same program under the same input compute them
-    /// once and feed them to [`Self::evaluate_optimized`] repeatedly.
-    pub fn reference_stats(
-        original: &Program,
-        sim_config: SimConfig,
-        events: &[BlockEvent],
-        instructions: u64,
-    ) -> (SimStats, SimStats) {
-        let mut base_sim = Simulator::new(original, sim_config, PlainBtb::new(&sim_config));
-        let baseline = base_sim.run(events.iter().copied(), instructions);
-
-        let ideal_cfg = SimConfig {
-            ideal_btb: true,
-            ..sim_config
-        };
-        let mut ideal_sim = Simulator::new(original, ideal_cfg, PlainBtb::new(&ideal_cfg));
-        let ideal = ideal_sim.run(events.iter().copied(), instructions);
-        (baseline, ideal)
-    }
-
-    /// [`Self::reference_stats`] over a streaming [`EventSource`]: the
-    /// baseline pass runs, the source resets, the ideal pass replays.
+    /// once and feed them to [`Self::evaluate_optimized_from_source`]
+    /// repeatedly.
     pub fn reference_stats_from_source<S: EventSource>(
         original: &Program,
         sim_config: SimConfig,
@@ -279,29 +172,10 @@ impl TwigOptimizer {
     }
 
     /// Scores one optimized binary against precomputed reference runs
-    /// (see [`Self::reference_stats`]); runs only the Twig simulation.
-    pub fn evaluate_optimized(
-        &self,
-        optimized: &OptimizedBinary,
-        sim_config: SimConfig,
-        events: &[BlockEvent],
-        instructions: u64,
-        baseline: SimStats,
-        ideal: SimStats,
-    ) -> EvalReport {
-        // The optimized binary replays the same control flow (block ids are
-        // stable across the rewrite).
-        let mut twig_sim = Simulator::new(
-            &optimized.program,
-            sim_config,
-            PlainBtb::new(&sim_config),
-        );
-        let twig = twig_sim.run(events.iter().copied(), instructions);
-        self.score(twig, baseline, ideal)
-    }
-
-    /// [`Self::evaluate_optimized`] over a streaming [`EventSource`]
-    /// (resets the source first, so it composes after a reference pass).
+    /// (see [`Self::reference_stats_from_source`]); runs only the Twig
+    /// simulation. Resets the source first, so it composes after a
+    /// reference pass. The optimized binary replays the same control flow
+    /// (block ids are stable across the rewrite).
     pub fn evaluate_optimized_from_source<S: EventSource>(
         &self,
         optimized: &OptimizedBinary,
@@ -321,9 +195,9 @@ impl TwigOptimizer {
         self.score(twig, baseline, ideal)
     }
 
-    /// [`Self::evaluate_with_events`] over a streaming [`EventSource`]:
-    /// three bounded-memory passes (baseline, ideal, Twig) over one
-    /// resettable stream.
+    /// Evaluates an optimized binary against the baseline and the ideal BTB
+    /// over one input: three bounded-memory passes (baseline, ideal, Twig)
+    /// over one resettable stream.
     pub fn evaluate_with_source<S: EventSource>(
         &self,
         original: &Program,
@@ -377,21 +251,26 @@ impl TwigOptimizer {
     ) -> Vec<EvalReport> {
         let generator = ProgramGenerator::new(spec.clone());
         let program = generator.generate();
-        let profile = self.collect_profile(
+        let walk = |input: u32| {
+            MemSource::from(
+                Walker::new(&program, InputConfig::numbered(input)).run_instructions(instructions),
+            )
+        };
+        let (profile, _) = self.collect_profile_and_stats_from_source(
             &program,
             sim_config,
-            InputConfig::numbered(train),
+            &mut walk(train),
             instructions,
         );
         let plans = self.analyze_for(&profile, &program);
-        let optimized = self.rewrite(&generator, &plans);
+        let optimized = self.rewrite_of(&program, &generator.layout_options(), &plans);
         test.iter()
             .map(|&i| {
-                self.evaluate(
+                self.evaluate_with_source(
                     &program,
                     &optimized,
                     sim_config,
-                    InputConfig::numbered(i),
+                    &mut walk(i),
                     instructions,
                 )
             })
@@ -455,42 +334,40 @@ mod tests {
 
     #[test]
     fn source_paths_match_materialized_paths() {
-        use twig_workload::{ColumnarReader, ColumnarSource, MemSource};
+        use std::sync::Arc;
+        use twig_workload::{AnySource, ColumnarReader, ColumnarSource, WalkerSource};
 
         let spec = WorkloadSpec::tiny_test();
         let generator = ProgramGenerator::new(spec.clone());
-        let program = generator.generate();
+        let program = Arc::new(generator.generate());
         let sim = pressured_config(&spec);
         let optimizer = TwigOptimizer::default();
         let budget = 60_000u64;
-        let events =
-            Walker::new(&program, InputConfig::numbered(0)).run_instructions(budget);
+        let input = InputConfig::numbered(0);
+        let events = Walker::new(program.as_ref(), input).run_instructions(budget);
 
-        let (profile, stats) =
-            optimizer.collect_profile_and_stats_from_events(&program, sim, &events, budget);
-        let plans = optimizer.analyze_for(&profile, &program);
-        let optimized = optimizer.rewrite(&generator, &plans);
-        let report = optimizer.evaluate_with_events(&program, &optimized, sim, &events, budget);
-
-        // In-memory source and out-of-core columnar source must reproduce
-        // the materialized path exactly — profiles, stats, and reports.
+        // The materialized trace, the live walk, and the out-of-core
+        // columnar stream must agree exactly — profiles, stats, and reports.
         let columnar = twig_workload::columnar::encode_columnar_chunked(&events, 4096);
-        let mut sources: Vec<twig_workload::AnySource> = vec![
-            MemSource::from(events.clone()).into(),
-            ColumnarSource::from_reader(std::sync::Arc::new(
-                ColumnarReader::from_bytes(columnar).unwrap(),
-            ))
-            .into(),
+        let mut sources: Vec<AnySource> = vec![
+            MemSource::from(events).into(),
+            WalkerSource::new(Arc::clone(&program), input, budget).into(),
+            ColumnarSource::from_reader(Arc::new(ColumnarReader::from_bytes(columnar).unwrap()))
+                .into(),
         ];
-        for source in &mut sources {
-            let (p2, s2) = optimizer
-                .collect_profile_and_stats_from_source(&program, sim, source, budget);
-            assert_eq!(p2, profile);
-            assert_eq!(s2, stats);
+        let mut runs = sources.iter_mut().map(|source| {
+            let (profile, stats) =
+                optimizer.collect_profile_and_stats_from_source(&program, sim, source, budget);
+            let plans = optimizer.analyze_for(&profile, &program);
+            let optimized = optimizer.rewrite_of(&program, &generator.layout_options(), &plans);
             source.reset();
-            let r2 =
-                optimizer.evaluate_with_source(&program, &optimized, sim, source, budget);
-            assert_eq!(r2, report);
+            let report = optimizer.evaluate_with_source(&program, &optimized, sim, source, budget);
+            (profile, stats, report)
+        });
+        let first = runs.next().unwrap();
+        assert!(first.0.num_samples() > 0);
+        for run in runs {
+            assert_eq!(run, first);
         }
     }
 
@@ -501,8 +378,13 @@ mod tests {
         let program = generator.generate();
         let sim = pressured_config(&spec);
         let optimizer = TwigOptimizer::default();
-        let profile =
-            optimizer.collect_profile(&program, sim, InputConfig::numbered(0), 100_000);
+        let events = Walker::new(&program, InputConfig::numbered(0)).run_instructions(100_000);
+        let (profile, _) = optimizer.collect_profile_and_stats_from_source(
+            &program,
+            sim,
+            &mut MemSource::from(events),
+            100_000,
+        );
         assert!(profile.num_samples() > 0);
         assert!(profile.instructions >= 100_000);
         let plans = optimizer.analyze(&profile);

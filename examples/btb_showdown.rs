@@ -10,7 +10,7 @@
 use twig::{TwigConfig, TwigOptimizer};
 use twig_prefetchers::{Confluence, Shotgun};
 use twig_sim::{BtbSystem, PlainBtb, SimConfig, SimStats, Simulator};
-use twig_workload::{AppId, InputConfig, ProgramGenerator, Walker, WorkloadSpec};
+use twig_workload::{AppId, InputConfig, MemSource, ProgramGenerator, Walker, WorkloadSpec};
 
 fn main() {
     let app_name = std::env::args().nth(1).unwrap_or_else(|| "cassandra".into());
@@ -61,9 +61,15 @@ fn main() {
 
     // Twig: profile on input #0, rewrite, rerun the same input-#1 events.
     let optimizer = TwigOptimizer::new(TwigConfig::default());
-    let profile =
-        optimizer.collect_profile(&program, config, InputConfig::numbered(0), instructions);
-    let optimized = optimizer.rewrite(&generator, &optimizer.analyze_for(&profile, &program));
+    let train = Walker::new(&program, InputConfig::numbered(0)).run_instructions(instructions);
+    let (profile, _) = optimizer.collect_profile_and_stats_from_source(
+        &program,
+        config,
+        &mut MemSource::from(train),
+        instructions,
+    );
+    let plans = optimizer.analyze_for(&profile, &program);
+    let optimized = optimizer.rewrite_of(&program, &generator.layout_options(), &plans);
     let twig_stats = {
         let mut sim = Simulator::new(&optimized.program, config, PlainBtb::new(&config));
         sim.run(events.iter().copied(), instructions)

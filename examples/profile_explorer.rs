@@ -8,7 +8,7 @@
 use twig::{TwigConfig, TwigOptimizer};
 use twig_profile::classify_streams;
 use twig_sim::SimConfig;
-use twig_workload::{AppId, InputConfig, ProgramGenerator, WorkloadSpec};
+use twig_workload::{AppId, InputConfig, MemSource, ProgramGenerator, Walker, WorkloadSpec};
 
 fn main() {
     let app_name = std::env::args().nth(1).unwrap_or_else(|| "tomcat".into());
@@ -24,8 +24,13 @@ fn main() {
     let program = generator.generate();
     let optimizer = TwigOptimizer::new(TwigConfig::default());
 
-    let profile =
-        optimizer.collect_profile(&program, config, InputConfig::numbered(0), instructions);
+    let train = Walker::new(&program, InputConfig::numbered(0)).run_instructions(instructions);
+    let (profile, _) = optimizer.collect_profile_and_stats_from_source(
+        &program,
+        config,
+        &mut MemSource::from(train),
+        instructions,
+    );
     println!(
         "profile of {}: {} miss samples over {} instructions",
         spec.name,

@@ -4,7 +4,10 @@
 
 use twig::{MeanStd, TwigConfig, TwigOptimizer};
 use twig_sim::{PlainBtb, SimConfig, Simulator};
-use twig_workload::{InputConfig, ProgramGenerator, Span, Walker, WorkloadSpec};
+use twig_workload::{
+    encode_columnar, ColumnarReader, ColumnarSource, InputConfig, MemSource, ProgramGenerator,
+    Span, Walker, WorkloadSpec,
+};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -65,17 +68,24 @@ fn same_input_profile_is_at_least_as_good_on_average() {
     let generator = ProgramGenerator::new(spec.clone());
     let program = generator.generate();
 
-    let trained = {
-        let p = optimizer.collect_profile(&program, sim, InputConfig::numbered(0), BUDGET);
-        optimizer.rewrite(&generator, &optimizer.analyze(&p))
+    let walk = |input: u32| {
+        MemSource::from(
+            Walker::new(&program, InputConfig::numbered(input)).run_instructions(BUDGET),
+        )
     };
-    let own = {
-        let p = optimizer.collect_profile(&program, sim, InputConfig::numbered(2), BUDGET);
-        optimizer.rewrite(&generator, &optimizer.analyze(&p))
+    let optimize = |input: u32| {
+        let (p, _) = optimizer.collect_profile_and_stats_from_source(
+            &program,
+            sim,
+            &mut walk(input),
+            BUDGET,
+        );
+        optimizer.rewrite_of(&program, &generator.layout_options(), &optimizer.analyze(&p))
     };
+    let (trained, own) = (optimize(0), optimize(2));
     let trained_report =
-        optimizer.evaluate(&program, &trained, sim, InputConfig::numbered(2), BUDGET);
-    let own_report = optimizer.evaluate(&program, &own, sim, InputConfig::numbered(2), BUDGET);
+        optimizer.evaluate_with_source(&program, &trained, sim, &mut walk(2), BUDGET);
+    let own_report = optimizer.evaluate_with_source(&program, &own, sim, &mut walk(2), BUDGET);
     assert!(
         own_report.coverage >= trained_report.coverage * 0.8,
         "same-input profile much worse than training profile: {:.3} vs {:.3}",
@@ -90,8 +100,8 @@ fn trace_roundtrip_preserves_simulation_results() {
     let program = ProgramGenerator::new(spec()).generate();
     let config = SimConfig::default();
     let events = Walker::new(&program, InputConfig::numbered(1)).run_instructions(100_000);
-    let bytes = twig_workload::encode_trace(&events);
-    let decoded = twig_workload::decode_trace(&bytes).expect("valid trace");
+    let reader = ColumnarReader::from_bytes(encode_columnar(&events)).expect("valid trace");
+    let decoded = ColumnarSource::from_reader(std::sync::Arc::new(reader));
 
     let mut sim_a = Simulator::new(&program, config, PlainBtb::new(&config));
     let a = sim_a.run(events, 100_000);

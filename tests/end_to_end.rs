@@ -1,10 +1,10 @@
 //! End-to-end integration: the full Twig pipeline across all five crates,
 //! validating the paper's headline relationships on a mid-size workload.
 
-use twig::{TwigConfig, TwigOptimizer};
+use twig::{OptimizedBinary, TwigConfig, TwigOptimizer};
 use twig_sim::{PlainBtb, SimConfig, Simulator};
 use twig_workload::{
-    InputConfig, ProgramGenerator, Span, Walker, WorkloadSpec,
+    InputConfig, MemSource, Program, ProgramGenerator, Span, Walker, WorkloadSpec,
 };
 
 /// A workload between tiny_test and the paper presets: enough BTB pressure
@@ -25,6 +25,30 @@ fn midi_spec() -> WorkloadSpec {
 }
 
 const BUDGET: u64 = 400_000;
+
+/// The walk of `program` under input `input`, as a replayable source.
+fn walk(program: &Program, input: u32, budget: u64) -> MemSource {
+    Walker::new(program, InputConfig::numbered(input))
+        .run_instructions(budget)
+        .into()
+}
+
+/// Profiles `generator`'s `program` on input #0 and rewrites it.
+fn optimize(
+    optimizer: &TwigOptimizer,
+    generator: &ProgramGenerator,
+    program: &Program,
+    sim: SimConfig,
+    budget: u64,
+) -> OptimizedBinary {
+    let (profile, _) = optimizer.collect_profile_and_stats_from_source(
+        program,
+        sim,
+        &mut walk(program, 0, budget),
+        budget,
+    );
+    optimizer.rewrite_of(program, &generator.layout_options(), &optimizer.analyze(&profile))
+}
 
 #[test]
 fn twig_beats_baseline_and_stays_below_ideal() {
@@ -60,8 +84,7 @@ fn rewritten_binary_executes_identical_control_flow() {
     let program = generator.generate();
     let sim = SimConfig::paper_baseline(spec.backend_extra_cpki);
     let optimizer = TwigOptimizer::new(TwigConfig::default());
-    let profile = optimizer.collect_profile(&program, sim, InputConfig::numbered(0), 100_000);
-    let optimized = optimizer.rewrite(&generator, &optimizer.analyze(&profile));
+    let optimized = optimize(&optimizer, &generator, &program, sim, 100_000);
 
     let a: Vec<_> = Walker::new(&program, InputConfig::numbered(2))
         .take(20_000)
@@ -82,9 +105,9 @@ fn overheads_are_within_paper_bands() {
     let optimizer = TwigOptimizer::new(TwigConfig::default());
     let generator = ProgramGenerator::new(spec.clone());
     let program = generator.generate();
-    let profile = optimizer.collect_profile(&program, sim, InputConfig::numbered(0), BUDGET);
-    let optimized = optimizer.rewrite(&generator, &optimizer.analyze(&profile));
-    let report = optimizer.evaluate(&program, &optimized, sim, InputConfig::numbered(1), BUDGET);
+    let optimized = optimize(&optimizer, &generator, &program, sim, BUDGET);
+    let mut test_walk = walk(&program, 1, BUDGET);
+    let report = optimizer.evaluate_with_source(&program, &optimized, sim, &mut test_walk, BUDGET);
 
     // Paper: static < 10%, dynamic < 12.6% in the worst case.
     assert!(
@@ -106,8 +129,7 @@ fn prefetch_ops_flow_through_the_frontend() {
     let program = generator.generate();
     let sim = SimConfig::paper_baseline(spec.backend_extra_cpki);
     let optimizer = TwigOptimizer::new(TwigConfig::default());
-    let profile = optimizer.collect_profile(&program, sim, InputConfig::numbered(0), BUDGET);
-    let optimized = optimizer.rewrite(&generator, &optimizer.analyze(&profile));
+    let optimized = optimize(&optimizer, &generator, &program, sim, BUDGET);
 
     let events = Walker::new(&optimized.program, InputConfig::numbered(1))
         .run_instructions(BUDGET);

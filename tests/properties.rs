@@ -5,7 +5,7 @@ use twig_proptest::prelude::*;
 use twig_sim::{Btb, BtbGeometry, PrefetchBuffer, Ras};
 use twig_types::{Addr, BlockId, BranchKind};
 use twig_workload::{
-    decode_trace, encode_trace, BlockEvent, InputConfig, ProgramGenerator, Span, Walker,
+    decode_columnar, encode_columnar, BlockEvent, InputConfig, ProgramGenerator, Span, Walker,
     WorkloadSpec,
 };
 
@@ -29,25 +29,21 @@ proptest! {
     /// Trace encode/decode is a lossless round trip for arbitrary events.
     #[test]
     fn trace_roundtrip(events in prop::collection::vec(arb_event(), 0..500)) {
-        let bytes = encode_trace(&events);
-        let decoded = decode_trace(&bytes).expect("decode");
+        let bytes = encode_columnar(&events);
+        let decoded = decode_columnar(&bytes).expect("decode");
         prop_assert_eq!(decoded, events);
     }
 
-    /// Truncating an encoded trace never panics, and any successful decode
-    /// of a truncation yields fewer events (never silently corrupts).
+    /// Truncating an encoded trace never panics and never decodes: the
+    /// footer is written last, so every strict prefix is rejected.
     #[test]
     fn trace_truncation_is_detected(
         events in prop::collection::vec(arb_event(), 1..100),
         cut_fraction in 0.0f64..1.0,
     ) {
-        let bytes = encode_trace(&events);
+        let bytes = encode_columnar(&events);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
-        if cut < bytes.len() {
-            if let Ok(decoded) = decode_trace(&bytes[..cut]) {
-                prop_assert!(decoded.len() < events.len() || decoded == events);
-            }
-        }
+        prop_assert!(decode_columnar(&bytes[..cut]).is_err());
     }
 
     /// The BTB never exceeds capacity and always returns the most recent
