@@ -1,20 +1,21 @@
-//! Microbenchmarks proving the hot-loop optimizations: monomorphized vs
-//! `Box<dyn>`-erased `Simulator::run`, flat-storage BTB lookup/insert
-//! under realistic miss traffic, batched (idle-skipping) vs per-cycle
-//! stepping, and the cost of the simulation integrity and observability
-//! tiers (`off` must be free; the richer tiers priced).
+//! Microbenchmarks for the hot loop: the monomorphized `Simulator::run`
+//! reference row, flat-storage BTB lookup/insert under realistic miss
+//! traffic, batched (idle-skipping) vs per-cycle stepping, and the cost
+//! of the simulation integrity and observability tiers (`off` must be
+//! free; the richer tiers priced).
 
 use twig_criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twig_rand::rngs::StdRng;
 use twig_rand::{RngExt, SeedableRng};
-use twig_sim::{
-    Btb, BtbGeometry, BtbSystem, IntegrityConfig, ObsConfig, PlainBtb, SimConfig, Simulator,
-};
+use twig_sim::{Btb, BtbGeometry, IntegrityConfig, ObsConfig, PlainBtb, SimConfig, Simulator};
 use twig_types::{Addr, BranchKind};
 use twig_workload::{InputConfig, ProgramGenerator, Walker, WorkloadSpec};
 
 const INSTRS: u64 = 100_000;
 
+/// The reference row for a plain run: the event loop sees the concrete
+/// `PlainBtb` type. The integrity and observability `off` rows below
+/// should be within noise of it.
 fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_dispatch");
     group.sample_size(10);
@@ -25,16 +26,6 @@ fn bench_dispatch(c: &mut Criterion) {
     let config = SimConfig::default();
     group.throughput(Throughput::Elements(INSTRS));
 
-    // Type-erased: the same system behind `Box<dyn BtbSystem>`, the path
-    // existing callers keep using.
-    group.bench_function("boxed_dyn", |b| {
-        b.iter(|| {
-            let system: Box<dyn BtbSystem> = Box::new(PlainBtb::new(&config));
-            let mut sim = Simulator::new(&program, config, system);
-            sim.run(events.iter().copied(), INSTRS).cycles
-        });
-    });
-    // Monomorphized: the event loop sees the concrete `PlainBtb` type.
     group.bench_function("monomorphized", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&program, config, PlainBtb::new(&config));
@@ -43,68 +34,6 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 
     group.finish();
-}
-
-/// The seed's BTB storage layout (`Vec<Vec<_>>`, MRU via `remove` +
-/// `insert(0)`), re-created verbatim — same entry payload, same evicted-PC
-/// reconstruction — so the flat layout's effect is measured against the
-/// real predecessor rather than asserted.
-#[derive(Clone, Copy)]
-struct NestedEntry {
-    tag: u64,
-    target: Addr,
-    kind: BranchKind,
-}
-
-struct NestedBtb {
-    sets: Vec<Vec<NestedEntry>>,
-    ways: usize,
-    set_mask: u64,
-}
-
-impl NestedBtb {
-    fn new(entries: usize, ways: usize) -> Self {
-        let sets = entries / ways;
-        NestedBtb {
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
-            set_mask: sets as u64 - 1,
-        }
-    }
-
-    fn set_and_tag(&self, pc: Addr) -> (usize, u64) {
-        let key = pc.raw() >> 1;
-        ((key & self.set_mask) as usize, key >> self.set_mask.count_ones())
-    }
-
-    fn lookup(&mut self, pc: Addr) -> Option<NestedEntry> {
-        let (set, tag) = self.set_and_tag(pc);
-        let ways = &mut self.sets[set];
-        let pos = ways.iter().position(|e| e.tag == tag)?;
-        let entry = ways.remove(pos);
-        ways.insert(0, entry);
-        Some(entry)
-    }
-
-    fn insert(&mut self, pc: Addr, target: Addr, kind: BranchKind) -> Option<Addr> {
-        let (set, tag) = self.set_and_tag(pc);
-        let set_bits = self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|e| e.tag == tag) {
-            let mut entry = ways.remove(pos);
-            entry.target = target;
-            entry.kind = kind;
-            ways.insert(0, entry);
-            return None;
-        }
-        ways.insert(0, NestedEntry { tag, target, kind });
-        if ways.len() > self.ways {
-            let victim = ways.pop().expect("overflow entry");
-            let key = (victim.tag << set_bits) | set as u64;
-            return Some(Addr::new(key << 1));
-        }
-        None
-    }
 }
 
 fn bench_btb_flat_storage(c: &mut Criterion) {
@@ -120,25 +49,6 @@ fn bench_btb_flat_storage(c: &mut Criterion) {
             &(entries, ways),
             |b, &(entries, ways)| {
                 let mut btb = Btb::new(BtbGeometry::new(entries, ways));
-                b.iter(|| {
-                    let mut hits = 0u32;
-                    for &pc in &addrs {
-                        match btb.lookup(pc) {
-                            Some(_) => hits += 1,
-                            None => {
-                                btb.insert(pc, Addr::new(1), BranchKind::Conditional);
-                            }
-                        }
-                    }
-                    hits
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("nested_vec", format!("{entries}x{ways}")),
-            &(entries, ways),
-            |b, &(entries, ways)| {
-                let mut btb = NestedBtb::new(entries, ways);
                 b.iter(|| {
                     let mut hits = 0u32;
                     for &pc in &addrs {
@@ -278,18 +188,18 @@ fn bench_obs_overhead(c: &mut Criterion) {
         Walker::new(&program, InputConfig::numbered(0)).run_instructions(INSTRS);
     group.throughput(Throughput::Elements(INSTRS));
 
-    let tiers: [(&str, ObsConfig); 7] = [
-        ("off", ObsConfig::off()),
-        ("counters", ObsConfig::counters()),
-        ("trace", ObsConfig::trace(1)),
-        ("trace64", ObsConfig::trace(64)),
-        (
-            "attr",
-            ObsConfig::counters().with_attr(twig_sim::AttrConfig::on()),
-        ),
-        ("window4096", ObsConfig::windowed(4096)),
-        ("window65536", ObsConfig::windowed(65_536)),
-    ];
+    let tiers: Vec<(&str, ObsConfig)> = [
+        ("off", "off"),
+        ("counters", "counters"),
+        ("trace", "trace"),
+        ("trace64", "trace=64"),
+        ("attr", "counters,attr"),
+        ("window4096", "window=4096"),
+        ("window65536", "window=65536"),
+    ]
+    .into_iter()
+    .map(|(name, spec)| (name, ObsConfig::parse(spec).expect("valid observation spec")))
+    .collect();
     let run = |obs: ObsConfig| {
         let config = SimConfig {
             obs,

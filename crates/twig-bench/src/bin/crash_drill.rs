@@ -49,6 +49,14 @@ const FLEET_POINTS: &[&str] = &[
 /// Crashpoints drilled through `twig-cli metrics regress --trajectory`.
 const TRAJ_POINTS: &[&str] = &["traj-journal", "traj-published"];
 
+const USAGE: &str = "usage: crash_drill [--instructions N] [--root DIR] [--quick]";
+
+/// Reports a bad command line on stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("crash_drill: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut instructions: u64 = 100_000;
     let mut root: Option<PathBuf> = None;
@@ -57,18 +65,24 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--instructions" => {
-                instructions = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--instructions needs a number");
+                let text = args.next().unwrap_or_default();
+                instructions = text.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--instructions needs a number, got {text:?}"))
+                });
             }
-            "--root" => root = Some(args.next().expect("--root needs a path").into()),
+            "--root" => {
+                root = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--root needs a path"))
+                        .into(),
+                )
+            }
             "--quick" => quick = true,
             "--help" | "-h" => {
-                eprintln!("usage: crash_drill [--instructions N] [--root DIR] [--quick]");
+                eprintln!("{USAGE}");
                 return;
             }
-            other => panic!("unknown argument {other:?}"),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let root = root.unwrap_or_else(|| {

@@ -3,7 +3,13 @@
 //! ```text
 //! experiments <id>...|all [--instructions N] [--sweep-instructions N]
 //!                         [--results-dir DIR] [--resume] [--strict]
+//!                         [--obs SPEC]
 //! ```
+//!
+//! `--obs SPEC` takes the `TWIG_OBS` grammar (`counters,attr,window=N`,
+//! see `docs/OBSERVABILITY.md`) and replaces that variable as a whole. A
+//! malformed flag or `TWIG_*` variable is a usage error: a message on
+//! stderr and exit 2 before anything runs.
 //!
 //! Reports print to stdout and are also written to `results/<id>.txt`.
 //! Every run additionally writes `results/bench_results.json` (wall-clock
@@ -79,9 +85,7 @@ fn main() {
         ..ExpContext::default()
     };
     let mut strict = false;
-    let mut obs_level: Option<twig_obs::ObsLevel> = None;
-    let mut obs_attr: Option<twig_obs::AttrConfig> = None;
-    let mut obs_window: Option<Option<u64>> = None;
+    let mut obs_flag: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -108,38 +112,22 @@ fn main() {
                 );
             }
             "--strict" => strict = true,
-            "--obs" => {
-                let text = value("off | counters | trace[=N]");
-                obs_level = Some(
-                    twig_obs::ObsLevel::parse(&text)
-                        .unwrap_or_else(|e| usage_error(&format!("--obs: {e}"))),
-                );
-            }
-            "--obs-attr" => {
-                let text = value("off | on | k=N,sample=N");
-                obs_attr = Some(
-                    twig_obs::AttrConfig::parse(&text)
-                        .unwrap_or_else(|e| usage_error(&format!("--obs-attr: {e}"))),
-                );
-            }
-            "--obs-window" => {
-                let text = value("off | window=N");
-                obs_window = Some(
-                    twig_obs::parse_window_spec(&text)
-                        .unwrap_or_else(|e| usage_error(&format!("--obs-window: {e}"))),
-                );
-            }
+            "--obs" => obs_flag = Some(value("an observation spec")),
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments <id>...|all [--instructions N] \
                      [--sweep-instructions N] [--results-dir DIR] [--resume] [--strict] \
-                     [--obs off|counters|trace[=N]] [--obs-attr off|on|k=N,sample=N] \
-                     [--obs-window off|window=N]\n\
+                     [--obs SPEC]\n\
+                     SPEC: comma-separated off|counters|trace[=N], attr, attr.k=N, \
+                     attr.sample=N, window=N (replaces TWIG_OBS)\n\
                      ids: {}",
                     ALL_EXPERIMENTS.join(" ")
                 );
                 return;
+            }
+            flag if flag.starts_with("--") => {
+                usage_error(&format!("unknown flag {flag:?}; try --help"))
             }
             other => ids.push(other.to_string()),
         }
@@ -147,23 +135,14 @@ fn main() {
     if ids.is_empty() && ctx.shard.is_none() {
         usage_error("no experiment ids given; try `experiments all` or --help");
     }
-    // Compose the observability override: start from the environment
-    // (`TWIG_OBS`/`TWIG_OBS_ATTR`), let explicit flags win field-wise, and
-    // pin the result once (explicit arg > env > default).
-    if obs_level.is_some() || obs_attr.is_some() || obs_window.is_some() {
-        let mut obs = twig_obs::ObsConfig::from_env()
-            .unwrap_or_else(|e| panic!("observability environment: {e}"));
-        if let Some(level) = obs_level {
-            obs.level = level;
-        }
-        if let Some(attr) = obs_attr {
-            obs.attr = attr;
-        }
-        if let Some(window) = obs_window {
-            obs.window = window;
-        }
-        twig_obs::set_global_override(obs);
-    }
+    // Resolve the environment and the observation spec up front (explicit
+    // `--obs` > `TWIG_OBS` > off) and pin the result, so a malformed
+    // value is a usage error here rather than a panic mid-run.
+    let mut harness =
+        twig_types::HarnessConfig::from_env().unwrap_or_else(|e| usage_error(&e.to_string()));
+    harness.obs = harness.obs.with_explicit(obs_flag);
+    let obs = twig_obs::ObsConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
+    twig_obs::set_global_override(obs);
     std::fs::create_dir_all(&ctx.results_dir).expect("create results dir");
     // One run per results directory: the parent (never shard workers,
     // which share the parent's directory by design) takes the `.lock`
@@ -195,7 +174,6 @@ fn main() {
     // Forensic integrity dumps land next to the run's other outputs
     // (unless the operator already pinned the directory via
     // TWIG_INTEGRITY_DUMP_DIR).
-    let harness = twig_types::HarnessConfig::global();
     if harness.integrity_dump_dir.value.is_none() {
         twig_sim::integrity::dump::set_dump_dir(ctx.results_dir.join(".integrity"));
     }
@@ -203,8 +181,7 @@ fn main() {
     // alone, or the windowed timeline — per-cell snapshots (plus traces
     // at the trace tier, attribution profiles, and timeline series when
     // enabled) land under <results-dir>/metrics/.
-    let obs_effective = twig_obs::ObsConfig::default();
-    if obs_effective.recording() || obs_effective.window.is_some() {
+    if obs.recording() || obs.window.is_some() {
         twig_bench::telemetry::set_metrics_dir(ctx.results_dir.join("metrics"));
     }
 

@@ -181,6 +181,17 @@ fn usage() -> String {
         .to_string()
 }
 
+/// Reports a bad command line on stderr; the caller exits 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("integrity_drill: {msg}\n{}", usage());
+    ExitCode::from(2)
+}
+
+/// A flag's numeric value, if present and well-formed.
+fn number(text: Option<String>) -> Option<u64> {
+    text?.parse().ok()
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
@@ -196,48 +207,38 @@ fn main() -> ExitCode {
     let mut dump_path: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--instructions" => {
-                budget = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--instructions needs a number");
-            }
-            "--at" => {
-                at_cycle = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--at needs a cycle number");
-            }
+            "--instructions" => match number(args.next()) {
+                Some(n) => budget = n,
+                None => return usage_error("--instructions needs a number"),
+            },
+            "--at" => match number(args.next()) {
+                Some(n) => at_cycle = n,
+                None => return usage_error("--at needs a cycle number"),
+            },
             "--kind" => {
-                let text = args.next().expect("--kind needs a mutation kind");
+                let Some(text) = args.next() else {
+                    return usage_error("--kind needs a mutation kind");
+                };
                 kind = match MutationSpec::parse(&format!("{text}@0")) {
                     Ok(spec) => spec.kind,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
+                    Err(e) => return usage_error(&e),
                 };
             }
             other if dump_path.is_none() && !other.starts_with('-') => {
                 dump_path = Some(other.to_string());
             }
-            other => {
-                eprintln!("unknown argument {other:?}\n{}", usage());
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument {other:?}")),
         }
     }
 
-    let result = match cmd.as_str() {
-        "smoke" => smoke(budget),
-        "mutate" => mutate(kind, at_cycle, budget),
-        "replay" => match dump_path {
-            Some(path) => {
-                StateDump::load(Path::new(&path)).and_then(|dump| replay_dump(&dump))
-            }
-            None => Err(usage()),
-        },
-        other => Err(format!("unknown subcommand {other:?}\n{}", usage())),
+    let result = match (cmd.as_str(), dump_path) {
+        ("smoke", _) => smoke(budget),
+        ("mutate", _) => mutate(kind, at_cycle, budget),
+        ("replay", Some(path)) => {
+            StateDump::load(Path::new(&path)).and_then(|dump| replay_dump(&dump))
+        }
+        ("replay", None) => return usage_error("replay needs a dump path"),
+        (other, _) => return usage_error(&format!("unknown subcommand {other:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

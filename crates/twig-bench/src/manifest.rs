@@ -21,7 +21,10 @@ use twig_serde::Serialize;
 /// `healed` (crash residue rolled back/forward at startup).
 /// v5 added `obs_window` (the windowed-timeline knob) and `timelines`
 /// (per-cell windowed time-series exports).
-pub const MANIFEST_VERSION: u32 = 5;
+/// v6 folded `obs_attr` and `obs_window` into `obs`, which now holds the
+/// whole observation spec in canonical `TWIG_OBS` form
+/// (`counters,attr,window=10000`).
+pub const MANIFEST_VERSION: u32 = 6;
 
 /// How a cell's value was obtained (or lost).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,7 +101,7 @@ pub struct MetricsRecord {
     pub histograms: usize,
 }
 
-/// One cell's exported attribution profile (`TWIG_OBS_ATTR` runs).
+/// One cell's exported attribution profile (runs with an `attr` item).
 #[derive(Clone, Debug, Serialize)]
 pub struct AttributionRecord {
     /// Cell id, e.g. `sim:kafka/twig`.
@@ -113,7 +116,7 @@ pub struct AttributionRecord {
     pub total_cycles: u64,
 }
 
-/// One cell's exported windowed timeline (`TWIG_OBS_WINDOW` runs).
+/// One cell's exported windowed timeline (runs with a `window=N` item).
 #[derive(Clone, Debug, Serialize)]
 pub struct TimelineRecord {
     /// Cell id, e.g. `sim:kafka/twig`.
@@ -159,13 +162,9 @@ pub struct RunManifest {
     pub resume: bool,
     /// The active `TWIG_FAULT_SPEC`, if any.
     pub fault_spec: Option<String>,
-    /// The observability tier the run executed at.
+    /// The observation spec the run executed with, in canonical
+    /// `TWIG_OBS` form (`off` when nothing records).
     pub obs: String,
-    /// The attribution spec the run executed with (`off` when disabled).
-    pub obs_attr: String,
-    /// The windowed-timeline knob the run executed with (`off` when
-    /// disabled, `window=N` otherwise).
-    pub obs_window: String,
     /// Every `TWIG_*` knob as resolved by the typed harness config.
     pub effective_config: Vec<EffectiveSetting>,
     /// Number of cells with status `failed`.
@@ -178,11 +177,11 @@ pub struct RunManifest {
     pub experiments: Vec<ExperimentRecord>,
     /// Per-cell metrics exports, sorted by id (empty at the `off` tier).
     pub metrics: Vec<MetricsRecord>,
-    /// Per-cell attribution exports, sorted by id (empty unless
-    /// `TWIG_OBS_ATTR` enabled attribution).
+    /// Per-cell attribution exports, sorted by id (empty unless an
+    /// `attr` item enabled attribution).
     pub attribution: Vec<AttributionRecord>,
-    /// Per-cell windowed-timeline exports, sorted by id (empty unless
-    /// `TWIG_OBS_WINDOW` selected a window).
+    /// Per-cell windowed-timeline exports, sorted by id (empty unless a
+    /// `window=N` item selected a window).
     pub timelines: Vec<TimelineRecord>,
     /// Exports that degraded with a typed reason, sorted by id then
     /// artifact (empty on a healthy run).
@@ -377,14 +376,11 @@ pub fn build(resume: bool, experiments: Vec<ExperimentRecord>) -> RunManifest {
     let cells = snapshot_cells();
     let failed_cells = cells.iter().filter(|c| c.status == "failed").count();
     let failed_experiments = experiments.iter().filter(|e| e.status == "failed").count();
-    let obs_config = twig_sim::ObsConfig::default();
     RunManifest {
         version: MANIFEST_VERSION,
         resume,
         fault_spec: twig_sched::fault::global().raw.clone(),
-        obs: obs_config.level.as_text(),
-        obs_attr: obs_config.attr.as_text(),
-        obs_window: obs_config.window_text(),
+        obs: twig_sim::ObsConfig::default().as_text(),
         effective_config: effective_config(),
         failed_cells,
         failed_experiments,
@@ -438,14 +434,14 @@ mod tests {
         record_timeline("sim:z/twig", "sim_z_twig.timeline.json", 12, 3);
         record_timeline("sim:a/twig", "sim_a_twig.timeline.json", 4, 1);
         let manifest = build(false, Vec::new());
-        assert_eq!(manifest.obs_window, "off");
+        assert_eq!(manifest.obs, "off");
         let ids: Vec<&str> = manifest.timelines.iter().map(|t| t.id.as_str()).collect();
         assert_eq!(ids, vec!["sim:a/twig", "sim:z/twig"]);
         assert_eq!(manifest.timelines[0].windows, 4);
         assert_eq!(manifest.timelines[1].phases, 3);
         let json = twig_serde_json::to_string_pretty(&manifest).unwrap();
         assert!(json.contains("\"timelines\""));
-        assert!(json.contains("\"obs_window\": \"off\""));
+        assert!(json.contains("\"obs\": \"off\""));
         reset_cells();
     }
 

@@ -714,6 +714,7 @@ fn headline_sharded(
     procs: usize,
 ) -> Vec<MatrixOutcome> {
     let results_dir = ctx.results_dir.display().to_string();
+    let obs = twig_sim::ObsConfig::default().as_text();
     let outcomes = twig_sched::procs::run_sharded(procs, |shard| {
         let mut args = vec![
             "--shard".to_string(),
@@ -722,6 +723,10 @@ fn headline_sharded(
             budget.to_string(),
             "--results-dir".to_string(),
             results_dir.clone(),
+            // The parent's resolved observation config, so workers record
+            // exactly what a single-process run would.
+            "--obs".to_string(),
+            obs.clone(),
         ];
         if ctx.resume {
             args.push("--resume".to_string());

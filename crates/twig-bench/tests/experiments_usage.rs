@@ -3,34 +3,49 @@
 
 use std::process::Command;
 
+/// One rejected invocation: its arguments and its environment.
+type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)]);
+
 #[test]
 fn malformed_arguments_exit_2_without_panicking() {
-    let cases: &[&[&str]] = &[
-        &["fig16", "--instructions", "abc"],
-        &["fig16", "--instructions"],
-        &["fig16", "--sweep-instructions", "-1"],
-        &["fig16", "--results-dir"],
-        &["fig16", "--shard", "x"],
-        &["fig16", "--shard"],
-        &["fig16", "--obs", "loud"],
-        &["fig16", "--obs-attr", "sometimes"],
-        &["fig16", "--obs-window", "often"],
-        &[],
+    let cases: &[Case] = &[
+        (&["fig16", "--instructions", "abc"], &[]),
+        (&["fig16", "--instructions"], &[]),
+        (&["fig16", "--sweep-instructions", "-1"], &[]),
+        (&["fig16", "--results-dir"], &[]),
+        (&["fig16", "--shard", "x"], &[]),
+        (&["fig16", "--shard"], &[]),
+        (&["fig16", "--obs", "loud"], &[]),
+        (&["fig16", "--obs", "attr.k=0"], &[]),
+        (&["fig16", "--obs", "window=0"], &[]),
+        (&["fig16", "--obs", "counters,trace"], &[]),
+        // Removed flags are rejected like any unknown flag.
+        (&["fig16", "--obs-attr", "sometimes"], &[]),
+        (&["fig16", "--obs-window", "often"], &[]),
+        (&["fig16", "--bogus"], &[]),
+        (&["fig16"], &[("TWIG_OBS", "loud")]),
+        (&["fig16"], &[("TWIG_NUM_THREADS", "abc")]),
+        (&[], &[]),
     ];
     // A scratch results directory first, so a command line that parsed
     // by mistake could not write into the checked-in results.
     let dir = std::env::temp_dir().join(format!("twig-exp-usage-{}", std::process::id()));
-    for args in cases {
+    for (args, envs) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .env_remove("TWIG_OBS")
+            .env_remove("TWIG_NUM_THREADS")
+            .envs(envs.iter().copied())
             .arg("--results-dir")
             .arg(&dir)
             .args(*args)
             .output()
             .expect("spawn experiments");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(!stderr.trim().is_empty(), "{args:?}: no usage message");
+        assert_eq!(out.status.code(), Some(2), "{args:?} {envs:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} {envs:?}: {stderr}");
+        assert!(!stderr.trim().is_empty(), "{args:?} {envs:?}: no usage message");
+        // Rejected before anything ran: no report was written.
+        assert!(!dir.join("fig16.txt").exists(), "{args:?} {envs:?} ran fig16");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
 //! End-to-end observability tests driving the `experiments` binary as a
-//! subprocess: the recording tier is process-global (environment or
+//! subprocess: the observation spec is process-global (`TWIG_OBS` or
 //! `--obs`), so each scenario gets its own process, exactly like CI's
 //! observability lane.
 
@@ -96,14 +96,24 @@ fn tiers_agree_on_figures_and_exports_match_schemas() {
         twig_obs::MetricsSnapshot::from_json(&doc_text).unwrap();
     }
 
-    let trace = run(&trace_dir, &["--obs", "trace=8"], &[]);
+    // An explicit `--obs` replaces `TWIG_OBS` as a whole: the
+    // environment's window item must not leak into this run.
+    let trace = run(
+        &trace_dir,
+        &["--obs", "attr,trace=8"],
+        &[("TWIG_OBS", "counters,window=5000")],
+    );
     assert!(trace.status.success(), "trace run failed: {trace:?}");
     assert_eq!(
         read(&trace_dir, "fig16.txt"),
         reference,
         "trace tier changed the figure output"
     );
+    let manifest = String::from_utf8(read(&trace_dir, "run_manifest.json")).unwrap();
+    assert!(manifest.contains("\"obs\": \"trace=8,attr\""), "{manifest}");
     let files = metrics_files(&trace_dir);
+    assert!(files.iter().any(|f| f.ends_with(".attr.json")), "{files:?}");
+    assert!(files.iter().all(|f| !f.ends_with(".timeline.json")), "{files:?}");
     let traces: Vec<&String> = files.iter().filter(|f| f.ends_with(".trace.json")).collect();
     assert!(!traces.is_empty(), "trace tier exported no traces: {files:?}");
     let schema_text =

@@ -12,9 +12,10 @@ const BUDGET: &str = "20000";
 
 fn experiments() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-    // Never inherit sharding, fault, or task-policy knobs from the
-    // ambient environment; each scenario sets its own.
+    // Never inherit sharding, observation, fault, or task-policy knobs
+    // from the ambient environment; each scenario sets its own.
     cmd.env_remove("TWIG_NUM_PROCS")
+        .env_remove("TWIG_OBS")
         .env_remove("TWIG_FAULT_SPEC")
         .env_remove("TWIG_TASK_ATTEMPTS")
         .env_remove("TWIG_TASK_BACKOFF_MS")
@@ -124,4 +125,46 @@ fn dead_worker_degrades_cells_and_resume_heals() {
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&fault_dir);
+}
+
+fn metrics_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("metrics"))
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
+/// Shard workers inherit the parent's resolved observation spec: an
+/// explicit `--obs` on a sharded run exports exactly the per-cell files a
+/// single-process run does, byte for byte.
+#[test]
+fn sharded_run_exports_the_same_metrics_as_single_process() {
+    let single_dir = temp_dir("obs-single");
+    let sharded_dir = temp_dir("obs-sharded");
+
+    let single = run(&single_dir, &["--obs", "counters"], &[("TWIG_NUM_PROCS", "1")]);
+    assert!(single.status.success(), "single-process run failed: {single:?}");
+    let sharded = run(&sharded_dir, &["--obs", "counters"], &[("TWIG_NUM_PROCS", "2")]);
+    assert!(sharded.status.success(), "sharded run failed: {sharded:?}");
+
+    let files = metrics_files(&single_dir);
+    assert!(!files.is_empty(), "single-process run exported no metrics");
+    assert_eq!(files, metrics_files(&sharded_dir), "export sets differ");
+    for file in &files {
+        let name = format!("metrics/{file}");
+        assert_eq!(
+            read(&single_dir, &name),
+            read(&sharded_dir, &name),
+            "{file} differs between 1-process and 2-process runs"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&single_dir);
+    let _ = std::fs::remove_dir_all(&sharded_dir);
 }

@@ -1,5 +1,5 @@
 //! End-to-end windowed-timeline tests driving the `experiments` binary
-//! as a subprocess: `TWIG_OBS_WINDOW` (or `--obs-window`) is
+//! as a subprocess: the `window=N` item of `TWIG_OBS` (or `--obs`) is
 //! process-global, so each scenario gets its own process, exactly like
 //! CI's timeline lane.
 
@@ -11,7 +11,6 @@ const BUDGET: &str = "60000";
 fn run(dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
     cmd.env_remove("TWIG_OBS")
-        .env_remove("TWIG_OBS_WINDOW")
         .env_remove("TWIG_NUM_THREADS")
         .env_remove("TWIG_NUM_PROCS")
         .env_remove("TWIG_FAULT_SPEC");
@@ -64,7 +63,7 @@ fn windowed_run_exports_schema_valid_conserving_timelines() {
     let off_dir = temp_dir("off");
     let win_dir = temp_dir("win");
 
-    let off = run(&off_dir, &["--obs-window", "off"], &[]);
+    let off = run(&off_dir, &["--obs", "off"], &[]);
     assert!(off.status.success(), "off run failed: {off:?}");
     assert!(
         !off_dir.join("metrics").exists(),
@@ -72,7 +71,7 @@ fn windowed_run_exports_schema_valid_conserving_timelines() {
     );
     let reference = read(&off_dir, "fig16.txt");
 
-    let win = run(&win_dir, &[], &[("TWIG_OBS_WINDOW", "window=10000")]);
+    let win = run(&win_dir, &[], &[("TWIG_OBS", "window=10000")]);
     assert!(win.status.success(), "windowed run failed: {win:?}");
     assert_eq!(
         read(&win_dir, "fig16.txt"),
@@ -84,7 +83,7 @@ fn windowed_run_exports_schema_valid_conserving_timelines() {
     assert!(!files.is_empty(), "windowed run exported no timelines");
     let manifest = String::from_utf8(read(&win_dir, "run_manifest.json")).unwrap();
     assert!(
-        manifest.contains("\"obs_window\": \"window=10000\""),
+        manifest.contains("\"obs\": \"window=10000\""),
         "{manifest}"
     );
     let schema_text =
@@ -141,7 +140,7 @@ fn timelines_are_deterministic_across_threads_procs_and_runs() {
         (&again_dir, vec![("TWIG_NUM_THREADS", "1")]),
     ] {
         let mut envs = envs.clone();
-        envs.push(("TWIG_OBS_WINDOW", "window=10000"));
+        envs.push(("TWIG_OBS", "window=10000"));
         let out = run(dir, &[], &envs);
         assert!(out.status.success(), "run in {dir:?} failed: {out:?}");
     }

@@ -30,8 +30,7 @@ commands:
   simulate  --spec SPEC.json [--system NAME] [--plans PLANS.json]
             [--trace T.twgc] [--skip-events N] [--input N]
             [--instructions N] [--json]
-            [--obs off|counters|trace[=N]] [--obs-attr off|on|k=N,sample=N]
-            [--metrics-out M.json] [--trace-out T.json]
+            [--obs SPEC] [--metrics-out M.json] [--trace-out T.json]
             [--attr-out A.attr.json] [--folded-out F.folded.txt]
                                          run the frontend simulator
   optimize  --spec SPEC.json [--train N] [--test N] [--instructions N] [--json]
@@ -71,12 +70,13 @@ systems: twig (default; aliases plain/baseline, or ideal for a perfect
          BTB), shotgun, confluence, phantom, btbx, bulk, stream
          (legacy spellings btb-x, phantom-btb, two-level-bulk still work)
 
-observability: --obs selects the recording tier for this run and
-         --obs-attr the per-branch cycle attribution profiler (each beats
-         its TWIG_OBS/TWIG_OBS_ATTR environment variable);
-         --metrics-out/--trace-out/--attr-out/--folded-out write the
-         snapshot, chrome://tracing, attribution, and folded-stack
-         exports after the run
+observability: --obs SPEC replaces the TWIG_OBS environment variable
+         for this run; SPEC is a comma-separated list of a tier
+         (off | counters | trace[=N]), the per-branch cycle attribution
+         items (attr | attr.k=N | attr.sample=N), and window=N, e.g.
+         --obs counters,attr; --metrics-out/--trace-out/--attr-out/
+         --folded-out write the snapshot, chrome://tracing, attribution,
+         and folded-stack exports after the run
 ";
 
 /// Dispatches a parsed command line.
@@ -85,6 +85,17 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         eprint!("{USAGE}");
         return Ok(());
     };
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        eprint!("{USAGE}");
+        return Ok(());
+    }
+    // A malformed `TWIG_*` environment is a usage error before any
+    // command runs; the resolved observation spec is pinned so nothing
+    // downstream re-parses (and panics on) the environment.
+    let harness = twig_types::HarnessConfig::from_env()
+        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let obs = twig_obs::ObsConfig::from_harness(&harness).map_err(CliError::Usage)?;
+    twig_obs::set_global_override(obs);
     let rest = Args::new(&args[1..]);
     match command.as_str() {
         "apps" => cmd_apps(),
@@ -98,10 +109,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         "metrics" => cmd_metrics(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
         "fleet" => crate::fleet::cmd_fleet(&args[1..]),
-        "help" | "--help" | "-h" => {
-            eprint!("{USAGE}");
-            Ok(())
-        }
         other => Err(CliError::Usage(format!("unknown command {other:?}; try `twig help`"))),
     }
 }
@@ -275,21 +282,11 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
     if system_name == "ideal" {
         config.ideal_btb = true;
     }
-    // Explicit --obs/--obs-attr beat their TWIG_OBS*/environment
-    // variables (which paper_baseline already folded into config.obs via
-    // the default).
+    // An explicit --obs replaces TWIG_OBS (which paper_baseline already
+    // folded into config.obs via the default) as a whole.
     if let Some(text) = args.flag("obs") {
-        let level = twig_obs::ObsLevel::parse(text)
+        config.obs = twig_obs::ObsConfig::parse(text)
             .map_err(|e| CliError::Usage(format!("--obs: {e}")))?;
-        config.obs = twig_obs::ObsConfig {
-            level,
-            ..config.obs
-        };
-    }
-    if let Some(text) = args.flag("obs-attr") {
-        let attr = twig_obs::AttrConfig::parse(text)
-            .map_err(|e| CliError::Usage(format!("--obs-attr: {e}")))?;
-        config.obs = config.obs.with_attr(attr);
     }
     let system = build_system(system_name, &config)?;
     let mut sim = Simulator::new(&program, config, system);
@@ -341,7 +338,7 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
     let attr_label = format!("{}/{}", spec.name, system_name);
     if let Some(path) = args.flag("attr-out") {
         let attr = sim.attribution_snapshot().ok_or_else(|| {
-            CliError::Invalid("--attr-out needs attribution; pass --obs-attr on".into())
+            CliError::Invalid("--attr-out needs attribution; pass --obs attr".into())
         })?;
         let json = attr.to_json().map_err(|e| CliError::decode(path, e))?;
         crate::io::write_text(path, &json)?;
@@ -349,7 +346,7 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
     }
     if let Some(path) = args.flag("folded-out") {
         let folded = sim.attribution_folded(&attr_label).ok_or_else(|| {
-            CliError::Invalid("--folded-out needs attribution; pass --obs-attr on".into())
+            CliError::Invalid("--folded-out needs attribution; pass --obs attr".into())
         })?;
         crate::io::write_text(path, &folded)?;
         eprintln!("wrote {path}");

@@ -119,65 +119,6 @@ impl AttrConfig {
         }
     }
 
-    /// Parses the `TWIG_OBS_ATTR` grammar:
-    /// `off` | `on` | comma-separated `k=N` / `sample=N` pairs (any
-    /// pair implies `on`).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let trimmed = text.trim();
-        if trimmed.is_empty() || trimmed == "off" {
-            return Ok(AttrConfig::off());
-        }
-        let mut config = AttrConfig::on();
-        for token in trimmed.split(',') {
-            let token = token.trim();
-            if token == "on" {
-                continue;
-            } else if let Some(n) = token.strip_prefix("k=") {
-                let k: u32 = n
-                    .parse()
-                    .map_err(|_| format!("bad attribution table size {n:?} in {trimmed:?}"))?;
-                if k == 0 {
-                    return Err("attribution table size k must be >= 1".into());
-                }
-                config.k = k;
-            } else if let Some(n) = token.strip_prefix("sample=") {
-                let sample: u64 = n
-                    .parse()
-                    .map_err(|_| format!("bad attribution sample period {n:?} in {trimmed:?}"))?;
-                if sample == 0 {
-                    return Err("attribution sample period must be >= 1".into());
-                }
-                config.sample = sample;
-            } else {
-                return Err(format!(
-                    "unknown attribution token {token:?} \
-                     (expected off | on | k=N | sample=N)"
-                ));
-            }
-        }
-        Ok(config)
-    }
-
-    /// Stable textual form (round-trips through [`AttrConfig::parse`]).
-    pub fn as_text(&self) -> String {
-        if !self.enabled {
-            return "off".to_string();
-        }
-        let default = AttrConfig::on();
-        let mut parts = Vec::new();
-        if self.k != default.k {
-            parts.push(format!("k={}", self.k));
-        }
-        if self.sample != default.sample {
-            parts.push(format!("sample={}", self.sample));
-        }
-        if parts.is_empty() {
-            "on".to_string()
-        } else {
-            parts.join(",")
-        }
-    }
-
     /// Validates the knobs (called from the simulator's config validation).
     pub fn validate(&self) -> Result<(), String> {
         if self.k == 0 {
@@ -455,21 +396,27 @@ mod tests {
         table.record(pc, BranchKind::Conditional, MissKind::BtbMissDecode, cycles);
     }
 
+    /// The attribution items of the `TWIG_OBS` grammar
+    /// ([`crate::ObsConfig::parse`]).
+    fn parse_attr(text: &str) -> Result<AttrConfig, String> {
+        crate::ObsConfig::parse(text).map(|obs| obs.attr)
+    }
+
     #[test]
     fn grammar_round_trips() {
         for (text, config) in [
             ("off", AttrConfig::off()),
             ("", AttrConfig::off()),
-            ("on", AttrConfig::on()),
+            ("attr", AttrConfig::on()),
             (
-                "k=128",
+                "attr.k=128",
                 AttrConfig {
                     k: 128,
                     ..AttrConfig::on()
                 },
             ),
             (
-                "k=16,sample=8",
+                "attr.k=16,attr.sample=8",
                 AttrConfig {
                     k: 16,
                     sample: 8,
@@ -477,24 +424,30 @@ mod tests {
                 },
             ),
             (
-                "sample=4",
+                "attr.sample=4",
                 AttrConfig {
                     sample: 4,
                     ..AttrConfig::on()
                 },
             ),
         ] {
-            assert_eq!(AttrConfig::parse(text).unwrap(), config, "{text}");
-            assert_eq!(AttrConfig::parse(&config.as_text()).unwrap(), config);
+            assert_eq!(parse_attr(text).unwrap(), config, "{text}");
+            let obs = crate::ObsConfig {
+                attr: config,
+                ..crate::ObsConfig::off()
+            };
+            assert_eq!(parse_attr(&obs.as_text()).unwrap(), config);
         }
     }
 
     #[test]
     fn grammar_rejects_garbage() {
-        assert!(AttrConfig::parse("k=0").is_err());
-        assert!(AttrConfig::parse("sample=0").is_err());
-        assert!(AttrConfig::parse("k=lots").is_err());
-        assert!(AttrConfig::parse("loud").unwrap_err().contains("loud"));
+        assert!(parse_attr("attr.k=0").is_err());
+        assert!(parse_attr("attr.sample=0").is_err());
+        assert!(parse_attr("attr.k=lots").is_err());
+        assert!(parse_attr("attr.k=1,attr.k=2").is_err());
+        assert!(parse_attr("attr=on").is_err());
+        assert!(parse_attr("loud").unwrap_err().contains("loud"));
         assert!(AttrConfig {
             k: 0,
             ..AttrConfig::on()

@@ -19,22 +19,28 @@
 //! * [`schema`] — a minimal JSON-schema-subset validator used by CI to
 //!   pin the exported metrics/trace formats.
 //!
-//! Tiering mirrors the integrity layer and is selected via
-//! [`ObsConfig`] or the `TWIG_OBS` environment variable (parsed through
-//! the unified `twig_types::HarnessConfig`):
+//! Everything is selected through one [`ObsConfig`], written in one
+//! grammar — the `TWIG_OBS` environment variable (parsed through the
+//! unified `twig_types::HarnessConfig`) or an explicit `--obs` flag,
+//! which replaces the variable as a whole. It is a comma-separated list
+//! of items ([`ObsConfig::parse`]):
 //!
-//! * `off` — the default; instrumentation compiles to one never-taken
-//!   branch per cycle.
-//! * `counters` — counters and histograms; deterministic for a fixed
-//!   seed regardless of thread count (each simulation is
-//!   single-threaded; the registry holds no clocks and no addresses).
-//! * `trace[=N]` — counters plus span events, sampling one event in `N`
-//!   (default 1) into the bounded ring.
+//! * a tier, at most one — `off` (the default; instrumentation compiles
+//!   to one never-taken branch per cycle), `counters` (counters and
+//!   histograms; deterministic for a fixed seed regardless of thread
+//!   count — each simulation is single-threaded and the registry holds
+//!   no clocks and no addresses), or `trace[=N]` (counters plus span
+//!   events, sampling one event in `N`, default 1, into the bounded
+//!   ring);
+//! * `attr`, `attr.k=N`, `attr.sample=N` — the per-branch cycle
+//!   attribution profiler ([`attr`]), on any tier;
+//! * `window=N` — the windowed timeline ([`timeseries`]), sampled every
+//!   `N` retired instructions.
 //!
 //! # Examples
 //!
 //! ```
-//! use twig_obs::{MetricsRegistry, ObsLevel};
+//! use twig_obs::{MetricsRegistry, ObsConfig, ObsLevel};
 //!
 //! let mut reg = MetricsRegistry::new();
 //! let hits = reg.counter("btb.hits");
@@ -43,7 +49,12 @@
 //! reg.record(occ, 17);
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("btb.hits"), Some(3));
-//! assert_eq!(ObsLevel::parse("trace=8").unwrap(), ObsLevel::Trace { sample: 8 });
+//!
+//! let obs = ObsConfig::parse("trace=8,attr,window=4096").unwrap();
+//! assert_eq!(obs.level, ObsLevel::Trace { sample: 8 });
+//! assert!(obs.attr.enabled);
+//! assert_eq!(obs.window, Some(4096));
+//! assert_eq!(obs.as_text(), "trace=8,attr,window=4096");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,9 +78,9 @@ pub use metrics::{
 };
 pub use schema::{validate, SchemaError};
 pub use timeseries::{
-    detect_phases, diff_timelines, parse_window_spec, window_spec_text, DerivedWindow,
-    PhaseSegment, TimeSeriesRing, TimelineDiff, TimelineSnapshot, TrackId, TrackKind,
-    TrackSnapshot, WindowSnapshot, DEFAULT_TIMELINE_CAPACITY, TIMELINE_VERSION,
+    detect_phases, diff_timelines, DerivedWindow, PhaseSegment, TimeSeriesRing, TimelineDiff,
+    TimelineSnapshot, TrackId, TrackKind, TrackSnapshot, WindowSnapshot,
+    DEFAULT_TIMELINE_CAPACITY, TIMELINE_VERSION,
 };
 pub use trace::{
     chrome_trace_json, trace_pid, Stage, TraceEvent, TraceRing, DEFAULT_TRACE_CAPACITY,
@@ -135,59 +146,24 @@ impl ObsLevel {
             _ => None,
         }
     }
-
-    /// Parses `off` | `counters` | `trace` | `trace=N`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text.trim() {
-            "off" | "" => Ok(ObsLevel::Off),
-            "counters" => Ok(ObsLevel::Counters),
-            "trace" => Ok(ObsLevel::Trace { sample: 1 }),
-            other => {
-                if let Some(n) = other.strip_prefix("trace=") {
-                    let sample: u64 = n
-                        .parse()
-                        .map_err(|_| format!("bad trace sample period {n:?} in {other:?}"))?;
-                    if sample == 0 {
-                        return Err("trace sample period must be >= 1".into());
-                    }
-                    Ok(ObsLevel::Trace { sample })
-                } else {
-                    Err(format!(
-                        "unknown observability level {other:?} \
-                         (expected off | counters | trace[=N])"
-                    ))
-                }
-            }
-        }
-    }
-
-    /// Stable textual form (round-trips through [`ObsLevel::parse`]).
-    pub fn as_text(&self) -> String {
-        match *self {
-            ObsLevel::Off => "off".to_string(),
-            ObsLevel::Counters => "counters".to_string(),
-            ObsLevel::Trace { sample: 1 } => "trace".to_string(),
-            ObsLevel::Trace { sample } => format!("trace={sample}"),
-        }
-    }
 }
 
 /// Observability knobs, carried inside the simulator configuration.
 ///
 /// `Copy` on purpose (the owning `SimConfig` is `Copy`); the actual
 /// recording state lives behind an `Option<Box<_>>` in the simulator so
-/// the `off` tier allocates nothing.
+/// the `off` tier allocates nothing. The one textual form is the
+/// `TWIG_OBS` / `--obs` grammar ([`ObsConfig::parse`],
+/// [`ObsConfig::as_text`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Recording tier.
     pub level: ObsLevel,
-    /// Trace ring capacity in events (oldest events are overwritten).
-    pub trace_capacity: u32,
-    /// Per-branch cycle attribution knobs (`TWIG_OBS_ATTR`), orthogonal
-    /// to the tier: enabling attribution alone still creates recording
-    /// state (and thus a metrics snapshot).
+    /// Per-branch cycle attribution knobs (the `attr*` items),
+    /// orthogonal to the tier: enabling attribution alone still creates
+    /// recording state (and thus a metrics snapshot).
     pub attr: AttrConfig,
-    /// Windowed time-series sampling period (`TWIG_OBS_WINDOW`), in
+    /// Windowed time-series sampling period (the `window=N` item), in
     /// retired instructions per window; `None` = off. Orthogonal to the
     /// tier *and* to [`ObsConfig::recording`]: windowing samples the
     /// live statistics read-only, so it composes with batched idle-cycle
@@ -195,12 +171,27 @@ pub struct ObsConfig {
     pub window: Option<u64>,
 }
 
+/// The items [`ObsConfig::parse`] accepts, for error messages.
+const OBS_GRAMMAR: &str =
+    "off | counters | trace[=N] | attr | attr.k=N | attr.sample=N | window=N";
+
+/// Parses the `N` of a `name=N` item: a positive integer.
+fn positive<T>(item: &str, n: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let value: T = n.parse().map_err(|_| format!("bad number {n:?} in {item:?}"))?;
+    if value == T::from(0) {
+        return Err(format!("{item:?}: the number must be >= 1"));
+    }
+    Ok(value)
+}
+
 impl ObsConfig {
     /// Observability disabled.
     pub fn off() -> Self {
         ObsConfig {
             level: ObsLevel::Off,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             attr: AttrConfig::off(),
             window: None,
         }
@@ -233,43 +224,128 @@ impl ObsConfig {
         }
     }
 
-    /// This configuration with the timeline window set per `window`.
-    pub fn with_window(self, window: Option<u64>) -> Self {
-        ObsConfig { window, ..self }
+    /// Parses the observation grammar shared by `TWIG_OBS` and `--obs`:
+    ///
+    /// ```text
+    /// obs  := item (',' item)*                  # "" or "off" = everything off
+    /// item := off | counters | trace | trace=N  # tier, at most once
+    ///       | attr | attr.k=N | attr.sample=N   # any attr item turns attribution on
+    ///       | window=N                          # timeline every N retired instructions
+    /// ```
+    ///
+    /// Every `N` must be at least 1, and an item may appear once (two
+    /// tiers conflict).
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the offending item.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let mut config = ObsConfig::off();
+        let text = text.trim();
+        if text.is_empty() {
+            return Ok(config);
+        }
+        let mut seen: Vec<&str> = Vec::new();
+        for item in text.split(',').map(str::trim) {
+            let (name, value) = match item.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (item, None),
+            };
+            let slot = match (name, value) {
+                ("off", None) => {
+                    config.level = ObsLevel::Off;
+                    "tier"
+                }
+                ("counters", None) => {
+                    config.level = ObsLevel::Counters;
+                    "tier"
+                }
+                ("trace", None) => {
+                    config.level = ObsLevel::Trace { sample: 1 };
+                    "tier"
+                }
+                ("trace", Some(n)) => {
+                    config.level = ObsLevel::Trace {
+                        sample: positive(item, n)?,
+                    };
+                    "tier"
+                }
+                ("attr", None) => {
+                    config.attr.enabled = true;
+                    "attr"
+                }
+                ("attr.k", Some(n)) => {
+                    config.attr.enabled = true;
+                    config.attr.k = positive(item, n)?;
+                    "attr.k"
+                }
+                ("attr.sample", Some(n)) => {
+                    config.attr.enabled = true;
+                    config.attr.sample = positive(item, n)?;
+                    "attr.sample"
+                }
+                ("window", Some(n)) => {
+                    config.window = Some(positive(item, n)?);
+                    "window"
+                }
+                _ => {
+                    return Err(format!(
+                        "unknown observation item {item:?} (expected {OBS_GRAMMAR})"
+                    ))
+                }
+            };
+            if seen.contains(&slot) {
+                return Err(format!("{item:?} repeats or conflicts with an earlier {slot} item"));
+            }
+            seen.push(slot);
+        }
+        Ok(config)
     }
 
-    /// Stable textual form of the window knob (`TWIG_OBS_WINDOW`
-    /// grammar), for the run manifest's effective-configuration dump.
-    pub fn window_text(&self) -> String {
-        timeseries::window_spec_text(self.window)
+    /// Canonical textual form: the tier, then any non-default attribution
+    /// items, then the window; `off` when nothing records. Round-trips:
+    /// `ObsConfig::parse(&c.as_text()) == Ok(c)` for every parsed `c`.
+    pub fn as_text(&self) -> String {
+        let mut items = Vec::new();
+        match self.level {
+            ObsLevel::Off => {}
+            ObsLevel::Counters => items.push("counters".to_string()),
+            ObsLevel::Trace { sample: 1 } => items.push("trace".to_string()),
+            ObsLevel::Trace { sample } => items.push(format!("trace={sample}")),
+        }
+        if self.attr.enabled {
+            let default = AttrConfig::on();
+            let mut attr = Vec::new();
+            if self.attr.k != default.k {
+                attr.push(format!("attr.k={}", self.attr.k));
+            }
+            if self.attr.sample != default.sample {
+                attr.push(format!("attr.sample={}", self.attr.sample));
+            }
+            if attr.is_empty() {
+                attr.push("attr".to_string());
+            }
+            items.extend(attr);
+        }
+        if let Some(window) = self.window {
+            items.push(format!("window={window}"));
+        }
+        if items.is_empty() {
+            "off".to_string()
+        } else {
+            items.join(",")
+        }
     }
 
-    /// Builds from the environment (`TWIG_OBS`) via the unified harness
-    /// configuration.
-    pub fn from_env() -> Result<Self, String> {
-        Self::from_harness(twig_types::HarnessConfig::global())
-    }
-
-    /// Builds from an already-parsed harness configuration (the tier
-    /// and attribution grammars are owned here, not in `twig-types`).
+    /// Builds from an already-parsed harness configuration (the grammar
+    /// is owned here, not in `twig-types`); errors name `--obs` when the
+    /// value came from an explicit flag and `TWIG_OBS` otherwise.
     pub fn from_harness(harness: &twig_types::HarnessConfig) -> Result<Self, String> {
-        let level =
-            ObsLevel::parse(&harness.obs.value).map_err(|e| format!("TWIG_OBS: {e}"))?;
-        let attr = AttrConfig::parse(&harness.obs_attr.value)
-            .map_err(|e| format!("TWIG_OBS_ATTR: {e}"))?;
-        let window = timeseries::parse_window_spec(&harness.obs_window.value)
-            .map_err(|e| format!("TWIG_OBS_WINDOW: {e}"))?;
-        Ok(ObsConfig {
-            level,
-            attr,
-            window,
-            ..ObsConfig::off()
-        })
-    }
-
-    /// This configuration with attribution enabled per `attr`.
-    pub fn with_attr(self, attr: AttrConfig) -> Self {
-        ObsConfig { attr, ..self }
+        let origin = match harness.obs.source {
+            twig_types::Source::Explicit => "--obs",
+            _ => twig_types::config::VAR_OBS,
+        };
+        ObsConfig::parse(&harness.obs.value).map_err(|e| format!("{origin}: {e}"))
     }
 
     /// Whether any recording state exists at all (counters tier or
@@ -284,9 +360,6 @@ impl ObsConfig {
             if sample == 0 {
                 return Err("obs trace sample period must be >= 1".into());
             }
-        }
-        if self.trace_capacity == 0 {
-            return Err("obs trace_capacity must be >= 1".into());
         }
         if self.window == Some(0) {
             return Err("obs window size must be >= 1".into());
@@ -303,13 +376,16 @@ impl Default for ObsConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `TWIG_OBS` is malformed — a misconfigured run must not
-    /// silently fall back to `off`.
+    /// Panics if `TWIG_OBS` is malformed and no override is installed —
+    /// a misconfigured run must not silently fall back to `off`. Binaries
+    /// resolve the configuration up front (reporting a usage error) and
+    /// pin it, so they never reach this panic.
     fn default() -> Self {
         if let Some(config) = GLOBAL_OVERRIDE.get() {
             return *config;
         }
-        ObsConfig::from_env().expect("invalid observability environment")
+        ObsConfig::from_harness(twig_types::HarnessConfig::global())
+            .expect("invalid observability environment")
     }
 }
 
@@ -317,8 +393,9 @@ static GLOBAL_OVERRIDE: std::sync::OnceLock<ObsConfig> = std::sync::OnceLock::ne
 
 /// Pins the process-wide observability configuration, overriding
 /// `TWIG_OBS` for every subsequent `ObsConfig::default()` (binaries call
-/// this when the user passes an explicit `--obs` flag). The first caller
-/// wins; later calls are ignored, like the integrity dump-dir override.
+/// this with the configuration they resolved from `--obs` or the
+/// environment). The first caller wins; later calls are ignored, like the
+/// integrity dump-dir override.
 pub fn set_global_override(config: ObsConfig) {
     let _ = GLOBAL_OVERRIDE.set(config);
 }
@@ -326,6 +403,10 @@ pub fn set_global_override(config: ObsConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(text: &str) -> ObsConfig {
+        ObsConfig::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"))
+    }
 
     #[test]
     fn level_grammar_round_trips() {
@@ -335,18 +416,53 @@ mod tests {
             ("trace", ObsLevel::Trace { sample: 1 }),
             ("trace=64", ObsLevel::Trace { sample: 64 }),
         ] {
-            assert_eq!(ObsLevel::parse(text).unwrap(), level, "{text}");
-            assert_eq!(ObsLevel::parse(&level.as_text()).unwrap(), level);
+            let config = parse(text);
+            assert_eq!(config, ObsConfig { level, ..ObsConfig::off() }, "{text}");
+            assert_eq!(config.as_text(), text);
         }
-        assert_eq!(ObsLevel::parse("  counters  ").unwrap(), ObsLevel::Counters);
-        assert_eq!(ObsLevel::parse("").unwrap(), ObsLevel::Off);
+        assert_eq!(parse("  counters  "), ObsConfig::counters());
+        assert_eq!(parse(""), ObsConfig::off());
+        assert_eq!(parse(" trace=1 ").as_text(), "trace");
     }
 
     #[test]
     fn level_grammar_rejects_garbage() {
-        assert!(ObsLevel::parse("verbose").unwrap_err().contains("verbose"));
-        assert!(ObsLevel::parse("trace=0").is_err());
-        assert!(ObsLevel::parse("trace=lots").is_err());
+        assert!(ObsConfig::parse("verbose").unwrap_err().contains("verbose"));
+        assert!(ObsConfig::parse("trace=0").is_err());
+        assert!(ObsConfig::parse("trace=lots").is_err());
+        assert!(ObsConfig::parse("counters=2").is_err());
+        assert!(ObsConfig::parse("counters,").is_err());
+        // Two tiers conflict, even when they agree.
+        assert!(ObsConfig::parse("counters,trace").is_err());
+        assert!(ObsConfig::parse("counters,counters").is_err());
+        assert!(ObsConfig::parse("off,counters").is_err());
+    }
+
+    #[test]
+    fn combined_items_compose_and_print_canonically() {
+        let config = parse(" window=4096 , attr.sample=2 ,trace=8, attr.k=32 ");
+        assert_eq!(config.level, ObsLevel::Trace { sample: 8 });
+        assert!(config.attr.enabled);
+        assert_eq!((config.attr.k, config.attr.sample), (32, 2));
+        assert_eq!(config.window, Some(4096));
+        assert_eq!(config.as_text(), "trace=8,attr.k=32,attr.sample=2,window=4096");
+        for text in [
+            "off",
+            "attr",
+            "counters,attr",
+            "attr.k=8",
+            "trace,attr.sample=4,window=1",
+            "window=10000",
+        ] {
+            assert_eq!(parse(text).as_text(), text);
+            assert_eq!(parse(&parse(text).as_text()), parse(text));
+        }
+        // Default-valued attr items collapse to plain `attr`; `off` next
+        // to other items is implied and dropped.
+        assert_eq!(parse("attr,attr.k=64").as_text(), "attr");
+        assert_eq!(parse("off,window=7").as_text(), "window=7");
+        assert!(ObsConfig::parse("window=1,window=2").is_err());
+        assert!(ObsConfig::parse("attr,attr").is_err());
     }
 
     #[test]
@@ -355,20 +471,16 @@ mod tests {
         assert!(ObsConfig::counters().level.counters());
         assert_eq!(ObsConfig::trace(0).level.trace_sample(), Some(1));
         assert!(ObsConfig::off().validate().is_ok());
-        let bad = ObsConfig {
-            trace_capacity: 0,
-            ..ObsConfig::counters()
-        };
-        assert!(bad.validate().is_err());
         // Windowing is orthogonal: it neither creates recording state
         // nor requires a tier.
         let windowed = ObsConfig::windowed(4096);
-        assert_eq!(windowed.window, Some(4096));
+        assert_eq!(windowed, parse("window=4096"));
         assert!(!windowed.recording());
-        assert_eq!(windowed.window_text(), "window=4096");
-        assert_eq!(ObsConfig::off().window_text(), "off");
         assert!(windowed.validate().is_ok());
-        let bad = ObsConfig::off().with_window(Some(0));
+        let bad = ObsConfig {
+            window: Some(0),
+            ..ObsConfig::off()
+        };
         assert!(bad.validate().is_err());
     }
 
@@ -376,20 +488,21 @@ mod tests {
     fn recording_gate_covers_attr_only_runs() {
         assert!(!ObsConfig::off().recording());
         assert!(ObsConfig::counters().recording());
-        assert!(ObsConfig::off().with_attr(AttrConfig::on()).recording());
-        let bad = ObsConfig::counters().with_attr(AttrConfig {
-            sample: 0,
-            ..AttrConfig::on()
-        });
+        assert!(parse("attr").recording());
+        let bad = ObsConfig {
+            attr: AttrConfig {
+                sample: 0,
+                ..AttrConfig::on()
+            },
+            ..ObsConfig::counters()
+        };
         assert!(bad.validate().is_err());
     }
 
     #[test]
     fn from_harness_parses_the_tier() {
         let harness = twig_types::HarnessConfig::from_lookup(|var| match var {
-            "TWIG_OBS" => Some("trace=4".to_string()),
-            "TWIG_OBS_ATTR" => Some("k=32,sample=2".to_string()),
-            "TWIG_OBS_WINDOW" => Some("window=8192".to_string()),
+            "TWIG_OBS" => Some("trace=4,attr.k=32,attr.sample=2,window=8192".to_string()),
             _ => None,
         })
         .unwrap();
@@ -400,27 +513,20 @@ mod tests {
         assert_eq!(obs.window, Some(8192));
 
         let harness = twig_types::HarnessConfig::from_lookup(|var| match var {
-            "TWIG_OBS_WINDOW" => Some("window=0".to_string()),
-            _ => None,
-        })
-        .unwrap();
-        let err = ObsConfig::from_harness(&harness).unwrap_err();
-        assert!(err.contains("TWIG_OBS_WINDOW"), "{err}");
-
-        let harness = twig_types::HarnessConfig::from_lookup(|var| match var {
-            "TWIG_OBS_ATTR" => Some("k=zero".to_string()),
-            _ => None,
-        })
-        .unwrap();
-        let err = ObsConfig::from_harness(&harness).unwrap_err();
-        assert!(err.contains("TWIG_OBS_ATTR"), "{err}");
-
-        let harness = twig_types::HarnessConfig::from_lookup(|var| match var {
             "TWIG_OBS" => Some("loud".to_string()),
             _ => None,
         })
         .unwrap();
         let err = ObsConfig::from_harness(&harness).unwrap_err();
-        assert!(err.contains("TWIG_OBS"), "{err}");
+        assert!(err.contains("TWIG_OBS") && err.contains("loud"), "{err}");
+
+        // An explicit value replaces the environment's as a whole, and
+        // its errors name the flag.
+        let mut explicit = harness.clone();
+        explicit.obs = harness.obs.clone().with_explicit(Some("window=0".to_string()));
+        let err = ObsConfig::from_harness(&explicit).unwrap_err();
+        assert!(err.starts_with("--obs:"), "{err}");
+        explicit.obs = harness.obs.with_explicit(Some("counters".to_string()));
+        assert_eq!(ObsConfig::from_harness(&explicit).unwrap(), ObsConfig::counters());
     }
 }

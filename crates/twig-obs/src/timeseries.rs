@@ -6,7 +6,7 @@
 //! run's phases away: a 50M-instruction run whose IPC sags for one phase
 //! is indistinguishable from a uniformly mediocre one. [`TimeSeriesRing`]
 //! fixes that: registered tracks are sampled once per window boundary
-//! (every `TWIG_OBS_WINDOW` retired instructions in the simulator; once
+//! (every `window=N` retired instructions in the simulator; once
 //! per layout generation in the fleet), counters are delta-encoded so a
 //! window is self-describing, and the ring is bounded with explicit
 //! dropped-window accounting — never an unbounded allocation.
@@ -46,41 +46,6 @@ pub const DEFAULT_TIMELINE_CAPACITY: usize = 4096;
 /// the running phase mean by more than `mean / PHASE_THRESHOLD_DIV`
 /// (12.5%).
 pub const PHASE_THRESHOLD_DIV: u64 = 8;
-
-/// Parses the `TWIG_OBS_WINDOW` grammar: `off` (or empty) disables
-/// windowing; `window=N` samples every `N` retired instructions.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the offending token.
-pub fn parse_window_spec(text: &str) -> Result<Option<u64>, String> {
-    match text.trim() {
-        "off" | "" => Ok(None),
-        other => {
-            if let Some(n) = other.strip_prefix("window=") {
-                let window: u64 = n
-                    .parse()
-                    .map_err(|_| format!("bad window size {n:?} in {other:?}"))?;
-                if window == 0 {
-                    return Err("window size must be >= 1".into());
-                }
-                Ok(Some(window))
-            } else {
-                Err(format!(
-                    "unknown timeline spec {other:?} (expected off | window=N)"
-                ))
-            }
-        }
-    }
-}
-
-/// Stable textual form (round-trips through [`parse_window_spec`]).
-pub fn window_spec_text(window: Option<u64>) -> String {
-    match window {
-        None => "off".to_string(),
-        Some(n) => format!("window={n}"),
-    }
-}
 
 /// How a track's per-window value relates to the sampled cumulative.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -671,16 +636,24 @@ mod tests {
         ring
     }
 
+    /// The `window=N` item of the `TWIG_OBS` grammar
+    /// ([`crate::ObsConfig::parse`]).
+    fn parse_window(text: &str) -> Result<Option<u64>, String> {
+        crate::ObsConfig::parse(text).map(|obs| obs.window)
+    }
+
     #[test]
     fn window_grammar_round_trips() {
-        assert_eq!(parse_window_spec("off").unwrap(), None);
-        assert_eq!(parse_window_spec("").unwrap(), None);
-        assert_eq!(parse_window_spec("  window=4096  ").unwrap(), Some(4096));
-        assert_eq!(parse_window_spec(&window_spec_text(Some(7))).unwrap(), Some(7));
-        assert_eq!(parse_window_spec(&window_spec_text(None)).unwrap(), None);
-        assert!(parse_window_spec("window=0").is_err());
-        assert!(parse_window_spec("window=lots").is_err());
-        assert!(parse_window_spec("hourly").unwrap_err().contains("hourly"));
+        assert_eq!(parse_window("off").unwrap(), None);
+        assert_eq!(parse_window("").unwrap(), None);
+        assert_eq!(parse_window("  window=4096  ").unwrap(), Some(4096));
+        let windowed = crate::ObsConfig::windowed(7);
+        assert_eq!(parse_window(&windowed.as_text()).unwrap(), Some(7));
+        assert_eq!(parse_window(&crate::ObsConfig::off().as_text()).unwrap(), None);
+        assert!(parse_window("window=0").is_err());
+        assert!(parse_window("window=lots").is_err());
+        assert!(parse_window("window").is_err());
+        assert!(parse_window("hourly").unwrap_err().contains("hourly"));
     }
 
     #[test]

@@ -232,8 +232,8 @@ pub struct SimConfig {
     /// the optional seeded mutation. Defaults from the `TWIG_INTEGRITY`
     /// environment (off unless set).
     pub integrity: IntegrityConfig,
-    /// Observability layer: metrics/tracing tier and trace-ring capacity.
-    /// Defaults from the `TWIG_OBS` environment (off unless set).
+    /// Observability layer: recording tier, attribution, and timeline
+    /// window. Defaults from the `TWIG_OBS` environment (off unless set).
     pub obs: ObsConfig,
 }
 
@@ -492,7 +492,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Observability tier (overrides the `TWIG_OBS` default).
+    /// Observation configuration (overrides the `TWIG_OBS` default).
     pub fn obs(mut self, obs: ObsConfig) -> Self {
         self.config.obs = obs;
         self
@@ -623,7 +623,7 @@ mod tests {
 
         let err = SimConfig::builder()
             .obs(ObsConfig {
-                trace_capacity: 0,
+                window: Some(0),
                 ..ObsConfig::counters()
             })
             .build()

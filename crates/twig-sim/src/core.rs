@@ -101,8 +101,8 @@ pub struct Simulator<'p, B> {
     /// hot loop pays one never-taken branch per cycle (same discipline
     /// as the integrity layer).
     obs: Option<Box<ObsState>>,
-    /// Windowed time-series state; `None` unless `TWIG_OBS_WINDOW` selects a
-    /// window. Kept separate from `obs` so windowing alone leaves idle-cycle
+    /// Windowed time-series state; `None` unless a `window=N` item selects
+    /// a window. Kept separate from `obs` so windowing alone leaves idle-cycle
     /// batching enabled (it only reads [`SimStats`] at retire boundaries).
     timeline: Option<Box<TimelineState>>,
     /// Reused staging buffer for a region's software-prefetch blocks
@@ -626,8 +626,8 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     }
 
     /// The end-of-run windowed timeline (per-window counter deltas plus
-    /// derived metrics and phase segments). `None` unless `TWIG_OBS_WINDOW`
-    /// selects a window.
+    /// derived metrics and phase segments). `None` unless a `window=N`
+    /// item selects a window.
     pub fn timeline_snapshot(&self) -> Option<twig_obs::TimelineSnapshot> {
         self.timeline.as_deref().map(|timeline| timeline.snapshot())
     }
@@ -657,7 +657,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     }
 
     /// The end-of-run per-branch attribution profile ([`twig_obs::attr`]);
-    /// `None` unless attribution (`TWIG_OBS_ATTR`) is enabled.
+    /// `None` unless attribution (the `attr` items) is enabled.
     pub fn attribution_snapshot(&self) -> Option<twig_obs::AttributionSnapshot> {
         self.obs
             .as_deref()

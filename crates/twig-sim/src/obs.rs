@@ -18,7 +18,7 @@
 use twig_obs::timeseries::{track_names, TimeSeriesRing, TimelineSnapshot, TrackKind};
 use twig_obs::{
     AttrTable, HistId, MetricsRegistry, MetricsSnapshot, ObsConfig, TraceRing,
-    DEFAULT_TIMELINE_CAPACITY,
+    DEFAULT_TIMELINE_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };
 use twig_types::BranchKind;
 
@@ -32,7 +32,7 @@ pub struct ObsState {
     pub registry: MetricsRegistry,
     /// The sampled span ring (`trace` tier only).
     pub ring: Option<TraceRing>,
-    /// The per-branch cycle attribution table (`TWIG_OBS_ATTR` only).
+    /// The per-branch cycle attribution table (`attr` items only).
     pub attr: Option<AttrTable>,
     /// Per-cycle FTQ occupancy histogram.
     pub ftq_occupancy: HistId,
@@ -59,7 +59,7 @@ impl ObsState {
         let ring = config
             .level
             .trace_sample()
-            .map(|sample| TraceRing::new(config.trace_capacity, sample));
+            .map(|sample| TraceRing::new(DEFAULT_TRACE_CAPACITY, sample));
         let attr = config.attr.enabled.then(|| AttrTable::new(&config.attr));
         Some(Box::new(ObsState {
             registry,
@@ -159,7 +159,7 @@ const TIMELINE_TRACKS: [(&str, TrackKind); 10] = [
     ("topdown.bad_speculation", TrackKind::Counter),
 ];
 
-/// Windowed time-series recording state (`TWIG_OBS_WINDOW`), *separate*
+/// Windowed time-series recording state (`window=N`), *separate*
 /// from [`ObsState`] on purpose: windowing only reads the live
 /// [`SimStats`], never mutates simulation state, so `window=N` alone
 /// keeps batched idle-cycle stepping enabled and the simulation results
@@ -182,8 +182,8 @@ pub struct TimelineState {
 }
 
 impl TimelineState {
-    /// Builds the windowing state for `config`, or `None` when
-    /// `TWIG_OBS_WINDOW` is off.
+    /// Builds the windowing state for `config`, or `None` when it has
+    /// no `window=N` item.
     pub fn from_config(config: &ObsConfig) -> Option<Box<TimelineState>> {
         let window = config.window?.max(1);
         let mut ring = TimeSeriesRing::new(DEFAULT_TIMELINE_CAPACITY);
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn attr_alone_creates_recording_state() {
-        let config = ObsConfig::off().with_attr(twig_obs::AttrConfig::on());
+        let config = ObsConfig::parse("attr").unwrap();
         let state = ObsState::from_config(&config).unwrap();
         assert!(state.ring.is_none());
         assert!(state.attr.is_some());
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn internal_mirror_reports_attr_totals_and_dropped_spans() {
-        let config = ObsConfig::trace(1).with_attr(twig_obs::AttrConfig::on());
+        let config = ObsConfig::parse("trace,attr").unwrap();
         let mut state = ObsState::from_config(&config).unwrap();
         state.attr.as_mut().unwrap().record(
             0x40,

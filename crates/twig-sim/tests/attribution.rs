@@ -3,12 +3,14 @@
 //! profile against the aggregate bubble counters (no double-charging),
 //! and bit-identity of the headline statistics with attribution on.
 
-use twig_sim::{AttrConfig, MissKind, ObsConfig, PlainBtb, SimConfig, SimStats, Simulator};
+use twig_sim::{MissKind, ObsConfig, PlainBtb, SimConfig, SimStats, Simulator};
 use twig_workload::{AppId, InputConfig, ProgramGenerator, Walker, WorkloadSpec};
 
 const BUDGET: u64 = 60_000;
 
-fn run_app(app: AppId, obs: ObsConfig) -> (SimStats, Option<Simulator<'static, PlainBtb>>) {
+/// Runs `app` under the observation spec `obs` (the `TWIG_OBS` grammar).
+fn run_app(app: AppId, obs: &str) -> (SimStats, Option<Simulator<'static, PlainBtb>>) {
+    let obs = ObsConfig::parse(obs).expect("valid observation spec");
     // Leak the program: each test runs a handful of small apps once, and
     // returning the simulator (for its snapshots) requires 'static data.
     let spec: &'static WorkloadSpec = Box::leak(Box::new(WorkloadSpec::preset(app)));
@@ -44,8 +46,7 @@ fn topdown_slots_conserve_on_all_nine_apps() {
 #[test]
 fn attribution_reconciles_with_aggregate_counters() {
     for app in [AppId::Kafka, AppId::Wordpress, AppId::Verilator] {
-        let obs = ObsConfig::counters().with_attr(AttrConfig::on());
-        let (stats, sim) = run_app(app, obs);
+        let (stats, sim) = run_app(app, "counters,attr");
         let sim = sim.unwrap();
         let attr = sim.attribution_snapshot().expect("attribution enabled");
         let metrics = sim.metrics_snapshot().expect("counters tier");
@@ -92,11 +93,8 @@ fn attribution_reconciles_with_aggregate_counters() {
 
 #[test]
 fn attribution_does_not_perturb_the_simulation() {
-    let (off, _) = run_app(AppId::Kafka, ObsConfig::off());
-    let (on, sim) = run_app(
-        AppId::Kafka,
-        ObsConfig::off().with_attr(AttrConfig { k: 8, sample: 4, ..AttrConfig::on() }),
-    );
+    let (off, _) = run_app(AppId::Kafka, "off");
+    let (on, sim) = run_app(AppId::Kafka, "attr.k=8,attr.sample=4");
     assert_eq!(off, on, "attribution changed the simulated statistics");
     // Attribution alone (level off) still yields both snapshots.
     let sim = sim.unwrap();
@@ -111,9 +109,8 @@ fn attribution_does_not_perturb_the_simulation() {
 
 #[test]
 fn attribution_export_is_deterministic() {
-    let obs = ObsConfig::counters().with_attr(AttrConfig::on());
-    let (_, a) = run_app(AppId::Drupal, obs);
-    let (_, b) = run_app(AppId::Drupal, obs);
+    let (_, a) = run_app(AppId::Drupal, "counters,attr");
+    let (_, b) = run_app(AppId::Drupal, "counters,attr");
     let a = a.unwrap();
     let b = b.unwrap();
     let ja = a.attribution_snapshot().unwrap().to_json().unwrap();

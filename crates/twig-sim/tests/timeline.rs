@@ -1,4 +1,4 @@
-//! Windowed timeline behaviour: enabling `TWIG_OBS_WINDOW` must be
+//! Windowed timeline behaviour: a `window=N` observation item must be
 //! bit-identity-preserving on [`SimStats`], per-window deltas must
 //! reconcile exactly with end-of-run totals (conservation), and the
 //! exported snapshot must be deterministic and batching-independent.
@@ -149,7 +149,7 @@ fn snapshot_round_trips_through_json() {
 #[test]
 fn harness_knob_flows_into_sim_config() {
     let harness = HarnessConfig::from_lookup(|var| match var {
-        "TWIG_OBS_WINDOW" => Some("window=4096".to_string()),
+        "TWIG_OBS" => Some("window=4096".to_string()),
         _ => None,
     })
     .expect("valid harness config");

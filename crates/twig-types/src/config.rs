@@ -16,8 +16,8 @@
 //!   (apply explicit overrides with [`Setting::with_explicit`]);
 //! * malformed values fail with a typed [`ConfigError`] naming the
 //!   offending variable — never a silent fallback;
-//! * grammar-valued knobs (fault specs, integrity tiers, observability
-//!   tiers) are carried as raw strings here and parsed by their owning
+//! * grammar-valued knobs (fault specs, integrity tiers, the observation
+//!   spec) are carried as raw strings here and parsed by their owning
 //!   crate, which still reports errors under the variable's name.
 //!
 //! A workspace hygiene test greps for stray `env::var("TWIG` reads outside
@@ -78,17 +78,13 @@ pub const VAR_INTEGRITY_MUTATE: &str = "TWIG_INTEGRITY_MUTATE";
 pub const VAR_INTEGRITY_MUTATE_LABEL: &str = "TWIG_INTEGRITY_MUTATE_LABEL";
 /// `TWIG_INTEGRITY_DUMP_DIR` — directory for forensic integrity dumps.
 pub const VAR_INTEGRITY_DUMP_DIR: &str = "TWIG_INTEGRITY_DUMP_DIR";
-/// `TWIG_OBS` — observability tier (`off | counters | trace[=N]`; parsed
-/// by `twig-obs`).
+/// `TWIG_OBS` — the observation configuration, one comma-separated
+/// grammar (parsed by `twig_obs::ObsConfig::parse`): a tier
+/// `off | counters | trace[=N]`, the per-branch attribution items
+/// `attr | attr.k=N | attr.sample=N`, and the timeline item `window=N`
+/// (a window boundary every `N` retired instructions). An explicit
+/// `--obs` flag replaces it as a whole.
 pub const VAR_OBS: &str = "TWIG_OBS";
-/// `TWIG_OBS_ATTR` — per-branch cycle attribution
-/// (`off | on | k=N[,sample=M]`; parsed by `twig-obs`).
-pub const VAR_OBS_ATTR: &str = "TWIG_OBS_ATTR";
-/// `TWIG_OBS_WINDOW` — windowed time-series telemetry
-/// (`off | window=N`, a window boundary every `N` retired instructions;
-/// parsed by `twig-obs`). Orthogonal to `TWIG_OBS`: windowing samples the
-/// live statistics without creating counters-tier recording state.
-pub const VAR_OBS_WINDOW: &str = "TWIG_OBS_WINDOW";
 /// `TWIG_TRACE_SPILL_EVENTS` — event-count threshold above which the
 /// benchmark harness spills cached traces to columnar `.twgc` files and
 /// streams them back instead of holding a `Vec<BlockEvent>` resident
@@ -124,8 +120,6 @@ pub const ALL_VARS: &[&str] = &[
     VAR_INTEGRITY_MUTATE_LABEL,
     VAR_INTEGRITY_DUMP_DIR,
     VAR_OBS,
-    VAR_OBS_ATTR,
-    VAR_OBS_WINDOW,
     VAR_TRACE_SPILL_EVENTS,
     VAR_FLEET_WORKERS,
     VAR_FLEET_MAX_GENERATIONS,
@@ -189,14 +183,6 @@ impl<T> Setting<T> {
                 source: Source::Explicit,
             },
             None => self,
-        }
-    }
-
-    /// Maps the value, keeping the provenance.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Setting<U> {
-        Setting {
-            value: f(self.value),
-            source: self.source,
         }
     }
 }
@@ -265,12 +251,8 @@ pub struct HarnessConfig {
     pub integrity_mutate_label: Setting<Option<String>>,
     /// Forensic dump directory override, if any.
     pub integrity_dump_dir: Setting<Option<String>>,
-    /// Raw observability tier (`off` when unset).
+    /// Raw observation spec (`off` when unset).
     pub obs: Setting<String>,
-    /// Raw attribution spec (`off` when unset).
-    pub obs_attr: Setting<String>,
-    /// Raw timeline-window spec (`off` when unset).
-    pub obs_window: Setting<String>,
     /// Trace-spill threshold in events; `None` = spilling disabled.
     pub trace_spill_events: Setting<Option<u64>>,
     /// Fleet-service worker threads, at least 1.
@@ -297,8 +279,6 @@ impl HarnessConfig {
             integrity_mutate_label: Setting::default_value(None),
             integrity_dump_dir: Setting::default_value(None),
             obs: Setting::default_value("off".to_string()),
-            obs_attr: Setting::default_value("off".to_string()),
-            obs_window: Setting::default_value("off".to_string()),
             trace_spill_events: Setting::default_value(Some(8_000_000)),
             fleet_workers: Setting::default_value(1),
             fleet_max_generations: Setting::default_value(8),
@@ -322,27 +302,13 @@ impl HarnessConfig {
         // fallback spelling for operators used to rayon-based harnesses.
         for var in [VAR_NUM_THREADS, "RAYON_NUM_THREADS"] {
             if let Some(raw) = lookup(var) {
-                let n = parse_u64(VAR_NUM_THREADS, &raw)?;
-                if n == 0 {
-                    return Err(ConfigError {
-                        var: VAR_NUM_THREADS,
-                        value: raw,
-                        reason: "thread count must be >= 1".to_string(),
-                    });
-                }
+                let n = parse_positive(VAR_NUM_THREADS, &raw, "thread count")?;
                 config.num_threads = Setting::env_value(Some(n as usize));
                 break;
             }
         }
         if let Some(raw) = lookup(VAR_NUM_PROCS) {
-            let n = parse_u64(VAR_NUM_PROCS, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_NUM_PROCS,
-                    value: raw,
-                    reason: "process count must be >= 1".to_string(),
-                });
-            }
+            let n = parse_positive(VAR_NUM_PROCS, &raw, "process count")?;
             config.num_procs = Setting::env_value(n as usize);
         }
         if let Some(raw) = lookup(VAR_TASK_ATTEMPTS) {
@@ -377,47 +343,20 @@ impl HarnessConfig {
         if let Some(raw) = lookup(VAR_OBS) {
             config.obs = Setting::env_value(raw.trim().to_string());
         }
-        if let Some(raw) = lookup(VAR_OBS_ATTR) {
-            config.obs_attr = Setting::env_value(raw.trim().to_string());
-        }
-        if let Some(raw) = lookup(VAR_OBS_WINDOW) {
-            config.obs_window = Setting::env_value(raw.trim().to_string());
-        }
         if let Some(raw) = lookup(VAR_TRACE_SPILL_EVENTS) {
             let n = parse_u64(VAR_TRACE_SPILL_EVENTS, &raw)?;
             config.trace_spill_events = Setting::env_value(if n == 0 { None } else { Some(n) });
         }
         if let Some(raw) = lookup(VAR_FLEET_WORKERS) {
-            let n = parse_u64(VAR_FLEET_WORKERS, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_FLEET_WORKERS,
-                    value: raw,
-                    reason: "worker count must be >= 1".to_string(),
-                });
-            }
+            let n = parse_positive(VAR_FLEET_WORKERS, &raw, "worker count")?;
             config.fleet_workers = Setting::env_value(n as usize);
         }
         if let Some(raw) = lookup(VAR_FLEET_MAX_GENERATIONS) {
-            let n = parse_u64(VAR_FLEET_MAX_GENERATIONS, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_FLEET_MAX_GENERATIONS,
-                    value: raw,
-                    reason: "generation cap must be >= 1".to_string(),
-                });
-            }
+            let n = parse_positive(VAR_FLEET_MAX_GENERATIONS, &raw, "generation cap")?;
             config.fleet_max_generations = Setting::env_value(n);
         }
         if let Some(raw) = lookup(VAR_FLEET_QUEUE_DEPTH) {
-            let n = parse_u64(VAR_FLEET_QUEUE_DEPTH, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_FLEET_QUEUE_DEPTH,
-                    value: raw,
-                    reason: "queue depth must be >= 1".to_string(),
-                });
-            }
+            let n = parse_positive(VAR_FLEET_QUEUE_DEPTH, &raw, "queue depth")?;
             config.fleet_queue_depth = Setting::env_value(n as usize);
         }
         Ok(config)
@@ -456,97 +395,34 @@ impl HarnessConfig {
                 None => unset.to_string(),
             }
         }
+        fn row<T>(
+            name: &'static str,
+            setting: &Setting<T>,
+            render: impl FnOnce(&T) -> String,
+        ) -> ConfigEntry {
+            ConfigEntry {
+                name,
+                value: render(&setting.value),
+                source: setting.source.as_str(),
+            }
+        }
         vec![
-            ConfigEntry {
-                name: VAR_NUM_THREADS,
-                value: opt(&self.num_threads.value, "auto"),
-                source: self.num_threads.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_NUM_PROCS,
-                value: self.num_procs.value.to_string(),
-                source: self.num_procs.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_TASK_ATTEMPTS,
-                value: self.task_attempts.value.to_string(),
-                source: self.task_attempts.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_TASK_BACKOFF_MS,
-                value: self.task_backoff_ms.value.to_string(),
-                source: self.task_backoff_ms.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_TASK_TIMEOUT_MS,
-                value: opt(&self.task_timeout_ms.value, "none"),
-                source: self.task_timeout_ms.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_FAULT_SPEC,
-                value: opt(&self.fault_spec.value, "none"),
-                source: self.fault_spec.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_CRASH_SPEC,
-                value: opt(&self.crash_spec.value, "none"),
-                source: self.crash_spec.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_INTEGRITY,
-                value: self.integrity.value.clone(),
-                source: self.integrity.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_INTEGRITY_MUTATE,
-                value: opt(&self.integrity_mutate.value, "none"),
-                source: self.integrity_mutate.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_INTEGRITY_MUTATE_LABEL,
-                value: opt(&self.integrity_mutate_label.value, "none"),
-                source: self.integrity_mutate_label.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_INTEGRITY_DUMP_DIR,
-                value: opt(&self.integrity_dump_dir.value, "none"),
-                source: self.integrity_dump_dir.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_OBS,
-                value: self.obs.value.clone(),
-                source: self.obs.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_OBS_ATTR,
-                value: self.obs_attr.value.clone(),
-                source: self.obs_attr.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_OBS_WINDOW,
-                value: self.obs_window.value.clone(),
-                source: self.obs_window.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_TRACE_SPILL_EVENTS,
-                value: opt(&self.trace_spill_events.value, "off"),
-                source: self.trace_spill_events.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_FLEET_WORKERS,
-                value: self.fleet_workers.value.to_string(),
-                source: self.fleet_workers.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_FLEET_MAX_GENERATIONS,
-                value: self.fleet_max_generations.value.to_string(),
-                source: self.fleet_max_generations.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_FLEET_QUEUE_DEPTH,
-                value: self.fleet_queue_depth.value.to_string(),
-                source: self.fleet_queue_depth.source.as_str(),
-            },
+            row(VAR_NUM_THREADS, &self.num_threads, |v| opt(v, "auto")),
+            row(VAR_NUM_PROCS, &self.num_procs, ToString::to_string),
+            row(VAR_TASK_ATTEMPTS, &self.task_attempts, ToString::to_string),
+            row(VAR_TASK_BACKOFF_MS, &self.task_backoff_ms, ToString::to_string),
+            row(VAR_TASK_TIMEOUT_MS, &self.task_timeout_ms, |v| opt(v, "none")),
+            row(VAR_FAULT_SPEC, &self.fault_spec, |v| opt(v, "none")),
+            row(VAR_CRASH_SPEC, &self.crash_spec, |v| opt(v, "none")),
+            row(VAR_INTEGRITY, &self.integrity, Clone::clone),
+            row(VAR_INTEGRITY_MUTATE, &self.integrity_mutate, |v| opt(v, "none")),
+            row(VAR_INTEGRITY_MUTATE_LABEL, &self.integrity_mutate_label, |v| opt(v, "none")),
+            row(VAR_INTEGRITY_DUMP_DIR, &self.integrity_dump_dir, |v| opt(v, "none")),
+            row(VAR_OBS, &self.obs, Clone::clone),
+            row(VAR_TRACE_SPILL_EVENTS, &self.trace_spill_events, |v| opt(v, "off")),
+            row(VAR_FLEET_WORKERS, &self.fleet_workers, ToString::to_string),
+            row(VAR_FLEET_MAX_GENERATIONS, &self.fleet_max_generations, ToString::to_string),
+            row(VAR_FLEET_QUEUE_DEPTH, &self.fleet_queue_depth, ToString::to_string),
         ]
     }
 }
@@ -567,6 +443,18 @@ fn parse_u64(var: &'static str, raw: &str) -> Result<u64, ConfigError> {
         value: raw.to_string(),
         reason: "expected a non-negative integer".to_string(),
     })
+}
+
+/// [`parse_u64`], rejecting 0 with "`what` must be >= 1".
+fn parse_positive(var: &'static str, raw: &str, what: &str) -> Result<u64, ConfigError> {
+    match parse_u64(var, raw)? {
+        0 => Err(ConfigError {
+            var,
+            value: raw.to_string(),
+            reason: format!("{what} must be >= 1"),
+        }),
+        n => Ok(n),
+    }
 }
 
 fn non_empty(raw: String) -> Option<String> {
@@ -609,8 +497,7 @@ mod tests {
         let config = HarnessConfig::from_lookup(env_of(&[
             ("TWIG_NUM_THREADS", "3"),
             ("TWIG_TASK_TIMEOUT_MS", "0"),
-            ("TWIG_OBS", "counters"),
-            ("TWIG_OBS_WINDOW", "  window=4096  "),
+            ("TWIG_OBS", "  counters,window=4096  "),
             ("TWIG_FAULT_SPEC", "  panic:task=1  "),
         ]))
         .unwrap();
@@ -618,9 +505,8 @@ mod tests {
         assert_eq!(config.num_threads.source, Source::Env);
         // 0 means "no deadline".
         assert_eq!(config.task_timeout_ms.value, None);
-        assert_eq!(config.obs.value, "counters");
-        assert_eq!(config.obs_window.value, "window=4096");
-        assert_eq!(config.obs_window.source, Source::Env);
+        assert_eq!(config.obs.value, "counters,window=4096");
+        assert_eq!(config.obs.source, Source::Env);
         assert_eq!(config.fault_spec.value.as_deref(), Some("panic:task=1"));
     }
 
