@@ -31,7 +31,8 @@ pub fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
 fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
     let out_dir = args.flag("out").unwrap_or("results");
     let tenants: usize = args.parse_or("tenants", 3)?;
-    let mut config = FleetConfig::from_harness(twig_types::HarnessConfig::global());
+    let mut config =
+        FleetConfig::from_harness(twig_types::HarnessConfig::global()).map_err(CliError::Usage)?;
     if let Some(spec) = args.flag("faults") {
         let parsed = FaultSpec::parse(spec)
             .map_err(|e| CliError::Invalid(format!("bad --faults spec: {e}")))?;

@@ -7,6 +7,7 @@ fn twig(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_twig-cli"))
         .env_remove("TWIG_OBS")
         .env_remove("TWIG_NUM_THREADS")
+        .env_remove("TWIG_FAULT_SPEC")
         .envs(envs.iter().copied())
         .args(args)
         .output()
@@ -43,5 +44,20 @@ fn malformed_observation_config_is_a_usage_error() {
     // A valid spec through `--obs` runs.
     let out = twig(&with_obs("counters,attr,window=500"), &[]);
     assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_fault_spec_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("twig-cli-faults-{}", std::process::id()));
+    let out_dir = dir.display().to_string();
+    for spec in ["bogus:tenant=svc-alpha", "stall-stream:tenant"] {
+        let out = twig(&["fleet", "run", "--out", &out_dir], &[("TWIG_FAULT_SPEC", spec)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        assert!(stderr.contains("TWIG_FAULT_SPEC"), "{spec}: {stderr}");
+        assert!(!dir.join("fleet_manifest.json").exists(), "{spec}: nothing may run");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

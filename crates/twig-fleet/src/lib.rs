@@ -11,11 +11,13 @@
 //! pipeline:
 //!
 //! * [`service::run_fleet`] — the supervised generation loop: N tenants
-//!   × rotating load phases ([`twig_workload::PhaseSchedule`]), sampled
-//!   profiles streamed through a bounded-queue worker pool with explicit
-//!   backpressure ([`twig_sched::ServicePool`]), candidate layouts
-//!   A/B-gated by the regression-sentinel thresholds ([`gate`]), and a
-//!   convergence watchdog.
+//!   × rotating load phases ([`twig_workload::PhaseSchedule`]), one job
+//!   per tenant-generation on a bounded-queue worker pool with explicit
+//!   backpressure ([`twig_sched::ServicePool`]). The worker profiles the
+//!   deployed binary, builds the candidate layout and A/B-gates it with
+//!   the regression-sentinel thresholds ([`gate`]); the control thread
+//!   applies the verdicts in tenant order as they stream back, makes
+//!   every checkpoint write, and runs the convergence watchdog.
 //! * [`health`] — the per-tenant `healthy → degraded → quarantined`
 //!   state machine with typed transition reasons.
 //! * [`manifest`] — the versioned, worker-count-invariant

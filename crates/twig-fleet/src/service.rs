@@ -1,15 +1,16 @@
 //! The continuous-PGO fleet loop.
 //!
 //! N tenant binaries run under M rotating load phases. Each layout
-//! generation, every active tenant streams a sampled LBR-style profile
-//! of its *deployed* binary through a [`ServicePool`] (bounded queue,
-//! explicit backpressure, supervised workers), the control loop merges
-//! the fresh miss plans into the tenant's deployed plan set, rewrites a
-//! candidate from the pristine binary, and A/B-judges candidate against
-//! deployed with the regression sentinel's thresholds ([`crate::gate`]).
-//! Deploys that pass ship and are checkpointed as the tenant's last-good
-//! record; anything that regresses rolls back and counts as a faulted
-//! generation. A convergence watchdog retires a tenant after
+//! generation, every active tenant gets one job on a [`ServicePool`]
+//! (bounded queue, explicit backpressure, supervised workers). The job
+//! profiles the tenant's *deployed* binary with a sampled LBR-style
+//! recorder, merges the fresh miss plans into the deployed plan set,
+//! rewrites a candidate from the pristine binary, and A/B-judges
+//! candidate against deployed with the regression sentinel's thresholds
+//! ([`crate::gate`]). The control loop applies the verdicts: deploys that
+//! pass ship and are checkpointed as the tenant's last-good record;
+//! candidates that regress roll back and their novel branches are
+//! rejected for good. A convergence watchdog retires a tenant after
 //! `converge_after` consecutive in-noise generations; the fleet stops
 //! when every non-quarantined tenant has converged or the generation cap
 //! fires.
@@ -17,12 +18,16 @@
 //! # Determinism
 //!
 //! The manifest must be byte-identical across `TWIG_FLEET_WORKERS`
-//! settings, so: profile jobs are pure functions of their payload,
-//! service faults match by pure predicate (no firing budgets), results
-//! come back in submission order, all checkpoint writes happen on the
-//! control thread in tenant order, and nothing wall-clock-shaped is
-//! recorded (backpressure counters stay in [`ServiceStats`], which is
-//! reported to operators but never serialized).
+//! settings, so: the workers profile, analyze, rewrite and gate, and
+//! each job is a pure function of its payload (the tenant's deployed
+//! plans and rejected set are frozen for the generation when the job is
+//! submitted); service faults match by pure predicate (no firing
+//! budgets); reports stream back in submission order, which is tenant
+//! order, however the jobs finish; the control thread applies every
+//! verdict and makes every checkpoint write in that order; and nothing
+//! wall-clock-shaped is recorded (backpressure counters stay in
+//! [`ServiceStats`], which is reported to operators but never
+//! serialized).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,6 +41,7 @@ use twig_sched::fault::FaultSpec;
 use twig_sched::{FaultKind, ServicePool, ServiceStats, TaskError, TaskPolicy, TaskReport};
 use twig_serde::{Deserialize, Serialize};
 use twig_sim::{PlainBtb, SimConfig, SimStats, Simulator};
+use twig_types::fxhash::FxHashSet;
 use twig_workload::{
     BlockEvent, InputConfig, LayoutOptions, LoadPhase, MemSource, PhaseSchedule, Program,
     ProgramGenerator, Walker, WorkloadSpec,
@@ -130,19 +136,24 @@ impl FleetConfig {
 
     /// Wires the typed harness configuration (`TWIG_FLEET_*`) and the
     /// process-wide fault spec into the demo defaults.
-    pub fn from_harness(harness: &twig_types::HarnessConfig) -> FleetConfig {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `TWIG_FAULT_SPEC` when it does not parse.
+    pub fn from_harness(harness: &twig_types::HarnessConfig) -> Result<FleetConfig, String> {
         let faults = match &harness.fault_spec.value {
-            Some(raw) => FaultSpec::parse(raw)
-                .unwrap_or_else(|e| panic!("malformed TWIG_FAULT_SPEC: {e}")),
+            Some(raw) => {
+                FaultSpec::parse(raw).map_err(|e| format!("malformed TWIG_FAULT_SPEC: {e}"))?
+            }
             None => FaultSpec::none(),
         };
-        FleetConfig {
+        Ok(FleetConfig {
             workers: harness.fleet_workers.value,
             queue_depth: harness.fleet_queue_depth.value,
             max_generations: harness.fleet_max_generations.value,
             faults: Arc::new(faults),
             ..FleetConfig::demo()
-        }
+        })
     }
 }
 
@@ -156,23 +167,42 @@ pub struct FleetOutcome {
     pub service: ServiceStats,
 }
 
-/// One profile job streamed to the service pool.
+/// One tenant-generation streamed to the service pool: everything the
+/// worker needs to profile the deployed binary and build and gate the
+/// next candidate, shared rather than copied.
 struct ProfileJob {
     tenant: String,
     generation: u64,
+    pristine: Arc<Program>,
+    layout: LayoutOptions,
     deployed: Arc<Program>,
+    plans: Arc<[MissPlan]>,
+    rejected: Arc<FxHashSet<u32>>,
     events: Arc<[BlockEvent]>,
     instructions: u64,
     sim: SimConfig,
 }
 
-/// A profile chunk coming back from a worker.
+/// The gate's verdict on a tenant's candidate, as the worker built it.
+enum Verdict {
+    /// Ship the candidate: its binary and merged plan set.
+    Deploy {
+        program: Program,
+        plans: Vec<MissPlan>,
+    },
+    /// Keep the deployed layout: the candidate was within noise, or the
+    /// profile found no branch beyond the deployed and rejected ones.
+    Hold,
+    /// Keep the deployed layout and reject the candidate's novel branches.
+    Rollback { novel: Vec<u32> },
+}
+
+/// A profiled and gated tenant-generation coming back from a worker.
 struct ProfileChunk {
     profile: Profile,
     stats: SimStats,
     fingerprint: u64,
-    events: Arc<[BlockEvent]>,
-    instructions: u64,
+    verdict: Verdict,
 }
 
 /// The checkpointed last-good record a churned tenant re-onboards from.
@@ -209,11 +239,11 @@ struct TenantState {
     schedule: PhaseSchedule,
     pristine: Arc<Program>,
     deployed: Arc<Program>,
-    plans: Vec<MissPlan>,
+    plans: Arc<[MissPlan]>,
     /// Miss branches whose candidate layouts the gate rolled back; never
     /// re-tried, which is what bounds the generation loop (every branch
     /// ends up deployed or rejected, then only holds remain).
-    rejected: std::collections::HashSet<u32>,
+    rejected: Arc<FxHashSet<u32>>,
     events: Vec<(LoadPhase, Arc<[BlockEvent]>)>,
     health: HealthTracker,
     holds: u32,
@@ -273,25 +303,68 @@ fn simulate(program: &Program, sim: SimConfig, events: &[BlockEvent], instructio
 
 /// Merges fresh miss plans into the deployed set, keeping existing
 /// entries (deployed prefetch sites are never silently dropped),
-/// appending plans for newly observed miss branches, and skipping
-/// branches the gate has already rejected. Monotone and bounded by the
-/// program's branch count, which is what guarantees the generation loop
-/// converges.
+/// appending the first plan for each newly observed miss branch, and
+/// skipping branches the gate has already rejected. Monotone and bounded
+/// by the program's branch count, which is what guarantees the
+/// generation loop converges.
 fn merge_plans(
     deployed: &[MissPlan],
     fresh: &[MissPlan],
-    rejected: &std::collections::HashSet<u32>,
+    rejected: &FxHashSet<u32>,
 ) -> Vec<MissPlan> {
+    let mut seen: FxHashSet<u32> = deployed.iter().map(|p| p.branch_block.raw()).collect();
     let mut merged = deployed.to_vec();
-    for plan in fresh {
-        if rejected.contains(&plan.branch_block.raw()) {
-            continue;
-        }
-        if !merged.iter().any(|p| p.branch_block == plan.branch_block) {
-            merged.push(plan.clone());
-        }
-    }
+    merged.extend(
+        fresh
+            .iter()
+            .filter(|plan| {
+                let branch = plan.branch_block.raw();
+                !rejected.contains(&branch) && seen.insert(branch)
+            })
+            .cloned(),
+    );
     merged
+}
+
+/// Builds the candidate layout for `job` from `profile` and A/B-judges
+/// it against the deployed binary's `deployed_stats` over the same
+/// events. A held or rolled-back candidate is dropped here.
+fn build_candidate(
+    optimizer: &TwigOptimizer,
+    job: &ProfileJob,
+    profile: &Profile,
+    deployed_stats: &SimStats,
+) -> Verdict {
+    // Temporaries (the fresh plans, the rewrite report) are dropped as
+    // soon as they are used: two workers build candidates at once.
+    let merged = merge_plans(
+        &job.plans,
+        &optimizer.analyze_for(profile, &job.pristine),
+        &job.rejected,
+    );
+    if merged.len() == job.plans.len() {
+        return Verdict::Hold;
+    }
+    let program = optimizer
+        .rewrite_of(&job.pristine, &job.layout, &merged)
+        .program;
+    let candidate_stats = simulate(&program, job.sim, &job.events, job.instructions);
+    match judge_deploy(
+        &GateMetrics::from_stats(deployed_stats),
+        &GateMetrics::from_stats(&candidate_stats),
+    ) {
+        GateDecision::Deploy => Verdict::Deploy {
+            program,
+            plans: merged,
+        },
+        GateDecision::Hold => Verdict::Hold,
+        GateDecision::Rollback => Verdict::Rollback {
+            novel: merged[job.plans.len()..]
+                .iter()
+                .map(|plan| plan.branch_block.raw())
+                .collect(),
+        },
+    }
 }
 
 fn events_for(
@@ -366,7 +439,7 @@ fn persist_last_good(state: &TenantState, store: &CheckpointStore, faults: &Faul
     }
     let record = LastGood {
         generation: state.deployed_generation,
-        plans: state.plans.clone(),
+        plans: state.plans.to_vec(),
     };
     let Ok(payload) = twig_serde_json::to_string(&record) else {
         return false;
@@ -394,12 +467,12 @@ fn churn_reonboard(state: &mut TenantState, optimizer: &TwigOptimizer, store: &C
         Some(record) => {
             let rebuilt = optimizer.rewrite_of(&state.pristine, &state.layout, &record.plans);
             state.deployed = Arc::new(rebuilt.program);
-            state.plans = record.plans;
+            state.plans = record.plans.into();
             state.deployed_generation = record.generation;
         }
         None => {
             state.deployed = Arc::clone(&state.pristine);
-            state.plans.clear();
+            state.plans = Arc::from([]);
             state.deployed_generation = 0;
         }
     }
@@ -448,8 +521,8 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
                 schedule: PhaseSchedule::diurnal(tenant.seed),
                 deployed: Arc::clone(&pristine),
                 pristine,
-                plans: Vec::new(),
-                rejected: std::collections::HashSet::new(),
+                plans: Arc::from([]),
+                rejected: Arc::default(),
                 events: Vec::new(),
                 health: HealthTracker::new(),
                 holds: 0,
@@ -499,12 +572,12 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
             {
                 fingerprint ^= 0xBAD5_EED5_BAD5_EED5;
             }
+            let verdict = build_candidate(&worker_optimizer, job, &profile, &stats);
             Ok(ProfileChunk {
                 profile,
                 stats,
                 fingerprint,
-                events: Arc::clone(&job.events),
-                instructions: job.instructions,
+                verdict,
             })
         },
     );
@@ -535,7 +608,11 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
                 ProfileJob {
                     tenant: state.name.clone(),
                     generation,
+                    pristine: Arc::clone(&state.pristine),
+                    layout: state.layout,
                     deployed: Arc::clone(&state.deployed),
+                    plans: Arc::clone(&state.plans),
+                    rejected: Arc::clone(&state.rejected),
                     events,
                     instructions,
                     sim: state.sim,
@@ -544,8 +621,10 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
             submitted.push(i);
         }
 
+        // Tenant i's verdict is applied (on a deploy, freeing its old
+        // binary) while later tenants' candidates are still building.
         for (i, report) in submitted.iter().zip(pool.drain()) {
-            process_report(&mut states[*i], report, generation, config, &optimizer, &store);
+            process_report(&mut states[*i], report, generation, config, &store);
         }
     }
 
@@ -608,14 +687,14 @@ fn process_report(
     report: TaskReport<ProfileChunk>,
     generation: u64,
     config: &FleetConfig,
-    optimizer: &TwigOptimizer,
     store: &CheckpointStore,
 ) {
     let mut fault: Option<FaultReason> = None;
     match report.result {
         Err(_) => {
-            // Stalled, panicked, or timed out: either way no usable
-            // profile arrived this generation.
+            // Stalled, panicked (collecting the profile or building the
+            // candidate), or timed out: either way no usable profile
+            // arrived this generation.
             fault = Some(FaultReason::StallStream);
         }
         Ok(chunk) => {
@@ -643,43 +722,25 @@ fn process_report(
                 } else {
                     state.slo_burn_streak = 0;
                 }
-                let fresh = optimizer.analyze_for(&chunk.profile, &state.pristine);
-                let merged = merge_plans(&state.plans, &fresh, &state.rejected);
-                if merged.len() > state.plans.len() {
-                    let candidate = optimizer.rewrite_of(&state.pristine, &state.layout, &merged);
-                    let candidate_stats = simulate(
-                        &candidate.program,
-                        state.sim,
-                        &chunk.events,
-                        chunk.instructions,
-                    );
-                    match judge_deploy(
-                        &GateMetrics::from_stats(&chunk.stats),
-                        &GateMetrics::from_stats(&candidate_stats),
-                    ) {
-                        GateDecision::Deploy => {
-                            state.deployed = Arc::new(candidate.program);
-                            state.plans = merged;
-                            state.deployed_generation = generation;
-                            state.deploys += 1;
-                            state.holds = 0;
-                        }
-                        GateDecision::Hold => state.holds += 1,
-                        GateDecision::Rollback => {
-                            // The gate doing its job is not a fault: the
-                            // deployed layout was revalidated as better,
-                            // which counts as an in-noise generation. The
-                            // novel branches are blacklisted so the same
-                            // losing candidate is never rebuilt.
-                            for plan in &merged[state.plans.len()..] {
-                                state.rejected.insert(plan.branch_block.raw());
-                            }
-                            state.rollbacks += 1;
-                            state.holds += 1;
-                        }
+                match chunk.verdict {
+                    Verdict::Deploy { program, plans } => {
+                        state.deployed = Arc::new(program);
+                        state.plans = plans.into();
+                        state.deployed_generation = generation;
+                        state.deploys += 1;
+                        state.holds = 0;
                     }
-                } else {
-                    state.holds += 1;
+                    Verdict::Hold => state.holds += 1,
+                    Verdict::Rollback { novel } => {
+                        // The gate doing its job is not a fault: the
+                        // deployed layout was revalidated as better,
+                        // which counts as an in-noise generation. The
+                        // novel branches are blacklisted so the same
+                        // losing candidate is never rebuilt.
+                        Arc::make_mut(&mut state.rejected).extend(novel);
+                        state.rollbacks += 1;
+                        state.holds += 1;
+                    }
                 }
                 if fault.is_none() && !persist_last_good(state, store, &config.faults) {
                     fault = Some(FaultReason::DiskFull);
@@ -731,12 +792,28 @@ mod tests {
             sites: Vec::new(),
         };
         let deployed = vec![plan(1), plan(2)];
-        let rejected: std::collections::HashSet<u32> = [4].into_iter().collect();
-        let merged = merge_plans(&deployed, &[plan(2), plan(3), plan(4)], &rejected);
+        let rejected: FxHashSet<u32> = [4].into_iter().collect();
+        let fresh_five = MissPlan {
+            total_samples: 99,
+            ..plan(5)
+        };
+        let merged = merge_plans(
+            &deployed,
+            &[plan(2), plan(5), plan(3), plan(4), fresh_five, plan(3)],
+            &rejected,
+        );
         let blocks: Vec<u32> = merged.iter().map(|p| p.branch_block.raw()).collect();
-        assert_eq!(blocks, [1, 2, 3], "rejected branch 4 must never come back");
+        assert_eq!(
+            blocks,
+            [1, 2, 5, 3],
+            "rejected branch 4 must never come back"
+        );
+        assert_eq!(
+            merged[2].total_samples, 5,
+            "a branch repeated within fresh keeps its first plan"
+        );
         let again = merge_plans(&merged, &[plan(3), plan(1)], &rejected);
-        assert_eq!(again.len(), 3, "remerge must be a no-op");
+        assert_eq!(again.len(), 4, "remerge must be a no-op");
     }
 
     #[test]

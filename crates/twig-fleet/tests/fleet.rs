@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use twig_fleet::{run_fleet, FleetConfig, FleetManifest, TenantSpec};
 use twig_sched::FaultSpec;
+use twig_workload::{AppId, WorkloadSpec};
 
 fn test_config() -> FleetConfig {
     FleetConfig {
@@ -67,6 +68,48 @@ fn manifest_is_worker_count_invariant() {
         four.manifest.to_json().unwrap(),
         "1-worker and 4-worker manifests must be byte-identical"
     );
+}
+
+#[test]
+fn manifest_is_invariant_when_jobs_finish_out_of_order() {
+    // The first tenant runs a real application's binary among tiny test
+    // ones: its job (about ten times the work of the others) is submitted
+    // first but finishes last, so later reports are ready before the one
+    // the control loop must apply first.
+    let mut tenants = TenantSpec::demo_fleet(4);
+    tenants[0].spec = WorkloadSpec::preset(AppId::Kafka);
+    let manifests = |faults: &str| -> Vec<String> {
+        [1, 2, 4]
+            .iter()
+            .map(|&workers| {
+                let config =
+                    with_faults(FleetConfig { workers, queue_depth: 4, ..test_config() }, faults);
+                run_fleet(&tenants, &config).unwrap().manifest.to_json().unwrap()
+            })
+            .collect()
+    };
+
+    let clean = manifests("");
+    assert_eq!(clean[0], clean[1], "1-worker and 2-worker manifests must be byte-identical");
+    assert_eq!(clean[0], clean[2], "1-worker and 4-worker manifests must be byte-identical");
+
+    // The heavy tenant's job analyzes and gates its (intact) profile; the
+    // control thread must still catch the corrupted fingerprint the
+    // generation the fault fires.
+    let faulted = manifests("corrupt-profile:tenant=svc-alpha,gen=1");
+    assert_eq!(faulted[0], faulted[1]);
+    assert_eq!(faulted[0], faulted[2]);
+    let manifest = FleetManifest::from_json(&faulted[0]).unwrap();
+    let victim = tenant(&manifest, "svc-alpha");
+    assert_eq!(victim.faults_seen, 1);
+    assert_eq!(
+        (victim.transitions[0].reason.as_str(), victim.transitions[0].generation),
+        ("corrupt-profile", 1)
+    );
+    assert_eq!(victim.health, "healthy", "one corrupted chunk must not quarantine");
+    for name in ["svc-bravo", "svc-charlie", "svc-delta"] {
+        assert_eq!(tenant(&manifest, name).faults_seen, 0, "{name} is a bystander");
+    }
 }
 
 #[test]

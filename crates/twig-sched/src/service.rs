@@ -19,12 +19,12 @@
 //!   [`run_supervised`] — panic isolation, watchdog, retry with jittered
 //!   backoff — so one poisoned profile chunk cannot take a worker down.
 //!
-//! Determinism: results are returned in submission order by
-//! [`ServicePool::drain`], and job bodies receive nothing except their
-//! payload, so a pool with 1 worker and a pool with 8 produce identical
-//! results. (The fleet manifest tests pin exactly this property.)
+//! Determinism: [`ServicePool::drain`] yields reports in submission
+//! order, and job bodies receive nothing except their payload, so a pool
+//! with 1 worker and a pool with 8 produce identical results. (The fleet
+//! manifest tests pin exactly this property.)
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -153,9 +153,10 @@ pub struct ServiceStats {
 
 struct Shared<T, R> {
     queue: BoundedQueue<(u64, String, T)>,
-    results: Mutex<Vec<(u64, TaskReport<R>)>>,
-    inflight: Mutex<u64>,
-    idle: Condvar,
+    /// Finished reports keyed by submission index, until drained.
+    results: Mutex<HashMap<u64, TaskReport<R>>>,
+    /// Signalled whenever a report lands in `results`.
+    ready: Condvar,
     completed: AtomicU64,
     failed: AtomicU64,
     policy: TaskPolicy,
@@ -176,11 +177,7 @@ struct Shared<T, R> {
 /// for v in 0..8u64 {
 ///     pool.submit(format!("square-{v}"), v);
 /// }
-/// let results: Vec<u64> = pool
-///     .drain()
-///     .into_iter()
-///     .map(|report| report.result.unwrap())
-///     .collect();
+/// let results: Vec<u64> = pool.drain().map(|report| report.result.unwrap()).collect();
 /// assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// pool.shutdown();
 /// ```
@@ -188,6 +185,8 @@ pub struct ServicePool<T, R> {
     shared: Arc<Shared<T, R>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     submitted: u64,
+    /// Submission index of the next report [`ServicePool::drain`] yields.
+    delivered: u64,
 }
 
 impl<T: Send + 'static, R: Send + 'static> ServicePool<T, R> {
@@ -200,9 +199,8 @@ impl<T: Send + 'static, R: Send + 'static> ServicePool<T, R> {
     {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(queue_depth),
-            results: Mutex::new(Vec::new()),
-            inflight: Mutex::new(0),
-            idle: Condvar::new(),
+            results: Mutex::new(HashMap::new()),
+            ready: Condvar::new(),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             policy,
@@ -221,62 +219,30 @@ impl<T: Send + 'static, R: Send + 'static> ServicePool<T, R> {
             shared,
             workers,
             submitted: 0,
+            delivered: 0,
         }
     }
 
     /// Submits one job, blocking when the queue is full (backpressure).
     /// `label` names the job for fault matching and reports.
     pub fn submit(&mut self, label: String, job: T) {
-        {
-            let mut inflight = self
-                .shared
-                .inflight
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *inflight += 1;
-        }
-        self.submitted += 1;
-        let index = self.submitted - 1;
+        let index = self.submitted;
         if self.shared.queue.push((index, label, job)).is_err() {
-            // Closed pool: roll the accounting back so drain() still
-            // terminates (shutdown() is the only closer, so this is a
-            // use-after-shutdown programming error surfaced loudly).
-            let mut inflight = self
-                .shared
-                .inflight
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            *inflight -= 1;
+            // shutdown() is the only closer, so this is a
+            // use-after-shutdown programming error surfaced loudly.
             panic!("submit on a shut-down ServicePool");
         }
+        self.submitted += 1;
     }
 
-    /// Generation barrier: blocks until every submitted job has completed,
-    /// then returns their reports **in submission order** and resets the
-    /// result buffer for the next round.
-    pub fn drain(&mut self) -> Vec<TaskReport<R>> {
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        while *inflight > 0 {
-            inflight = self
-                .shared
-                .idle
-                .wait(inflight)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        drop(inflight);
-        let mut results = self
-            .shared
-            .results
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut batch: Vec<(u64, TaskReport<R>)> = results.drain(..).collect();
-        drop(results);
-        batch.sort_by_key(|(index, _)| *index);
-        batch.into_iter().map(|(_, report)| report).collect()
+    /// Yields the report of every job submitted so far **in submission
+    /// order**, each as soon as it and all earlier ones have completed:
+    /// the caller can act on job 0 while later jobs are still running.
+    /// Reports of jobs that finish early wait in the pool until their
+    /// turn. Dropping the iterator early leaves the rest for the next
+    /// `drain`.
+    pub fn drain(&mut self) -> Drain<'_, T, R> {
+        Drain { pool: self }
     }
 
     /// Lifetime counters (backpressure waits are timing-dependent; see
@@ -313,30 +279,57 @@ impl<T, R> Drop for ServicePool<T, R> {
     }
 }
 
+/// In-order report stream of [`ServicePool::drain`].
+pub struct Drain<'a, T, R> {
+    pool: &'a mut ServicePool<T, R>,
+}
+
+impl<T, R> Iterator for Drain<'_, T, R> {
+    type Item = TaskReport<R>;
+
+    fn next(&mut self) -> Option<TaskReport<R>> {
+        let pool = &mut *self.pool;
+        if pool.delivered == pool.submitted {
+            return None;
+        }
+        let mut results = pool
+            .shared
+            .results
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        loop {
+            if let Some(report) = results.remove(&pool.delivered) {
+                pool.delivered += 1;
+                return Some(report);
+            }
+            results = pool
+                .shared
+                .ready
+                .wait(results)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+}
+
 fn worker_loop<T, R>(shared: &Shared<T, R>) {
     while let Some((index, label, job)) = shared.queue.pop() {
         let report = run_supervised(&label, index as usize, &shared.policy, |token| {
             (shared.handler)(&job, token)
         });
+        // Release the payload before the report becomes visible, so a
+        // consumer acting on it holds the only references to whatever
+        // the job shared.
+        drop(job);
         shared.completed.fetch_add(1, Ordering::Relaxed);
         if report.result.is_err() {
             shared.failed.fetch_add(1, Ordering::Relaxed);
         }
-        {
-            let mut results = shared
-                .results
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            results.push((index, report));
-        }
-        let mut inflight = shared
-            .inflight
+        shared
+            .results
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *inflight -= 1;
-        if *inflight == 0 {
-            shared.idle.notify_all();
-        }
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .insert(index, report);
+        shared.ready.notify_all();
     }
 }
 
@@ -361,11 +354,7 @@ mod tests {
             for v in 0..16u64 {
                 pool.submit(format!("r{round}-j{v}"), round * 100 + v);
             }
-            let out: Vec<u64> = pool
-                .drain()
-                .into_iter()
-                .map(|r| r.result.unwrap())
-                .collect();
+            let out: Vec<u64> = pool.drain().map(|r| r.result.unwrap()).collect();
             let expected: Vec<u64> = (0..16).map(|v| (round * 100 + v) * 10).collect();
             assert_eq!(out, expected);
         }
@@ -383,7 +372,7 @@ mod tests {
             for v in 0..32u64 {
                 pool.submit(format!("j{v}"), v);
             }
-            pool.drain().into_iter().map(|r| r.result.unwrap()).collect()
+            pool.drain().map(|r| r.result.unwrap()).collect()
         };
         assert_eq!(run(1), run(8));
     }
@@ -399,8 +388,7 @@ mod tests {
         for v in 0..6u32 {
             pool.submit(format!("chunk-{v}"), v);
         }
-        let reports = pool.drain();
-        for (i, report) in reports.iter().enumerate() {
+        for (i, report) in pool.drain().enumerate() {
             if i == 3 {
                 assert!(matches!(report.result, Err(TaskError::Panicked(_))));
             } else {
@@ -410,7 +398,130 @@ mod tests {
         assert_eq!(pool.stats().failed, 1);
         // The pool keeps serving after the failure.
         pool.submit("after".to_string(), 7);
-        assert_eq!(pool.drain()[0].result.as_ref().unwrap(), &7);
+        let after: Vec<u32> = pool.drain().map(|r| r.result.unwrap()).collect();
+        assert_eq!(after, [7]);
+    }
+
+    /// Spins until `done()` holds or `limit` passes; true when the
+    /// condition ended the wait rather than the timeout.
+    fn wait_until(done: impl Fn() -> bool, limit: Duration) -> bool {
+        let start = Instant::now();
+        while !done() {
+            if start.elapsed() > limit {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn slowest_first_job_is_still_delivered_first() {
+        // Job 0 finishes only after every other job has: the completion
+        // order is 1..N then 0, the delivery order must still be 0..N.
+        const JOBS: u64 = 6;
+        let finished = Arc::new(AtomicU64::new(0));
+        let completion = Arc::new(Mutex::new(Vec::new()));
+        let handler_finished = Arc::clone(&finished);
+        let handler_completion = Arc::clone(&completion);
+        let mut pool = ServicePool::new(2, 8, policy(), move |job: &u64, _| {
+            if *job == 0 {
+                let others_done = || handler_finished.load(Ordering::Acquire) == JOBS - 1;
+                wait_until(others_done, Duration::from_secs(10));
+            }
+            handler_completion.lock().unwrap().push(*job);
+            handler_finished.fetch_add(1, Ordering::Release);
+            Ok(*job)
+        });
+        for v in 0..JOBS {
+            pool.submit(format!("j{v}"), v);
+        }
+        let delivered: Vec<u64> = pool.drain().map(|r| r.result.unwrap()).collect();
+        assert_eq!(delivered, (0..JOBS).collect::<Vec<_>>());
+        assert_eq!(
+            completion.lock().unwrap().last(),
+            Some(&0),
+            "job 0 must have completed last"
+        );
+    }
+
+    #[test]
+    fn drain_yields_before_later_jobs_finish() {
+        // Job 3 is held until report 0 has been received: a barrier drain
+        // would wait for job 3 first and the gate would only time out.
+        let gate = Arc::new(AtomicBool::new(false));
+        let handler_gate = Arc::clone(&gate);
+        let mut pool = ServicePool::new(2, 4, policy(), move |job: &u64, _| {
+            let released = *job != 3
+                || wait_until(
+                    || handler_gate.load(Ordering::Acquire),
+                    Duration::from_secs(10),
+                );
+            Ok((*job, released))
+        });
+        for v in 0..4u64 {
+            pool.submit(format!("j{v}"), v);
+        }
+        let mut drain = pool.drain();
+        assert_eq!(drain.next().unwrap().result.unwrap(), (0, true));
+        gate.store(true, Ordering::Release);
+        let rest: Vec<(u64, bool)> = drain.map(|r| r.result.unwrap()).collect();
+        assert_eq!(
+            rest,
+            [(1, true), (2, true), (3, true)],
+            "job 3 must be released by the gate"
+        );
+    }
+
+    #[test]
+    fn a_panicking_job_yields_its_err_in_place_while_later_jobs_run() {
+        // Job 1 panics on every attempt; job 2 is held until the failure
+        // has been delivered, so the Err arrives without waiting for it.
+        let gate = Arc::new(AtomicBool::new(false));
+        let handler_gate = Arc::clone(&gate);
+        let retrying = TaskPolicy {
+            attempts: 2,
+            backoff_ms: 0,
+            timeout_ms: None,
+        };
+        let mut pool = ServicePool::new(2, 4, retrying, move |job: &u32, _| match *job {
+            1 => panic!("poisoned candidate"),
+            2 => Ok(u32::from(wait_until(
+                || handler_gate.load(Ordering::Acquire),
+                Duration::from_secs(10),
+            ))),
+            _ => Ok(*job),
+        });
+        for v in 0..3u32 {
+            pool.submit(format!("chunk-{v}"), v);
+        }
+        let mut drain = pool.drain();
+        assert_eq!(drain.next().unwrap().result.unwrap(), 0);
+        let failed = drain.next().unwrap();
+        assert!(
+            matches!(failed.result, Err(TaskError::Panicked(_))),
+            "{:?}",
+            failed.result
+        );
+        assert_eq!(
+            failed.attempts, 2,
+            "the panicking job is retried before it fails"
+        );
+        gate.store(true, Ordering::Release);
+        assert_eq!(
+            drain.next().unwrap().result.unwrap(),
+            1,
+            "job 2 released by the gate"
+        );
+        assert!(drain.next().is_none());
+        // The next round is served normally.
+        for v in 10..13u32 {
+            pool.submit(format!("round2-{v}"), v);
+        }
+        let round2: Vec<u32> = pool.drain().map(|r| r.result.unwrap()).collect();
+        assert_eq!(round2, [10, 11, 12]);
+        assert_eq!(pool.stats().failed, 1);
+        assert_eq!(pool.stats().completed, 6);
     }
 
     #[test]
@@ -443,7 +554,7 @@ mod tests {
         );
         assert_eq!(pool.stats().backpressure_waits, waits_before + 1);
         unblocker.join().unwrap();
-        assert_eq!(pool.drain().len(), 3);
+        assert_eq!(pool.drain().count(), 3);
     }
 
     #[test]
