@@ -5,8 +5,8 @@ use twig_criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Th
 use twig_rand::rngs::StdRng;
 use twig_rand::{RngExt, SeedableRng};
 use twig_sim::{
-    build_predictor, Btb, BtbGeometry, DirectionPredictorKind, MemoryHierarchy, PrefetchBuffer,
-    SimConfig,
+    Btb, BtbGeometry, DirectionPredictor, DirectionPredictorKind, MemoryHierarchy,
+    PrefetchBuffer, SimConfig,
 };
 use twig_types::{Addr, BranchKind, CacheLineAddr};
 
@@ -78,15 +78,13 @@ fn bench_direction(c: &mut Criterion) {
     for (name, kind) in [
         ("gshare14", DirectionPredictorKind::Gshare { table_bits: 14 }),
         ("tage-lite", DirectionPredictorKind::TageLite),
-        ("perceptron12", DirectionPredictorKind::Perceptron { table_bits: 12 }),
     ] {
         group.bench_function(name, |b| {
-            let mut p = build_predictor(kind);
+            let mut p = DirectionPredictor::new(kind);
             b.iter(|| {
                 let mut correct = 0u32;
                 for &(pc, taken) in &stream {
-                    correct += u32::from(p.predict(pc) == taken);
-                    p.update(pc, taken);
+                    correct += u32::from(p.resolve(pc, taken));
                 }
                 correct
             });

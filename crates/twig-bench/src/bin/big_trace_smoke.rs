@@ -26,11 +26,25 @@ use twig_workload::{
 const DEFAULT_EVENTS: u64 = 50_000_000;
 const PREFIX_EVENTS: usize = 1_000_000;
 
+const USAGE: &str = "usage: big_trace_smoke [events]";
+
+/// Reports a bad command line on stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("big_trace_smoke: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let target: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("events must be an integer"))
-        .unwrap_or(DEFAULT_EVENTS);
+    let mut args = std::env::args().skip(1);
+    let target: u64 = match args.next() {
+        None => DEFAULT_EVENTS,
+        Some(text) => text
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("events must be an integer, got {text:?}"))),
+    };
+    if let Some(extra) = args.next() {
+        usage_error(&format!("unexpected argument {extra:?}"));
+    }
     let spec = WorkloadSpec::preset(AppId::Kafka);
     let generator = ProgramGenerator::new(spec.clone());
     let program = generator.generate();

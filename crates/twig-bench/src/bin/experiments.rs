@@ -136,13 +136,14 @@ fn main() {
         usage_error("no experiment ids given; try `experiments all` or --help");
     }
     // Resolve the environment and the observation spec up front (explicit
-    // `--obs` > `TWIG_OBS` > off) and pin the result, so a malformed
-    // value is a usage error here rather than a panic mid-run.
+    // `--obs` > `TWIG_OBS` > off) and install the result as the one
+    // process-wide configuration, so a malformed value is a usage error
+    // here rather than a panic mid-run.
     let mut harness =
         twig_types::HarnessConfig::from_env().unwrap_or_else(|e| usage_error(&e.to_string()));
     harness.obs = harness.obs.with_explicit(obs_flag);
     let obs = twig_obs::ObsConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
-    twig_obs::set_global_override(obs);
+    let harness = harness.install();
     std::fs::create_dir_all(&ctx.results_dir).expect("create results dir");
     // One run per results directory: the parent (never shard workers,
     // which share the parent's directory by design) takes the `.lock`

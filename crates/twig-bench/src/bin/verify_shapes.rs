@@ -13,28 +13,34 @@ use std::path::PathBuf;
 
 use twig_bench::shapes::{compare_dirs, render_report};
 
+const USAGE: &str = "usage: verify_shapes [--baseline DIR] [--results DIR] [--doc PATH|--no-doc]";
+
+/// Reports a bad command line on stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("verify_shapes: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut baseline = PathBuf::from("results/seed_baseline");
     let mut results = PathBuf::from("results");
     let mut doc = Some(PathBuf::from("docs/SEED_COMPARISON.md"));
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut path = || {
+            let value = args.next().unwrap_or_else(|| usage_error(&format!("{arg} needs a path")));
+            PathBuf::from(value)
+        };
         match arg.as_str() {
-            "--baseline" => baseline = args.next().expect("--baseline needs a path").into(),
-            "--results" => results = args.next().expect("--results needs a path").into(),
-            "--doc" => doc = Some(args.next().expect("--doc needs a path").into()),
+            "--baseline" => baseline = path(),
+            "--results" => results = path(),
+            "--doc" => doc = Some(path()),
             "--no-doc" => doc = None,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: verify_shapes [--baseline DIR] [--results DIR] \
-                     [--doc PATH|--no-doc]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
 

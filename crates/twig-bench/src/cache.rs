@@ -746,25 +746,20 @@ mod tests {
         let budget = 20_000u64;
         let setup = AppSetup::new(AppId::Kafka);
         let events: TraceHandle = setup.fresh_events(1, budget).into();
-        let run = |system: &str, cfg: SimConfig| {
-            let sys = twig_prefetchers::by_name(system, &cfg).expect("registered");
-            setup.run_system(sys, cfg, &events, budget)
+        // Both the baseline and the ideal cell run the plain BTB.
+        let run = |cfg: SimConfig| {
+            setup.run_system(Box::new(twig_sim::PlainBtb::new(&cfg)), cfg, &events, budget)
         };
         let base = setup.sim_config;
         // baseline: prefetch buffer capacity is dead.
-        let b_small = run("baseline", SimConfig { prefetch_buffer_entries: 8, ..base });
-        let b_large = run("baseline", SimConfig { prefetch_buffer_entries: 256, ..base });
+        let b_small = run(SimConfig { prefetch_buffer_entries: 8, ..base });
+        let b_large = run(SimConfig { prefetch_buffer_entries: 256, ..base });
         assert_eq!(format!("{b_small:?}"), format!("{b_large:?}"));
         // ideal: buffer capacity and BTB geometry are dead.
         let ideal = SimConfig { ideal_btb: true, ..base };
-        let i_small = run(
-            "ideal",
-            SimConfig { prefetch_buffer_entries: 8, ..ideal }.with_btb_entries(64),
-        );
-        let i_large = run(
-            "ideal",
-            SimConfig { prefetch_buffer_entries: 256, ..ideal }.with_btb_entries(4096),
-        );
+        let i_small = run(SimConfig { prefetch_buffer_entries: 8, ..ideal }.with_btb_entries(64));
+        let i_large =
+            run(SimConfig { prefetch_buffer_entries: 256, ..ideal }.with_btb_entries(4096));
         assert_eq!(format!("{i_small:?}"), format!("{i_large:?}"));
         // And the projection maps those variants onto one key.
         assert_eq!(

@@ -6,7 +6,7 @@
 //! same configuration, averaged across applications — the paper's y-axis.
 
 use twig::{TwigConfig, TwigOptimizer};
-use twig_sim::{speedup_percent, PlainBtb, SimConfig, Simulator};
+use twig_sim::{speedup_percent, BtbSystem, PlainBtb, SimConfig, Simulator};
 use twig_workload::AppId;
 
 use crate::runner::{AppSetup, ExpContext};
@@ -62,8 +62,13 @@ fn sweep_point(
                 &optimizer.analyze_for(&profile, &setup.program),
             );
             let events = setup.events(1, budget);
-            let system = |name: &str, cfg: &SimConfig| {
-                twig_prefetchers::by_name(name, cfg).expect("registered prefetcher")
+            // `baseline` and `ideal` are cell names: both run the plain BTB
+            // (the ideal cell through `ideal_btb`).
+            let system = |name: &str, cfg: &SimConfig| -> Box<dyn BtbSystem> {
+                match name {
+                    "baseline" | "ideal" => Box::new(PlainBtb::new(cfg)),
+                    _ => twig_prefetchers::by_name(name, cfg).expect("registered prefetcher"),
+                }
             };
             // The reference/competitor runs depend only on (app, config,
             // budget) — identical across every sweep point that varies

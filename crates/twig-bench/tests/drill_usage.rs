@@ -1,5 +1,5 @@
-//! Bad drill command lines are usage errors: a message on stderr and
-//! exit code 2, never a panic (exit 101).
+//! Bad drill and check-binary command lines are usage errors: a message
+//! on stderr and exit code 2, never a panic (exit 101).
 
 use std::process::Command;
 
@@ -36,5 +36,19 @@ fn integrity_drill_rejects_malformed_arguments() {
         &[],
     ] {
         assert_usage_error(env!("CARGO_BIN_EXE_integrity_drill"), args);
+    }
+}
+
+#[test]
+fn verify_shapes_rejects_malformed_arguments() {
+    for args in [&["--baseline"][..], &["--results"], &["--doc"], &["--bogus"]] {
+        assert_usage_error(env!("CARGO_BIN_EXE_verify_shapes"), args);
+    }
+}
+
+#[test]
+fn big_trace_smoke_rejects_malformed_arguments() {
+    for args in [&["abc"][..], &["-5"], &["1000", "extra"]] {
+        assert_usage_error(env!("CARGO_BIN_EXE_big_trace_smoke"), args);
     }
 }

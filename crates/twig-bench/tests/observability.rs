@@ -130,6 +130,33 @@ fn tiers_agree_on_figures_and_exports_match_schemas() {
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
 
+/// The manifest's `effective_config` records the configuration the run
+/// used: an explicit `--obs` shows as the `TWIG_OBS` row, with source
+/// `explicit`, over the environment's value.
+#[test]
+fn manifest_effective_config_records_the_obs_flag() {
+    let dir = temp_dir("effective");
+    let out = run(&dir, &["--obs", "counters"], &[("TWIG_OBS", "window=10000")]);
+    assert!(out.status.success(), "run failed: {out:?}");
+    let text = String::from_utf8(read(&dir, "run_manifest.json")).unwrap();
+    let manifest: twig_serde::Value = twig_serde_json::from_str(&text).unwrap();
+    fn field<'v>(value: &'v twig_serde::Value, key: &str) -> Option<&'v str> {
+        let (_, v) = value.as_object()?.iter().find(|(k, _)| k == key)?;
+        v.as_str()
+    }
+    let row = manifest
+        .as_object()
+        .and_then(|m| m.iter().find(|(k, _)| k == "effective_config"))
+        .and_then(|(_, rows)| rows.as_array())
+        .expect("an effective_config array")
+        .iter()
+        .find(|row| field(row, "name") == Some("TWIG_OBS"))
+        .expect("a TWIG_OBS row");
+    assert_eq!(field(row, "value"), Some("counters"), "{text}");
+    assert_eq!(field(row, "source"), Some("explicit"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn schema_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()

@@ -66,9 +66,9 @@ commands:
                                          when any figure overshoots
                                          budget x slack)
 
-systems: twig (default; aliases plain/baseline, or ideal for a perfect
-         BTB), shotgun, confluence, phantom, btbx, bulk, stream
-         (legacy spellings btb-x, phantom-btb, two-level-bulk still work)
+systems: twig (default; alias plain), shotgun, confluence, phantom, btbx,
+         bulk (aliases btb-x, phantom-btb, two-level-bulk); `ideal` runs
+         twig with a perfect BTB
 
 observability: --obs SPEC replaces the TWIG_OBS environment variable
          for this run; SPEC is a comma-separated list of a tier
@@ -90,21 +90,41 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     // A malformed `TWIG_*` environment is a usage error before any
-    // command runs; the resolved observation spec is pinned so nothing
-    // downstream re-parses (and panics on) the environment.
+    // command runs; the validated configuration is installed as the
+    // process-wide one, so nothing downstream re-parses (and panics on)
+    // the environment.
     let harness = twig_types::HarnessConfig::from_env()
         .map_err(|e| CliError::Usage(e.to_string()))?;
-    let obs = twig_obs::ObsConfig::from_harness(&harness).map_err(CliError::Usage)?;
-    twig_obs::set_global_override(obs);
-    let rest = Args::new(&args[1..]);
+    twig_obs::ObsConfig::from_harness(&harness).map_err(CliError::Usage)?;
+    harness.install();
+    let rest = &args[1..];
     match command.as_str() {
-        "apps" => cmd_apps(),
-        "spec" => cmd_spec(&rest),
-        "trace" => cmd_trace(&rest),
-        "profile" => cmd_profile(&rest),
-        "analyze" => cmd_analyze(&rest),
-        "simulate" => cmd_simulate(&rest),
-        "optimize" => cmd_optimize(&rest),
+        "apps" => Args::new(rest, &[]).and_then(|_| cmd_apps()),
+        "spec" => cmd_spec(&Args::new(rest, &["app", "out"])?),
+        "trace" => cmd_trace(&Args::new(rest, &["spec", "out", "input", "instructions"])?),
+        "profile" => cmd_profile(&Args::new(
+            rest,
+            &["spec", "out", "input", "instructions", "period"],
+        )?),
+        "analyze" => cmd_analyze(&Args::new(
+            rest,
+            &["spec", "profile", "out", "prefetch-distance", "bitmask-bits", "no-coalesce"],
+        )?),
+        "simulate" => cmd_simulate(&Args::new(
+            rest,
+            &[
+                "spec", "system", "plans", "trace", "skip-events", "input", "instructions",
+                "json", "obs", "metrics-out", "trace-out", "attr-out", "folded-out",
+                "prefetch-distance", "bitmask-bits", "no-coalesce",
+            ],
+        )?),
+        "optimize" => cmd_optimize(&Args::new(
+            rest,
+            &[
+                "spec", "train", "test", "instructions", "json",
+                "prefetch-distance", "bitmask-bits", "no-coalesce",
+            ],
+        )?),
         "report" => crate::report::cmd_report(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
@@ -272,6 +292,11 @@ fn maybe_rewrite(
 }
 
 fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
+    print_stats(&simulate(args)?, args.has("json"))
+}
+
+/// Runs `simulate` and writes its requested exports.
+fn simulate(args: &Args<'_>) -> Result<SimStats, CliError> {
     let spec = load_spec(args)?;
     let system_name = args.flag("system").unwrap_or("plain");
     let input: u32 = args.parse_or("input", 0)?;
@@ -279,16 +304,20 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
     let generator = ProgramGenerator::new(spec.clone());
     let program = maybe_rewrite(args, &generator)?;
     let mut config = SimConfig::paper_baseline(spec.backend_extra_cpki);
-    if system_name == "ideal" {
+    // `ideal` is a mode, not a system: the `twig` system with a perfect BTB.
+    let registry_name = if system_name == "ideal" {
         config.ideal_btb = true;
-    }
+        "twig"
+    } else {
+        system_name
+    };
     // An explicit --obs replaces TWIG_OBS (which paper_baseline already
     // folded into config.obs via the default) as a whole.
     if let Some(text) = args.flag("obs") {
         config.obs = twig_obs::ObsConfig::parse(text)
             .map_err(|e| CliError::Usage(format!("--obs: {e}")))?;
     }
-    let system = build_system(system_name, &config)?;
+    let system = build_system(registry_name, &config)?;
     let mut sim = Simulator::new(&program, config, system);
     let skip: u64 = args.parse_or("skip-events", 0)?;
     let stats = match args.flag("trace") {
@@ -351,7 +380,7 @@ fn cmd_simulate(args: &Args<'_>) -> Result<(), CliError> {
         crate::io::write_text(path, &folded)?;
         eprintln!("wrote {path}");
     }
-    print_stats(&stats, args.has("json"))
+    Ok(stats)
 }
 
 fn read_snapshot(path: &str) -> Result<twig_obs::MetricsSnapshot, CliError> {
@@ -450,7 +479,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         _ => return Err(usage()),
     }
     let results_path = args.get(1).filter(|a| !a.starts_with("--")).ok_or_else(usage)?;
-    let flags = Args::new(&args[2..]);
+    let flags = Args::new(&args[2..], &["budget", "slack"])?;
     let budget_path = flags.require("budget")?;
 
     let results: twig_serde::Value = read_json(results_path)?;
@@ -549,13 +578,18 @@ mod tests {
     #[test]
     fn args_parse_flags_and_switches() {
         let raw = strs(&["--spec", "a.json", "--json", "--input", "2"]);
-        let args = Args::new(&raw);
+        let accepted = ["spec", "json", "input", "missing", "nope"];
+        let args = Args::new(&raw, &accepted).unwrap();
         assert_eq!(args.flag("spec"), Some("a.json"));
         assert!(args.has("json"));
         assert_eq!(args.parse_or::<u32>("input", 0).unwrap(), 2);
         assert_eq!(args.parse_or::<u32>("missing", 7).unwrap(), 7);
         assert!(args.require("nope").is_err());
         assert!(args.parse_or::<u32>("spec", 0).is_err());
+        // A flag the subcommand does not declare is a usage error naming it.
+        let e = Args::new(&raw, &["spec", "input"]).err().unwrap();
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("--json"), "{e}");
     }
 
     #[test]
@@ -575,16 +609,43 @@ mod tests {
             "phantom",
             "btbx",
             "bulk",
-            "stream",
-            // Legacy CLI spellings stay accepted.
+            // Aliases: the names the systems report.
             "plain",
-            "ideal",
             "btb-x",
             "phantom-btb",
             "two-level-bulk",
         ] {
             assert!(build_system(name, &config).is_ok(), "{name}");
         }
+    }
+
+    #[test]
+    fn simulate_ideal_is_twig_with_a_perfect_btb() {
+        let dir = std::env::temp_dir().join(format!("twig-cli-ideal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec_path = dir.join("spec.json").to_string_lossy().into_owned();
+        let mut spec = WorkloadSpec::tiny_test();
+        spec.app_funcs = 200;
+        crate::io::write_json(&spec_path, &spec).unwrap();
+        let run_cli = |system: &str| {
+            let raw = strs(&[
+                "--spec", &spec_path, "--system", system, "--instructions", "20000",
+            ]);
+            simulate(&Args::new(&raw, &["spec", "system", "instructions"]).unwrap()).unwrap()
+        };
+
+        let program = ProgramGenerator::new(spec.clone()).generate();
+        let config = SimConfig {
+            ideal_btb: true,
+            ..SimConfig::paper_baseline(spec.backend_extra_cpki)
+        };
+        let twig = twig_prefetchers::by_name("twig", &config).unwrap();
+        let expected = Simulator::new(&program, config, twig)
+            .run(Walker::new(&program, InputConfig::numbered(0)), 20_000);
+        let ideal = run_cli("ideal");
+        assert_eq!(format!("{ideal:?}"), format!("{expected:?}"));
+        assert_ne!(format!("{:?}", run_cli("twig")), format!("{expected:?}"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::io::Args;
 /// Dispatches `twig fleet <run|report> ...`.
 pub fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&Args::new(&args[1..])),
+        Some("run") => cmd_run(&Args::new(&args[1..], &["out", "tenants", "faults", "state-dir"])?),
         Some("report") => cmd_report(&args[1..]),
         _ => Err(CliError::Usage(
             "usage: twig fleet run [--out DIR] [--tenants N] [--faults SPEC] \

@@ -71,9 +71,20 @@ pub struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    /// Wraps the argument slice after the subcommand.
-    pub fn new(rest: &'a [String]) -> Self {
-        Args { rest }
+    /// Wraps the argument slice after the subcommand. Every `--name` in it
+    /// must be one of the subcommand's `accepted` flags; any other is a
+    /// usage error naming it.
+    pub fn new(rest: &'a [String], accepted: &[&str]) -> Result<Self, CliError> {
+        match rest
+            .iter()
+            .filter_map(|arg| arg.strip_prefix("--"))
+            .find(|name| !accepted.contains(name))
+        {
+            Some(unknown) => Err(CliError::Usage(format!(
+                "unknown flag --{unknown}; try `twig help`"
+            ))),
+            None => Ok(Args { rest }),
+        }
     }
 
     /// The value of `--name`, if present.

@@ -61,3 +61,33 @@ fn malformed_fault_spec_is_a_usage_error() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("twig-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json").display().to_string();
+    let trace = dir.join("t.twgc");
+    let out = twig(&["spec", "--app", "kafka", "--out", &spec], &[]);
+    assert!(out.status.success(), "spec export failed: {out:?}");
+
+    let trace_arg = trace.display().to_string();
+    let simulate = ["simulate", "--spec", &spec, "--instructions", "2000", "--obs-attr", "on"];
+    let trace_cmd = ["trace", "--spec", &spec, "--out", &trace_arg, "--instructions", "2000"];
+    for (args, culprit) in [
+        (simulate.to_vec(), "--obs-attr"),
+        ([&trace_cmd[..], &["--bogus", "1"][..]].concat(), "--bogus"),
+    ] {
+        let out = twig(&args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+    }
+    assert!(!trace.exists(), "a rejected command line must not run");
+
+    // Without the unknown flag the same trace command runs.
+    let out = twig(&trace_cmd, &[]);
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

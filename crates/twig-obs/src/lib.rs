@@ -369,35 +369,19 @@ impl ObsConfig {
 }
 
 impl Default for ObsConfig {
-    /// The effective process-wide configuration: an explicit override
-    /// installed via [`set_global_override`] wins over the environment
-    /// (`TWIG_OBS`), which wins over `off` — the harness-wide
-    /// *explicit arg > env > default* precedence rule.
+    /// The process-wide configuration: the observation spec of
+    /// `twig_types::HarnessConfig::global()` — an explicit `--obs` that a
+    /// binary installed there, else `TWIG_OBS`, else `off`.
     ///
     /// # Panics
     ///
-    /// Panics if `TWIG_OBS` is malformed and no override is installed —
-    /// a misconfigured run must not silently fall back to `off`. Binaries
-    /// resolve the configuration up front (reporting a usage error) and
-    /// pin it, so they never reach this panic.
+    /// Panics if that spec is malformed — a misconfigured run must not
+    /// silently fall back to `off`. Binaries validate it before they
+    /// install the configuration, so they never reach this panic.
     fn default() -> Self {
-        if let Some(config) = GLOBAL_OVERRIDE.get() {
-            return *config;
-        }
         ObsConfig::from_harness(twig_types::HarnessConfig::global())
-            .expect("invalid observability environment")
+            .expect("invalid observability configuration")
     }
-}
-
-static GLOBAL_OVERRIDE: std::sync::OnceLock<ObsConfig> = std::sync::OnceLock::new();
-
-/// Pins the process-wide observability configuration, overriding
-/// `TWIG_OBS` for every subsequent `ObsConfig::default()` (binaries call
-/// this with the configuration they resolved from `--obs` or the
-/// environment). The first caller wins; later calls are ignored, like the
-/// integrity dump-dir override.
-pub fn set_global_override(config: ObsConfig) {
-    let _ = GLOBAL_OVERRIDE.set(config);
 }
 
 #[cfg(test)]

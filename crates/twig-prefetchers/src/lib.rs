@@ -9,9 +9,7 @@
 //!   spatial-footprint prefetching (Kumar et al., ASPLOS 2018),
 //! - [`Confluence`] — a line-synchronized AirBTB fed by SHIFT-style
 //!   temporal streaming (Kaynak et al., MICRO 2015), adapted to
-//!   variable-length instructions as the paper describes,
-//! - [`StreamTable`] — the shared record-and-replay temporal-stream
-//!   machinery.
+//!   variable-length instructions as the paper describes.
 //!
 //! The related-work BTB organizations the paper discusses (§5) are also
 //! implemented, both as further baselines and to test Twig's claim of
@@ -48,7 +46,7 @@ pub mod confluence;
 pub mod phantom;
 pub mod registry;
 pub mod shotgun;
-pub mod stream;
+mod stream;
 
 pub use btbx::CompressedBtb;
 pub use bulk_preload::TwoLevelBtb;
@@ -56,4 +54,3 @@ pub use confluence::Confluence;
 pub use phantom::PhantomBtb;
 pub use registry::{by_name, UnknownPrefetcherError, VALID_NAMES};
 pub use shotgun::Shotgun;
-pub use stream::{StreamTable, TemporalStream};

@@ -13,25 +13,15 @@ use std::fmt;
 
 use twig_sim::{BtbSystem, PlainBtb, SimConfig};
 
-use crate::{CompressedBtb, Confluence, PhantomBtb, Shotgun, TemporalStream, TwoLevelBtb};
+use crate::{CompressedBtb, Confluence, PhantomBtb, Shotgun, TwoLevelBtb};
 
 /// Canonical system names accepted by [`by_name`], in menu order.
-pub const VALID_NAMES: [&str; 7] = [
-    "twig",
-    "shotgun",
-    "confluence",
-    "phantom",
-    "btbx",
-    "bulk",
-    "stream",
-];
+pub const VALID_NAMES: [&str; 6] = ["twig", "shotgun", "confluence", "phantom", "btbx", "bulk"];
 
-/// Accepted aliases (legacy CLI spellings and reporting names), each
-/// mapping to the same system as its canonical name.
-pub const ALIASES: [(&str, &str); 6] = [
+/// Accepted aliases: each is the `name()` its system reports, mapping to
+/// the canonical name that builds it.
+pub const ALIASES: [(&str, &str); 4] = [
     ("plain", "twig"),
-    ("baseline", "twig"),
-    ("ideal", "twig"),
     ("btb-x", "btbx"),
     ("phantom-btb", "phantom"),
     ("two-level-bulk", "bulk"),
@@ -85,11 +75,11 @@ pub fn canonical_name(name: &str) -> &str {
 
 /// Constructs the named BTB system from the simulator configuration.
 ///
-/// `"twig"` (aliases `plain`, `baseline`, `ideal`) is the conventional
-/// BTB with Twig's software-prefetch execution support — what it models
-/// depends on the program (rewritten or not) and on `config.ideal_btb`,
-/// which the caller sets; the other names select the hardware-prefetcher
-/// baselines. Unknown names return an [`UnknownPrefetcherError`] listing
+/// `"twig"` (alias `plain`) is the conventional BTB with Twig's
+/// software-prefetch execution support — what it models depends on the
+/// program (rewritten or not) and on `config.ideal_btb`, which the caller
+/// sets; the other names select the hardware-prefetcher baselines and the
+/// alternative BTB organizations. Unknown names return an [`UnknownPrefetcherError`] listing
 /// the valid options.
 pub fn by_name(
     name: &str,
@@ -102,7 +92,6 @@ pub fn by_name(
         "phantom" => Box::new(PhantomBtb::new(config)),
         "btbx" => Box::new(CompressedBtb::new(config)),
         "bulk" => Box::new(TwoLevelBtb::new(config)),
-        "stream" => Box::new(TemporalStream::new(config)),
         other => {
             return Err(UnknownPrefetcherError {
                 name: other.to_string(),
@@ -135,14 +124,26 @@ mod tests {
     }
 
     #[test]
-    fn unknown_name_error_lists_options() {
-        let err = by_name("frobnicate", &SimConfig::default()).err().unwrap();
-        let msg = err.to_string();
-        assert!(msg.contains("frobnicate"), "{msg}");
-        for name in VALID_NAMES {
-            assert!(msg.contains(name), "missing {name} in {msg}");
+    fn every_alias_is_a_reported_name() {
+        let config = SimConfig::default();
+        for (alias, _) in ALIASES {
+            assert_eq!(by_name(alias, &config).unwrap().name(), alias);
         }
-        assert!(msg.contains("two-level-bulk"), "{msg}");
+    }
+
+    #[test]
+    fn unknown_name_error_lists_options() {
+        // `baseline` and `ideal` are harness cell names, not systems (an
+        // ideal BTB is `config.ideal_btb`).
+        for unknown in ["frobnicate", "stream", "baseline", "ideal"] {
+            let err = by_name(unknown, &SimConfig::default()).err().unwrap();
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{unknown:?}")), "{msg}");
+            for name in VALID_NAMES {
+                assert!(msg.contains(name), "missing {name} in {msg}");
+            }
+            assert!(msg.contains("two-level-bulk"), "{msg}");
+        }
     }
 
     #[test]

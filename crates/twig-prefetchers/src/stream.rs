@@ -1,5 +1,5 @@
-//! SHIFT-style temporal stream machinery (Ferdman et al.; used by
-//! Confluence, MICRO 2015).
+//! SHIFT-style temporal stream machinery (Ferdman et al.), the miss-stream
+//! engine inside [`Confluence`](crate::Confluence) (MICRO 2015).
 //!
 //! Temporal streaming records the sequence of L1i miss addresses in a
 //! circular *history buffer* and keeps an *index table* mapping each line to
@@ -11,39 +11,18 @@
 //! covered, and replaying the most recent occurrence trades accuracy for
 //! metadata cost (§4.2's prefetch-accuracy discussion).
 
-
-use twig_sim::{
-    Btb, BtbSystem, FrontendCtx, LookupOutcome, MutationKind, PrefetchBufferStats, SimConfig,
-    Validator,
-};
-use twig_types::{Addr, BlockId, BranchRecord, CacheLineAddr, FxHashMap};
+use twig_types::{CacheLineAddr, FxHashMap};
 
 /// Default history capacity (entries). SHIFT virtualizes ~32K history
 /// entries into the LLC; we keep them in a plain circular buffer.
-pub const DEFAULT_HISTORY_ENTRIES: usize = 32 * 1024;
+const DEFAULT_HISTORY_ENTRIES: usize = 32 * 1024;
 
 /// Default number of successor lines replayed per index hit.
-pub const DEFAULT_REPLAY_DEPTH: usize = 12;
+const DEFAULT_REPLAY_DEPTH: usize = 12;
 
 /// A temporal stream recorder/replayer over cache-line addresses.
-///
-/// # Examples
-///
-/// ```
-/// use twig_prefetchers::StreamTable;
-/// use twig_types::CacheLineAddr;
-///
-/// let mut st = StreamTable::new(1024, 4);
-/// let line = |n| CacheLineAddr::from_line_number(n);
-/// // Record a stream: 1, 2, 3, 4, 5.
-/// for n in 1..=5 {
-///     assert!(st.record_and_lookup(line(n)).is_empty());
-/// }
-/// // The stream recurs: the successors of 1 are replayed.
-/// assert_eq!(st.record_and_lookup(line(1)), vec![line(2), line(3), line(4), line(5)]);
-/// ```
 #[derive(Debug)]
-pub struct StreamTable {
+pub(crate) struct StreamTable {
     history: Vec<CacheLineAddr>,
     head: usize,
     filled: bool,
@@ -58,7 +37,7 @@ impl StreamTable {
     /// # Panics
     ///
     /// Panics if either parameter is zero.
-    pub fn new(history_entries: usize, replay_depth: usize) -> Self {
+    pub(crate) fn new(history_entries: usize, replay_depth: usize) -> Self {
         assert!(history_entries > 0 && replay_depth > 0);
         StreamTable {
             history: Vec::with_capacity(history_entries),
@@ -70,13 +49,13 @@ impl StreamTable {
     }
 
     /// Creates the table with SHIFT-like defaults.
-    pub fn with_defaults() -> Self {
+    pub(crate) fn with_defaults() -> Self {
         StreamTable::new(DEFAULT_HISTORY_ENTRIES, DEFAULT_REPLAY_DEPTH)
     }
 
     /// Records a miss and returns the lines to replay (empty when the miss
     /// does not continue a recorded stream).
-    pub fn record_and_lookup(&mut self, line: CacheLineAddr) -> Vec<CacheLineAddr> {
+    pub(crate) fn record_and_lookup(&mut self, line: CacheLineAddr) -> Vec<CacheLineAddr> {
         let replay = match self.index.get(&line) {
             Some(&pos) => self.successors(pos),
             None => Vec::new(),
@@ -86,17 +65,12 @@ impl StreamTable {
     }
 
     /// Number of recorded entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         if self.filled {
             self.history.capacity()
         } else {
             self.history.len()
         }
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn push(&mut self, line: CacheLineAddr) {
@@ -133,107 +107,6 @@ impl StreamTable {
             out.push(self.history[p]);
         }
         out
-    }
-}
-
-/// A standalone SHIFT-style system: the baseline BTB plus temporal-stream
-/// instruction prefetching, with no AirBTB line synchronization.
-///
-/// This isolates the record-and-replay mechanism itself — the ablation the
-/// paper's Fig. 10 discussion implies: how much of Confluence's benefit
-/// comes from the stream engine alone when the BTB is left conventional.
-///
-/// # Examples
-///
-/// ```
-/// use twig_prefetchers::TemporalStream;
-/// use twig_sim::{BtbSystem, SimConfig};
-///
-/// let stream = TemporalStream::new(&SimConfig::default());
-/// assert_eq!(stream.name(), "stream");
-/// ```
-#[derive(Debug)]
-pub struct TemporalStream {
-    btb: Btb,
-    streams: StreamTable,
-    issued_prefetches: u64,
-}
-
-impl TemporalStream {
-    /// Builds the system with the baseline BTB geometry and SHIFT-default
-    /// stream-table sizing.
-    pub fn new(config: &SimConfig) -> Self {
-        TemporalStream {
-            btb: Btb::new(config.btb),
-            streams: StreamTable::with_defaults(),
-            issued_prefetches: 0,
-        }
-    }
-
-    /// Number of L1i line prefetches issued by stream replay.
-    pub fn issued_prefetches(&self) -> u64 {
-        self.issued_prefetches
-    }
-}
-
-impl BtbSystem for TemporalStream {
-    fn name(&self) -> &str {
-        "stream"
-    }
-
-    fn lookup(&mut self, pc: Addr, _ctx: &mut FrontendCtx<'_>) -> LookupOutcome {
-        match self.btb.lookup(pc) {
-            Some(entry) => LookupOutcome::Hit {
-                target: entry.target,
-                kind: entry.kind,
-            },
-            None => LookupOutcome::Miss,
-        }
-    }
-
-    fn resolve_taken(&mut self, rec: &BranchRecord, _block: BlockId, _ctx: &mut FrontendCtx<'_>) {
-        if let Some(target) = rec.outcome.target() {
-            self.btb.insert(rec.pc, target, rec.kind);
-        }
-    }
-
-    fn line_demand_miss(&mut self, line: CacheLineAddr, ctx: &mut FrontendCtx<'_>) {
-        for next in self.streams.record_and_lookup(line) {
-            if ctx.mem.l1i_contains(next) {
-                continue;
-            }
-            ctx.mem.prefetch(next, ctx.cycle);
-            self.issued_prefetches += 1;
-        }
-    }
-
-    fn prefetch_stats(&self) -> PrefetchBufferStats {
-        // Stream replay fills the I-cache, not the BTB: no buffer traffic.
-        PrefetchBufferStats::default()
-    }
-
-    fn enable_differential(&mut self) {
-        self.btb.enable_shadow();
-    }
-
-    fn validators(&self) -> Vec<&dyn Validator> {
-        vec![&self.btb]
-    }
-
-    fn inject_corruption(&mut self, kind: MutationKind) -> bool {
-        match kind {
-            MutationKind::BtbOccupancy => {
-                self.btb.corrupt_occupancy();
-                true
-            }
-            MutationKind::RasDepth => false,
-        }
-    }
-
-    fn register_metrics(&self, registry: &mut twig_sim::MetricsRegistry) {
-        registry.set_by_name("system.stream.btb_occupancy", self.btb.occupancy() as u64);
-        registry.set_by_name("system.stream.history_len", self.streams.len() as u64);
-        registry.set_by_name("system.stream.issued_prefetches", self.issued_prefetches);
     }
 }
 

@@ -123,12 +123,6 @@ pub enum DirectionPredictorKind {
     /// A TAGE-like predictor (bimodal base + 4 tagged tables with geometric
     /// history lengths), standing in for the paper's 64 KB TAGE-SC-L.
     TageLite,
-    /// A perceptron predictor (Jiménez & Lin) with the given log2 table
-    /// size.
-    Perceptron {
-        /// log2 of the perceptron table size.
-        table_bits: u32,
-    },
     /// Every conditional direction predicted correctly (limit studies).
     Oracle,
 }

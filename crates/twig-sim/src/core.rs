@@ -21,8 +21,8 @@ use twig_types::{Addr, BlockId, BranchKind, BranchOutcome, CacheLineAddr};
 use twig_workload::{BlockEvent, Program};
 
 use crate::btb::Btb;
-use crate::config::{DirectionPredictorKind, SimConfig};
-use crate::direction::{build_predictor, DirectionPredictor};
+use crate::config::SimConfig;
+use crate::direction::DirectionPredictor;
 use crate::frontend_state::{
     activity, ActivityMask, DeliveryRing, FtqRing, Region, ResteerCause, ResteerKind, RetireRing,
 };
@@ -88,7 +88,7 @@ pub struct Simulator<'p, B> {
     config: SimConfig,
     system: B,
     mem: MemoryHierarchy,
-    direction: Box<dyn DirectionPredictor>,
+    direction: DirectionPredictor,
     ibtb: Btb,
     ras: Ras,
     stats: SimStats,
@@ -128,7 +128,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             config,
             system,
             mem: MemoryHierarchy::new(&config),
-            direction: build_predictor(config.direction),
+            direction: DirectionPredictor::new(config.direction),
             ibtb: Btb::named(config.ibtb, "ibtb"),
             ras: Ras::new(config.ras_entries),
             stats: SimStats::default(),
@@ -1043,14 +1043,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         match rec.kind {
             BranchKind::Conditional => {
                 self.stats.conditional_executed += 1;
-                let predicted = if matches!(self.config.direction, DirectionPredictorKind::Oracle)
-                {
-                    taken
-                } else {
-                    self.direction.predict(rec.pc)
-                };
-                self.direction.update(rec.pc, taken);
-                if predicted != taken {
+                if !self.direction.resolve(rec.pc, taken) {
                     self.stats.direction_mispredicts += 1;
                     return Some(cause(MissKind::Direction));
                 }
@@ -1100,7 +1093,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         if kind == BranchKind::Conditional {
             self.stats.conditional_executed += 1;
             // Decode identifies the branch; the predictor still trains.
-            self.direction.update(rec.pc, ev.taken);
+            self.direction.train(rec.pc, ev.taken);
         }
         if let BranchOutcome::Taken(_) = rec.outcome {
             self.stats.btb_misses[kind.index()] += 1;
@@ -1212,7 +1205,7 @@ impl<B: BtbSystem> std::fmt::Debug for Simulator<'_, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("system", &self.system.name())
-            .field("direction", &self.direction.name())
+            .field("direction", &self.config.direction)
             .field("cycles", &self.stats.cycles)
             .finish_non_exhaustive()
     }

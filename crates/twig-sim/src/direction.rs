@@ -10,40 +10,72 @@ use twig_types::Addr;
 
 use crate::config::DirectionPredictorKind;
 
-/// A conditional-branch direction predictor.
+/// The conditional-branch direction predictor a [`Simulator`] runs, held
+/// by value and selected by a [`DirectionPredictorKind`].
 ///
-/// This trait is sealed in spirit: the simulator constructs predictors via
-/// [`build_predictor`] from a [`DirectionPredictorKind`]; external
-/// implementations are possible but not required by any Twig experiment.
-pub trait DirectionPredictor {
-    /// Predicts the direction of the conditional branch at `pc`.
-    fn predict(&mut self, pc: Addr) -> bool;
-    /// Trains the predictor with the resolved direction.
-    fn update(&mut self, pc: Addr, taken: bool);
-    /// Short display name.
-    fn name(&self) -> &'static str;
-}
-
-/// Builds the predictor selected by `kind`.
+/// [`Simulator`]: crate::Simulator
 ///
 /// # Examples
 ///
 /// ```
-/// use twig_sim::{build_predictor, DirectionPredictorKind};
+/// use twig_sim::{DirectionPredictor, DirectionPredictorKind};
 ///
-/// let mut p = build_predictor(DirectionPredictorKind::TageLite);
+/// let mut p = DirectionPredictor::new(DirectionPredictorKind::TageLite);
 /// let pc = twig_types::Addr::new(0x400100);
-/// for _ in 0..16 { p.update(pc, true); }
-/// assert!(p.predict(pc));
+/// for _ in 0..16 { p.train(pc, true); }
+/// assert!(p.resolve(pc, true));
 /// ```
-pub fn build_predictor(kind: DirectionPredictorKind) -> Box<dyn DirectionPredictor> {
-    match kind {
-        DirectionPredictorKind::Gshare { table_bits } => Box::new(Gshare::new(table_bits)),
-        DirectionPredictorKind::TageLite => Box::new(TageLite::new()),
-        DirectionPredictorKind::Perceptron { table_bits } => {
-            Box::new(crate::perceptron::Perceptron::new(table_bits))
+#[derive(Clone, Debug)]
+pub enum DirectionPredictor {
+    /// The TAGE-like default.
+    TageLite(TageLite),
+    /// Classic gshare.
+    Gshare(Gshare),
+    /// Every conditional direction predicted correctly (limit studies);
+    /// keeps no state.
+    Oracle,
+}
+
+impl DirectionPredictor {
+    /// Builds the predictor selected by `kind`.
+    pub fn new(kind: DirectionPredictorKind) -> Self {
+        match kind {
+            DirectionPredictorKind::TageLite => DirectionPredictor::TageLite(TageLite::new()),
+            DirectionPredictorKind::Gshare { table_bits } => {
+                DirectionPredictor::Gshare(Gshare::new(table_bits))
+            }
+            DirectionPredictorKind::Oracle => DirectionPredictor::Oracle,
         }
-        DirectionPredictorKind::Oracle => Box::new(Oracle),
+    }
+
+    /// Predicts the conditional branch at `pc`, trains on the resolved
+    /// direction `taken`, and returns whether the prediction was right.
+    #[inline]
+    pub fn resolve(&mut self, pc: Addr, taken: bool) -> bool {
+        match self {
+            DirectionPredictor::TageLite(p) => {
+                let predicted = p.predict(pc);
+                p.update(pc, taken);
+                predicted == taken
+            }
+            DirectionPredictor::Gshare(p) => {
+                let predicted = p.predict(pc);
+                p.update(pc, taken);
+                predicted == taken
+            }
+            DirectionPredictor::Oracle => true,
+        }
+    }
+
+    /// Trains on a direction without predicting it (decode found a branch
+    /// the BTB missed).
+    #[inline]
+    pub fn train(&mut self, pc: Addr, taken: bool) {
+        match self {
+            DirectionPredictor::TageLite(p) => p.update(pc, taken),
+            DirectionPredictor::Gshare(p) => p.update(pc, taken),
+            DirectionPredictor::Oracle => {}
+        }
     }
 }
 
@@ -86,22 +118,18 @@ impl Gshare {
     fn index(&self, pc: Addr) -> usize {
         (((pc.raw() >> 1) ^ self.history) & self.mask) as usize
     }
-}
 
-impl DirectionPredictor for Gshare {
-    fn predict(&mut self, pc: Addr) -> bool {
+    /// Predicts the direction of the conditional branch at `pc`.
+    pub fn predict(&self, pc: Addr) -> bool {
         self.table[self.index(pc)] >= 2
     }
 
-    fn update(&mut self, pc: Addr, taken: bool) {
+    /// Trains the predictor with the resolved direction.
+    pub fn update(&mut self, pc: Addr, taken: bool) {
         let idx = self.index(pc);
         bump(&mut self.table[idx], taken);
         self.history = ((self.history << 1) | u64::from(taken))
             & ((1u64 << self.history_bits) - 1);
-    }
-
-    fn name(&self) -> &'static str {
-        "gshare"
     }
 }
 
@@ -226,23 +254,17 @@ impl TageLite {
     fn base_index(&self, pc: Addr) -> usize {
         ((pc.raw() >> 1) & ((1 << TAGE_BASE_BITS) - 1)) as usize
     }
-}
 
-impl Default for TageLite {
-    fn default() -> Self {
-        TageLite::new()
-    }
-}
-
-impl DirectionPredictor for TageLite {
-    fn predict(&mut self, pc: Addr) -> bool {
+    /// Predicts the direction of the conditional branch at `pc`.
+    pub fn predict(&mut self, pc: Addr) -> bool {
         match self.provider(pc) {
             Some((t, idx)) => self.tables[t].entries[idx].ctr >= 4,
             None => self.base[self.base_index(pc)] >= 2,
         }
     }
 
-    fn update(&mut self, pc: Addr, taken: bool) {
+    /// Trains the predictor with the resolved direction.
+    pub fn update(&mut self, pc: Addr, taken: bool) {
         let provider = self.provider(pc);
         let predicted = match provider {
             Some((t, idx)) => self.tables[t].entries[idx].ctr >= 4,
@@ -291,30 +313,11 @@ impl DirectionPredictor for TageLite {
         self.history = (self.history << 1) | u128::from(taken);
         self.history_gen += 1;
     }
-
-    fn name(&self) -> &'static str {
-        "tage-lite"
-    }
 }
 
-/// Perfect direction prediction (limit studies).
-///
-/// In the trace-driven simulator the "prediction" is compared against the
-/// trace outcome, so a predictor that echoes the last trained outcome per PC
-/// would still mispredict; the oracle is wired specially in the frontend,
-/// and this type exists so `build_predictor` is total.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Oracle;
-
-impl DirectionPredictor for Oracle {
-    fn predict(&mut self, _pc: Addr) -> bool {
-        true
-    }
-
-    fn update(&mut self, _pc: Addr, _taken: bool) {}
-
-    fn name(&self) -> &'static str {
-        "oracle"
+impl Default for TageLite {
+    fn default() -> Self {
+        TageLite::new()
     }
 }
 
@@ -326,14 +329,12 @@ mod tests {
         Addr::new(v)
     }
 
-    fn accuracy(p: &mut dyn DirectionPredictor, stream: &[(u64, bool)]) -> f64 {
-        let mut correct = 0usize;
-        for &(pc, taken) in stream {
-            if p.predict(a(pc)) == taken {
-                correct += 1;
-            }
-            p.update(a(pc), taken);
-        }
+    fn accuracy(kind: DirectionPredictorKind, stream: &[(u64, bool)]) -> f64 {
+        let mut p = DirectionPredictor::new(kind);
+        let correct = stream
+            .iter()
+            .filter(|&&(pc, taken)| p.resolve(a(pc), taken))
+            .count();
         correct as f64 / stream.len() as f64
     }
 
@@ -353,17 +354,17 @@ mod tests {
         (0..n).map(|i| (0x2000, i % 8 != 7)).collect()
     }
 
+    const GSHARE14: DirectionPredictorKind = DirectionPredictorKind::Gshare { table_bits: 14 };
+
     #[test]
     fn gshare_learns_biased_branches() {
-        let mut p = Gshare::new(14);
-        let acc = accuracy(&mut p, &biased_stream(20_000));
+        let acc = accuracy(GSHARE14, &biased_stream(20_000));
         assert!(acc > 0.95, "gshare accuracy {acc}");
     }
 
     #[test]
     fn tage_learns_biased_branches() {
-        let mut p = TageLite::new();
-        let acc = accuracy(&mut p, &biased_stream(20_000));
+        let acc = accuracy(DirectionPredictorKind::TageLite, &biased_stream(20_000));
         assert!(acc > 0.95, "tage accuracy {acc}");
     }
 
@@ -371,8 +372,7 @@ mod tests {
     fn tage_learns_loop_exit_pattern() {
         // The 8-iteration loop exit is history-predictable: TAGE should get
         // well above the 7/8 = 87.5% ceiling of a bimodal predictor.
-        let mut p = TageLite::new();
-        let acc = accuracy(&mut p, &loop_stream(40_000));
+        let acc = accuracy(DirectionPredictorKind::TageLite, &loop_stream(40_000));
         assert!(acc > 0.95, "tage loop accuracy {acc}");
     }
 
@@ -380,23 +380,26 @@ mod tests {
     fn gshare_cannot_beat_ceiling_without_enough_history_value() {
         // Sanity: gshare also learns this loop (history-based), so check it
         // at least beats bimodal's ceiling.
-        let mut p = Gshare::new(14);
-        let acc = accuracy(&mut p, &loop_stream(40_000));
+        let acc = accuracy(GSHARE14, &loop_stream(40_000));
         assert!(acc > 0.875, "gshare loop accuracy {acc}");
     }
 
     #[test]
     fn build_predictor_dispatches() {
-        assert_eq!(
-            build_predictor(DirectionPredictorKind::Gshare { table_bits: 12 }).name(),
-            "gshare"
-        );
-        assert_eq!(build_predictor(DirectionPredictorKind::TageLite).name(), "tage-lite");
-        assert_eq!(
-            build_predictor(DirectionPredictorKind::Perceptron { table_bits: 12 }).name(),
-            "perceptron"
-        );
-        assert_eq!(build_predictor(DirectionPredictorKind::Oracle).name(), "oracle");
+        assert!(matches!(
+            DirectionPredictor::new(DirectionPredictorKind::Gshare { table_bits: 12 }),
+            DirectionPredictor::Gshare(_)
+        ));
+        assert!(matches!(
+            DirectionPredictor::new(DirectionPredictorKind::TageLite),
+            DirectionPredictor::TageLite(_)
+        ));
+        // The oracle is right in both directions, whatever it was taught.
+        let mut oracle = DirectionPredictor::new(DirectionPredictorKind::Oracle);
+        oracle.train(a(0x3000), true);
+        assert!(oracle.resolve(a(0x3000), false));
+        assert!(oracle.resolve(a(0x3000), true));
+        assert_eq!(accuracy(DirectionPredictorKind::Oracle, &loop_stream(100)), 1.0);
     }
 
     #[test]
@@ -404,7 +407,7 @@ mod tests {
         let mut p = TageLite::new();
         // Must not panic and must return a boolean for unseen PCs.
         let _ = p.predict(a(0xdead_beef));
-        let mut g = Gshare::new(10);
+        let g = Gshare::new(10);
         let _ = g.predict(a(0xdead_beef));
     }
 }

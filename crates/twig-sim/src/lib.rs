@@ -37,7 +37,6 @@ mod frontend_state;
 pub mod icache;
 pub mod integrity;
 pub mod obs;
-pub mod perceptron;
 pub mod prefetch_buffer;
 pub mod ras;
 pub mod stats;
@@ -58,8 +57,7 @@ pub use integrity::{
     Fault, IntegrityConfig, IntegrityLevel, IntegrityViolation, MutationKind, MutationSpec,
     Validator, ViolationKind,
 };
-pub use direction::{build_predictor, DirectionPredictor, Gshare, TageLite};
-pub use perceptron::Perceptron;
+pub use direction::{DirectionPredictor, Gshare, TageLite};
 pub use icache::{AccessResult, FillSource, MemoryHierarchy, MemoryStats};
 pub use prefetch_buffer::{BufferedEntry, PrefetchBuffer, PrefetchBufferStats};
 pub use ras::Ras;

@@ -105,6 +105,9 @@ pub const VAR_FLEET_MAX_GENERATIONS: &str = "TWIG_FLEET_MAX_GENERATIONS";
 /// service, at least 1; submissions beyond it block (backpressure).
 pub const VAR_FLEET_QUEUE_DEPTH: &str = "TWIG_FLEET_QUEUE_DEPTH";
 
+/// The process-wide configuration behind [`HarnessConfig::global`].
+static GLOBAL: OnceLock<HarnessConfig> = OnceLock::new();
+
 /// Every `TWIG_*` variable the harness understands, in documentation
 /// order. The README's reference table and the manifest dump iterate this.
 pub const ALL_VARS: &[&str] = &[
@@ -371,19 +374,31 @@ impl HarnessConfig {
         Self::from_lookup(|var| std::env::var(var).ok())
     }
 
-    /// The process-wide configuration, parsed from the environment once
-    /// and cached.
+    /// The process-wide configuration: the one a binary [`install`]ed, or
+    /// else the environment, parsed once and cached.
+    ///
+    /// [`install`]: HarnessConfig::install
     ///
     /// # Panics
     ///
-    /// Panics (naming the variable) when the environment is malformed — a
-    /// misconfigured run must not silently proceed with defaults.
+    /// Panics (naming the variable) when nothing was installed and the
+    /// environment is malformed — a misconfigured run must not silently
+    /// proceed with defaults.
     pub fn global() -> &'static HarnessConfig {
-        static CONFIG: OnceLock<HarnessConfig> = OnceLock::new();
-        CONFIG.get_or_init(|| {
+        GLOBAL.get_or_init(|| {
             HarnessConfig::from_env()
                 .unwrap_or_else(|e| panic!("invalid harness configuration: {e}"))
         })
+    }
+
+    /// Makes this configuration the one [`global`](HarnessConfig::global)
+    /// returns. Binaries resolve the environment and their explicit flags
+    /// up front (reporting a usage error) and install the result before
+    /// anything reads it. The first caller wins; the returned reference is
+    /// the configuration in effect.
+    pub fn install(self) -> &'static HarnessConfig {
+        let _ = GLOBAL.set(self);
+        HarnessConfig::global()
     }
 
     /// The effective configuration as `(name, value, source)` rows, in

@@ -306,10 +306,10 @@ impl WorkloadSpec {
 
     /// The calibrated preset for one paper application.
     ///
-    /// Calibration (see DESIGN.md §6 and `twig-bench/src/bin/calibrate.rs`)
-    /// targets the paper's per-app BTB MPKI band (Fig. 3), frontend-bound
-    /// share (Fig. 1), footprint ordering (Table 3), and the ideal-BTB
-    /// speedup shape (Fig. 2). Two structural properties matter most:
+    /// Calibration (see DESIGN.md §6) targets the paper's per-app BTB MPKI
+    /// band (Fig. 3), frontend-bound share (Fig. 1), footprint ordering
+    /// (Table 3), and the ideal-BTB speedup shape (Fig. 2); `experiments
+    /// fig01 fig02 fig03 tab03` reports each of them. Two structural properties matter most:
     /// *shallow* call graphs with balanced (rotor-assigned) callees keep the
     /// execution profile flat, as in real data-center services, and the
     /// `loop_fraction`/`library_call_fraction` dials control the share of
@@ -514,8 +514,8 @@ mod tests {
     fn footprints_are_ordered_like_table3() {
         // verilator must be by far the largest; wordpress/drupal smallest.
         // Static estimates track Table 3's ordering for the service apps.
-        // (Verilator's *executed* footprint is the largest by ~2x — see the
-        // calibrate binary — but its short instructions make the static
+        // (Verilator's *executed* footprint is the largest by ~2x — see
+        // tab03's workingSetMB — but its short instructions make the static
         // estimate comparable to finagle-http's, so it is compared against
         // the mid-size apps here.)
         let f = |a| WorkloadSpec::preset(a).estimated_footprint_bytes();
