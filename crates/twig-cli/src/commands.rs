@@ -134,10 +134,10 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_apps() -> Result<(), CliError> {
-    println!("{:<16} {:>10} {:>12} {:>10}", "app", "functions", "footprint", "handlers");
+    outln!("{:<16} {:>10} {:>12} {:>10}", "app", "functions", "footprint", "handlers");
     for app in AppId::ALL {
         let spec = WorkloadSpec::preset(app);
-        println!(
+        outln!(
             "{:<16} {:>10} {:>9.1} MB {:>10}",
             spec.name,
             spec.app_funcs + spec.lib_funcs,
@@ -247,25 +247,25 @@ fn build_system(name: &str, config: &SimConfig) -> Result<Box<dyn BtbSystem>, Cl
 
 fn print_stats(stats: &SimStats, json: bool) -> Result<(), CliError> {
     if json {
-        println!(
+        outln!(
             "{}",
             twig_serde_json::to_string_pretty(stats).map_err(|e| CliError::decode("stdout", e))?
         );
     } else {
-        println!("IPC               {:.4}", stats.ipc());
-        println!("cycles            {}", stats.cycles);
-        println!("instructions      {}", stats.retired_instructions);
-        println!("prefetch ops      {}", stats.retired_prefetch_ops);
-        println!("BTB MPKI          {:.2}", stats.btb_mpki());
-        println!("BTB misses        {}", stats.total_btb_misses());
-        println!("covered misses    {}", stats.total_covered_misses());
-        println!("decode resteers   {}", stats.decode_resteers);
-        println!("exec resteers     {}", stats.exec_resteers);
-        println!(
+        outln!("IPC               {:.4}", stats.ipc());
+        outln!("cycles            {}", stats.cycles);
+        outln!("instructions      {}", stats.retired_instructions);
+        outln!("prefetch ops      {}", stats.retired_prefetch_ops);
+        outln!("BTB MPKI          {:.2}", stats.btb_mpki());
+        outln!("BTB misses        {}", stats.total_btb_misses());
+        outln!("covered misses    {}", stats.total_covered_misses());
+        outln!("decode resteers   {}", stats.decode_resteers);
+        outln!("exec resteers     {}", stats.exec_resteers);
+        outln!(
             "frontend-bound    {:.1}%",
             stats.topdown.frontend_fraction() * 100.0
         );
-        println!(
+        outln!(
             "prefetch accuracy {:.1}%",
             stats.prefetch_accuracy() * 100.0
         );
@@ -414,7 +414,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
             let before = read_timeline_snapshot(a)?;
             let after = read_timeline_snapshot(b)?;
             let diff = twig_obs::diff_timelines(&before, &after);
-            print!("{diff}");
+            out!("{diff}");
             if diff.is_empty() {
                 Ok(())
             } else {
@@ -429,7 +429,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
             let before = read_snapshot(a)?;
             let after = read_snapshot(b)?;
             let diff = twig_obs::diff_snapshots(&before, &after);
-            print!("{diff}");
+            out!("{diff}");
             if diff.is_empty() {
                 Ok(())
             } else {
@@ -522,7 +522,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         };
         let limit = allowed * slack;
         let verdict = if seconds > limit { "OVER" } else { "ok" };
-        println!("{id:<8} {seconds:>7.2}s  budget {allowed:>6.2}s x{slack} = {limit:>6.2}s  {verdict}");
+        outln!("{id:<8} {seconds:>7.2}s  budget {allowed:>6.2}s x{slack} = {limit:>6.2}s  {verdict}");
         if seconds > limit {
             over.push(id.clone());
         }
@@ -549,20 +549,20 @@ fn cmd_optimize(args: &Args<'_>) -> Result<(), CliError> {
         .run_app(&spec, config, train, &[test], instructions)
         .remove(0);
     if args.has("json") {
-        println!(
+        outln!(
             "{}",
             twig_serde_json::to_string_pretty(&report).map_err(|e| CliError::decode("stdout", e))?
         );
     } else {
-        println!("baseline IPC      {:.4}", report.baseline.ipc());
-        println!("twig IPC          {:.4}", report.twig.ipc());
-        println!("ideal-BTB IPC     {:.4}", report.ideal.ipc());
-        println!("twig speedup      {:+.2}%", report.speedup_percent);
-        println!("ideal speedup     {:+.2}%", report.ideal_speedup_percent);
-        println!("% of ideal        {:.1}%", report.pct_of_ideal * 100.0);
-        println!("miss coverage     {:.1}%", report.coverage * 100.0);
-        println!("accuracy          {:.1}%", report.accuracy * 100.0);
-        println!("dynamic overhead  {:.2}%", report.dynamic_overhead * 100.0);
+        outln!("baseline IPC      {:.4}", report.baseline.ipc());
+        outln!("twig IPC          {:.4}", report.twig.ipc());
+        outln!("ideal-BTB IPC     {:.4}", report.ideal.ipc());
+        outln!("twig speedup      {:+.2}%", report.speedup_percent);
+        outln!("ideal speedup     {:+.2}%", report.ideal_speedup_percent);
+        outln!("% of ideal        {:.1}%", report.pct_of_ideal * 100.0);
+        outln!("miss coverage     {:.1}%", report.coverage * 100.0);
+        outln!("accuracy          {:.1}%", report.accuracy * 100.0);
+        outln!("dynamic overhead  {:.2}%", report.dynamic_overhead * 100.0);
     }
     Ok(())
 }

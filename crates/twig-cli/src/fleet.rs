@@ -77,13 +77,13 @@ fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
     .map_err(|e| CliError::io("write", &path, e))?;
 
     let manifest = &outcome.manifest;
-    println!(
+    outln!(
         "fleet: {} tenant(s), {} generation(s), converged={}",
         manifest.tenants.len(),
         manifest.generations_run,
         manifest.converged
     );
-    println!("manifest written to {path}");
+    outln!("manifest written to {path}");
     // Service counters are timing/worker-count dependent: stderr only,
     // never in the manifest.
     let stats = &outcome.service;
@@ -104,17 +104,17 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
         source: e.into(),
     })?;
 
-    println!(
+    outln!(
         "fleet manifest v{}: {} generation(s), converged={}",
         manifest.version, manifest.generations_run, manifest.converged
     );
-    println!(
+    outln!(
         "{:<12} {:<12} {:<16} {:>4} {:>8} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}",
         "tenant", "health", "reason", "conv", "deploys", "rollbacks", "faults", "ipc",
         "lat_p50", "lat_p99", "lat_p999", "burn", "breach"
     );
     for t in &manifest.tenants {
-        println!(
+        outln!(
             "{:<12} {:<12} {:<16} {:>4} {:>8} {:>9} {:>7} {:>8.4} {:>8} {:>8} {:>8} {:>8} {:>6}",
             t.name,
             t.health,
@@ -134,7 +134,7 @@ fn cmd_report(args: &[String]) -> Result<(), CliError> {
     }
     for t in &manifest.tenants {
         for tr in &t.transitions {
-            println!(
+            outln!(
                 "  {:<12} g{:<3} {} -> {} ({})",
                 t.name, tr.generation, tr.from, tr.to, tr.reason
             );

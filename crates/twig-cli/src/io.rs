@@ -13,6 +13,24 @@ use twig_serde::Serialize;
 
 use crate::error::CliError;
 
+/// Writes formatted text to stdout (the `out!`/`outln!` macros).
+///
+/// A closed stdout is the end of the output, not an error: when the
+/// reader of a pipe has gone (`twig simulate … | head`), the process exits
+/// 0 without printing anything more. Any other write failure is an I/O
+/// error (exit 3).
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        let e = CliError::io("write", "stdout", e);
+        eprintln!("twig: {e}");
+        std::process::exit(e.exit_code());
+    }
+}
+
 /// Reads a JSON artifact.
 pub fn read_json<T: DeserializeOwned>(path: &str) -> Result<T, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;

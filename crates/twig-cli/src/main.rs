@@ -8,6 +8,23 @@
 //! artifact, 5 semantically invalid input, 6 output directory locked by
 //! another live run (see [`error::CliError`]).
 
+/// `print!` through [`io::write_stdout`]: a closed stdout ends the output.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::io::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`io::write_stdout`]: a closed stdout ends the output.
+macro_rules! outln {
+    () => {
+        $crate::io::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::io::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod commands;
 mod error;
 mod fleet;

@@ -96,12 +96,12 @@ pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Derived, CliError> {
 fn print_metrics_section(path: &str, snap: &MetricsSnapshot) -> Result<(), CliError> {
     let d = derive(path, snap)?;
     let instructions = require_counter(snap, path, "sim.retired_instructions")?;
-    println!("== {} (metrics) ==", stem(path));
-    println!("  IPC             {:.4}", d.ipc);
-    println!("  cycles          {}", d.cycles);
-    println!("  instructions    {instructions}");
-    println!("  BTB MPKI        {:.2}", d.btb_mpki);
-    println!("  miss coverage   {:.1}%", d.coverage * 100.0);
+    outln!("== {} (metrics) ==", stem(path));
+    outln!("  IPC             {:.4}", d.ipc);
+    outln!("  cycles          {}", d.cycles);
+    outln!("  instructions    {instructions}");
+    outln!("  BTB MPKI        {:.2}", d.btb_mpki);
+    outln!("  miss coverage   {:.1}%", d.coverage * 100.0);
     let td: Vec<u64> = ["retiring", "frontend_bound", "bad_speculation", "backend_bound"]
         .iter()
         .map(|k| snap.counter(&format!("topdown.{k}")).unwrap_or(0))
@@ -109,7 +109,7 @@ fn print_metrics_section(path: &str, snap: &MetricsSnapshot) -> Result<(), CliEr
     let total: u64 = td.iter().sum();
     if total > 0 {
         let pct = |v: u64| v as f64 * 100.0 / total as f64;
-        println!(
+        outln!(
             "  topdown         retiring {:.1}% | frontend {:.1}% | bad-spec {:.1}% | backend {:.1}%",
             pct(td[0]),
             pct(td[1]),
@@ -119,7 +119,7 @@ fn print_metrics_section(path: &str, snap: &MetricsSnapshot) -> Result<(), CliEr
     }
     if let Some(penalty) = snap.histogram("frontend.resteer_penalty") {
         if penalty.count > 0 {
-            println!(
+            outln!(
                 "  resteer cost    {} cycles over {} resteers (avg {:.1}, p99 {})",
                 penalty.sum,
                 penalty.count,
@@ -132,16 +132,16 @@ fn print_metrics_section(path: &str, snap: &MetricsSnapshot) -> Result<(), CliEr
 }
 
 fn print_attribution_section(path: &str, attr: &AttributionSnapshot, top: usize) {
-    println!("== {} (attribution) ==", stem(path));
-    println!(
+    outln!("== {} (attribution) ==", stem(path));
+    outln!(
         "  events          {} (sampled {})",
         attr.total_events, attr.sampled_events
     );
-    println!(
+    outln!(
         "  cycles          {} (sampled {})",
         attr.total_cycles, attr.sampled_cycles
     );
-    println!(
+    outln!(
         "  tracked sites   {} (k={}, sample={})",
         attr.entries.len(),
         attr.k,
@@ -152,17 +152,17 @@ fn print_attribution_section(path: &str, attr: &AttributionSnapshot, top: usize)
         .iter()
         .map(|k| format!("{} {}", k.mnemonic(), by_kind[k.index()]))
         .collect();
-    println!("  cycles by kind  {}", kinds.join(" | "));
+    outln!("  cycles by kind  {}", kinds.join(" | "));
     if attr.entries.is_empty() {
         return;
     }
-    println!("  top {} costly branches:", top.min(attr.entries.len()));
-    println!(
+    outln!("  top {} costly branches:", top.min(attr.entries.len()));
+    outln!(
         "  {:<18} {:<6} {:<12} {:>10} {:>8} {:>8}",
         "pc", "branch", "miss", "cycles", "events", "±err"
     );
     for e in attr.top(top) {
-        println!(
+        outln!(
             "  {:<18} {:<6} {:<12} {:>10} {:>8} {:>8}",
             format!("{:#x}", e.pc),
             e.branch,
@@ -234,15 +234,15 @@ fn fmt_permille(v: u64) -> String {
 }
 
 fn print_timeline_section(path: &str, tl: &TimelineSnapshot) {
-    println!("== {} (timeline) ==", stem(path));
-    println!(
+    outln!("== {} (timeline) ==", stem(path));
+    outln!(
         "  window          {} instructions, {} window(s), {} dropped",
         tl.window,
         tl.windows.len(),
         tl.dropped_windows
     );
     if tl.derived.is_empty() {
-        println!("  (no derived metrics: cycle/instruction tracks absent)");
+        outln!("  (no derived metrics: cycle/instruction tracks absent)");
         return;
     }
     type Series<'a> = (&'a str, Vec<u64>, fn(u64) -> String);
@@ -255,7 +255,7 @@ fn print_timeline_section(path: &str, tl: &TimelineSnapshot) {
     for (name, values, render) in &series {
         let min = *values.iter().min().unwrap();
         let max = *values.iter().max().unwrap();
-        println!(
+        outln!(
             "  {:<15} [{}] {}..{}",
             name,
             sparkline(values),
@@ -264,9 +264,9 @@ fn print_timeline_section(path: &str, tl: &TimelineSnapshot) {
         );
     }
     if !tl.phases.is_empty() {
-        println!("  phases:");
+        outln!("  phases:");
         for p in &tl.phases {
-            println!(
+            outln!(
                 "    {:<10} windows {:>4}..{:<4} mean IPC {}",
                 p.label,
                 p.start_window,
@@ -432,7 +432,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
     let mut first = true;
     for path in files {
         if !json && !first {
-            println!();
+            outln!();
         }
         first = false;
         if path.ends_with(".attr.json") {
@@ -473,7 +473,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
         }
     }
     if json {
-        println!(
+        outln!(
             "{}",
             twig_serde_json::to_string_pretty(&digest)
                 .map_err(|e| CliError::decode("stdout", e))?
@@ -481,11 +481,11 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     if coverage_rows.len() > 1 {
-        println!();
-        println!("== coverage by configuration ==");
-        println!("  {:<24} {:>8} {:>10} {:>10}", "cell", "IPC", "BTB MPKI", "coverage");
+        outln!();
+        outln!("== coverage by configuration ==");
+        outln!("  {:<24} {:>8} {:>10} {:>10}", "cell", "IPC", "BTB MPKI", "coverage");
         for (name, d) in &coverage_rows {
-            println!(
+            outln!(
                 "  {:<24} {:>8.4} {:>10.2} {:>9.1}%",
                 name,
                 d.ipc,
@@ -697,7 +697,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
 
     let mut regressions = 0usize;
     let mut cells: Vec<TrajectoryCell> = Vec::new();
-    println!(
+    outln!(
         "{:<24} {:<10} {:>12} {:>12} {:>9}  verdict",
         "cell", "metric", "baseline", "current", "delta"
     );
@@ -707,7 +707,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
         if !std::path::Path::new(&cur_path).exists() {
             // A cell that vanished from the run is the worst regression
             // of all — count it and keep judging the rest.
-            println!("{cell:<24} {:<10} {:>12} {:>12} {:>9}  REGRESSED (missing)", "-", "-", "-", "-");
+            outln!("{cell:<24} {:<10} {:>12} {:>12} {:>9}  REGRESSED (missing)", "-", "-", "-", "-");
             regressions += 1;
             continue;
         }
@@ -719,7 +719,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
                 regressions += 1;
             }
             if verdict != Verdict::Ok || delta != 0.0 {
-                println!(
+                outln!(
                     "{:<24} {:<10} {:>12.4} {:>12.4} {:>+8.2}%  {}",
                     cell,
                     spec.name,
@@ -743,7 +743,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
     } else {
         format!("all {} baseline cell(s) within thresholds", stems.len())
     };
-    println!("{verdict_line}");
+    outln!("{verdict_line}");
     if let Some(path) = trajectory_path {
         append_trajectory(path, cells, regressions > 0)?;
     }

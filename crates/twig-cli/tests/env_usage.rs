@@ -91,3 +91,30 @@ fn unknown_flags_are_usage_errors() {
     assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn closed_stdout_ends_output_cleanly() {
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("twig-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json").display().to_string();
+    let out = twig(&["spec", "--app", "kafka", "--out", &spec], &[]);
+    assert!(out.status.success(), "spec export failed: {out:?}");
+
+    // The reader goes away before the simulation prints its first line,
+    // as with `twig simulate … | head -0`.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_twig-cli"))
+        .env_remove("TWIG_OBS")
+        .args(["simulate", "--spec", &spec, "--instructions", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn twig-cli");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for twig-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

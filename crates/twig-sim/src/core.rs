@@ -110,6 +110,9 @@ pub struct Simulator<'p, B> {
     ops_scratch: Vec<BlockId>,
     /// Reused buffer for the head probe's missed lines.
     line_scratch: Vec<CacheLineAddr>,
+    /// Reused buffers the L1i fill/eviction events drain into.
+    filled_scratch: Vec<(CacheLineAddr, u64)>,
+    evicted_scratch: Vec<CacheLineAddr>,
 }
 
 impl<'p, B: BtbSystem> Simulator<'p, B> {
@@ -139,6 +142,8 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             timeline: TimelineState::from_config(&config.obs),
             ops_scratch: Vec::new(),
             line_scratch: Vec::new(),
+            filled_scratch: Vec::new(),
+            evicted_scratch: Vec::new(),
         };
         if config.integrity.level.differential() {
             sim.ibtb.enable_shadow();
@@ -1137,7 +1142,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     /// Executes the software prefetch ops attached to `block`, effective at
     /// decode time.
     fn execute_prefetch_ops(&mut self, block: BlockId, decode_done: u64, cycle: u64) {
-        let ops = &self.program.block(block).prefetch_ops;
+        let ops = self.program.block(block).prefetch_ops;
         let mut ctx = FrontendCtx {
             cycle,
             program: self.program,
@@ -1182,22 +1187,25 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
 
     /// Reports L1i fills/evictions to the BTB system.
     fn drain_line_events(&mut self, cycle: u64) {
-        let filled = self.mem.take_filled_l1i();
-        let evicted = self.mem.take_evicted_l1i();
-        if filled.is_empty() && evicted.is_empty() {
-            return;
+        let mut filled = std::mem::take(&mut self.filled_scratch);
+        let mut evicted = std::mem::take(&mut self.evicted_scratch);
+        self.mem.drain_filled_l1i(&mut filled);
+        self.mem.drain_evicted_l1i(&mut evicted);
+        if !filled.is_empty() || !evicted.is_empty() {
+            let mut ctx = FrontendCtx {
+                cycle,
+                program: self.program,
+                mem: &mut self.mem,
+            };
+            for &(line, ready_at) in &filled {
+                self.system.line_filled(line, ready_at, &mut ctx);
+            }
+            for &line in &evicted {
+                self.system.line_evicted(line, &mut ctx);
+            }
         }
-        let mut ctx = FrontendCtx {
-            cycle,
-            program: self.program,
-            mem: &mut self.mem,
-        };
-        for (line, ready_at) in filled {
-            self.system.line_filled(line, ready_at, &mut ctx);
-        }
-        for line in evicted {
-            self.system.line_evicted(line, &mut ctx);
-        }
+        self.filled_scratch = filled;
+        self.evicted_scratch = evicted;
     }
 }
 

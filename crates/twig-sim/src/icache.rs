@@ -365,15 +365,21 @@ impl MemoryHierarchy {
         self.track_line_events = on;
     }
 
-    /// Drains the list of lines evicted from L1i since the last call.
-    pub fn take_evicted_l1i(&mut self) -> Vec<CacheLineAddr> {
-        std::mem::take(&mut self.evicted_l1i)
+    /// Moves the lines evicted from L1i since the last drain into `out`
+    /// (cleared first). The two buffers swap, so once both have grown
+    /// neither side allocates again.
+    pub fn drain_evicted_l1i(&mut self, out: &mut Vec<CacheLineAddr>) {
+        out.clear();
+        std::mem::swap(out, &mut self.evicted_l1i);
     }
 
-    /// Drains the list of lines filled into L1i since the last call, each
-    /// with the cycle its bytes arrive (predecode cannot start earlier).
-    pub fn take_filled_l1i(&mut self) -> Vec<(CacheLineAddr, u64)> {
-        std::mem::take(&mut self.filled_l1i)
+    /// Moves the lines filled into L1i since the last drain into `out`
+    /// (cleared first), each with the cycle its bytes arrive (predecode
+    /// cannot start earlier). Swaps buffers like
+    /// [`Self::drain_evicted_l1i`].
+    pub fn drain_filled_l1i(&mut self, out: &mut Vec<(CacheLineAddr, u64)>) {
+        out.clear();
+        std::mem::swap(out, &mut self.filled_l1i);
     }
 
     /// Access statistics so far.
@@ -529,7 +535,9 @@ mod tests {
         let r = m.demand(line(0), t);
         assert_eq!(r.source, FillSource::L2);
         assert_eq!(r.ready_at, t + config.l2_latency);
-        assert!(!m.take_evicted_l1i().is_empty());
+        let mut evicted = Vec::new();
+        m.drain_evicted_l1i(&mut evicted);
+        assert!(!evicted.is_empty());
     }
 
     #[test]
@@ -558,9 +566,18 @@ mod tests {
         let mut m = mem();
         m.demand(line(0x1000), 0);
         m.prefetch(line(0x2000), 0);
-        let filled = m.take_filled_l1i();
+        let mut filled = Vec::new();
+        m.drain_filled_l1i(&mut filled);
         assert_eq!(filled.len(), 2);
         assert!(filled.iter().all(|&(_, ready)| ready > 0));
-        assert!(m.take_filled_l1i().is_empty());
+        // A second drain reuses the caller's buffer and finds nothing new.
+        let reused = filled.as_ptr();
+        m.prefetch(line(0x2000), 1);
+        m.drain_filled_l1i(&mut filled);
+        assert!(filled.is_empty());
+        m.prefetch(line(0x4000), 2);
+        m.drain_filled_l1i(&mut filled);
+        assert_eq!(filled.len(), 1);
+        assert_eq!(filled.as_ptr(), reused, "drains swap buffers, never reallocate");
     }
 }

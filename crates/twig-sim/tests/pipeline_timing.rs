@@ -166,14 +166,15 @@ fn covered_miss_avoids_the_resteer_cost() {
         if inject {
             // Each block prefetches the branch 8 blocks ahead (timely at
             // one region per cycle and a 12-cycle decode pipe).
-            for i in 0..32u32 {
-                let target_block = BlockId::new((i + 8) % 32);
-                program.block_mut(BlockId::new(i)).prefetch_ops.push(
-                    twig_types::PrefetchOp::BrPrefetch {
-                        branch_block: target_block,
-                    },
-                );
-            }
+            let ops = (0..32u32)
+                .map(|i| {
+                    let op = twig_types::PrefetchOp::BrPrefetch {
+                        branch_block: BlockId::new((i + 8) % 32),
+                    };
+                    (BlockId::new(i), op)
+                })
+                .collect();
+            program.set_prefetch_ops(ops);
             twig_workload::layout::assign_layout(
                 &mut program,
                 &twig_workload::LayoutOptions::default(),

@@ -6,7 +6,7 @@
 //! precise simulator behaviour (resteer latencies, region formation, BTB
 //! set conflicts) against known structures.
 
-use twig_types::{Addr, BlockId, FuncId};
+use twig_types::{BlockId, FuncId};
 
 use crate::layout::{assign_layout, LayoutOptions};
 use crate::program::{BasicBlock, Function, Program, Terminator};
@@ -153,12 +153,10 @@ impl ProgramBuilder {
                 };
                 blocks.push(BasicBlock {
                     func: FuncId::new(fi as u32),
-                    addr: Addr::ZERO,
                     num_instrs: b.num_instrs,
                     body_bytes: (b.num_instrs - 1) * b.instr_bytes + term_bytes.max(1),
                     term_bytes,
                     term: b.term,
-                    prefetch_ops: Vec::new(),
                 });
             }
             let last_block = blocks.len() as u32;

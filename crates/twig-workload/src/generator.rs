@@ -172,7 +172,6 @@ impl ProgramGenerator {
             .collect();
         blocks.push(BasicBlock {
             func: fid,
-            addr: twig_types::Addr::ZERO,
             num_instrs: self.sample_instrs(rng),
             body_bytes: 0,
             term_bytes: ICALL_BYTES,
@@ -180,18 +179,15 @@ impl ProgramGenerator {
                 callees,
                 return_to: BlockId::new(first + 1),
             },
-            prefetch_ops: Vec::new(),
         });
         blocks.push(BasicBlock {
             func: fid,
-            addr: twig_types::Addr::ZERO,
             num_instrs: self.sample_instrs(rng),
             body_bytes: 0,
             term_bytes: JUMP_BYTES,
             term: Terminator::Jump {
                 target: BlockId::new(first),
             },
-            prefetch_ops: Vec::new(),
         });
         let ib = self.sample_span(spec.instr_bytes, rng);
         for b in &mut blocks[first as usize..] {
@@ -248,12 +244,10 @@ impl ProgramGenerator {
             let body_bytes = (num_instrs - 1) * instr_bytes + term_bytes.max(1);
             blocks.push(BasicBlock {
                 func: fid,
-                addr: twig_types::Addr::ZERO,
                 num_instrs,
                 body_bytes,
                 term_bytes,
                 term,
-                prefetch_ops: Vec::new(),
             });
             let _ = bid;
         }

@@ -84,9 +84,8 @@ pub fn assign_layout(program: &mut Program, options: &LayoutOptions) {
         cursor = align_up(cursor, FUNCTION_ALIGN);
         let func = program.function(fid).clone();
         for bid in func.block_ids() {
-            let block = program.block_mut(bid);
-            block.addr = Addr::new(cursor);
-            cursor += u64::from(block.size_bytes());
+            program.set_addr(bid, Addr::new(cursor));
+            cursor += u64::from(program.block(bid).size_bytes());
         }
         cursor += options.inter_function_pad;
         max_end = max_end.max(cursor);
@@ -154,11 +153,10 @@ mod tests {
         assign_layout(&mut p, &LayoutOptions::default());
         // Grow an early block, then re-layout: later blocks must shift.
         let victim = BlockId::new(0);
-        p.block_mut(victim)
-            .prefetch_ops
-            .push(twig_types::PrefetchOp::BrPrefetch {
-                branch_block: BlockId::new(1),
-            });
+        let op = twig_types::PrefetchOp::BrPrefetch {
+            branch_block: BlockId::new(1),
+        };
+        p.set_prefetch_ops(vec![(victim, op)]);
         let before_last = p.block(BlockId::new(p.num_blocks() as u32 - 1)).addr;
         assign_layout(&mut p, &LayoutOptions::default());
         let after_last = p.block(BlockId::new(p.num_blocks() as u32 - 1)).addr;

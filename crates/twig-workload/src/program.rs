@@ -4,7 +4,11 @@
 //! paper profiles. It is a complete control-flow graph with a concrete
 //! binary layout (every block has an address and a byte size), so that the
 //! frontend simulator can model I-cache lines, BTB indices, and signed
-//! address offsets exactly as it would for a real binary.
+//! address offsets exactly as it would for a real binary. The graph is
+//! shared between a pristine binary and its rewrites; each binary owns
+//! only its layout.
+
+use std::sync::Arc;
 
 use twig_serde::{Deserialize, Serialize};
 use twig_types::{Addr, BlockId, BranchKind, BranchOutcome, BranchRecord, FuncId, PrefetchOp};
@@ -85,17 +89,15 @@ impl Terminator {
     }
 }
 
-/// One basic block of the synthetic program.
+/// One basic block of the synthetic program: what the generator decides.
 ///
-/// `addr` and byte sizes are assigned by the [layout](crate::layout) pass and
-/// updated when the Twig rewriter injects prefetch operations and re-lays-out
-/// the binary.
+/// Where the block sits and which prefetch ops precede it are decided by
+/// the linker and the rewriter and live in the [`Program`]'s per-binary
+/// layout; [`Program::block`] joins both into a [`BlockView`].
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct BasicBlock {
     /// Owning function.
     pub func: FuncId,
-    /// First-byte address of the block in the current layout.
-    pub addr: Addr,
     /// Number of *original* program instructions, including the terminator
     /// branch (if any) but excluding injected prefetch operations.
     pub num_instrs: u32,
@@ -105,19 +107,45 @@ pub struct BasicBlock {
     pub term_bytes: u32,
     /// Control transfer at the end of the block.
     pub term: Terminator,
+}
+
+impl BasicBlock {
+    /// Branch kind of the terminator, if it is a branch.
+    #[inline]
+    pub fn branch_kind(&self) -> Option<BranchKind> {
+        self.term.branch_kind()
+    }
+}
+
+/// One block of one binary: the shared [`BasicBlock`] (reached through
+/// `Deref`) plus its address and injected ops in that binary's layout.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockView<'a> {
+    block: &'a BasicBlock,
+    /// First-byte address of the block in this binary's layout.
+    pub addr: Addr,
     /// Software BTB prefetch operations injected by the Twig rewriter.
     ///
     /// Prefetch ops execute at the *start* of the block (they are placed
     /// before the original instructions so they retire before the block's
     /// own branch, maximizing timeliness).
-    pub prefetch_ops: Vec<PrefetchOp>,
+    pub prefetch_ops: &'a [PrefetchOp],
 }
 
-impl BasicBlock {
-    /// Total byte size in the current layout, including injected ops.
+impl std::ops::Deref for BlockView<'_> {
+    type Target = BasicBlock;
+
+    #[inline]
+    fn deref(&self) -> &BasicBlock {
+        self.block
+    }
+}
+
+impl BlockView<'_> {
+    /// Total byte size in this layout, including injected ops.
     #[inline]
     pub fn size_bytes(&self) -> u32 {
-        self.body_bytes + self.prefetch_bytes()
+        self.block.body_bytes + self.prefetch_bytes()
     }
 
     /// Bytes of injected prefetch operations.
@@ -129,28 +157,23 @@ impl BasicBlock {
     /// Total dynamic instruction count per execution, including injected ops.
     #[inline]
     pub fn total_instrs(&self) -> u32 {
-        self.num_instrs + self.prefetch_ops.len() as u32
+        self.block.num_instrs + self.prefetch_ops.len() as u32
     }
 
     /// Address of the terminator branch instruction.
     ///
     /// For fall-through blocks this is the address of the last instruction
-    /// (which is not a branch); callers should check [`Self::branch_kind`].
+    /// (which is not a branch); callers should check
+    /// [`BasicBlock::branch_kind`].
     #[inline]
     pub fn branch_pc(&self) -> Addr {
-        self.addr + u64::from(self.size_bytes() - self.term_bytes.max(1))
+        self.addr + u64::from(self.size_bytes() - self.block.term_bytes.max(1))
     }
 
     /// Address of the first byte after the block (fall-through address).
     #[inline]
     pub fn end_addr(&self) -> Addr {
         self.addr + u64::from(self.size_bytes())
-    }
-
-    /// Branch kind of the terminator, if it is a branch.
-    #[inline]
-    pub fn branch_kind(&self) -> Option<BranchKind> {
-        self.term.branch_kind()
     }
 }
 
@@ -180,7 +203,23 @@ impl Function {
     }
 }
 
-/// A complete synthetic program: CFG plus binary layout.
+/// The control-flow graph: functions and blocks as the generator built
+/// them. Immutable once built; every binary of one application (pristine
+/// and each rewrite) shares it.
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+struct Cfg {
+    functions: Vec<Function>,
+    blocks: Vec<BasicBlock>,
+    entry_function: FuncId,
+}
+
+/// A complete synthetic program: a shared CFG plus this binary's layout.
+///
+/// The layout is what the linker and the rewriter decide: one address per
+/// block, the injected prefetch ops in one flat table indexed by block, and
+/// the coalesce table with its address. Cloning a program copies only the
+/// layout, so a rewritten binary costs about 12 bytes per block on top of
+/// the CFG it shares with the pristine one.
 ///
 /// # Examples
 ///
@@ -197,9 +236,13 @@ impl Function {
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Program {
-    functions: Vec<Function>,
-    blocks: Vec<BasicBlock>,
-    entry_function: FuncId,
+    cfg: Arc<Cfg>,
+    /// First-byte address of every block, by block id.
+    addrs: Vec<Addr>,
+    /// Block `i`'s ops are `ops[op_start[i]..op_start[i + 1]]`. Both are
+    /// empty while the binary carries no ops.
+    op_start: Vec<u32>,
+    ops: Vec<PrefetchOp>,
     /// Sorted key-value table for `brcoalesce` (block ids whose terminator
     /// branches are prefetchable via the table). Laid out in the text
     /// segment after the last function.
@@ -209,9 +252,11 @@ pub struct Program {
 }
 
 impl Program {
-    /// Assembles a program from parts. Intended for the generator and the
-    /// rewriter; invariants (dense function ranges, valid ids) are checked
-    /// in debug builds.
+    /// Assembles a program from parts: the generator's and the builder's
+    /// blocks, all at address zero and without ops until
+    /// [`assign_layout`](crate::layout::assign_layout) places them.
+    /// Invariants (dense function ranges, valid ids) are checked in debug
+    /// builds.
     pub fn from_parts(functions: Vec<Function>, blocks: Vec<BasicBlock>, entry: FuncId) -> Self {
         debug_assert!(entry.index() < functions.len());
         debug_assert!(functions
@@ -219,9 +264,14 @@ impl Program {
             .enumerate()
             .all(|(i, f)| f.id.index() == i && f.first_block <= f.last_block));
         Program {
-            functions,
-            blocks,
-            entry_function: entry,
+            addrs: vec![Addr::ZERO; blocks.len()],
+            cfg: Arc::new(Cfg {
+                functions,
+                blocks,
+                entry_function: entry,
+            }),
+            op_start: Vec::new(),
+            ops: Vec::new(),
             coalesce_table: Vec::new(),
             coalesce_table_addr: Addr::ZERO,
         }
@@ -230,35 +280,45 @@ impl Program {
     /// Number of basic blocks.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.addrs.len()
     }
 
     /// Number of functions.
     #[inline]
     pub fn num_functions(&self) -> usize {
-        self.functions.len()
+        self.cfg.functions.len()
     }
 
     /// The program entry function (the event-loop dispatcher).
     #[inline]
     pub fn entry_function(&self) -> FuncId {
-        self.entry_function
+        self.cfg.entry_function
     }
 
-    /// Looks up a block.
+    /// Looks up a block in this binary's layout.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     #[inline]
-    pub fn block(&self, id: BlockId) -> &BasicBlock {
-        &self.blocks[id.index()]
+    pub fn block(&self, id: BlockId) -> BlockView<'_> {
+        let i = id.index();
+        let prefetch_ops = if self.op_start.is_empty() {
+            &[]
+        } else {
+            &self.ops[self.op_start[i] as usize..self.op_start[i + 1] as usize]
+        };
+        BlockView {
+            block: &self.cfg.blocks[i],
+            addr: self.addrs[i],
+            prefetch_ops,
+        }
     }
 
-    /// Mutable block access (used by the rewriter).
+    /// Sets one block's address (layout pass only).
     #[inline]
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
+    pub(crate) fn set_addr(&mut self, id: BlockId, addr: Addr) {
+        self.addrs[id.index()] = addr;
     }
 
     /// Looks up a function.
@@ -268,20 +328,51 @@ impl Program {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn function(&self, id: FuncId) -> &Function {
-        &self.functions[id.index()]
+        &self.cfg.functions[id.index()]
     }
 
     /// Iterator over all blocks with their ids.
-    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, &BasicBlock)> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (BlockId::new(i as u32), b))
+    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, BlockView<'_>)> {
+        (0..self.num_blocks() as u32).map(|i| {
+            let id = BlockId::new(i);
+            (id, self.block(id))
+        })
     }
 
     /// Iterator over all functions.
     pub fn functions(&self) -> impl Iterator<Item = &Function> {
-        self.functions.iter()
+        self.cfg.functions.iter()
+    }
+
+    /// Every injected prefetch op, in block-id order (empty for a pristine
+    /// binary).
+    #[inline]
+    pub fn prefetch_ops(&self) -> &[PrefetchOp] {
+        &self.ops
+    }
+
+    /// Installs the binary's whole op table (rewriter only), replacing any
+    /// previous one: each `(site, op)` pair runs at the start of `site`, and
+    /// one site's ops keep their order in `ops`. Block sizes change, so
+    /// re-run [`assign_layout`](crate::layout::assign_layout) afterwards.
+    pub fn set_prefetch_ops(&mut self, mut ops: Vec<(BlockId, PrefetchOp)>) {
+        if ops.is_empty() {
+            self.op_start = Vec::new();
+            self.ops = Vec::new();
+            return;
+        }
+        ops.sort_by_key(|&(site, _)| site);
+        self.op_start.clear();
+        self.op_start.resize(self.num_blocks() + 1, 0);
+        for &(site, _) in &ops {
+            self.op_start[site.index() + 1] += 1;
+        }
+        for i in 1..self.op_start.len() {
+            self.op_start[i] += self.op_start[i - 1];
+        }
+        self.ops.clear();
+        self.ops.reserve_exact(ops.len());
+        self.ops.extend(ops.into_iter().map(|(_, op)| op));
     }
 
     /// The sorted coalesce table (block ids ordered by branch address).
@@ -329,10 +420,10 @@ impl Program {
                 // Calls and indirect calls land on the callee's entry block.
                 Terminator::Call { callee, .. } => {
                     debug_assert_eq!(*callee, self.block(tb).func);
-                    self.block(self.function(*callee).entry).addr
+                    self.addrs[self.function(*callee).entry.index()]
                 }
-                Terminator::IndirectCall { .. } => self.block(tb).addr,
-                _ => self.block(tb).addr,
+                Terminator::IndirectCall { .. } => self.addrs[tb.index()],
+                _ => self.addrs[tb.index()],
             };
             BranchOutcome::Taken(target_addr)
         } else {
@@ -351,15 +442,14 @@ impl Program {
     /// terminator, if any. Used by BTB prefetching, which can only encode
     /// statically known targets.
     pub fn direct_branch_target_addr(&self, id: BlockId) -> Option<Addr> {
-        let block = self.block(id);
-        match &block.term {
-            Terminator::Conditional { taken, .. } => Some(self.block(*taken).addr),
-            Terminator::Jump { target } => Some(self.block(*target).addr),
-            Terminator::Call { callee, .. } => {
-                Some(self.block(self.function(*callee).entry).addr)
-            }
-            _ => None,
-        }
+        // Only addresses are read: skip the view's op-table lookups.
+        let target = match &self.cfg.blocks[id.index()].term {
+            Terminator::Conditional { taken, .. } => *taken,
+            Terminator::Jump { target } => *target,
+            Terminator::Call { callee, .. } => self.function(*callee).entry,
+            _ => return None,
+        };
+        Some(self.addrs[target.index()])
     }
 
     /// Block ids whose bytes overlap the given cache line.
@@ -376,13 +466,15 @@ impl Program {
     ) -> impl Iterator<Item = BlockId> + '_ {
         let base = line.base();
         let end = line.next().base();
-        // First block whose end extends past the line base.
-        let start = self
-            .blocks
-            .partition_point(|b| b.end_addr() <= base);
-        self.blocks[start..]
+        // First block whose end extends past the line base: only the last
+        // block starting at or before `base` can straddle it.
+        let mut start = self.addrs.partition_point(|&a| a <= base);
+        if start > 0 && self.block(BlockId::new(start as u32 - 1)).end_addr() > base {
+            start -= 1;
+        }
+        self.addrs[start..]
             .iter()
-            .take_while(move |b| b.addr < end)
+            .take_while(move |&&a| a < end)
             .enumerate()
             .map(move |(i, _)| BlockId::new((start + i) as u32))
     }
@@ -406,8 +498,9 @@ impl Program {
     /// Total text-segment size in bytes (blocks plus coalesce table),
     /// assuming the current layout is packed.
     pub fn text_bytes(&self) -> u64 {
-        let code: u64 = self.blocks.iter().map(|b| u64::from(b.size_bytes())).sum();
-        code + self.coalesce_table.len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES)
+        let body: u64 = self.cfg.blocks.iter().map(|b| u64::from(b.body_bytes)).sum();
+        let ops: u64 = self.ops.iter().map(|op| u64::from(op.encoded_bytes())).sum();
+        body + ops + self.coalesce_table.len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES)
     }
 }
 
@@ -419,7 +512,6 @@ mod tests {
         let blocks = vec![
             BasicBlock {
                 func: FuncId::new(0),
-                addr: Addr::new(0x1000),
                 num_instrs: 4,
                 body_bytes: 16,
                 term_bytes: 4,
@@ -428,16 +520,13 @@ mod tests {
                     not_taken: BlockId::new(1),
                     taken_prob: 0.5,
                 },
-                prefetch_ops: Vec::new(),
             },
             BasicBlock {
                 func: FuncId::new(0),
-                addr: Addr::new(0x1010),
                 num_instrs: 2,
                 body_bytes: 8,
                 term_bytes: 2,
                 term: Terminator::Return,
-                prefetch_ops: Vec::new(),
             },
         ];
         let functions = vec![Function {
@@ -446,7 +535,10 @@ mod tests {
             first_block: 0,
             last_block: 2,
         }];
-        Program::from_parts(functions, blocks, FuncId::new(0))
+        let mut p = Program::from_parts(functions, blocks, FuncId::new(0));
+        p.set_addr(BlockId::new(0), Addr::new(0x1000));
+        p.set_addr(BlockId::new(1), Addr::new(0x1010));
+        p
     }
 
     #[test]
@@ -480,14 +572,103 @@ mod tests {
     fn prefetch_ops_grow_block() {
         let mut p = two_block_program();
         let before = p.block(BlockId::new(0)).size_bytes();
-        p.block_mut(BlockId::new(0))
-            .prefetch_ops
-            .push(PrefetchOp::BrPrefetch {
-                branch_block: BlockId::new(1),
-            });
+        let op = PrefetchOp::BrPrefetch {
+            branch_block: BlockId::new(1),
+        };
+        p.set_prefetch_ops(vec![(BlockId::new(0), op)]);
         let b = p.block(BlockId::new(0));
         assert_eq!(b.size_bytes(), before + twig_types::BRPREFETCH_BYTES);
         assert_eq!(b.total_instrs(), 5);
+        assert!(p.block(BlockId::new(1)).prefetch_ops.is_empty());
+        assert_eq!(p.text_bytes(), 24 + u64::from(twig_types::BRPREFETCH_BYTES));
+    }
+
+    #[test]
+    fn op_table_groups_by_site_in_order() {
+        let mut p = two_block_program();
+        let first = PrefetchOp::BrPrefetch {
+            branch_block: BlockId::new(0),
+        };
+        let second = PrefetchOp::BrCoalesce {
+            base_index: 0,
+            bitmask: 1,
+        };
+        let other = PrefetchOp::BrPrefetch {
+            branch_block: BlockId::new(1),
+        };
+        p.set_prefetch_ops(vec![
+            (BlockId::new(1), first),
+            (BlockId::new(0), other),
+            (BlockId::new(1), second),
+        ]);
+        assert_eq!(p.block(BlockId::new(0)).prefetch_ops, &[other]);
+        assert_eq!(p.block(BlockId::new(1)).prefetch_ops, &[first, second]);
+        assert_eq!(p.prefetch_ops().len(), 3);
+        // An empty table restores the op-free binary exactly.
+        let pristine = two_block_program();
+        p.set_prefetch_ops(Vec::new());
+        assert_eq!(p, pristine);
+    }
+
+    #[test]
+    fn clones_share_the_cfg() {
+        let p = two_block_program();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.cfg, &q.cfg));
+    }
+
+    /// `blocks_overlapping_line` and `branches_in_line` against a scan of
+    /// every block, on a pristine binary and on one grown by injected ops.
+    #[test]
+    fn line_queries_match_a_full_scan() {
+        use crate::layout::assign_layout;
+        use crate::{ProgramGenerator, WorkloadSpec};
+
+        let generator = ProgramGenerator::new(WorkloadSpec::tiny_test());
+        let pristine = generator.generate();
+        let mut rewritten = pristine.clone();
+        let ops = (0..rewritten.num_blocks() as u32)
+            .step_by(3)
+            .map(|i| {
+                let op = PrefetchOp::BrPrefetch {
+                    branch_block: BlockId::new(i / 2),
+                };
+                (BlockId::new(i), op)
+            })
+            .collect();
+        rewritten.set_prefetch_ops(ops);
+        assign_layout(&mut rewritten, &generator.layout_options());
+        assert_ne!(rewritten.block(BlockId::new(5)).addr, pristine.block(BlockId::new(5)).addr);
+
+        for p in [&pristine, &rewritten] {
+            let lines: std::collections::BTreeSet<_> = p
+                .blocks()
+                .flat_map(|(_, b)| {
+                    let first = b.addr.line();
+                    let before = twig_types::CacheLineAddr::from_line_number(first.line_number() - 1);
+                    [before, first, b.branch_pc().line(), b.end_addr().line()]
+                })
+                .collect();
+            for &line in &lines {
+                let (base, end) = (line.base(), line.next().base());
+                let overlapping: Vec<BlockId> = p
+                    .blocks()
+                    .filter(|(_, b)| b.addr < end && b.end_addr() > base)
+                    .map(|(id, _)| id)
+                    .collect();
+                assert_eq!(
+                    p.blocks_overlapping_line(line).collect::<Vec<_>>(),
+                    overlapping,
+                    "{line:?}"
+                );
+                let branches: Vec<_> = p
+                    .blocks()
+                    .filter(|(_, b)| b.branch_kind().is_some() && b.branch_pc().line() == line)
+                    .map(|(id, b)| (id, b.branch_kind().unwrap(), p.direct_branch_target_addr(id)))
+                    .collect();
+                assert_eq!(p.branches_in_line(line).collect::<Vec<_>>(), branches, "{line:?}");
+            }
+        }
     }
 
     #[test]

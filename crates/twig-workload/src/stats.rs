@@ -52,17 +52,16 @@ impl StaticStats {
         for (_, block) in program.blocks() {
             stats.blocks += 1;
             stats.instructions += u64::from(block.num_instrs);
-            stats.text_bytes += u64::from(block.size_bytes());
+            stats.text_bytes += u64::from(block.body_bytes);
             if let Some(kind) = block.branch_kind() {
                 stats.branches_by_kind[kind.index()] += 1;
             }
-            stats.prefetch_ops += block.prefetch_ops.len() as u64;
-            stats.prefetch_bytes += u64::from(block.prefetch_bytes());
         }
-        let table_bytes =
-            program.coalesce_table().len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES);
-        stats.text_bytes += table_bytes;
-        stats.prefetch_bytes += table_bytes;
+        let ops = program.prefetch_ops();
+        stats.prefetch_ops = ops.len() as u64;
+        stats.prefetch_bytes = ops.iter().map(|op| u64::from(op.encoded_bytes())).sum::<u64>()
+            + program.coalesce_table().len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES);
+        stats.text_bytes += stats.prefetch_bytes;
         stats
     }
 

@@ -7,9 +7,8 @@
 //! *n*-bit bitmask and prefetches every selected entry — amortizing the
 //! instruction-footprint cost over up to *n* BTB entries.
 
-use std::collections::HashMap;
-
 use twig_serde::{Deserialize, Serialize};
+use twig_types::fxhash::FxHashMap;
 use twig_types::{BlockId, PrefetchOp};
 use twig_workload::Program;
 
@@ -19,7 +18,7 @@ pub struct CoalescePlan {
     /// Table entries (branch blocks), sorted by branch address.
     pub table: Vec<BlockId>,
     /// Per injection site: the emitted `brcoalesce` operations.
-    pub ops_per_site: HashMap<BlockId, Vec<PrefetchOp>>,
+    pub ops_per_site: FxHashMap<BlockId, Vec<PrefetchOp>>,
 }
 
 impl CoalescePlan {
@@ -83,13 +82,13 @@ pub fn build_coalesce_plan(
     table.sort_unstable_by_key(|&b| program.block(b).branch_pc());
     table.dedup();
 
-    let index_of: HashMap<BlockId, u32> = table
+    let index_of: FxHashMap<BlockId, u32> = table
         .iter()
         .enumerate()
         .map(|(i, &b)| (b, i as u32))
         .collect();
 
-    let mut ops_per_site: HashMap<BlockId, Vec<PrefetchOp>> = HashMap::new();
+    let mut ops_per_site: FxHashMap<BlockId, Vec<PrefetchOp>> = FxHashMap::default();
     for (site, branches) in assignments {
         if branches.is_empty() {
             continue;

@@ -127,9 +127,10 @@ impl TwigOptimizer {
 
     /// Rewrites a clone of an already-generated pristine (op-free) program
     /// according to `plans`; `layout` is the layout the program was
-    /// generated with ([`ProgramGenerator::layout_options`]). Sweeps that
-    /// rewrite the same application once per configuration point share
-    /// one pristine copy.
+    /// generated with ([`ProgramGenerator::layout_options`]). The clone
+    /// shares the pristine control-flow graph and owns only its layout, so
+    /// sweeps that rewrite the same application once per configuration
+    /// point keep one copy of the graph.
     pub fn rewrite_of(
         &self,
         pristine: &Program,

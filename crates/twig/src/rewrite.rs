@@ -7,11 +7,10 @@
 //! pair that stopped fitting to the coalesce table. Two or three passes
 //! always converge because demotion is monotone.
 
-use std::collections::HashMap;
-
 use twig_serde::{Deserialize, Serialize};
+use twig_types::fxhash::FxHashMap;
 use twig_types::{BlockId, PrefetchOp};
-use twig_workload::{layout::assign_layout, LayoutOptions, Program, StaticStats};
+use twig_workload::{layout::assign_layout, LayoutOptions, Program};
 
 use crate::analysis::MissPlan;
 use crate::coalesce::build_coalesce_plan;
@@ -72,14 +71,14 @@ pub fn apply_rewrite(
 ) -> RewriteOutcome {
     config.validate().expect("invalid twig config");
     assert!(
-        program.blocks().all(|(_, b)| b.prefetch_ops.is_empty()),
+        program.prefetch_ops().is_empty(),
         "program was already rewritten"
     );
-    let before = StaticStats::of(program);
+    let text_bytes_before = program.text_bytes();
 
     // Desired (site -> branches) assignments, respecting per-block budget;
     // plans arrive hottest-first so the budget favours hot misses.
-    let mut per_site: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    let mut per_site: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
     let mut dropped = 0u64;
     for plan in plans {
         for site in &plan.sites {
@@ -93,14 +92,11 @@ pub fn apply_rewrite(
     }
 
     // Iterate classification until stable (demotion is monotone).
-    let mut demoted: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    // Blocks given ops in the previous pass — the only ones that need
-    // clearing before a rebuild (the input program is asserted op-free,
-    // so walking every block of a large binary per pass is pure waste).
-    let mut op_sites: Vec<BlockId> = Vec::new();
+    let mut demoted: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
+    let mut injection_sites = 0u64;
     for _pass in 0..3 {
         // Classify against the current layout.
-        let mut direct: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut direct: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
         for (&site, branches) in &per_site {
             for &branch in branches {
                 let already_demoted = demoted
@@ -113,7 +109,8 @@ pub fn apply_rewrite(
                 }
             }
         }
-        // Rebuild ops from scratch.
+        // Rebuild the op table from scratch: each site's direct ops, then
+        // its coalesce ops.
         let assignments: Vec<(BlockId, Vec<BlockId>)> = demoted
             .iter()
             .map(|(&s, v)| (s, v.clone()))
@@ -123,26 +120,26 @@ pub fn apply_rewrite(
         } else {
             crate::coalesce::CoalescePlan::default()
         };
-        for id in op_sites.drain(..) {
-            program.block_mut(id).prefetch_ops.clear();
-        }
+        let direct_ops: usize = direct.values().map(Vec::len).sum();
+        let mut ops = Vec::with_capacity(direct_ops + coalesce.num_ops());
         for (&site, branches) in &direct {
-            let ops = &mut program.block_mut(site).prefetch_ops;
-            for &branch in branches {
-                ops.push(PrefetchOp::BrPrefetch {
-                    branch_block: branch,
-                });
-            }
-            op_sites.push(site);
+            ops.extend(
+                branches
+                    .iter()
+                    .map(|&branch| (site, PrefetchOp::BrPrefetch { branch_block: branch })),
+            );
         }
-        for (site, ops) in &coalesce.ops_per_site {
-            program
-                .block_mut(*site)
-                .prefetch_ops
-                .extend(ops.iter().copied());
-            op_sites.push(*site);
+        for (&site, site_ops) in &coalesce.ops_per_site {
+            ops.extend(site_ops.iter().map(|&op| (site, op)));
         }
-        program.set_coalesce_table(coalesce.table.clone());
+        injection_sites = (direct.len()
+            + coalesce
+                .ops_per_site
+                .keys()
+                .filter(|site| !direct.contains_key(site))
+                .count()) as u64;
+        program.set_prefetch_ops(ops);
+        program.set_coalesce_table(coalesce.table);
         assign_layout(program, layout);
 
         // Converged when every direct pair still encodes.
@@ -156,23 +153,22 @@ pub fn apply_rewrite(
         }
     }
 
-    // Account the outcome.
+    // Account the outcome from the installed tables.
+    let table_bytes =
+        program.coalesce_table().len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES);
     let mut outcome = RewriteOutcome {
-        text_bytes_before: before.text_bytes,
-        text_bytes_after: StaticStats::of(program).text_bytes,
+        text_bytes_before,
+        text_bytes_after: text_bytes_before + table_bytes,
         coalesce_entries: program.coalesce_table().len() as u64,
+        injection_sites,
         dropped_pairs: dropped,
         ..RewriteOutcome::default()
     };
-    for (_, block) in program.blocks() {
-        if !block.prefetch_ops.is_empty() {
-            outcome.injection_sites += 1;
-        }
-        for op in &block.prefetch_ops {
-            match op {
-                PrefetchOp::BrPrefetch { .. } => outcome.brprefetch_ops += 1,
-                PrefetchOp::BrCoalesce { .. } => outcome.brcoalesce_ops += 1,
-            }
+    for op in program.prefetch_ops() {
+        outcome.text_bytes_after += u64::from(op.encoded_bytes());
+        match op {
+            PrefetchOp::BrPrefetch { .. } => outcome.brprefetch_ops += 1,
+            PrefetchOp::BrCoalesce { .. } => outcome.brcoalesce_ops += 1,
         }
     }
     if !config.enable_coalescing {
@@ -185,7 +181,7 @@ pub fn apply_rewrite(
 mod tests {
     use super::*;
     use crate::analysis::SelectedSite;
-    use twig_workload::{ProgramGenerator, WorkloadSpec};
+    use twig_workload::{ProgramGenerator, StaticStats, WorkloadSpec};
 
     fn generator() -> ProgramGenerator {
         ProgramGenerator::new(WorkloadSpec::tiny_test())
@@ -245,6 +241,37 @@ mod tests {
                 assert_eq!(program.block(pair[0]).end_addr(), program.block(pair[1]).addr);
             }
         }
+    }
+
+    #[test]
+    fn text_bytes_after_matches_a_full_recount() {
+        let g = generator();
+        let mut program = g.generate();
+        let site = program.function(program.entry_function()).entry;
+        // Near branches become `brprefetch`, library ones go to the table.
+        let mut plans: Vec<MissPlan> = direct_branches(&program, 3)
+            .into_iter()
+            .map(|b| plan(site, b))
+            .collect();
+        plans.extend(
+            program
+                .blocks()
+                .filter(|(id, b)| {
+                    b.addr.raw() > 0x7000_0000_0000
+                        && program.direct_branch_target_addr(*id).is_some()
+                })
+                .take(3)
+                .map(|(id, _)| plan(site, id)),
+        );
+        let outcome = apply_rewrite(
+            &mut program,
+            &plans,
+            &TwigConfig::default(),
+            &g.layout_options(),
+        );
+        assert!(outcome.brprefetch_ops > 0 && outcome.brcoalesce_ops > 0);
+        assert_eq!(outcome.text_bytes_after, StaticStats::of(&program).text_bytes);
+        assert_eq!(outcome.text_bytes_after, program.text_bytes());
     }
 
     #[test]
