@@ -81,12 +81,12 @@ impl Fingerprint for Arc<[BlockEvent]> {
 
 impl Fingerprint for Arc<Profile> {
     fn fingerprint(&self) -> u64 {
-        let mut h = mix(FNV_OFFSET, self.samples.len() as u64);
+        let mut h = mix(FNV_OFFSET, self.samples().len() as u64);
         h = mix(h, self.block_executions.len() as u64);
         h = mix(h, self.instructions);
         h = mix(h, u64::from(self.sample_period));
-        let stride = (self.samples.len() / 64).max(1);
-        for s in self.samples.iter().step_by(stride) {
+        let stride = (self.samples().len() / 64).max(1);
+        for s in self.samples().iter().step_by(stride) {
             h = mix(h, u64::from(s.branch_block.raw()));
             h = mix(h, s.cycle);
         }
@@ -361,9 +361,11 @@ impl ArtifactCache {
         ArtifactCache {
             setups: Shard::new(),
             events: Shard::new(),
-            // Profiles are the one artifact that is both huge (tens of MB
-            // of miss samples each) and mostly single-use (sweeps retire
-            // one per configuration point); keep only a recent working set.
+            // Profiles are the one artifact that is both large (the shared
+            // LBR log costs ~110 bytes per miss sample: a few MB at 2M
+            // instructions, ~70 MB for verilator at 10M) and mostly
+            // single-use (sweeps retire one per configuration point);
+            // keep only a recent working set.
             profiles: Shard::with_capacity(Some(12)),
             prepared: Shard::new(),
             sims: Shard::new(),

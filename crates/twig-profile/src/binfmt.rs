@@ -3,7 +3,9 @@
 //! A JSON profile of a 2M-instruction run weighs tens of megabytes (every
 //! miss sample carries a 32-deep history); this varint-packed format is
 //! roughly 20× smaller and is what the `twig` CLI writes for `.twpf`
-//! files. Layout (little-endian, varint = LEB128):
+//! files. Each sample's history window is written in full; the decoder
+//! rebuilds the profile's shared log through [`Profile::push_sample`].
+//! Layout (little-endian, varint = LEB128):
 //!
 //! ```text
 //! magic   "TWPF"           4 bytes
@@ -26,7 +28,7 @@
 use twig_bytes::{Buf, BufMut, Bytes, BytesMut};
 use twig_types::{BlockId, BranchKind};
 
-use crate::profile::{MissSample, Profile};
+use crate::profile::Profile;
 
 const MAGIC: &[u8; 4] = b"TWPF";
 const VERSION: u8 = 1;
@@ -100,7 +102,7 @@ impl std::error::Error for ProfileCodecError {}
 /// assert_eq!(decode_profile(&bytes).unwrap(), profile);
 /// ```
 pub fn encode_profile(profile: &Profile) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + profile.samples.len() * 48);
+    let mut buf = BytesMut::with_capacity(64 + profile.num_samples() * 48);
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     put_varint(&mut buf, u64::from(profile.sample_period));
@@ -109,14 +111,15 @@ pub fn encode_profile(profile: &Profile) -> Bytes {
     for &e in &profile.block_executions {
         put_varint(&mut buf, e);
     }
-    put_varint(&mut buf, profile.samples.len() as u64);
-    for s in &profile.samples {
+    put_varint(&mut buf, profile.num_samples() as u64);
+    for s in profile.samples() {
+        let history = profile.history(s);
         put_varint(&mut buf, u64::from(s.branch_block.raw()));
         buf.put_u8(s.kind.index() as u8);
         put_varint(&mut buf, s.cycle);
-        buf.put_u8(s.history.len() as u8);
+        buf.put_u8(history.len() as u8);
         let mut prev_cycle = 0u64;
-        for &(block, cycle) in &s.history {
+        for &(block, cycle) in history {
             put_varint(&mut buf, u64::from(block.raw()));
             put_varint(&mut buf, cycle.saturating_sub(prev_cycle));
             prev_cycle = cycle;
@@ -153,9 +156,12 @@ pub fn decode_profile(mut buf: &[u8]) -> Result<Profile, ProfileCodecError> {
         block_executions.push(get_varint(&mut buf)?);
     }
     let nsamples = get_count(&mut buf, "sample", 4)?;
-    let mut samples = Vec::with_capacity(nsamples);
+    let mut profile = Profile::new(0, sample_period);
+    profile.block_executions = block_executions;
+    profile.instructions = instructions;
+    let mut history = Vec::with_capacity(u8::MAX as usize);
     for _ in 0..nsamples {
-        let branch_block = BlockId::new(get_u32(&mut buf, "branch block id")?);
+        let branch_block = get_block(&mut buf, "branch block id")?;
         if !buf.has_remaining() {
             return Err(ProfileCodecError::Truncated);
         }
@@ -171,27 +177,18 @@ pub fn decode_profile(mut buf: &[u8]) -> Result<Profile, ProfileCodecError> {
         if buf.remaining() < nhist * 2 {
             return Err(ProfileCodecError::Truncated);
         }
-        let mut history = Vec::with_capacity(nhist);
+        history.clear();
         let mut prev_cycle = 0u64;
         for _ in 0..nhist {
-            let block = BlockId::new(get_u32(&mut buf, "history block id")?);
+            let block = get_block(&mut buf, "history block id")?;
             let delta = get_varint(&mut buf)?;
             prev_cycle = prev_cycle.saturating_add(delta);
             history.push((block, prev_cycle));
         }
-        samples.push(MissSample {
-            branch_block,
-            kind,
-            cycle,
-            history,
-        });
+        profile.push_sample(branch_block, kind, cycle, &history);
     }
-    Ok(Profile {
-        samples,
-        block_executions,
-        instructions,
-        sample_period,
-    })
+    profile.shrink_to_fit();
+    Ok(profile)
 }
 
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -210,6 +207,15 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 fn get_u32(buf: &mut &[u8], field: &'static str) -> Result<u32, ProfileCodecError> {
     let value = get_varint(buf)?;
     u32::try_from(value).map_err(|_| ProfileCodecError::Overflow { field, value })
+}
+
+/// Decodes a block id; `u32::MAX` has no [`BlockId`] and overflows too.
+fn get_block(buf: &mut &[u8], field: &'static str) -> Result<BlockId, ProfileCodecError> {
+    let raw = get_u32(buf, field)?;
+    BlockId::try_new(raw).ok_or(ProfileCodecError::Overflow {
+        field,
+        value: u64::from(raw),
+    })
 }
 
 /// Decodes a collection length and validates it against the remaining
@@ -256,8 +262,7 @@ mod tests {
     fn real_profile() -> Profile {
         let program = ProgramGenerator::new(WorkloadSpec::tiny_test()).generate();
         let config = SimConfig::default().with_btb_entries(64);
-        let events =
-            Walker::new(&program, InputConfig::numbered(0)).run_instructions(80_000);
+        let events = Walker::new(&program, InputConfig::numbered(0)).run_instructions(80_000);
         let mut recorder = LbrRecorder::new(&program, 1);
         recorder.observe_events(&program, events.iter().copied());
         let mut sim = Simulator::new(&program, config, PlainBtb::new(&config));
@@ -278,13 +283,9 @@ mod tests {
     fn binary_is_much_smaller_than_json() {
         let profile = real_profile();
         let bin = encode_profile(&profile).len();
-        // Approximate JSON size via debug formatting length (JSON would be
-        // larger still); the binary format must win by a wide margin.
-        let textual = format!("{profile:?}").len();
-        assert!(
-            bin * 4 < textual,
-            "binary {bin} bytes vs textual {textual} bytes"
-        );
+        // The binary format must beat the JSON form by a wide margin.
+        let json = twig_serde_json::to_string(&profile).unwrap().len();
+        assert!(bin * 4 < json, "binary {bin} bytes vs JSON {json} bytes");
     }
 
     #[test]
@@ -320,7 +321,10 @@ mod tests {
         bytes.push(0x01); // varint u64::MAX-ish block count
         assert!(matches!(
             decode_profile(&bytes),
-            Err(ProfileCodecError::Oversized { field: "block execution", .. })
+            Err(ProfileCodecError::Oversized {
+                field: "block execution",
+                ..
+            })
         ));
         // Same for the sample count after a valid empty block array.
         let mut bytes = b"TWPF\x01\x01\x00\x00".to_vec();
@@ -328,7 +332,10 @@ mod tests {
         bytes.push(0x01);
         assert!(matches!(
             decode_profile(&bytes),
-            Err(ProfileCodecError::Oversized { field: "sample", .. })
+            Err(ProfileCodecError::Oversized {
+                field: "sample",
+                ..
+            })
         ));
     }
 
@@ -341,19 +348,60 @@ mod tests {
         bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
         assert!(matches!(
             decode_profile(&bytes),
-            Err(ProfileCodecError::Overflow { field: "branch block id", .. })
+            Err(ProfileCodecError::Overflow {
+                field: "branch block id",
+                ..
+            })
+        ));
+    }
+
+    /// The format writes every window in full, shared log or not: these
+    /// are the bytes of the format's first version.
+    #[test]
+    fn golden_bytes_are_unchanged() {
+        const GOLDEN: [u8; 36] = [
+            84, 87, 80, 70, 1, 2, 232, 7, 3, 5, 0, 130, 1, 2, 2, 2, 40, 3, 0, 10, 1, 15, 2, 15, 1,
+            0, 172, 2, 3, 1, 25, 2, 15, 1, 132, 2,
+        ];
+        let profile = crate::profile::tests::hand_built();
+        assert_eq!(encode_profile(&profile).to_vec(), GOLDEN);
+        assert_eq!(decode_profile(&GOLDEN).unwrap(), profile);
+    }
+
+    #[test]
+    fn u32_max_block_id_is_a_typed_error() {
+        // period=1, instrs=0, nblocks=0, nsamples=1, branch block u32::MAX.
+        let mut bytes = b"TWPF\x01\x01\x00\x00\x01".to_vec();
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
+        assert!(matches!(
+            decode_profile(&bytes),
+            Err(ProfileCodecError::Overflow {
+                field: "branch block id",
+                value: 0xffff_ffff,
+            })
+        ));
+        // The same id inside a history.
+        let mut bytes = b"TWPF\x01\x01\x00\x00\x01\x00\x00\x00\x01".to_vec();
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0x00]);
+        assert!(matches!(
+            decode_profile(&bytes),
+            Err(ProfileCodecError::Overflow {
+                field: "history block id",
+                ..
+            })
         ));
     }
 
     #[test]
     fn bad_kind_detected() {
         let mut p = Profile::new(1, 1);
-        p.samples.push(MissSample {
-            branch_block: BlockId::new(0),
-            kind: BranchKind::Return,
-            cycle: 5,
-            history: vec![(BlockId::new(0), 5)],
-        });
+        p.push_sample(
+            BlockId::new(0),
+            BranchKind::Return,
+            5,
+            &[(BlockId::new(0), 5)],
+        );
         let mut bytes = encode_profile(&p).to_vec();
         // Tail layout: kind, cycle, nhist, hist-block, hist-delta — each
         // one byte for this tiny profile, so the kind sits 5 from the end.

@@ -4,7 +4,7 @@ use twig_sim::{HistoryEntry, MissObserver};
 use twig_types::{BlockId, BranchKind};
 use twig_workload::{BlockEvent, Program};
 
-use crate::profile::{MissSample, Profile};
+use crate::profile::Profile;
 
 /// Collects BTB-miss samples with their basic-block histories, modelling
 /// Intel LBR capture triggered by the `baclears.any` event (§4.1).
@@ -33,6 +33,8 @@ pub struct LbrRecorder {
     profile: Profile,
     period: u32,
     countdown: u32,
+    /// Reused buffer the simulator's history is copied into.
+    window: Vec<(BlockId, u64)>,
 }
 
 impl LbrRecorder {
@@ -49,6 +51,7 @@ impl LbrRecorder {
             profile: Profile::new(program.num_blocks(), period),
             period,
             countdown: 0,
+            window: Vec::with_capacity(twig_sim::LBR_DEPTH),
         }
     }
 
@@ -74,8 +77,9 @@ impl LbrRecorder {
         }
     }
 
-    /// Finishes collection.
-    pub fn into_profile(self) -> Profile {
+    /// Finishes collection, releasing the log's spare capacity.
+    pub fn into_profile(mut self) -> Profile {
+        self.profile.shrink_to_fit();
         self.profile
     }
 
@@ -98,12 +102,10 @@ impl MissObserver for LbrRecorder {
             return;
         }
         self.countdown = self.period - 1;
-        self.profile.samples.push(MissSample {
-            branch_block: block,
-            kind,
-            cycle,
-            history: history.iter().map(|h| (h.block, h.cycle)).collect(),
-        });
+        self.window.clear();
+        self.window
+            .extend(history.iter().map(|h| (h.block, h.cycle)));
+        self.profile.push_sample(block, kind, cycle, &self.window);
     }
 }
 
@@ -154,9 +156,47 @@ mod tests {
     #[test]
     fn histories_end_with_the_missing_block() {
         let (profile, _) = collect(1, 50_000);
-        for s in profile.samples.iter().take(200) {
-            assert_eq!(s.history.last().map(|(b, _)| *b), Some(s.branch_block));
-            assert!(s.history.len() <= twig_sim::LBR_DEPTH);
+        for s in profile.samples().iter().take(200) {
+            let history = profile.history(s);
+            assert_eq!(history.last().map(|(b, _)| *b), Some(s.branch_block));
+            assert!(history.len() <= twig_sim::LBR_DEPTH);
+        }
+    }
+
+    /// Records every window the simulator hands the recorder, as passed.
+    struct Windows(Vec<Vec<(BlockId, u64)>>);
+
+    impl MissObserver for Windows {
+        fn on_btb_miss(&mut self, _: BlockId, _: BranchKind, history: &[HistoryEntry], _: u64) {
+            self.0
+                .push(history.iter().map(|h| (h.block, h.cycle)).collect());
+        }
+    }
+
+    /// The shared log reproduces every window the simulator passed.
+    #[test]
+    fn profile_history_equals_the_simulator_window() {
+        let program = ProgramGenerator::new(WorkloadSpec::tiny_test()).generate();
+        let config = SimConfig::default().with_btb_entries(512);
+        let events: Vec<_> =
+            Walker::new(&program, InputConfig::numbered(0)).run_instructions(100_000);
+        let mut recorder = LbrRecorder::new(&program, 1);
+        Simulator::new(&program, config, PlainBtb::new(&config)).run_observed(
+            events.iter().copied(),
+            u64::MAX,
+            &mut recorder,
+        );
+        let mut windows = Windows(Vec::new());
+        Simulator::new(&program, config, PlainBtb::new(&config)).run_observed(
+            events,
+            u64::MAX,
+            &mut windows,
+        );
+        let profile = recorder.into_profile();
+        assert!(profile.num_samples() > 100);
+        assert_eq!(profile.num_samples(), windows.0.len());
+        for (s, w) in profile.samples().iter().zip(&windows.0) {
+            assert_eq!(profile.history(s), w.as_slice());
         }
     }
 }

@@ -9,7 +9,7 @@
 use twig_types::{BlockId, FuncId};
 
 use crate::layout::{assign_layout, LayoutOptions};
-use crate::program::{BasicBlock, Function, Program, Terminator};
+use crate::program::{BasicBlock, Function, Program, TargetTables, Terminator};
 
 /// Builder for one function's blocks.
 #[derive(Debug)]
@@ -53,6 +53,7 @@ struct BlockDraft {
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     functions: Vec<FunctionDraft>,
+    targets: TargetTables,
     instr_bytes: u32,
 }
 
@@ -61,8 +62,33 @@ impl ProgramBuilder {
     pub fn new() -> Self {
         ProgramBuilder {
             functions: Vec::new(),
+            targets: TargetTables::default(),
             instr_bytes: 4,
         }
+    }
+
+    /// An indirect-jump terminator over weighted `(target, weight)` pairs,
+    /// recorded in the program's target table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets` is empty.
+    pub fn indirect_jump(&mut self, targets: &[(BlockId, f32)]) -> Terminator {
+        self.targets
+            .indirect_jump(targets.iter().copied())
+            .expect("an indirect jump needs at least one target")
+    }
+
+    /// An indirect-call terminator over weighted `(callee, weight)` pairs,
+    /// recorded in the program's target table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `callees` is empty.
+    pub fn indirect_call(&mut self, callees: &[(FuncId, f32)], return_to: BlockId) -> Terminator {
+        self.targets
+            .indirect_call(callees.iter().copied(), return_to)
+            .expect("an indirect call needs at least one callee")
     }
 
     /// Sets the instruction size used for subsequently added blocks.
@@ -191,12 +217,12 @@ impl ProgramBuilder {
                     check_block(*return_to);
                 }
                 Terminator::IndirectJump { targets } => {
-                    for (t, _) in targets {
+                    for (t, _) in self.targets.jump_targets(*targets) {
                         check_block(*t);
                     }
                 }
                 Terminator::IndirectCall { callees, return_to } => {
-                    for (c, _) in callees {
+                    for (c, _) in self.targets.call_targets(*callees) {
                         check_func(*c);
                     }
                     check_block(*return_to);
@@ -204,7 +230,8 @@ impl ProgramBuilder {
                 Terminator::Return => {}
             }
         }
-        let mut program = Program::from_parts(functions, blocks, FuncId::new(entry as u32));
+        let mut program =
+            Program::from_parts(functions, blocks, self.targets, FuncId::new(entry as u32));
         assign_layout(&mut program, layout);
         program
     }
@@ -299,6 +326,44 @@ mod tests {
         for ev in Walker::new(&p, input).take(100) {
             if ev.block == BlockId::new(0) {
                 assert!(!ev.taken);
+            }
+        }
+    }
+
+    /// Indirect terminators resolve through the program's target tables:
+    /// the walk only ever reaches the listed targets and callees.
+    #[test]
+    fn indirect_targets_resolve_through_the_tables() {
+        let mut b = ProgramBuilder::new();
+        let f0 = b.function();
+        let f1 = b.function();
+        let f2 = b.function();
+        let (t1, t2) = (b.block_ref(f0, 1), b.block_ref(f0, 2));
+        let jump = b.indirect_jump(&[(t1, 1.0), (t2, 3.0)]);
+        b.block(f0, 2, jump);
+        let call = b.indirect_call(&[(b.func_id(f1), 1.0), (b.func_id(f2), 1.0)], t2);
+        b.block(f0, 2, call);
+        let back = Terminator::Jump {
+            target: b.block_ref(f0, 0),
+        };
+        b.block(f0, 2, back);
+        b.block(f1, 1, Terminator::Return);
+        b.block(f2, 1, Terminator::Return);
+        let p = b.build(f0);
+        let Terminator::IndirectJump { targets } = p.block(BlockId::new(0)).term else {
+            panic!("bb0 is an indirect jump");
+        };
+        assert_eq!(p.indirect_targets(targets), &[(t1, 1.0), (t2, 3.0)]);
+        let Terminator::IndirectCall { callees, .. } = p.block(t1).term else {
+            panic!("bb1 is an indirect call");
+        };
+        assert_eq!(p.indirect_callees(callees).len(), 2);
+        let (e1, e2) = (p.function(FuncId::new(1)).entry, p.function(FuncId::new(2)).entry);
+        for ev in Walker::new(&p, InputConfig::numbered(0)).take(200) {
+            match ev.block.raw() {
+                0 => assert!(ev.target == Some(t1) || ev.target == Some(t2)),
+                1 => assert!(ev.target == Some(e1) || ev.target == Some(e2)),
+                _ => {}
             }
         }
     }

@@ -182,6 +182,20 @@ impl<'a> ColumnDecoder<'a> {
         }
     }
 
+    /// Decodes the next block id; a value with no [`BlockId`] (`u32::MAX`
+    /// and above) is [`TraceError::Corrupt`].
+    fn block_id(&mut self) -> Result<BlockId, TraceError> {
+        let at = self.base + self.pos as u64;
+        let raw = self.varint()?;
+        u32::try_from(raw)
+            .ok()
+            .and_then(BlockId::try_new)
+            .ok_or(TraceError::Corrupt {
+                offset: at,
+                what: "block id out of range",
+            })
+    }
+
     /// Decodes the next varint.
     fn varint(&mut self) -> Result<u64, TraceError> {
         let mut v = 0u64;
@@ -442,6 +456,8 @@ pub fn write_columnar_file(
 pub struct ColumnarReader {
     map: MappedBytes,
     dir: Vec<ChunkSummary>,
+    /// Index of each chunk's first event, then the total.
+    first_events: Vec<u64>,
     total: u64,
     chunk_target: u32,
 }
@@ -521,6 +537,7 @@ impl ColumnarReader {
             });
         }
         let mut dir = Vec::with_capacity(chunk_count);
+        let mut first_events = Vec::with_capacity(chunk_count + 1);
         let mut expected_offset = HEADER_LEN as u64;
         let mut summed = 0u64;
         for entry in dir_bytes.chunks_exact(DIRENT_LEN) {
@@ -565,6 +582,7 @@ impl ColumnarReader {
                     what: "chunk payload out of bounds",
                 });
             }
+            first_events.push(summed);
             summed += u64::from(events);
             dir.push(ChunkSummary {
                 offset,
@@ -585,9 +603,11 @@ impl ColumnarReader {
                 what: "footer event total disagrees with directory",
             });
         }
+        first_events.push(total);
         Ok(ColumnarReader {
             map,
             dir,
+            first_events,
             total,
             chunk_target,
         })
@@ -606,6 +626,16 @@ impl ColumnarReader {
     /// The writer's nominal events-per-chunk.
     pub fn chunk_target(&self) -> u32 {
         self.chunk_target
+    }
+
+    /// Index of chunk `index`'s first event in the trace; `chunk_count()`
+    /// gives the total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds [`chunk_count`](Self::chunk_count).
+    pub(crate) fn first_event(&self, index: usize) -> u64 {
+        self.first_events[index]
     }
 
     /// Per-chunk branch-density summaries, in file order — readable
@@ -652,7 +682,7 @@ impl ColumnarReader {
         let target_bits = &payload[bits_len..2 * bits_len];
         let blocks_col = &payload[2 * bits_len..2 * bits_len + blocks_len];
         let target_col = &payload[2 * bits_len + blocks_len..];
-        let event_base: u64 = self.dir[..index].iter().map(|s| u64::from(s.events)).sum();
+        let event_base = self.first_events[index];
         let mut blocks =
             ColumnDecoder::new(blocks_col, (payload_at + 2 * bits_len) as u64, event_base);
         let mut targets = ColumnDecoder::new(
@@ -664,9 +694,9 @@ impl ColumnarReader {
         for i in 0..count {
             let bit = 1u8 << (i % 8);
             let taken = taken_bits[i / 8] & bit != 0;
-            let block = BlockId::new(blocks.varint()? as u32);
+            let block = blocks.block_id()?;
             let target = if target_bits[i / 8] & bit != 0 {
-                Some(BlockId::new(targets.varint()? as u32))
+                Some(targets.block_id()?)
             } else {
                 None
             };
@@ -821,6 +851,46 @@ mod tests {
             };
             assert!(rejected, "bit flip at byte {at} went undetected");
         }
+    }
+
+    /// A chunk whose CRC is valid but whose block column holds `u32::MAX`
+    /// (which no `BlockId` represents) is a typed error, not a panic.
+    #[test]
+    fn out_of_range_block_id_is_a_typed_error() {
+        let ev = |block| BlockEvent {
+            block: BlockId::new(block),
+            taken: false,
+            target: None,
+        };
+        // `u32::MAX - 1` and `u32::MAX` both take five LEB128 bytes, so
+        // patching the last byte keeps every length; then re-seal the CRC.
+        let mut bytes = encode_columnar(&[ev(3), ev(u32::MAX - 1)]);
+        let reader = ColumnarReader::from_bytes(bytes.clone()).unwrap();
+        let at = reader.summaries()[0].offset as usize;
+        drop(reader);
+        let payload_at = at + CHUNK_HEADER_LEN;
+        let id_at = payload_at + 2 + 1;
+        assert_eq!(bytes[id_at..id_at + 5], [0xfe, 0xff, 0xff, 0xff, 0x0f]);
+        bytes[id_at] = 0xff;
+        let blocks_len = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().unwrap()) as usize;
+        let crc = crc32(&[&bytes[at..at + 20], &bytes[payload_at..payload_at + 2 + blocks_len]]);
+        bytes[at + 20..at + 24].copy_from_slice(&crc.to_le_bytes());
+        let reader = ColumnarReader::from_bytes(bytes).unwrap();
+        assert!(matches!(
+            reader.read_all(),
+            Err(TraceError::Corrupt {
+                what: "block id out of range",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn first_events_index_every_chunk() {
+        let events = sample_events(1_000);
+        let reader = ColumnarReader::from_bytes(encode_columnar_chunked(&events, 300)).unwrap();
+        let starts: Vec<u64> = (0..=reader.chunk_count()).map(|i| reader.first_event(i)).collect();
+        assert_eq!(starts, [0, 300, 600, 900, 1_000]);
     }
 
     #[test]

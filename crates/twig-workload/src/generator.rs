@@ -18,7 +18,7 @@ use twig_rand::{RngExt, SeedableRng};
 use twig_types::{BlockId, FuncId};
 
 use crate::layout::{assign_layout, LayoutOptions, LibrarySplit};
-use crate::program::{BasicBlock, Function, Program, Terminator};
+use crate::program::{BasicBlock, Function, Program, TargetTables, Terminator};
 use crate::spec::{Span, Span1, WorkloadSpec};
 
 /// Deterministic program builder. See the [module docs](self).
@@ -107,6 +107,7 @@ impl ProgramGenerator {
 
         let mut functions = Vec::with_capacity(total_funcs as usize);
         let mut blocks: Vec<BasicBlock> = Vec::new();
+        let mut targets = TargetTables::default();
         // Balanced callee assignment: rotate through each pool so every
         // function has near-uniform in-degree. Uniform *random* assignment
         // produces a multiplicative popularity cascade across call levels
@@ -119,11 +120,12 @@ impl ProgramGenerator {
             let fid = FuncId::new(f);
             let first_block = blocks.len() as u32;
             if f == 0 {
-                self.build_dispatcher(&mut blocks, fid, &mut rng);
+                self.build_dispatcher(&mut blocks, &mut targets, fid, &mut rng);
             } else {
                 let level = level_of[f as usize];
                 self.build_function(
                     &mut blocks,
+                    &mut targets,
                     fid,
                     level,
                     &funcs_at_level,
@@ -141,7 +143,7 @@ impl ProgramGenerator {
             });
         }
 
-        let mut program = Program::from_parts(functions, blocks, FuncId::new(0));
+        let mut program = Program::from_parts(functions, blocks, targets, FuncId::new(0));
         assign_layout(&mut program, &self.layout_options());
         program
     }
@@ -161,24 +163,28 @@ impl ProgramGenerator {
 
     /// Dispatcher: `bb0` indirect-calls a handler (Zipf weights), `bb1`
     /// jumps back to `bb0` — an infinite event loop.
-    fn build_dispatcher(&self, blocks: &mut Vec<BasicBlock>, fid: FuncId, rng: &mut StdRng) {
+    fn build_dispatcher(
+        &self,
+        blocks: &mut Vec<BasicBlock>,
+        targets: &mut TargetTables,
+        fid: FuncId,
+        rng: &mut StdRng,
+    ) {
         let spec = &self.spec;
         let first = blocks.len() as u32;
-        let callees: Vec<(FuncId, f32)> = (1..=spec.handlers)
-            .map(|h| {
-                let zipf_w = 1.0 / f64::from(h).powf(spec.handler_zipf);
-                (FuncId::new(h), zipf_w as f32)
-            })
-            .collect();
+        let callees = (1..=spec.handlers).map(|h| {
+            let zipf_w = 1.0 / f64::from(h).powf(spec.handler_zipf);
+            (FuncId::new(h), zipf_w as f32)
+        });
+        let term = targets
+            .indirect_call(callees, BlockId::new(first + 1))
+            .expect("a validated spec has at least one handler");
         blocks.push(BasicBlock {
             func: fid,
             num_instrs: self.sample_instrs(rng),
             body_bytes: 0,
             term_bytes: ICALL_BYTES,
-            term: Terminator::IndirectCall {
-                callees,
-                return_to: BlockId::new(first + 1),
-            },
+            term,
         });
         blocks.push(BasicBlock {
             func: fid,
@@ -200,6 +206,7 @@ impl ProgramGenerator {
     fn build_function(
         &self,
         blocks: &mut Vec<BasicBlock>,
+        targets: &mut TargetTables,
         fid: FuncId,
         level: u32,
         funcs_at_level: &[Vec<u32>],
@@ -220,6 +227,7 @@ impl ProgramGenerator {
                 Terminator::Return
             } else {
                 self.sample_terminator(
+                    targets,
                     first,
                     i,
                     n,
@@ -258,6 +266,7 @@ impl ProgramGenerator {
     #[allow(clippy::too_many_arguments)]
     fn sample_terminator(
         &self,
+        targets: &mut TargetTables,
         first: u32,
         i: u32,
         n: u32,
@@ -300,13 +309,13 @@ impl ProgramGenerator {
                 .min(n - i - 1)
                 .max(1);
             let hi = (i + 8).min(n - 1);
-            let targets = (0..fanout)
-                .map(|_| {
-                    let t = BlockId::new(first + rng.random_range(i + 1..=hi));
-                    (t, rng.random_range(0.2f32..1.0))
-                })
-                .collect();
-            return Terminator::IndirectJump { targets };
+            let jump = (0..fanout).map(|_| {
+                let t = BlockId::new(first + rng.random_range(i + 1..=hi));
+                (t, rng.random_range(0.2f32..1.0))
+            });
+            return targets
+                .indirect_jump(jump)
+                .expect("the fanout is at least one");
         }
         x -= mix.indirect_jump;
         // Fall-through.
@@ -329,19 +338,13 @@ impl ProgramGenerator {
         }
         // Indirect call.
         let fanout = self.sample_span(spec.indirect_call_fanout, rng).max(1);
-        let callees: Vec<(FuncId, f32)> = (0..fanout)
-            .filter_map(|_| {
-                let c = self.choose_callee(level, funcs_at_level, lib_level, rotors, rng)?;
-                Some((FuncId::new(c), rng.random_range(0.2f32..1.0)))
-            })
-            .collect();
-        if callees.is_empty() {
-            return Terminator::FallThrough { next };
-        }
-        Terminator::IndirectCall {
-            callees,
-            return_to: next,
-        }
+        let callees = (0..fanout).filter_map(|_| {
+            let c = self.choose_callee(level, funcs_at_level, lib_level, rotors, rng)?;
+            Some((FuncId::new(c), rng.random_range(0.2f32..1.0)))
+        });
+        targets
+            .indirect_call(callees, next)
+            .unwrap_or(Terminator::FallThrough { next })
     }
 
     /// Balanced callee choice: `library_call_fraction` of call slots go to
@@ -479,6 +482,7 @@ mod tests {
                     assert!(target.raw() > id.raw(), "direct jumps are forward");
                 }
                 Terminator::IndirectJump { targets } => {
+                    let targets = p.indirect_targets(*targets);
                     assert!(!targets.is_empty());
                     for (t, w) in targets {
                         assert!(in_func(*t));
@@ -516,7 +520,7 @@ mod tests {
                         best = best.max(1 + depth(p, *callee, memo, visiting));
                     }
                     Terminator::IndirectCall { callees, .. } => {
-                        for (c, _) in callees {
+                        for (c, _) in p.indirect_callees(*callees) {
                             best = best.max(1 + depth(p, *c, memo, visiting));
                         }
                     }

@@ -17,7 +17,7 @@ use twig_types::{Addr, BlockId, BranchKind, BranchOutcome, BranchRecord, FuncId,
 ///
 /// Block references are stable [`BlockId`]s; the concrete branch-instruction
 /// addresses are a function of the current [layout](crate::layout).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum Terminator {
     /// No control transfer: execution continues at `next` (which the layout
     /// guarantees to be the physically following block).
@@ -49,13 +49,15 @@ pub enum Terminator {
     },
     /// Indirect jump with a weighted set of observed targets.
     IndirectJump {
-        /// `(target, weight)` pairs; weights need not be normalized.
-        targets: Vec<(BlockId, f32)>,
+        /// The `(target, weight)` pairs in the CFG's jump table
+        /// ([`Program::indirect_targets`]); weights need not be normalized.
+        targets: TargetSpan,
     },
     /// Indirect call with a weighted set of observed callees.
     IndirectCall {
-        /// `(callee, weight)` pairs; weights need not be normalized.
-        callees: Vec<(FuncId, f32)>,
+        /// The `(callee, weight)` pairs in the CFG's call table
+        /// ([`Program::indirect_callees`]); weights need not be normalized.
+        callees: TargetSpan,
         /// Block executed after the callee returns (physically next block).
         return_to: BlockId,
     },
@@ -89,12 +91,93 @@ impl Terminator {
     }
 }
 
+/// A `(start, len)` range of one of the CFG's indirect-target tables.
+///
+/// Indirect terminators name their weighted target lists by span, so a
+/// [`Terminator`] holds no heap data and a [`BasicBlock`] is `Copy`. Spans
+/// are minted by [`TargetTables`] and resolved by
+/// [`Program::indirect_targets`] / [`Program::indirect_callees`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct TargetSpan {
+    start: u32,
+    len: u32,
+}
+
+impl TargetSpan {
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The weighted target lists of every indirect branch of one CFG, in two
+/// flat tables: jump targets and call targets.
+///
+/// The generator and [`ProgramBuilder`](crate::ProgramBuilder) fill it
+/// while they build blocks, and [`Program::from_parts`] takes it with the
+/// blocks.
+#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+pub struct TargetTables {
+    jumps: Vec<(BlockId, f32)>,
+    calls: Vec<(FuncId, f32)>,
+}
+
+impl TargetTables {
+    /// Appends an indirect jump's `(target, weight)` list and returns its
+    /// terminator, or `None` (table unchanged) when the list is empty.
+    pub fn indirect_jump(
+        &mut self,
+        targets: impl IntoIterator<Item = (BlockId, f32)>,
+    ) -> Option<Terminator> {
+        let targets = append(&mut self.jumps, targets)?;
+        Some(Terminator::IndirectJump { targets })
+    }
+
+    /// Appends an indirect call's `(callee, weight)` list and returns its
+    /// terminator, or `None` (table unchanged) when the list is empty.
+    pub fn indirect_call(
+        &mut self,
+        callees: impl IntoIterator<Item = (FuncId, f32)>,
+        return_to: BlockId,
+    ) -> Option<Terminator> {
+        let callees = append(&mut self.calls, callees)?;
+        Some(Terminator::IndirectCall { callees, return_to })
+    }
+
+    /// The `(target, weight)` pairs of an indirect jump's span.
+    #[inline]
+    pub(crate) fn jump_targets(&self, span: TargetSpan) -> &[(BlockId, f32)] {
+        &self.jumps[span.range()]
+    }
+
+    /// The `(callee, weight)` pairs of an indirect call's span.
+    #[inline]
+    pub(crate) fn call_targets(&self, span: TargetSpan) -> &[(FuncId, f32)] {
+        &self.calls[span.range()]
+    }
+}
+
+/// Appends `items` to `table` and returns their span; `None` if empty.
+fn append<T>(table: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> Option<TargetSpan> {
+    let start = table.len();
+    table.extend(items);
+    if table.len() == start {
+        return None;
+    }
+    let end = u32::try_from(table.len()).expect("indirect-target table exceeds u32 entries");
+    let start = start as u32;
+    Some(TargetSpan {
+        start,
+        len: end - start,
+    })
+}
+
 /// One basic block of the synthetic program: what the generator decides.
 ///
 /// Where the block sits and which prefetch ops precede it are decided by
 /// the linker and the rewriter and live in the [`Program`]'s per-binary
 /// layout; [`Program::block`] joins both into a [`BlockView`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct BasicBlock {
     /// Owning function.
     pub func: FuncId,
@@ -210,6 +293,7 @@ impl Function {
 struct Cfg {
     functions: Vec<Function>,
     blocks: Vec<BasicBlock>,
+    targets: TargetTables,
     entry_function: FuncId,
 }
 
@@ -253,11 +337,17 @@ pub struct Program {
 
 impl Program {
     /// Assembles a program from parts: the generator's and the builder's
-    /// blocks, all at address zero and without ops until
+    /// blocks with the target tables their indirect terminators index, all
+    /// at address zero and without ops until
     /// [`assign_layout`](crate::layout::assign_layout) places them.
     /// Invariants (dense function ranges, valid ids) are checked in debug
     /// builds.
-    pub fn from_parts(functions: Vec<Function>, blocks: Vec<BasicBlock>, entry: FuncId) -> Self {
+    pub fn from_parts(
+        functions: Vec<Function>,
+        blocks: Vec<BasicBlock>,
+        targets: TargetTables,
+        entry: FuncId,
+    ) -> Self {
         debug_assert!(entry.index() < functions.len());
         debug_assert!(functions
             .iter()
@@ -268,6 +358,7 @@ impl Program {
             cfg: Arc::new(Cfg {
                 functions,
                 blocks,
+                targets,
                 entry_function: entry,
             }),
             op_start: Vec::new(),
@@ -337,6 +428,18 @@ impl Program {
             let id = BlockId::new(i);
             (id, self.block(id))
         })
+    }
+
+    /// The `(target, weight)` pairs of an indirect jump's span.
+    #[inline]
+    pub fn indirect_targets(&self, span: TargetSpan) -> &[(BlockId, f32)] {
+        self.cfg.targets.jump_targets(span)
+    }
+
+    /// The `(callee, weight)` pairs of an indirect call's span.
+    #[inline]
+    pub fn indirect_callees(&self, span: TargetSpan) -> &[(FuncId, f32)] {
+        self.cfg.targets.call_targets(span)
     }
 
     /// Iterator over all functions.
@@ -535,7 +638,7 @@ mod tests {
             first_block: 0,
             last_block: 2,
         }];
-        let mut p = Program::from_parts(functions, blocks, FuncId::new(0));
+        let mut p = Program::from_parts(functions, blocks, TargetTables::default(), FuncId::new(0));
         p.set_addr(BlockId::new(0), Addr::new(0x1000));
         p.set_addr(BlockId::new(1), Addr::new(0x1010));
         p
@@ -608,6 +711,14 @@ mod tests {
         let pristine = two_block_program();
         p.set_prefetch_ops(Vec::new());
         assert_eq!(p, pristine);
+    }
+
+    /// Blocks hold no heap data, and a trace event packs into 12 bytes.
+    #[test]
+    fn blocks_and_events_stay_small() {
+        assert!(std::mem::size_of::<BasicBlock>() <= 32);
+        assert_eq!(std::mem::size_of::<Terminator>(), 16);
+        assert_eq!(std::mem::size_of::<crate::BlockEvent>(), 12);
     }
 
     #[test]

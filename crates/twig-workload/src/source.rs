@@ -296,6 +296,14 @@ impl Iterator for ColumnarSource {
             }
         }
     }
+
+    /// Exact: the rest of the resident chunk plus every later chunk.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let later = self.reader.total_events() - self.reader.first_event(self.chunk);
+        let left = (self.buf.len() - self.pos) as u64 + later;
+        let left = usize::try_from(left).unwrap_or(usize::MAX);
+        (left, Some(left))
+    }
 }
 
 impl sealed::Sealed for ColumnarSource {}
@@ -391,7 +399,7 @@ impl Iterator for AnySource {
         match self {
             AnySource::Mem(s) => s.size_hint(),
             AnySource::Walker(_) => (0, None),
-            AnySource::Columnar(_) => (0, None),
+            AnySource::Columnar(s) => s.size_hint(),
         }
     }
 }
@@ -490,6 +498,40 @@ mod tests {
             col.skip_events(skip);
             assert_eq!(col.collect::<Vec<_>>(), expect, "columnar skip={skip}");
         }
+    }
+
+    /// `size_hint` is exact before, inside and across chunk boundaries,
+    /// after skips, at the end and after a reset.
+    #[test]
+    fn columnar_size_hint_is_exact() {
+        let p = tiny();
+        let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(0))
+            .take(1_000)
+            .collect();
+        let bytes = encode_columnar_chunked(&events, 64);
+        let mut source = ColumnarSource::from_reader(Arc::new(
+            ColumnarReader::from_bytes(bytes).unwrap(),
+        ));
+        let exact = |source: &ColumnarSource, left: usize| {
+            assert_eq!(source.size_hint(), (left, Some(left)));
+        };
+        exact(&source, 1_000);
+        for consumed in 1..=200 {
+            source.next().unwrap();
+            exact(&source, 1_000 - consumed);
+        }
+        source.skip_events(300);
+        exact(&source, 500);
+        source.skip_events(64);
+        exact(&source, 436);
+        let rest: Vec<_> = source.by_ref().take(436).collect();
+        assert!(rest.capacity() < 512, "one allocation of the exact size");
+        exact(&source, 0);
+        assert_eq!(source.next(), None);
+        source.reset();
+        exact(&source, 1_000);
+        let any = AnySource::from(source);
+        assert_eq!(any.size_hint(), (1_000, Some(1_000)));
     }
 
     #[test]

@@ -195,6 +195,7 @@ impl<P: Borrow<Program>> Walker<P> {
                 )
             }
             Terminator::IndirectJump { targets } => {
+                let targets = program.indirect_targets(*targets);
                 let choice =
                     weighted_choice(&mut self.rng, &self.input, id, targets.iter().map(|(_, w)| *w));
                 let target = targets[choice].0;
@@ -208,6 +209,7 @@ impl<P: Borrow<Program>> Walker<P> {
                 )
             }
             Terminator::IndirectCall { callees, return_to } => {
+                let callees = program.indirect_callees(*callees);
                 let choice =
                     weighted_choice(&mut self.rng, &self.input, id, callees.iter().map(|(_, w)| *w));
                 let entry = program.function(callees[choice].0).entry;

@@ -78,7 +78,7 @@ pub fn analyze_profile_with_layout(
 ) -> Vec<MissPlan> {
     // Group sample indices by miss branch.
     let mut by_branch: HashMap<BlockId, Vec<usize>> = HashMap::new();
-    for (i, s) in profile.samples.iter().enumerate() {
+    for (i, s) in profile.samples().iter().enumerate() {
         by_branch.entry(s.branch_block).or_default().push(i);
     }
     // Hottest branches until the sample-coverage goal.
@@ -177,11 +177,11 @@ fn plan_for_branch(
     // Count, per candidate, in how many samples it appears timely
     // (at most once per sample).
     for &i in sample_idxs {
-        let sample = &profile.samples[i];
+        let sample = &profile.samples()[i];
         let start = scratch.arena.len();
         scratch
             .arena
-            .extend(sample.timely_predecessors(config.prefetch_distance));
+            .extend(profile.timely_predecessors(sample, config.prefetch_distance));
         let cands = &mut scratch.arena[start..];
         cands.sort_unstable();
         let mut len = start;
@@ -295,7 +295,6 @@ fn plan_for_branch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_profile::MissSample;
     use twig_types::BranchKind;
 
     fn b(n: u32) -> BlockId {
@@ -312,23 +311,21 @@ mod tests {
         p.block_executions[11] = 8; // C
         p.block_executions[12] = 6; // D
         p.block_executions[13] = 3; // E
-        let mk = |cands: &[u32]| MissSample {
-            branch_block: b(100),
-            kind: BranchKind::DirectCall,
-            cycle: 100,
-            history: cands
+        let mut mk = |cands: &[u32]| {
+            let history: Vec<_> = cands
                 .iter()
                 .map(|&c| (b(c), 50)) // timely: 50 cycles before the miss
                 .chain(std::iter::once((b(100), 100)))
-                .collect(),
+                .collect();
+            p.push_sample(b(100), BranchKind::DirectCall, 100, &history);
         };
         // 4 misses coverable by C (prob 0.5) of which some also see B
         // (prob 0.25); 2 misses coverable by E (0.66) and D (0.33).
         for _ in 0..4 {
-            p.samples.push(mk(&[10, 11]));
+            mk(&[10, 11]);
         }
         for _ in 0..2 {
-            p.samples.push(mk(&[12, 13]));
+            mk(&[12, 13]);
         }
         p.instructions = 1000;
         p
@@ -357,13 +354,13 @@ mod tests {
         let mut p = Profile::new(20, 1);
         p.block_executions[1] = 4;
         for _ in 0..4 {
-            p.samples.push(MissSample {
-                branch_block: b(9),
-                kind: BranchKind::Conditional,
-                cycle: 100,
-                // Candidate at cycle 95: only 5 cycles ahead of the miss.
-                history: vec![(b(1), 95), (b(9), 100)],
-            });
+            // Candidate at cycle 95: only 5 cycles ahead of the miss.
+            p.push_sample(
+                b(9),
+                BranchKind::Conditional,
+                100,
+                &[(b(1), 95), (b(9), 100)],
+            );
         }
         let plans = analyze_profile(&p, &TwigConfig::default());
         assert!(plans.is_empty(), "too-late candidate must be rejected");
@@ -381,12 +378,12 @@ mod tests {
         // Candidate executes 1000 times but only 3 misses follow it.
         p.block_executions[1] = 1000;
         for _ in 0..3 {
-            p.samples.push(MissSample {
-                branch_block: b(9),
-                kind: BranchKind::DirectJump,
-                cycle: 100,
-                history: vec![(b(1), 10), (b(9), 100)],
-            });
+            p.push_sample(
+                b(9),
+                BranchKind::DirectJump,
+                100,
+                &[(b(1), 10), (b(9), 100)],
+            );
         }
         let plans = analyze_profile(&p, &TwigConfig::default());
         assert!(plans.is_empty(), "P=0.003 must fail the accuracy filter");
@@ -396,12 +393,12 @@ mod tests {
     fn min_covered_samples_prunes_noise() {
         let mut p = Profile::new(20, 1);
         p.block_executions[1] = 1;
-        p.samples.push(MissSample {
-            branch_block: b(9),
-            kind: BranchKind::DirectJump,
-            cycle: 100,
-            history: vec![(b(1), 10), (b(9), 100)],
-        });
+        p.push_sample(
+            b(9),
+            BranchKind::DirectJump,
+            100,
+            &[(b(1), 10), (b(9), 100)],
+        );
         // One sample, min_covered_samples = 2: rejected.
         let strict = TwigConfig {
             min_covered_samples: 2,
@@ -418,20 +415,20 @@ mod tests {
         p.block_executions[1] = 100;
         // One hot branch with 98 samples, 49 cold branches with 1 each.
         for _ in 0..98 {
-            p.samples.push(MissSample {
-                branch_block: b(300),
-                kind: BranchKind::DirectCall,
-                cycle: 100,
-                history: vec![(b(1), 10), (b(300), 100)],
-            });
+            p.push_sample(
+                b(300),
+                BranchKind::DirectCall,
+                100,
+                &[(b(1), 10), (b(300), 100)],
+            );
         }
         for i in 0..49u32 {
-            p.samples.push(MissSample {
-                branch_block: b(301 + i),
-                kind: BranchKind::DirectCall,
-                cycle: 100,
-                history: vec![(b(1), 10), (b(301 + i), 100)],
-            });
+            p.push_sample(
+                b(301 + i),
+                BranchKind::DirectCall,
+                100,
+                &[(b(1), 10), (b(301 + i), 100)],
+            );
         }
         let config = TwigConfig {
             hot_sample_coverage: 0.6,
@@ -479,12 +476,12 @@ mod tests {
         // can override it.
         p.block_executions[far.index()] = 5;
         for _ in 0..5 {
-            p.samples.push(MissSample {
-                branch_block: miss,
-                kind: BranchKind::DirectJump,
-                cycle: 100,
-                history: vec![(near, 10), (far, 20), (miss, 100)],
-            });
+            p.push_sample(
+                miss,
+                BranchKind::DirectJump,
+                100,
+                &[(near, 10), (far, 20), (miss, 100)],
+            );
         }
         let config = TwigConfig::default();
         let blind = analyze_profile_with_layout(&p, &config, None);
@@ -505,12 +502,12 @@ mod tests {
         // Each sample sees exactly one distinct candidate.
         for c in 1..=6u32 {
             for _ in 0..4 {
-                p.samples.push(MissSample {
-                    branch_block: b(40),
-                    kind: BranchKind::DirectJump,
-                    cycle: 100,
-                    history: vec![(b(c), 10), (b(40), 100)],
-                });
+                p.push_sample(
+                    b(40),
+                    BranchKind::DirectJump,
+                    100,
+                    &[(b(c), 10), (b(40), 100)],
+                );
             }
         }
         let config = TwigConfig {

@@ -53,7 +53,7 @@ fn main() {
     }
 
     // Temporal-stream structure of the miss sequence (Fig. 10's analysis).
-    let seq: Vec<_> = profile.samples.iter().map(|s| s.branch_block).collect();
+    let seq: Vec<_> = profile.samples().iter().map(|s| s.branch_block).collect();
     let (rec, new, nonrep) = classify_streams(&seq).fractions();
     println!(
         "\nmiss streams: {:.0}% recurring, {:.0}% new, {:.0}% non-repetitive",

@@ -70,7 +70,7 @@ fn lbr_profile_agrees_with_sim_counters() {
     // Per-kind sample counts match the simulator's per-kind miss counters.
     for kind in twig_types::BranchKind::ALL {
         let samples = profile
-            .samples
+            .samples()
             .iter()
             .filter(|s| s.kind == kind)
             .count() as u64;
@@ -88,7 +88,7 @@ fn stream_classes_partition_the_miss_sequence() {
     let mut sim = Simulator::new(&program, config, PlainBtb::new(&config));
     sim.run_observed(events, BUDGET, &mut recorder);
     let profile = recorder.into_profile();
-    let seq: Vec<_> = profile.samples.iter().map(|s| s.branch_block).collect();
+    let seq: Vec<_> = profile.samples().iter().map(|s| s.branch_block).collect();
     let b = classify_streams(&seq);
     assert_eq!(b.total() as usize, seq.len());
     // On a churning service there must be meaningful recurring mass

@@ -172,41 +172,48 @@ proptest! {
 // Binary profile (.twpf) decoder robustness: no input may panic the decoder
 // or make it over-allocate; every well-formed encoding round-trips.
 
-use twig_profile::{decode_profile, encode_profile, MissSample, Profile, ProfileCodecError};
+use twig_profile::{decode_profile, encode_profile, Profile, ProfileCodecError};
 
 fn arb_profile() -> impl Strategy<Value = Profile> {
+    // A history is either drawn on its own or a window of one shared
+    // stream, so consecutive samples overlap the way LBR windows do and
+    // the shared log's reuse path is exercised too.
     let sample = (
-        0u32..1_000_000,
-        arb_kind(),
-        0u64..u64::MAX / 2,
+        (0u32..1_000_000, arb_kind(), 0u64..u64::MAX / 2),
         prop::collection::vec((0u32..1_000_000, 0u64..1_000_000), 0..8),
-    )
-        .prop_map(|(block, kind, cycle, mut history)| {
-            // The format delta-encodes history cycles, which assumes the
-            // recorder's nondecreasing order; sort to match.
-            history.sort_by_key(|&(_, c)| c);
-            MissSample {
-                branch_block: BlockId::new(block),
-                kind,
-                cycle,
-                history: history
-                    .into_iter()
-                    .map(|(b, c)| (BlockId::new(b), c))
-                    .collect(),
-            }
-        });
+        prop::option::of((0usize..48, 0usize..16)),
+    );
     (
-        prop::collection::vec(0u64..1_000_000, 0..64),
+        (
+            prop::collection::vec(0u64..1_000_000, 0..64),
+            prop::collection::vec((0u32..1_000_000, 0u64..1_000_000), 64..65),
+        ),
         prop::collection::vec(sample, 0..32),
         1u32..10_000,
         0u64..u64::MAX / 2,
     )
-        .prop_map(|(block_executions, samples, sample_period, instructions)| Profile {
-            samples,
-            block_executions,
-            instructions,
-            sample_period,
-        })
+        .prop_map(
+            |((block_executions, mut stream), samples, sample_period, instructions)| {
+                // The format delta-encodes history cycles, which assumes the
+                // recorder's nondecreasing order; sort to match.
+                stream.sort_by_key(|&(_, c)| c);
+                let mut profile = Profile::new(0, sample_period);
+                profile.block_executions = block_executions;
+                profile.instructions = instructions;
+                for ((block, kind, cycle), mut own, window) in samples {
+                    own.sort_by_key(|&(_, c)| c);
+                    let history: Vec<(BlockId, u64)> = match window {
+                        Some((at, len)) => &stream[at..at + len],
+                        None => &own[..],
+                    }
+                    .iter()
+                    .map(|&(b, c)| (BlockId::new(b), c))
+                    .collect();
+                    profile.push_sample(BlockId::new(block), kind, cycle, &history);
+                }
+                profile
+            },
+        )
 }
 
 proptest! {
