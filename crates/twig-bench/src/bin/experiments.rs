@@ -49,23 +49,22 @@ struct FigureTiming {
 /// `schema_version` history:
 /// * 1 (implicit; field absent): total/threads/figures/cache.
 /// * 2: added `schema_version` itself, plus the parallelism breakdown
-///   (`threads` = in-process scheduler cap, `procs` = `TWIG_NUM_PROCS`
-///   matrix worker processes).
+///   (`threads` = in-process scheduler cap, `procs` = matrix worker
+///   processes).
+/// * 3: dropped `procs`; the matrix runs in one process.
 #[derive(Serialize)]
 struct BenchReport {
     schema_version: u32,
     total_seconds: f64,
     /// In-process worker threads (the scheduler cap).
     threads: usize,
-    /// Matrix worker processes (`TWIG_NUM_PROCS`; 1 = no sharding).
-    procs: usize,
     figures: Vec<FigureTiming>,
     cache: CacheStats,
     cache_exactly_once: bool,
 }
 
 /// `bench_results.json` schema version written by this binary.
-const BENCH_SCHEMA_VERSION: u32 = 2;
+const BENCH_SCHEMA_VERSION: u32 = 3;
 
 /// Reports a bad command line on stderr and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -102,15 +101,6 @@ fn main() {
             }
             "--results-dir" => ctx.results_dir = value("a path").into(),
             "--resume" => ctx.resume = true,
-            "--shard" => {
-                // Hidden: multi-process matrix workers are spawned with
-                // `--shard i/N` by the parent run (TWIG_NUM_PROCS > 1).
-                let text = value("i/N");
-                ctx.shard = Some(
-                    twig_sched::ShardSpec::parse(&text)
-                        .unwrap_or_else(|e| usage_error(&format!("--shard: {e}"))),
-                );
-            }
             "--strict" => strict = true,
             "--obs" => obs_flag = Some(value("an observation spec")),
             "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
@@ -132,7 +122,7 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
-    if ids.is_empty() && ctx.shard.is_none() {
+    if ids.is_empty() {
         usage_error("no experiment ids given; try `experiments all` or --help");
     }
     // Resolve the environment and the observation spec up front (explicit
@@ -141,37 +131,31 @@ fn main() {
     // here rather than a panic mid-run.
     let mut harness =
         twig_types::HarnessConfig::from_env().unwrap_or_else(|e| usage_error(&e.to_string()));
+    twig_sched::check_injection_specs(&harness).unwrap_or_else(|e| usage_error(&e));
+    twig_sim::IntegrityConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
     harness.obs = harness.obs.with_explicit(obs_flag);
     let obs = twig_obs::ObsConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
     let harness = harness.install();
     std::fs::create_dir_all(&ctx.results_dir).expect("create results dir");
-    // One run per results directory: the parent (never shard workers,
-    // which share the parent's directory by design) takes the `.lock`
-    // guard for the whole run. A dead holder's lock is stolen; a live one
-    // is a hard, typed refusal (exit 6).
-    let run_lock = if ctx.shard.is_none() {
-        let lock = match twig_sched::RunLock::acquire(&ctx.results_dir) {
-            Ok(lock) => lock,
-            Err(e @ twig_sched::LockError::Held { .. }) => {
-                eprintln!("experiments: {e}");
-                std::process::exit(6);
-            }
-            Err(twig_sched::LockError::Io(e)) => {
-                panic!("cannot acquire run lock in {}: {e}", ctx.results_dir.display())
-            }
-        };
-        // Heal whatever a killed predecessor left behind before anything
-        // parses the directory's contents; surface it in the manifest.
-        // Parent-only: a shard worker recovering mid-run would race the
-        // other workers' in-flight temp files.
-        for healed in twig_sched::recover_dir(&ctx.results_dir) {
-            eprintln!("recovered crash residue: {healed}");
-            manifest::record_healed(&healed.path, healed.action);
+    // One run per results directory: the `.lock` guard is held for the
+    // whole run. A dead holder's lock is stolen; a live one is a hard,
+    // typed refusal (exit 6).
+    let run_lock = match twig_sched::RunLock::acquire(&ctx.results_dir) {
+        Ok(lock) => lock,
+        Err(e @ twig_sched::LockError::Held { .. }) => {
+            eprintln!("experiments: {e}");
+            std::process::exit(6);
         }
-        Some(lock)
-    } else {
-        None
+        Err(twig_sched::LockError::Io(e)) => {
+            panic!("cannot acquire run lock in {}: {e}", ctx.results_dir.display())
+        }
     };
+    // Heal whatever a killed predecessor left behind before anything
+    // parses the directory's contents; surface it in the manifest.
+    for healed in twig_sched::recover_dir(&ctx.results_dir) {
+        eprintln!("recovered crash residue: {healed}");
+        manifest::record_healed(&healed.path, healed.action);
+    }
     // Forensic integrity dumps land next to the run's other outputs
     // (unless the operator already pinned the directory via
     // TWIG_INTEGRITY_DUMP_DIR).
@@ -184,15 +168,6 @@ fn main() {
     // enabled) land under <results-dir>/metrics/.
     if obs.recording() || obs.window.is_some() {
         twig_bench::telemetry::set_metrics_dir(ctx.results_dir.join("metrics"));
-    }
-
-    // Worker mode: compute this shard's headline cells (checkpointing
-    // each) and exit. Reports, manifests, and bench_results.json belong
-    // to the parent; a worker writing them would clobber the real run's.
-    if let Some(shard) = ctx.shard {
-        let ran = twig_bench::runner::shard_worker(&ctx);
-        eprintln!("matrix worker shard {}: {ran} task(s) done", shard.to_arg());
-        return;
     }
 
     let run_started = std::time::Instant::now();
@@ -273,7 +248,6 @@ fn main() {
         schema_version: BENCH_SCHEMA_VERSION,
         total_seconds: run_started.elapsed().as_secs_f64(),
         threads: twig_sched::num_threads(),
-        procs: twig_sched::num_procs(),
         figures,
         cache_exactly_once: cache.exactly_once(),
         cache,

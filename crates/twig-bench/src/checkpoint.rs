@@ -9,17 +9,17 @@
 //! payload — a torn, truncated, or bit-flipped record is evicted and the
 //! cell recomputed, never silently served.
 //!
-//! Record layout (little-endian):
+//! A record is one `durable` frame (magic `"TWCK"`, see
+//! [`twig_sched::durable::encode_frame`]) whose payload is, little-endian:
 //!
 //! ```text
-//! magic   "TWCK"        4 bytes
-//! version u8            currently 1
 //! keylen  u32           length of the cell key
 //! key     keylen bytes  e.g. "sim-kafka-twig-i2000000"
-//! paylen  u32           length of the payload
-//! payload paylen bytes  JSON (integer-only fields => bit-exact round-trip)
-//! crc     u32           CRC-32/ISO-HDLC over key + payload
+//! payload ...           JSON (integer-only fields => bit-exact round-trip)
 //! ```
+//!
+//! The frame's CRC covers the key and the payload, and a record must fill
+//! its file exactly: trailing bytes are corruption too.
 //!
 //! Cold runs (no `--resume`) wipe the directory first, which both keeps
 //! "clean run ≡ cold run" trivially true and invalidates records from
@@ -27,60 +27,18 @@
 
 use std::path::{Path, PathBuf};
 
-use twig_sched::durable::crc32;
+use twig_sched::durable::{decode_frame, encode_frame};
 
 /// On-disk record format version; bump on any layout or semantic change.
-pub const CHECKPOINT_VERSION: u8 = 1;
+/// Version 2 moved the record into the shared `durable` frame.
+pub const CHECKPOINT_VERSION: u8 = 2;
 
 const MAGIC: &[u8; 4] = b"TWCK";
 
 /// Serializes one record.
 fn encode_record(key: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 4 + key.len() + 4 + payload.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.push(CHECKPOINT_VERSION);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&[key.as_bytes(), payload]).to_le_bytes());
-    out
-}
-
-/// Parses and verifies one record; the payload is returned only if the
-/// magic, version, embedded key, lengths, and checksum all match.
-fn decode_record(bytes: &[u8], expected_key: &str) -> Option<Vec<u8>> {
-    let rest = bytes.strip_prefix(MAGIC)?;
-    let (&version, rest) = rest.split_first()?;
-    if version != CHECKPOINT_VERSION {
-        return None;
-    }
-    if rest.len() < 4 {
-        return None;
-    }
-    let (keylen_bytes, rest) = rest.split_at(4);
-    let keylen = u32::from_le_bytes(keylen_bytes.try_into().ok()?) as usize;
-    if rest.len() < keylen {
-        return None;
-    }
-    let (key, rest) = rest.split_at(keylen);
-    if key != expected_key.as_bytes() {
-        return None;
-    }
-    if rest.len() < 4 {
-        return None;
-    }
-    let (paylen_bytes, rest) = rest.split_at(4);
-    let paylen = u32::from_le_bytes(paylen_bytes.try_into().ok()?) as usize;
-    if rest.len() != paylen + 4 {
-        return None;
-    }
-    let (payload, crc_bytes) = rest.split_at(paylen);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32(&[key, payload]) != stored_crc {
-        return None;
-    }
-    Some(payload.to_vec())
+    let keylen = (key.len() as u32).to_le_bytes();
+    encode_frame(MAGIC, CHECKPOINT_VERSION, &[&keylen, key.as_bytes(), payload])
 }
 
 /// The per-run checkpoint directory, or a disabled stub (unit tests and
@@ -145,8 +103,16 @@ impl CheckpointStore {
     pub fn load(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.path_for(key)?;
         let bytes = std::fs::read(&path).ok()?;
-        match decode_record(&bytes, key) {
-            Some(payload) => Some(payload),
+        let payload = decode_frame(&bytes, MAGIC, CHECKPOINT_VERSION)
+            .filter(|(_, rest)| rest.is_empty())
+            .and_then(|(body, _)| {
+                let (keylen, body) = body.split_first_chunk::<4>()?;
+                let (stored_key, payload) =
+                    body.split_at_checked(u32::from_le_bytes(*keylen) as usize)?;
+                (stored_key == key.as_bytes()).then_some(payload)
+            });
+        match payload {
+            Some(payload) => Some(payload.to_vec()),
             None => {
                 eprintln!(
                     "warning: evicting corrupt checkpoint {} (bad checksum/version/key)",
@@ -276,6 +242,25 @@ mod tests {
         // Unmatched keys are never torn.
         store.store_with_faults("bystander", b"ok", &spec);
         assert_eq!(store.load("bystander").unwrap(), b"ok");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trailing_bytes_and_foreign_keys_are_evicted() {
+        let dir = temp_dir("foreign");
+        let store = CheckpointStore::open(&dir, false);
+        store.store("cell-a", b"payload");
+        let record = std::fs::read(dir.join("cell-a.ckpt")).unwrap();
+        // A record copied under another key's name carries the wrong key.
+        std::fs::write(dir.join("cell-b.ckpt"), &record).unwrap();
+        assert_eq!(store.load("cell-b"), None);
+        assert!(!dir.join("cell-b.ckpt").exists(), "foreign record evicted");
+        // An intact record followed by anything is not a record.
+        let mut padded = record.clone();
+        padded.push(0);
+        std::fs::write(dir.join("cell-a.ckpt"), &padded).unwrap();
+        assert_eq!(store.load("cell-a"), None);
+        assert!(!dir.join("cell-a.ckpt").exists(), "padded record evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,10 +52,6 @@ pub struct ExpContext {
     /// Load cells persisted by a previous run instead of recomputing
     /// them (`experiments --resume`).
     pub resume: bool,
-    /// Set in worker processes spawned by multi-process sharding
-    /// (`experiments --shard i/N`): this process computes only the
-    /// headline tasks its shard owns, then exits. `None` everywhere else.
-    pub shard: Option<twig_sched::ShardSpec>,
 }
 
 impl Default for ExpContext {
@@ -66,7 +62,6 @@ impl Default for ExpContext {
             results_dir: "results".into(),
             checkpoints: false,
             resume: false,
-            shard: None,
         }
     }
 }
@@ -601,8 +596,7 @@ static HEADLINE: OnceLock<Vec<HeadlineRow>> = OnceLock::new();
 
 /// The fixed headline task list: apps × slots, then one metadata task
 /// per app. The order never changes, so `task=N` fault selectors hit the
-/// same cell on every run and multi-process shards partition identically
-/// in every worker.
+/// same cell on every run.
 fn matrix_tasks() -> Vec<MatrixTask> {
     let mut tasks: Vec<MatrixTask> = Vec::with_capacity(AppId::ALL.len() * (SLOTS.len() + 1));
     for i in 0..AppId::ALL.len() {
@@ -674,103 +668,6 @@ fn run_matrix_task(
     }
 }
 
-/// Worker-mode entry point (`experiments --shard i/N`): computes the
-/// headline tasks this shard owns, persisting each completed cell to the
-/// shared checkpoint store, and returns how many tasks it ran. The
-/// worker never assembles rows or writes reports — its only output is
-/// checkpoint records for the parent to merge.
-///
-/// The store is always opened in resume mode: the parent owns the
-/// directory's lifecycle (it wiped it on a cold run before spawning),
-/// and on `--resume` the worker must skip already-completed cells rather
-/// than redo them.
-pub fn shard_worker(ctx: &ExpContext) -> usize {
-    let shard = ctx.shard.expect("shard_worker requires ctx.shard");
-    let budget = ctx.instructions;
-    let store = CheckpointStore::open(&ctx.results_dir.join(".checkpoints"), true);
-    let policy = TaskPolicy::from_env();
-    let owned: Vec<(usize, MatrixTask)> = matrix_tasks()
-        .into_iter()
-        .enumerate()
-        .filter(|(index, _)| shard.owns(*index))
-        .collect();
-    let count = owned.len();
-    twig_sched::parallel_map(owned, |(index, task)| {
-        run_matrix_task(&store, &policy, budget, index, task)
-    });
-    count
-}
-
-/// Parent-mode sharded execution: spawn one worker process per shard,
-/// wait for all of them, then assemble the matrix purely from the
-/// checkpoints they wrote. Cells a dead worker never persisted degrade
-/// to [`Cell::Failed`] (naming the worker and its exit status) — the
-/// figures render `FAILED(...)` markers and a later `--resume` run
-/// completes exactly the missing cells.
-fn headline_sharded(
-    ctx: &ExpContext,
-    store: &CheckpointStore,
-    budget: u64,
-    procs: usize,
-) -> Vec<MatrixOutcome> {
-    let results_dir = ctx.results_dir.display().to_string();
-    let obs = twig_sim::ObsConfig::default().as_text();
-    let outcomes = twig_sched::procs::run_sharded(procs, |shard| {
-        let mut args = vec![
-            "--shard".to_string(),
-            shard.to_arg(),
-            "--instructions".to_string(),
-            budget.to_string(),
-            "--results-dir".to_string(),
-            results_dir.clone(),
-            // The parent's resolved observation config, so workers record
-            // exactly what a single-process run would.
-            "--obs".to_string(),
-            obs.clone(),
-        ];
-        if ctx.resume {
-            args.push("--resume".to_string());
-        }
-        args
-    });
-    for outcome in &outcomes {
-        if !outcome.success() {
-            eprintln!(
-                "warning: matrix worker shard {} failed ({}); its cells degrade to FAILED",
-                outcome.shard.to_arg(),
-                outcome.describe(),
-            );
-        }
-    }
-    matrix_tasks()
-        .into_iter()
-        .enumerate()
-        .map(|(index, task)| {
-            let id = matrix_task_id(task);
-            let key = matrix_task_key(task, budget);
-            let loaded = match task {
-                MatrixTask::Sim(..) => load_checkpointed::<SimStats>(store, &key, &id)
-                    .map(|stats| MatrixOutcome::Sim(Cell::Ok(stats))),
-                MatrixTask::Meta(..) => load_checkpointed::<RowMeta>(store, &key, &id)
-                    .map(|meta| MatrixOutcome::Meta(Ok(meta))),
-            };
-            loaded.unwrap_or_else(|| {
-                let owner = &outcomes[index % procs];
-                let reason = format!(
-                    "worker shard {}: {}",
-                    owner.shard.to_arg(),
-                    owner.describe()
-                );
-                manifest::record_cell(&id, CellStatus::Failed, 0, 0, Some(reason.clone()));
-                match task {
-                    MatrixTask::Sim(..) => MatrixOutcome::Sim(Cell::Failed(reason)),
-                    MatrixTask::Meta(..) => MatrixOutcome::Meta(Err(reason)),
-                }
-            })
-        })
-        .collect()
-}
-
 /// Computes (once per process) the headline matrix at the context's budget.
 ///
 /// The work is one flat task list over the scheduler: the full
@@ -780,11 +677,6 @@ fn headline_sharded(
 /// rewrite ×2 → trace → working sets) happens lazily through the artifact
 /// cache, exactly once per app, and only when some cell actually needs it
 /// — an app whose every cell was checkpointed is never re-prepared.
-///
-/// With `TWIG_NUM_PROCS=N` (N > 1) and checkpoints enabled, the matrix
-/// is instead sharded over N worker *processes* (see [`shard_worker`]
-/// and [`headline_sharded`]); the in-process scheduler still parallelizes
-/// within each worker.
 pub fn headline(ctx: &ExpContext) -> &'static [HeadlineRow] {
     HEADLINE.get_or_init(|| {
         let budget = ctx.instructions;
@@ -795,16 +687,10 @@ pub fn headline(ctx: &ExpContext) -> &'static [HeadlineRow] {
         };
         let policy = TaskPolicy::from_env();
 
-        let procs = twig_sched::num_procs();
-        let outcomes = if procs > 1 && ctx.shard.is_none() && store.is_enabled() {
-            headline_sharded(ctx, &store, budget, procs)
-        } else {
-            let tagged: Vec<(usize, MatrixTask)> =
-                matrix_tasks().into_iter().enumerate().collect();
-            twig_sched::parallel_map(tagged, |(index, task)| {
-                run_matrix_task(&store, &policy, budget, index, task)
-            })
-        };
+        let tagged: Vec<(usize, MatrixTask)> = matrix_tasks().into_iter().enumerate().collect();
+        let outcomes = twig_sched::parallel_map(tagged, |(index, task)| {
+            run_matrix_task(&store, &policy, budget, index, task)
+        });
 
         let mut outcomes = outcomes.into_iter();
         let mut sim_cells: Vec<Vec<Cell>> = Vec::with_capacity(AppId::ALL.len());

@@ -1,5 +1,6 @@
 //! Bad `experiments` command lines are usage errors: a message on stderr
-//! and exit code 2, never a panic.
+//! (naming the variable, for a bad environment) and exit code 2, never a
+//! panic.
 
 use std::process::Command;
 
@@ -13,8 +14,6 @@ fn malformed_arguments_exit_2_without_panicking() {
         (&["fig16", "--instructions"], &[]),
         (&["fig16", "--sweep-instructions", "-1"], &[]),
         (&["fig16", "--results-dir"], &[]),
-        (&["fig16", "--shard", "x"], &[]),
-        (&["fig16", "--shard"], &[]),
         (&["fig16", "--obs", "loud"], &[]),
         (&["fig16", "--obs", "attr.k=0"], &[]),
         (&["fig16", "--obs", "window=0"], &[]),
@@ -22,9 +21,16 @@ fn malformed_arguments_exit_2_without_panicking() {
         // Removed flags are rejected like any unknown flag.
         (&["fig16", "--obs-attr", "sometimes"], &[]),
         (&["fig16", "--obs-window", "often"], &[]),
+        (&["fig16", "--shard", "0/2"], &[]),
+        (&["fig16", "--shard"], &[]),
         (&["fig16", "--bogus"], &[]),
         (&["fig16"], &[("TWIG_OBS", "loud")]),
         (&["fig16"], &[("TWIG_NUM_THREADS", "abc")]),
+        (&["fig16"], &[("TWIG_FAULT_SPEC", "abort-ish:task=0")]),
+        (&["fig16"], &[("TWIG_FAULT_SPEC", "abort:task=0")]),
+        (&["fig16"], &[("TWIG_CRASH_SPEC", "nope")]),
+        (&["fig16"], &[("TWIG_INTEGRITY", "bogus")]),
+        (&["fig16"], &[("TWIG_INTEGRITY_MUTATE", "nope")]),
         (&[], &[]),
     ];
     // A scratch results directory first, so a command line that parsed
@@ -34,6 +40,10 @@ fn malformed_arguments_exit_2_without_panicking() {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .env_remove("TWIG_OBS")
             .env_remove("TWIG_NUM_THREADS")
+            .env_remove("TWIG_FAULT_SPEC")
+            .env_remove("TWIG_CRASH_SPEC")
+            .env_remove("TWIG_INTEGRITY")
+            .env_remove("TWIG_INTEGRITY_MUTATE")
             .envs(envs.iter().copied())
             .arg("--results-dir")
             .arg(&dir)
@@ -44,6 +54,9 @@ fn malformed_arguments_exit_2_without_panicking() {
         assert_eq!(out.status.code(), Some(2), "{args:?} {envs:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} {envs:?}: {stderr}");
         assert!(!stderr.trim().is_empty(), "{args:?} {envs:?}: no usage message");
+        for (var, _) in *envs {
+            assert!(stderr.contains(var), "{args:?} {envs:?}: message must name {var}");
+        }
         // Rejected before anything ran: no report was written.
         assert!(!dir.join("fig16.txt").exists(), "{args:?} {envs:?} ran fig16");
     }

@@ -12,7 +12,6 @@ fn run(dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> std::process::
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
     cmd.env_remove("TWIG_OBS")
         .env_remove("TWIG_NUM_THREADS")
-        .env_remove("TWIG_NUM_PROCS")
         .env_remove("TWIG_FAULT_SPEC");
     cmd.args(["fig16", "--instructions", BUDGET, "--results-dir"])
         .arg(dir)
@@ -119,24 +118,18 @@ fn windowed_run_exports_schema_valid_conserving_timelines() {
 }
 
 /// Timeline exports are byte-identical for a fixed seed regardless of
-/// worker-thread count, matrix-worker process count, and from run to
-/// run: each simulation is single-threaded and the windows close at
+/// worker-thread count and from run to run: each simulation is single-threaded and the windows close at
 /// closed-form retired-instruction boundaries, so scheduling must not
 /// leak into the exports.
 #[test]
-fn timelines_are_deterministic_across_threads_procs_and_runs() {
+fn timelines_are_deterministic_across_threads_and_runs() {
     let one_dir = temp_dir("t1");
     let four_dir = temp_dir("t4");
-    let proc_dir = temp_dir("p2");
     let again_dir = temp_dir("t1again");
 
     for (dir, envs) in [
         (&one_dir, vec![("TWIG_NUM_THREADS", "1")]),
         (&four_dir, vec![("TWIG_NUM_THREADS", "4")]),
-        (
-            &proc_dir,
-            vec![("TWIG_NUM_THREADS", "2"), ("TWIG_NUM_PROCS", "2")],
-        ),
         (&again_dir, vec![("TWIG_NUM_THREADS", "1")]),
     ] {
         let mut envs = envs.clone();
@@ -148,18 +141,15 @@ fn timelines_are_deterministic_across_threads_procs_and_runs() {
     let files = timeline_files(&one_dir);
     assert!(!files.is_empty(), "no timelines exported");
     assert_eq!(files, timeline_files(&four_dir), "export sets differ");
-    assert_eq!(files, timeline_files(&proc_dir), "export sets differ");
     assert_eq!(files, timeline_files(&again_dir), "export sets differ");
     for file in &files {
         let name = format!("metrics/{file}");
         let one = read(&one_dir, &name);
         assert_eq!(one, read(&four_dir, &name), "{file} differs across thread counts");
-        assert_eq!(one, read(&proc_dir, &name), "{file} differs across proc counts");
         assert_eq!(one, read(&again_dir, &name), "{file} differs across runs");
     }
 
     let _ = std::fs::remove_dir_all(&one_dir);
     let _ = std::fs::remove_dir_all(&four_dir);
-    let _ = std::fs::remove_dir_all(&proc_dir);
     let _ = std::fs::remove_dir_all(&again_dir);
 }

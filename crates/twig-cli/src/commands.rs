@@ -95,6 +95,8 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
     // the environment.
     let harness = twig_types::HarnessConfig::from_env()
         .map_err(|e| CliError::Usage(e.to_string()))?;
+    twig_sched::check_injection_specs(&harness).map_err(CliError::Usage)?;
+    twig_sim::IntegrityConfig::from_harness(&harness).map_err(CliError::Usage)?;
     twig_obs::ObsConfig::from_harness(&harness).map_err(CliError::Usage)?;
     harness.install();
     let rest = &args[1..];

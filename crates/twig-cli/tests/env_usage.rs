@@ -8,6 +8,7 @@ fn twig(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
         .env_remove("TWIG_OBS")
         .env_remove("TWIG_NUM_THREADS")
         .env_remove("TWIG_FAULT_SPEC")
+        .env_remove("TWIG_INTEGRITY")
         .envs(envs.iter().copied())
         .args(args)
         .output()
@@ -31,6 +32,7 @@ fn malformed_observation_config_is_a_usage_error() {
     for (args, envs, culprit) in [
         (simulate.to_vec(), &[("TWIG_OBS", "loud")][..], "TWIG_OBS"),
         (simulate.to_vec(), &[("TWIG_NUM_THREADS", "abc")][..], "TWIG_NUM_THREADS"),
+        (simulate.to_vec(), &[("TWIG_INTEGRITY", "bogus")][..], "TWIG_INTEGRITY"),
         (with_obs("counters,trace"), &[][..], "--obs"),
         (with_obs("attr.k=0"), &[][..], "--obs"),
     ] {

@@ -26,7 +26,7 @@
 //! Determinism contract: identical to the metrics snapshot — no
 //! wall-clock times, no addresses, no thread ids; for a fixed seed the
 //! serialized JSON is byte-identical run-to-run and across
-//! `TWIG_NUM_THREADS` / `TWIG_NUM_PROCS` settings.
+//! `TWIG_NUM_THREADS` settings.
 
 use std::fmt;
 

@@ -166,9 +166,9 @@ impl TraceRing {
 }
 
 /// Deterministic per-cell process id for chrome-trace exports: a pure
-/// FNV-1a fold of the cell label, so traces from different cells (or
-/// `TWIG_NUM_PROCS` shards) merge into distinct process rows in
-/// chrome://tracing while staying byte-identical run-to-run.
+/// FNV-1a fold of the cell label, so traces from different cells merge
+/// into distinct process rows in chrome://tracing while staying
+/// byte-identical run-to-run.
 pub fn trace_pid(label: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in label.as_bytes() {
@@ -201,8 +201,8 @@ fn metadata_event(kind: &str, pid: u64, tid: u64, name: &str) -> Value {
 ///
 /// The export opens with `ph: "M"` metadata events — one `process_name`
 /// carrying the cell label and one `thread_name` per stage lane — so
-/// merged multi-cell / multi-process traces stay legible: every row is
-/// named after its cell and pipeline stage instead of bare integers.
+/// merged multi-cell traces stay legible: every row is named after its
+/// cell and pipeline stage instead of bare integers.
 /// All events share a deterministic [`trace_pid`] derived from the label.
 ///
 /// # Errors

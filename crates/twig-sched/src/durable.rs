@@ -165,9 +165,10 @@ pub fn hit(point: &str) {
 }
 
 /// The process-wide spec parsed from `TWIG_CRASH_SPEC` (inert when the
-/// variable is unset). A malformed spec aborts: silently ignoring an
+/// variable is unset). A malformed spec panics: silently ignoring an
 /// operator's injection request would make a crash-drill CI job pass
-/// vacuously.
+/// vacuously. Binaries reject it earlier, as a usage error, through
+/// [`crate::check_injection_specs`].
 pub fn global() -> &'static CrashSpec {
     static SPEC: OnceLock<CrashSpec> = OnceLock::new();
     SPEC.get_or_init(
@@ -288,31 +289,7 @@ pub fn publish_atomic(
     pre_rename: Option<&str>,
     post_rename: Option<&str>,
 ) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = tmp_path(path);
-    let publish = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        if let Some(point) = pre_rename {
-            hit(point);
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(point) = post_rename {
-            hit(point);
-        }
-        sync_parent_dir(path);
-        Ok(())
-    })();
-    if publish.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    publish
+    publish_atomic_with(path, pre_rename, post_rename, |out| out.write_all(bytes))
 }
 
 /// Streaming variant of [`publish_atomic`]: instead of a complete
@@ -363,15 +340,53 @@ pub fn publish_atomic_with<T>(
     publish
 }
 
-/// Journal frame magic; layout (little-endian):
+/// Serializes one CRC-checked frame whose payload is the concatenation of
+/// `parts`. Journals and checkpoint records share this layout
+/// (little-endian), told apart by their magic:
 ///
 /// ```text
-/// magic   "TWJL"        4 bytes
-/// version u8            currently 1
+/// magic   4 bytes       "TWJL" journal, "TWCK" checkpoint record
+/// version u8            the format version of that kind
 /// paylen  u32           payload length
-/// payload paylen bytes  the complete post-write document
+/// payload paylen bytes
 /// crc     u32           CRC-32/ISO-HDLC over the payload
 /// ```
+pub fn encode_frame(magic: &[u8; 4], version: u8, parts: &[&[u8]]) -> Vec<u8> {
+    let paylen: usize = parts.iter().map(|p| p.len()).sum();
+    let mut out = Vec::with_capacity(4 + 1 + 4 + paylen + 4);
+    out.extend_from_slice(magic);
+    out.push(version);
+    out.extend_from_slice(&(paylen as u32).to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    out.extend_from_slice(&crc32(parts).to_le_bytes());
+    out
+}
+
+/// Decodes the frame at the front of `bytes`: `(payload, rest)` when the
+/// magic and version match, the frame is complete and its CRC verifies;
+/// `None` otherwise.
+pub fn decode_frame<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u8,
+) -> Option<(&'a [u8], &'a [u8])> {
+    let (&found, rest) = bytes.strip_prefix(magic)?.split_first()?;
+    if found != version {
+        return None;
+    }
+    let (len_bytes, rest) = rest.split_first_chunk::<4>()?;
+    let paylen = u32::from_le_bytes(*len_bytes) as usize;
+    if rest.len() < paylen {
+        return None;
+    }
+    let (payload, rest) = rest.split_at(paylen);
+    let (crc_bytes, rest) = rest.split_first_chunk::<4>()?;
+    (crc32(&[payload]) == u32::from_le_bytes(*crc_bytes)).then_some((payload, rest))
+}
+
+/// Journal frame magic.
 const JOURNAL_MAGIC: &[u8; 4] = b"TWJL";
 
 /// Journal frame format version; bump on any layout change.
@@ -379,13 +394,7 @@ pub const JOURNAL_VERSION: u8 = 1;
 
 /// Serializes one journal frame holding the complete new document.
 pub fn encode_journal_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 4 + payload.len() + 4);
-    out.extend_from_slice(JOURNAL_MAGIC);
-    out.push(JOURNAL_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&[payload]).to_le_bytes());
-    out
+    encode_frame(JOURNAL_MAGIC, JOURNAL_VERSION, &[payload])
 }
 
 /// Replays journal bytes: scans frames front to back and returns the
@@ -396,29 +405,12 @@ pub fn encode_journal_frame(payload: &[u8]) -> Vec<u8> {
 /// pre-write document stands).
 pub fn replay_journal(bytes: &[u8]) -> Option<Vec<u8>> {
     let mut rest = bytes;
-    let mut last_valid: Option<Vec<u8>> = None;
-    while let Some(after_magic) = rest.strip_prefix(JOURNAL_MAGIC) {
-        let Some((&version, after_version)) = after_magic.split_first() else {
-            break;
-        };
-        if version != JOURNAL_VERSION || after_version.len() < 4 {
-            break;
-        }
-        let (len_bytes, after_len) = after_version.split_at(4);
-        let paylen = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        if after_len.len() < paylen + 4 {
-            break;
-        }
-        let (payload, after_payload) = after_len.split_at(paylen);
-        let (crc_bytes, after_crc) = after_payload.split_at(4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(&[payload]) != stored {
-            break;
-        }
-        last_valid = Some(payload.to_vec());
-        rest = after_crc;
+    let mut last_valid = None;
+    while let Some((payload, after)) = decode_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION) {
+        last_valid = Some(payload);
+        rest = after;
     }
-    last_valid
+    last_valid.map(<[u8]>::to_vec)
 }
 
 /// One healed crash residue, surfaced in run manifests.

@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! panic:task=3                     panic before the 4th task of a batch
-//! abort:task=3                     abort the whole process at the 4th task
 //! panic:cell=sim:kafka/twig        panic in tasks whose label contains the text
 //! delay:app=tomcat,ms=60000        sleep 60s (cooperatively) in matching tasks
 //! corrupt-cache:app=kafka,times=1  poison the first matching cache populate
@@ -48,12 +47,6 @@ use crate::supervise::CancelToken;
 pub enum FaultKind {
     /// Panic (with a recognizable payload) before the task body runs.
     Panic,
-    /// Abort the entire process (no unwinding, no cleanup) before the
-    /// task body runs — a deterministic stand-in for `kill -9` on a
-    /// matrix worker, which the multi-process sharding tests use to
-    /// verify that a dead worker degrades to `FAILED` cells and
-    /// `--resume` completes them.
-    Abort,
     /// Sleep cooperatively for `ms`, polling the cancellation token.
     Delay,
     /// Corrupt the integrity fingerprint of a matching cache populate.
@@ -85,7 +78,6 @@ impl FaultKind {
     fn parse(s: &str) -> Option<FaultKind> {
         match s {
             "panic" => Some(FaultKind::Panic),
-            "abort" => Some(FaultKind::Abort),
             "delay" => Some(FaultKind::Delay),
             "corrupt-cache" => Some(FaultKind::CorruptCache),
             "stall-stream" => Some(FaultKind::StallStream),
@@ -275,12 +267,6 @@ impl FaultSpec {
                         panic!("injected panic (fault spec) in task {label:?}");
                     }
                 }
-                FaultKind::Abort => {
-                    if clause.try_fire(label, index) {
-                        eprintln!("injected abort (fault spec) in task {label:?}");
-                        std::process::abort();
-                    }
-                }
                 FaultKind::Delay => {
                     if clause.try_fire(label, index) {
                         let deadline = std::time::Instant::now()
@@ -350,9 +336,10 @@ impl FaultSpec {
 }
 
 /// The process-wide spec parsed from `TWIG_FAULT_SPEC` (empty when the
-/// variable is unset). A malformed spec aborts: silently ignoring an
+/// variable is unset). A malformed spec panics: silently ignoring an
 /// operator's injection request would make a fault-tolerance CI job pass
-/// vacuously.
+/// vacuously. Binaries reject it earlier, as a usage error, through
+/// [`crate::check_injection_specs`].
 pub fn global() -> &'static FaultSpec {
     static SPEC: OnceLock<FaultSpec> = OnceLock::new();
     SPEC.get_or_init(
@@ -383,19 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn abort_clause_parses_and_matches_like_panic() {
-        let spec = FaultSpec::parse("abort:task=5,cell=sim:kafka").unwrap();
-        assert_eq!(spec.clauses.len(), 1);
-        assert_eq!(spec.clauses[0].kind, FaultKind::Abort);
-        assert!(spec.clauses[0].matches("sim:kafka/twig", 5));
-        assert!(!spec.clauses[0].matches("sim:kafka/twig", 4));
-        // Never call apply_task_faults on a matching label here: a fired
-        // abort clause takes the whole test process down by design.
-    }
-
-    #[test]
     fn rejects_malformed_specs() {
         assert!(FaultSpec::parse("explode:task=1").is_err());
+        assert!(FaultSpec::parse("abort:task=0").is_err(), "no abort kind");
         assert!(FaultSpec::parse("panic:task=abc").is_err());
         assert!(FaultSpec::parse("panic:notakv").is_err());
         assert!(FaultSpec::parse("panic:zzz=1").is_err());

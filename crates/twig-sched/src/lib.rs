@@ -30,7 +30,6 @@ use std::sync::{Mutex, OnceLock};
 
 pub mod durable;
 pub mod fault;
-pub mod procs;
 pub mod service;
 pub mod supervise;
 
@@ -39,12 +38,28 @@ pub use durable::{
     RunLock,
 };
 pub use fault::{FaultKind, FaultSpec};
-pub use procs::{num_procs, ShardSpec};
 pub use service::{BoundedQueue, ServicePool, ServiceStats};
 pub use supervise::{
-    jittered_backoff_ms, run_supervised, supervised_map, CancelToken, TaskError, TaskPolicy,
-    TaskReport,
+    jittered_backoff_ms, run_supervised, CancelToken, TaskError, TaskPolicy, TaskReport,
 };
+
+/// Parses the fault and crashpoint injection specs of `harness`, so a
+/// binary can reject a malformed one as a usage error before anything
+/// runs (the process-wide specs panic on first use instead).
+///
+/// # Errors
+///
+/// The first malformed spec, prefixed with its variable's name.
+pub fn check_injection_specs(harness: &twig_types::HarnessConfig) -> Result<(), String> {
+    use twig_types::config::{VAR_CRASH_SPEC, VAR_FAULT_SPEC};
+    if let Some(raw) = &harness.fault_spec.value {
+        FaultSpec::parse(raw).map_err(|e| format!("{VAR_FAULT_SPEC}: {e}"))?;
+    }
+    if let Some(raw) = &harness.crash_spec.value {
+        CrashSpec::parse(raw).map_err(|e| format!("{VAR_CRASH_SPEC}: {e}"))?;
+    }
+    Ok(())
+}
 
 /// Maximum number of concurrently working threads (including callers),
 /// resolved once per process from the unified harness configuration
@@ -119,7 +134,7 @@ fn acquire_tokens(want: usize) -> Vec<Token> {
 /// panic's payload is re-raised on the calling thread — never on a worker,
 /// so a panicking task cannot cross-thread-poison the scope or leak spawn
 /// budget. Callers that need per-task quarantine instead of fail-fast
-/// should use [`supervised_map`].
+/// wrap each task in [`run_supervised`].
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

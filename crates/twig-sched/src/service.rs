@@ -1,7 +1,7 @@
 //! Long-running supervised service workers over a bounded queue.
 //!
-//! [`crate::parallel_map`] and [`crate::supervised_map`] are batch-shaped:
-//! they spawn for one matrix, join, and return. A continuous-PGO service
+//! [`crate::parallel_map`] is batch-shaped: it spawns for one matrix,
+//! joins, and returns. A continuous-PGO service
 //! is not a batch — profile chunks stream in for as long as the tenants
 //! run, and the loop must apply *backpressure* when aggregation falls
 //! behind instead of buffering unboundedly. This module generalizes the

@@ -385,29 +385,6 @@ where
     }
 }
 
-/// [`crate::parallel_map`] with every task supervised: the returned
-/// reports preserve input order, and one panicking or hung task cannot
-/// take down the batch. `label(index, item)` names each task for fault
-/// matching and manifests.
-pub fn supervised_map<T, R, L, F>(
-    items: Vec<T>,
-    policy: &TaskPolicy,
-    label: L,
-    f: F,
-) -> Vec<TaskReport<R>>
-where
-    T: Send,
-    R: Send,
-    L: Fn(usize, &T) -> String + Sync,
-    F: Fn(&T, &CancelToken) -> Result<R, TaskError> + Sync,
-{
-    let tagged: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    crate::parallel_map(tagged, |(index, item)| {
-        let name = label(index, &item);
-        run_supervised(&name, index, policy, |token| f(&item, token))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,20 +417,20 @@ mod tests {
         assert_eq!(report.attempts, 1);
     }
 
+    /// The pairing `runner::headline` uses: `parallel_map` over indexed
+    /// tasks, each wrapped in `run_supervised`.
     #[test]
     fn one_panicking_task_does_not_poison_the_batch() {
         let policy = quick_policy();
-        let reports = supervised_map(
-            (0..8u32).collect(),
-            &policy,
-            |i, _| format!("task-{i}"),
-            |&v, _| {
+        let tasks: Vec<(usize, u32)> = (0..8u32).enumerate().collect();
+        let reports = crate::parallel_map(tasks, |(i, v)| {
+            run_supervised(&format!("task-{i}"), i, &policy, |_| {
                 if v == 3 {
                     panic!("task three always fails");
                 }
                 Ok(v * 2)
-            },
-        );
+            })
+        });
         for (i, report) in reports.iter().enumerate() {
             if i == 3 {
                 assert!(matches!(report.result, Err(TaskError::Panicked(_))));

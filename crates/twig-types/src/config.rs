@@ -48,11 +48,6 @@ use std::sync::OnceLock;
 /// `TWIG_NUM_THREADS` — worker-thread cap for the experiment scheduler
 /// (`RAYON_NUM_THREADS` is honored as a fallback spelling).
 pub const VAR_NUM_THREADS: &str = "TWIG_NUM_THREADS";
-/// `TWIG_NUM_PROCS` — worker-*process* count for the headline matrix:
-/// `N > 1` shards the matrix cells over `N` subprocesses that share one
-/// checkpoint directory (the parent merges their cells). `1` (the
-/// default) keeps everything in-process.
-pub const VAR_NUM_PROCS: &str = "TWIG_NUM_PROCS";
 /// `TWIG_TASK_ATTEMPTS` — total supervised-task attempts (first try +
 /// retries), minimum 1.
 pub const VAR_TASK_ATTEMPTS: &str = "TWIG_TASK_ATTEMPTS";
@@ -112,7 +107,6 @@ static GLOBAL: OnceLock<HarnessConfig> = OnceLock::new();
 /// order. The README's reference table and the manifest dump iterate this.
 pub const ALL_VARS: &[&str] = &[
     VAR_NUM_THREADS,
-    VAR_NUM_PROCS,
     VAR_TASK_ATTEMPTS,
     VAR_TASK_BACKOFF_MS,
     VAR_TASK_TIMEOUT_MS,
@@ -234,8 +228,6 @@ pub struct ConfigEntry {
 pub struct HarnessConfig {
     /// Worker-thread cap; `None` = machine parallelism.
     pub num_threads: Setting<Option<usize>>,
-    /// Worker-process count for the headline matrix, at least 1.
-    pub num_procs: Setting<usize>,
     /// Supervised-task attempts (first run + retries), at least 1.
     pub task_attempts: Setting<u32>,
     /// Base backoff between retries, milliseconds.
@@ -271,7 +263,6 @@ impl HarnessConfig {
     pub fn defaults() -> Self {
         HarnessConfig {
             num_threads: Setting::default_value(None),
-            num_procs: Setting::default_value(1),
             task_attempts: Setting::default_value(2),
             task_backoff_ms: Setting::default_value(100),
             task_timeout_ms: Setting::default_value(Some(600_000)),
@@ -309,10 +300,6 @@ impl HarnessConfig {
                 config.num_threads = Setting::env_value(Some(n as usize));
                 break;
             }
-        }
-        if let Some(raw) = lookup(VAR_NUM_PROCS) {
-            let n = parse_positive(VAR_NUM_PROCS, &raw, "process count")?;
-            config.num_procs = Setting::env_value(n as usize);
         }
         if let Some(raw) = lookup(VAR_TASK_ATTEMPTS) {
             let n = parse_u64(VAR_TASK_ATTEMPTS, &raw)?;
@@ -423,7 +410,6 @@ impl HarnessConfig {
         }
         vec![
             row(VAR_NUM_THREADS, &self.num_threads, |v| opt(v, "auto")),
-            row(VAR_NUM_PROCS, &self.num_procs, ToString::to_string),
             row(VAR_TASK_ATTEMPTS, &self.task_attempts, ToString::to_string),
             row(VAR_TASK_BACKOFF_MS, &self.task_backoff_ms, ToString::to_string),
             row(VAR_TASK_TIMEOUT_MS, &self.task_timeout_ms, |v| opt(v, "none")),

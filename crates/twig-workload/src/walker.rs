@@ -277,6 +277,12 @@ impl<P: Borrow<Program>> Iterator for Walker<P> {
     fn next(&mut self) -> Option<BlockEvent> {
         Some(self.step())
     }
+
+    /// The walk never ends; saying so lets `take(n).collect()` allocate
+    /// exactly `n` events up front.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +293,13 @@ mod tests {
 
     fn tiny() -> Program {
         ProgramGenerator::new(WorkloadSpec::tiny_test()).generate()
+    }
+
+    #[test]
+    fn take_collect_allocates_exactly() {
+        let p = tiny();
+        let events: Vec<_> = Walker::new(&p, InputConfig::numbered(0)).take(5000).collect();
+        assert_eq!(events.capacity(), 5000);
     }
 
     #[test]
