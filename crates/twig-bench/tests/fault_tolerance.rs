@@ -1,8 +1,7 @@
 //! End-to-end fault-tolerance tests driving the `experiments` binary as a
 //! subprocess — checkpointing, fault injection, and resume are
 //! process-global (environment-driven fault spec, process-wide caches and
-//! manifest), so each scenario gets its own process, exactly like CI's
-//! fault-injection job.
+//! manifest), so each scenario gets its own process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -50,7 +49,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// One injected panic + one injected hang: the run must complete with
 /// exit 0, quarantine exactly the faulted cells in the manifest and the
 /// reports, and a fault-free `--resume` must re-execute only those cells
-/// and restore byte-identical reports.
+/// and restore byte-identical reports. A poisoned cache entry must leave
+/// every cell green and every report byte-identical.
 #[test]
 fn faulted_run_quarantines_and_resume_heals() {
     let clean_dir = temp_dir("clean");
@@ -115,8 +115,28 @@ fn faulted_run_quarantines_and_resume_heals() {
         );
     }
 
+    // A poisoned artifact-cache entry is evicted and recomputed without
+    // failing a cell or changing a report.
+    let poison_dir = temp_dir("poison");
+    let poisoned = run(
+        &poison_dir,
+        &[],
+        &[("TWIG_FAULT_SPEC", "corrupt-cache:label=cache:events:kafka")],
+    );
+    assert!(poisoned.status.success(), "poisoned run failed: {poisoned:?}");
+    let m = manifest(&poison_dir);
+    assert!(m.contains("\"failed_cells\": 0"), "{m}");
+    for name in ["fig16.txt", "tab03.txt"] {
+        assert_eq!(
+            read(&clean_dir, name),
+            read(&poison_dir, name),
+            "{name} differs between clean and cache-poisoned runs"
+        );
+    }
+
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&fault_dir);
+    let _ = std::fs::remove_dir_all(&poison_dir);
 }
 
 /// A corrupted checkpoint record must be evicted and recomputed on

@@ -3,8 +3,8 @@
 //!
 //! `fleet run` executes the demo fleet under the typed harness
 //! configuration (`TWIG_FLEET_*`, `TWIG_FAULT_SPEC`) and writes the
-//! deterministic `fleet_manifest.json`; the (timing-dependent) service
-//! counters go to stderr so the manifest stays byte-comparable.
+//! deterministic `fleet_manifest.json`; the job counters go to stderr
+//! so the manifest stays byte-comparable.
 //! `fleet report` renders a manifest as a per-tenant health table.
 
 use std::sync::Arc;
@@ -31,6 +31,12 @@ pub fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
 fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
     let out_dir = args.flag("out").unwrap_or("results");
     let tenants: usize = args.parse_or("tenants", 3)?;
+    let most = TenantSpec::DEMO_NAMES.len();
+    if !(1..=most).contains(&tenants) {
+        return Err(CliError::Usage(format!(
+            "--tenants must be between 1 and {most} (the demo fleet's size), got {tenants}"
+        )));
+    }
     let mut config =
         FleetConfig::from_harness(twig_types::HarnessConfig::global()).map_err(CliError::Usage)?;
     if let Some(spec) = args.flag("faults") {
@@ -84,12 +90,12 @@ fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
         manifest.converged
     );
     outln!("manifest written to {path}");
-    // Service counters are timing/worker-count dependent: stderr only,
-    // never in the manifest.
+    // Job counters are operator reporting: stderr only, never in the
+    // manifest.
     let stats = &outcome.service;
     eprintln!(
-        "service: submitted={} completed={} failed={} backpressure_waits={}",
-        stats.submitted, stats.completed, stats.failed, stats.backpressure_waits
+        "service: submitted={} completed={} failed={}",
+        stats.submitted, stats.completed, stats.failed
     );
     Ok(())
 }

@@ -49,17 +49,26 @@ fn malformed_observation_config_is_a_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A malformed fault spec, or a `--tenants` count outside the demo
+/// fleet's 1..=6, stops `fleet run` before anything runs.
 #[test]
 fn malformed_fault_spec_is_a_usage_error() {
     let dir = std::env::temp_dir().join(format!("twig-cli-faults-{}", std::process::id()));
     let out_dir = dir.display().to_string();
-    for spec in ["bogus:tenant=svc-alpha", "stall-stream:tenant"] {
-        let out = twig(&["fleet", "run", "--out", &out_dir], &[("TWIG_FAULT_SPEC", spec)]);
+    for (extra, envs, culprit) in [
+        (&[][..], &[("TWIG_FAULT_SPEC", "bogus:tenant=svc-alpha")][..], "TWIG_FAULT_SPEC"),
+        (&[][..], &[("TWIG_FAULT_SPEC", "stall-stream:tenant")][..], "TWIG_FAULT_SPEC"),
+        (&["--tenants", "0"][..], &[][..], "--tenants"),
+        (&["--tenants", "9"][..], &[][..], "--tenants"),
+    ] {
+        let mut args = vec!["fleet", "run", "--out", out_dir.as_str()];
+        args.extend_from_slice(extra);
+        let out = twig(&args, envs);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
-        assert!(stderr.contains("TWIG_FAULT_SPEC"), "{spec}: {stderr}");
-        assert!(!dir.join("fleet_manifest.json").exists(), "{spec}: nothing may run");
+        assert_eq!(out.status.code(), Some(2), "{args:?} {envs:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} {envs:?}: {stderr}");
+        assert!(stderr.contains(culprit), "{args:?} {envs:?}: {stderr}");
+        assert!(!dir.join("fleet_manifest.json").exists(), "{args:?}: nothing may run");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -54,7 +54,6 @@ impl Drill {
 fn drill_config(state_dir: &std::path::Path, workers: usize) -> FleetConfig {
     FleetConfig {
         workers,
-        queue_depth: 2,
         instructions: 30_000,
         requests_per_generation: 128,
         state_dir: Some(state_dir.to_path_buf()),

@@ -12,12 +12,14 @@
 //!
 //! * [`service::run_fleet`] — the supervised generation loop: N tenants
 //!   × rotating load phases ([`twig_workload::PhaseSchedule`]), one job
-//!   per tenant-generation on a bounded-queue worker pool with explicit
-//!   backpressure ([`twig_sched::ServicePool`]). The worker profiles the
-//!   deployed binary, builds the candidate layout and A/B-gates it with
-//!   the regression-sentinel thresholds ([`gate`]); the control thread
-//!   applies the verdicts in tenant order as they stream back, makes
-//!   every checkpoint write, and runs the convergence watchdog.
+//!   per tenant-generation, each generation's jobs run as one supervised
+//!   batch ([`twig_sched::parallel_map_within`] over
+//!   [`twig_sched::run_supervised`]). The worker walks the phase's trace
+//!   if the tenant has none cached, profiles the deployed binary, builds
+//!   the candidate layout and A/B-gates it with the regression-sentinel
+//!   thresholds ([`gate`]); the control thread caches the traces, applies
+//!   the verdicts in tenant order, makes every checkpoint write, and runs
+//!   the convergence watchdog.
 //! * [`health`] — the per-tenant `healthy → degraded → quarantined`
 //!   state machine with typed transition reasons.
 //! * [`manifest`] — the versioned, worker-count-invariant
@@ -43,4 +45,4 @@ pub use health::{FaultReason, Health, HealthTracker, Transition};
 pub use manifest::{
     FleetManifest, LatencySummary, TenantRecord, TransitionRecord, FLEET_MANIFEST_VERSION,
 };
-pub use service::{run_fleet, FleetConfig, FleetOutcome, TenantSpec};
+pub use service::{run_fleet, FleetConfig, FleetOutcome, ServiceStats, TenantSpec};

@@ -1,13 +1,16 @@
 //! The continuous-PGO fleet loop.
 //!
 //! N tenant binaries run under M rotating load phases. Each layout
-//! generation, every active tenant gets one job on a [`ServicePool`]
-//! (bounded queue, explicit backpressure, supervised workers). The job
-//! profiles the tenant's *deployed* binary with a sampled LBR-style
-//! recorder, merges the fresh miss plans into the deployed plan set,
-//! rewrites a candidate from the pristine binary, and A/B-judges
-//! candidate against deployed with the regression sentinel's thresholds
-//! ([`crate::gate`]). The control loop applies the verdicts: deploys that
+//! generation, every active tenant gets one job, and the generation's
+//! jobs run as one batch: [`twig_sched::parallel_map_within`], at most
+//! `workers` wide, with each job under [`run_supervised`] (panic
+//! isolation, retry). The job walks the phase's trace if the tenant has
+//! none cached yet, profiles the tenant's *deployed* binary with a
+//! sampled LBR-style recorder, merges the fresh miss plans into the
+//! deployed plan set, rewrites a candidate from the pristine binary, and
+//! A/B-judges candidate against deployed with the regression sentinel's
+//! thresholds ([`crate::gate`]). The control loop applies the verdicts, in
+//! tenant order once the batch is done: deploys that
 //! pass ship and are checkpointed as the tenant's last-good record;
 //! candidates that regress roll back and their novel branches are
 //! rejected for good. A convergence watchdog retires a tenant after
@@ -18,16 +21,16 @@
 //! # Determinism
 //!
 //! The manifest must be byte-identical across `TWIG_FLEET_WORKERS`
-//! settings, so: the workers profile, analyze, rewrite and gate, and
-//! each job is a pure function of its payload (the tenant's deployed
+//! settings, so: the workers walk, profile, analyze, rewrite and gate,
+//! and each job is a pure function of its payload (the tenant's deployed
 //! plans and rejected set are frozen for the generation when the job is
 //! submitted); service faults match by pure predicate (no firing
-//! budgets); reports stream back in submission order, which is tenant
-//! order, however the jobs finish; the control thread applies every
-//! verdict and makes every checkpoint write in that order; and nothing
-//! wall-clock-shaped is recorded (backpressure counters stay in
-//! [`ServiceStats`], which is reported to operators but never
-//! serialized).
+//! budgets); the batch returns its reports in submission order, which is
+//! tenant order, however the jobs finish; the control thread caches the
+//! walked traces, applies every verdict and makes every checkpoint write
+//! in that order; and nothing wall-clock-shaped is recorded (the job
+//! counters stay in [`ServiceStats`], which is reported to operators but
+//! never serialized).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -38,7 +41,7 @@ use twig_obs::timeseries::{TimeSeriesRing, DEFAULT_TIMELINE_CAPACITY};
 use twig_obs::{Hist64, TrackKind};
 use twig_profile::Profile;
 use twig_sched::fault::FaultSpec;
-use twig_sched::{FaultKind, ServicePool, ServiceStats, TaskError, TaskPolicy, TaskReport};
+use twig_sched::{run_supervised, FaultKind, TaskError, TaskPolicy, TaskReport};
 use twig_serde::{Deserialize, Serialize};
 use twig_sim::{PlainBtb, SimConfig, SimStats, Simulator};
 use twig_types::fxhash::FxHashSet;
@@ -67,14 +70,17 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A small demonstration fleet (at most 6 tenants) over the tiny
-    /// test workload — the fixture the drills and `twig fleet run` use.
+    /// The demo fleet's tenant names, which bound its size.
+    pub const DEMO_NAMES: [&'static str; 6] =
+        ["svc-alpha", "svc-bravo", "svc-charlie", "svc-delta", "svc-echo", "svc-foxtrot"];
+
+    /// The first `count` tenants of a small demonstration fleet (at most
+    /// [`TenantSpec::DEMO_NAMES`]`.len()`) over the tiny test workload —
+    /// the fixture the drills and `twig fleet run` use.
     pub fn demo_fleet(count: usize) -> Vec<TenantSpec> {
-        const NAMES: [&str; 6] =
-            ["svc-alpha", "svc-bravo", "svc-charlie", "svc-delta", "svc-echo", "svc-foxtrot"];
-        NAMES
+        Self::DEMO_NAMES
             .iter()
-            .take(count.clamp(1, NAMES.len()))
+            .take(count)
             .enumerate()
             .map(|(i, name)| TenantSpec {
                 name: (*name).to_string(),
@@ -88,10 +94,9 @@ impl TenantSpec {
 /// Knobs for one fleet run (see `TWIG_FLEET_*` in the README).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Service worker threads (`TWIG_FLEET_WORKERS`).
+    /// Tenant jobs run at once (`TWIG_FLEET_WORKERS`), within the
+    /// process-wide thread cap.
     pub workers: usize,
-    /// Bounded profile-queue capacity (`TWIG_FLEET_QUEUE_DEPTH`).
-    pub queue_depth: usize,
     /// Layout-generation cap (`TWIG_FLEET_MAX_GENERATIONS`).
     pub max_generations: u64,
     /// Full-phase profiling budget per generation, instructions.
@@ -121,7 +126,6 @@ impl FleetConfig {
     pub fn demo() -> FleetConfig {
         FleetConfig {
             workers: 1,
-            queue_depth: 2,
             max_generations: 8,
             instructions: 60_000,
             converge_after: 2,
@@ -149,7 +153,6 @@ impl FleetConfig {
         };
         Ok(FleetConfig {
             workers: harness.fleet_workers.value,
-            queue_depth: harness.fleet_queue_depth.value,
             max_generations: harness.fleet_max_generations.value,
             faults: Arc::new(faults),
             ..FleetConfig::demo()
@@ -157,19 +160,43 @@ impl FleetConfig {
     }
 }
 
-/// What [`run_fleet`] returns: the deterministic manifest plus the
-/// (timing-dependent) service counters for operator reporting.
+/// Job counters of one fleet run, for operator reporting; never
+/// serialized into the manifest.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct ServiceStats {
+    /// Tenant jobs submitted over the run.
+    pub submitted: u64,
+    /// Jobs completed (successfully or not).
+    pub completed: u64,
+    /// Completed jobs whose final result was an error.
+    pub failed: u64,
+    /// Always 0: each generation's jobs run as one batch, so no
+    /// submission ever waits on a full queue. Kept because `perfbench`
+    /// still reports it.
+    pub backpressure_waits: u64,
+}
+
+/// What [`run_fleet`] returns: the deterministic manifest plus the job
+/// counters for operator reporting.
 #[derive(Debug)]
 pub struct FleetOutcome {
     /// The versioned, worker-count-invariant run record.
     pub manifest: FleetManifest,
-    /// Pool counters (submitted/completed/failed/backpressure waits).
+    /// Job counters (submitted/completed/failed).
     pub service: ServiceStats,
 }
 
-/// One tenant-generation streamed to the service pool: everything the
-/// worker needs to profile the deployed binary and build and gate the
-/// next candidate, shared rather than copied.
+/// A job's trace for its phase.
+enum Trace {
+    /// The tenant's cached events.
+    Cached(Arc<[BlockEvent]>),
+    /// No trace yet: the worker walks the pristine binary under this input.
+    Walk(InputConfig),
+}
+
+/// One tenant-generation: everything the worker needs to profile the
+/// deployed binary and build and gate the next candidate, shared rather
+/// than copied.
 struct ProfileJob {
     tenant: String,
     generation: u64,
@@ -178,7 +205,7 @@ struct ProfileJob {
     deployed: Arc<Program>,
     plans: Arc<[MissPlan]>,
     rejected: Arc<FxHashSet<u32>>,
-    events: Arc<[BlockEvent]>,
+    trace: Trace,
     instructions: u64,
     sim: SimConfig,
 }
@@ -199,6 +226,8 @@ enum Verdict {
 
 /// A profiled and gated tenant-generation coming back from a worker.
 struct ProfileChunk {
+    /// The phase's trace, for the control thread to cache.
+    events: Arc<[BlockEvent]>,
     profile: Profile,
     stats: SimStats,
     fingerprint: u64,
@@ -328,10 +357,11 @@ fn merge_plans(
 
 /// Builds the candidate layout for `job` from `profile` and A/B-judges
 /// it against the deployed binary's `deployed_stats` over the same
-/// events. A held or rolled-back candidate is dropped here.
+/// `events`. A held or rolled-back candidate is dropped here.
 fn build_candidate(
     optimizer: &TwigOptimizer,
     job: &ProfileJob,
+    events: &[BlockEvent],
     profile: &Profile,
     deployed_stats: &SimStats,
 ) -> Verdict {
@@ -348,7 +378,7 @@ fn build_candidate(
     let program = optimizer
         .rewrite_of(&job.pristine, &job.layout, &merged)
         .program;
-    let candidate_stats = simulate(&program, job.sim, &job.events, job.instructions);
+    let candidate_stats = simulate(&program, job.sim, events, job.instructions);
     match judge_deploy(
         &GateMetrics::from_stats(deployed_stats),
         &GateMetrics::from_stats(&candidate_stats),
@@ -367,23 +397,58 @@ fn build_candidate(
     }
 }
 
-fn events_for(
-    state: &mut TenantState,
-    phase: LoadPhase,
-    full_budget: u64,
-) -> (Arc<[BlockEvent]>, u64) {
-    let instructions = phase.scaled_budget(full_budget);
+fn trace_for(state: &TenantState, phase: LoadPhase) -> Trace {
     if let Some((_, events)) = state.events.iter().find(|(p, _)| *p == phase) {
-        return (Arc::clone(events), instructions);
+        return Trace::Cached(Arc::clone(events));
     }
     // Tenant seed folded into the phase input: tenants sharing a spec
     // still see different request mixes.
     let base = phase.input();
-    let input = InputConfig { seed: base.seed ^ state.seed, ..base };
-    let events: Arc<[BlockEvent]> =
-        Walker::new(state.pristine.as_ref(), input).run_instructions(instructions).into();
-    state.events.push((phase, Arc::clone(&events)));
-    (events, instructions)
+    Trace::Walk(InputConfig { seed: base.seed ^ state.seed, ..base })
+}
+
+/// One tenant job, run on a worker under [`run_supervised`].
+fn run_job(
+    optimizer: &TwigOptimizer,
+    faults: &FaultSpec,
+    job: &ProfileJob,
+) -> Result<ProfileChunk, TaskError> {
+    if faults.fires_service(FaultKind::StallStream, &job.tenant, job.generation) {
+        return Err(TaskError::Domain {
+            kind: "stall-stream".to_string(),
+            detail: format!(
+                "profile stream for {} produced no samples at generation {}",
+                job.tenant, job.generation
+            ),
+        });
+    }
+    let events = match &job.trace {
+        Trace::Cached(events) => Arc::clone(events),
+        Trace::Walk(input) => Walker::new(job.pristine.as_ref(), *input)
+            .run_instructions(job.instructions)
+            .into(),
+    };
+    // The sampled stream arrives as a shared slice; feeding it through a
+    // `MemSource` keeps the worker on the same source-based path the
+    // out-of-core readers use.
+    let (profile, stats) = optimizer.collect_profile_and_stats_from_source(
+        &job.deployed,
+        job.sim,
+        &mut MemSource::new(Arc::clone(&events)),
+        job.instructions,
+    );
+    let mut fingerprint = profile_fingerprint(&profile);
+    if faults.fires_service(FaultKind::CorruptProfile, &job.tenant, job.generation) {
+        fingerprint ^= 0xBAD5_EED5_BAD5_EED5;
+    }
+    let verdict = build_candidate(optimizer, job, &events, &profile, &stats);
+    Ok(ProfileChunk {
+        events,
+        profile,
+        stats,
+        fingerprint,
+        verdict,
+    })
 }
 
 /// A fired `latency-spike` clause multiplies every request latency of
@@ -542,46 +607,7 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
         .collect::<Result<_, String>>()?;
 
     let policy = TaskPolicy { attempts: 2, backoff_ms: 1, timeout_ms: None };
-    let worker_faults = Arc::clone(&config.faults);
-    let worker_optimizer = optimizer.clone();
-    let mut pool: ServicePool<ProfileJob, ProfileChunk> = ServicePool::new(
-        config.workers,
-        config.queue_depth,
-        policy,
-        move |job: &ProfileJob, _token| {
-            if worker_faults.fires_service(FaultKind::StallStream, &job.tenant, job.generation) {
-                return Err(TaskError::Domain {
-                    kind: "stall-stream".to_string(),
-                    detail: format!(
-                        "profile stream for {} produced no samples at generation {}",
-                        job.tenant, job.generation
-                    ),
-                });
-            }
-            // The sampled stream arrives as a shared slice; feeding it
-            // through a `MemSource` keeps the worker on the same
-            // source-based path the out-of-core readers use.
-            let (profile, stats) = worker_optimizer.collect_profile_and_stats_from_source(
-                &job.deployed,
-                job.sim,
-                &mut MemSource::new(Arc::clone(&job.events)),
-                job.instructions,
-            );
-            let mut fingerprint = profile_fingerprint(&profile);
-            if worker_faults.fires_service(FaultKind::CorruptProfile, &job.tenant, job.generation)
-            {
-                fingerprint ^= 0xBAD5_EED5_BAD5_EED5;
-            }
-            let verdict = build_candidate(&worker_optimizer, job, &profile, &stats);
-            Ok(ProfileChunk {
-                profile,
-                stats,
-                fingerprint,
-                verdict,
-            })
-        },
-    );
-
+    let mut service = ServiceStats::default();
     let mut generations_run = 0u64;
     for generation in 0..config.max_generations {
         if !states.iter().any(TenantState::active) {
@@ -589,7 +615,8 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
         }
         generations_run += 1;
 
-        let mut submitted: Vec<usize> = Vec::new();
+        let mut submitted: Vec<(usize, LoadPhase)> = Vec::new();
+        let mut batch: Vec<(u64, String, ProfileJob)> = Vec::new();
         for (i, state) in states.iter_mut().enumerate() {
             if !state.active() {
                 continue;
@@ -602,8 +629,10 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
                 continue;
             }
             let phase = state.schedule.phase_at(generation);
-            let (events, instructions) = events_for(state, phase, config.instructions);
-            pool.submit(
+            // The lifetime submission index is the task index `task=N`
+            // fault selectors match.
+            batch.push((
+                service.submitted,
                 format!("fleet:{}@g{}:{}", state.name, generation, phase.name()),
                 ProfileJob {
                     tenant: state.name.clone(),
@@ -613,23 +642,38 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
                     deployed: Arc::clone(&state.deployed),
                     plans: Arc::clone(&state.plans),
                     rejected: Arc::clone(&state.rejected),
-                    events,
-                    instructions,
+                    trace: trace_for(state, phase),
+                    instructions: phase.scaled_budget(config.instructions),
                     sim: state.sim,
                 },
-            );
-            submitted.push(i);
+            ));
+            service.submitted += 1;
+            submitted.push((i, phase));
         }
 
-        // Tenant i's verdict is applied (on a deploy, freeing its old
-        // binary) while later tenants' candidates are still building.
-        for (i, report) in submitted.iter().zip(pool.drain()) {
-            process_report(&mut states[*i], report, generation, config, &store);
+        let reports = twig_sched::parallel_map_within(
+            config.workers,
+            batch,
+            |(index, label, job)| {
+                run_supervised(&label, index as usize, &policy, |_token| {
+                    run_job(&optimizer, &config.faults, &job)
+                })
+            },
+        );
+        for ((i, phase), report) in submitted.into_iter().zip(reports) {
+            let state = &mut states[i];
+            service.completed += 1;
+            match &report.result {
+                Ok(chunk) => {
+                    if !state.events.iter().any(|(p, _)| *p == phase) {
+                        state.events.push((phase, Arc::clone(&chunk.events)));
+                    }
+                }
+                Err(_) => service.failed += 1,
+            }
+            process_report(state, report, generation, config, &store);
         }
     }
-
-    let service = pool.stats();
-    pool.shutdown();
 
     states.sort_by(|a, b| a.name.cmp(&b.name));
     let active_exists = states.iter().any(|s| !s.health.is_quarantined());

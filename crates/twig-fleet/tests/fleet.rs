@@ -61,7 +61,7 @@ fn clean_fleet_converges_with_improving_deploys() {
 fn manifest_is_worker_count_invariant() {
     let tenants = TenantSpec::demo_fleet(3);
     let one = run_fleet(&tenants, &FleetConfig { workers: 1, ..test_config() }).unwrap();
-    let four = run_fleet(&tenants, &FleetConfig { workers: 4, queue_depth: 3, ..test_config() })
+    let four = run_fleet(&tenants, &FleetConfig { workers: 4, ..test_config() })
         .unwrap();
     assert_eq!(
         one.manifest.to_json().unwrap(),
@@ -83,7 +83,7 @@ fn manifest_is_invariant_when_jobs_finish_out_of_order() {
             .iter()
             .map(|&workers| {
                 let config =
-                    with_faults(FleetConfig { workers, queue_depth: 4, ..test_config() }, faults);
+                    with_faults(FleetConfig { workers, ..test_config() }, faults);
                 run_fleet(&tenants, &config).unwrap().manifest.to_json().unwrap()
             })
             .collect()

@@ -7,6 +7,9 @@
 //! and the calling thread always participates (work-helping), so nested
 //! `parallel_map` calls are deadlock-free even when the budget is
 //! exhausted — they simply degrade to serial execution on the caller.
+//! [`parallel_map_within`] is the same executor with a narrower width:
+//! the fleet loop runs each generation's tenant jobs through it, capped
+//! at its worker count.
 //!
 //! The thread cap comes from `TWIG_NUM_THREADS`, then `RAYON_NUM_THREADS`
 //! (kept for familiarity with rayon-based setups), then the machine's
@@ -30,7 +33,6 @@ use std::sync::{Mutex, OnceLock};
 
 pub mod durable;
 pub mod fault;
-pub mod service;
 pub mod supervise;
 
 pub use durable::{
@@ -38,7 +40,6 @@ pub use durable::{
     RunLock,
 };
 pub use fault::{FaultKind, FaultSpec};
-pub use service::{BoundedQueue, ServicePool, ServiceStats};
 pub use supervise::{
     jittered_backoff_ms, run_supervised, CancelToken, TaskError, TaskPolicy, TaskReport,
 };
@@ -141,11 +142,29 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    parallel_map_within(num_threads(), items, f)
+}
+
+/// [`parallel_map`] with at most `width` tasks in flight (the calling
+/// thread included, floored at 1), still within the process-wide spawn
+/// budget. Width 1 runs every item on the calling thread and takes no
+/// budget token.
+///
+/// # Panics
+///
+/// As [`parallel_map`]: the first task panic is re-raised on the caller.
+pub fn parallel_map_within<T, R, F>(width: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     let n = items.len();
-    if n <= 1 {
+    let width = width.clamp(1, n.max(1));
+    if width == 1 {
         return items.into_iter().map(f).collect();
     }
-    let tokens = acquire_tokens(n - 1);
+    let tokens = acquire_tokens(width - 1);
     if tokens.is_empty() {
         return items.into_iter().map(f).collect();
     }
@@ -222,21 +241,36 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::MutexGuard;
+
+    /// Serializes the tests that run an executor, so the budget checks
+    /// see no other test's workers.
+    pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn full_budget() -> isize {
+        num_threads() as isize - 1
+    }
 
     #[test]
     fn preserves_input_order() {
+        let _serial = exclusive();
         let out = parallel_map((0..257u64).collect::<Vec<_>>(), |v| v * 3);
         assert_eq!(out, (0..257u64).map(|v| v * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let _serial = exclusive();
         assert_eq!(parallel_map(Vec::<u32>::new(), |v| v), Vec::<u32>::new());
         assert_eq!(parallel_map(vec![9u32], |v| v + 1), vec![10]);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
+        let _serial = exclusive();
         let counter = AtomicUsize::new(0);
         let out = parallel_map((0..100usize).collect::<Vec<_>>(), |v| {
             counter.fetch_add(1, Ordering::Relaxed);
@@ -248,6 +282,7 @@ mod tests {
 
     #[test]
     fn nested_maps_complete_without_deadlock() {
+        let _serial = exclusive();
         let out = parallel_map((0..16u64).collect::<Vec<_>>(), |outer| {
             parallel_map((0..16u64).collect::<Vec<_>>(), move |inner| outer * 16 + inner)
                 .into_iter()
@@ -261,11 +296,12 @@ mod tests {
 
     #[test]
     fn idle_workers_return_tokens_before_scope_ends() {
+        let _serial = exclusive();
         // Needs at least two spawned workers to observe early release.
         if num_threads() < 3 {
             return;
         }
-        let full = num_threads() as isize - 1;
+        let full = full_budget();
         let observed = std::sync::atomic::AtomicBool::new(false);
         parallel_map((0..64usize).collect::<Vec<_>>(), |i| {
             if i == 0 {
@@ -290,6 +326,7 @@ mod tests {
 
     #[test]
     fn panic_propagates_to_caller_after_clean_join() {
+        let _serial = exclusive();
         let caught = std::panic::catch_unwind(|| {
             parallel_map((0..64u32).collect::<Vec<_>>(), |v| {
                 if v == 17 {
@@ -306,16 +343,56 @@ mod tests {
             .unwrap_or_default();
         assert!(text.contains("task 17 exploded"), "payload was {text:?}");
         // The budget must be fully restored despite the panic.
-        let available = spawn_budget().load(Ordering::Relaxed);
-        assert_eq!(available, num_threads() as isize - 1);
+        assert_eq!(spawn_budget().load(Ordering::Relaxed), full_budget());
     }
 
     #[test]
     fn budget_is_restored_after_use() {
+        let _serial = exclusive();
         for _ in 0..3 {
             let _ = parallel_map((0..64u32).collect::<Vec<_>>(), |v| v);
         }
-        let available = spawn_budget().load(Ordering::Relaxed);
-        assert_eq!(available, num_threads() as isize - 1);
+        assert_eq!(spawn_budget().load(Ordering::Relaxed), full_budget());
+    }
+
+    #[test]
+    fn width_one_runs_on_the_caller_without_a_token() {
+        let _serial = exclusive();
+        let caller = std::thread::current().id();
+        let out = parallel_map_within(1, (0..32u32).collect::<Vec<_>>(), |v| {
+            assert_eq!(std::thread::current().id(), caller, "item {v} left the caller");
+            assert_eq!(spawn_budget().load(Ordering::Relaxed), full_budget());
+            v + 1
+        });
+        assert_eq!(out, (1..33u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn width_bounds_tasks_in_flight() {
+        let _serial = exclusive();
+        for width in [2, 3] {
+            // Tasks linger until the high-water mark reaches what the
+            // width and the budget allow, so an executor that overshot the
+            // width would show it.
+            let target = width.min(num_threads());
+            let in_flight = AtomicUsize::new(0);
+            let high_water = AtomicUsize::new(0);
+            let out = parallel_map_within(width, (0..24usize).collect::<Vec<_>>(), |v| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+                while high_water.load(Ordering::SeqCst) < target
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                v
+            });
+            assert_eq!(out, (0..24usize).collect::<Vec<_>>());
+            assert_eq!(high_water.load(Ordering::SeqCst), target, "width {width}");
+            assert_eq!(spawn_budget().load(Ordering::Relaxed), full_budget());
+        }
     }
 }

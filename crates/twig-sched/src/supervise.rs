@@ -417,10 +417,11 @@ mod tests {
         assert_eq!(report.attempts, 1);
     }
 
-    /// The pairing `runner::headline` uses: `parallel_map` over indexed
-    /// tasks, each wrapped in `run_supervised`.
+    /// The pairing `runner::headline` and `run_fleet` use: `parallel_map`
+    /// over indexed tasks, each wrapped in `run_supervised`.
     #[test]
     fn one_panicking_task_does_not_poison_the_batch() {
+        let _serial = crate::tests::exclusive();
         let policy = quick_policy();
         let tasks: Vec<(usize, u32)> = (0..8u32).enumerate().collect();
         let reports = crate::parallel_map(tasks, |(i, v)| {

@@ -88,17 +88,14 @@ pub const VAR_OBS: &str = "TWIG_OBS";
 /// runs never touch disk; big-trace cells cross it and stay in bounded
 /// RSS.
 pub const VAR_TRACE_SPILL_EVENTS: &str = "TWIG_TRACE_SPILL_EVENTS";
-/// `TWIG_FLEET_WORKERS` — long-running fleet-service worker threads,
-/// at least 1. Results are worker-count invariant (the fleet manifest is
-/// proven byte-identical across settings), so this is purely a throughput
-/// knob.
+/// `TWIG_FLEET_WORKERS` — at most this many fleet tenant jobs run at
+/// once, within `TWIG_NUM_THREADS`; at least 1. Results are worker-count
+/// invariant (the fleet manifest is proven byte-identical across
+/// settings), so this is purely a throughput knob.
 pub const VAR_FLEET_WORKERS: &str = "TWIG_FLEET_WORKERS";
 /// `TWIG_FLEET_MAX_GENERATIONS` — layout-generation cap for the fleet
 /// convergence watchdog, at least 1.
 pub const VAR_FLEET_MAX_GENERATIONS: &str = "TWIG_FLEET_MAX_GENERATIONS";
-/// `TWIG_FLEET_QUEUE_DEPTH` — bounded profile-queue capacity per fleet
-/// service, at least 1; submissions beyond it block (backpressure).
-pub const VAR_FLEET_QUEUE_DEPTH: &str = "TWIG_FLEET_QUEUE_DEPTH";
 
 /// The process-wide configuration behind [`HarnessConfig::global`].
 static GLOBAL: OnceLock<HarnessConfig> = OnceLock::new();
@@ -120,7 +117,6 @@ pub const ALL_VARS: &[&str] = &[
     VAR_TRACE_SPILL_EVENTS,
     VAR_FLEET_WORKERS,
     VAR_FLEET_MAX_GENERATIONS,
-    VAR_FLEET_QUEUE_DEPTH,
 ];
 
 /// Where a setting's effective value came from.
@@ -250,12 +246,10 @@ pub struct HarnessConfig {
     pub obs: Setting<String>,
     /// Trace-spill threshold in events; `None` = spilling disabled.
     pub trace_spill_events: Setting<Option<u64>>,
-    /// Fleet-service worker threads, at least 1.
+    /// Fleet tenant jobs run at once, at least 1.
     pub fleet_workers: Setting<usize>,
     /// Fleet convergence-watchdog generation cap, at least 1.
     pub fleet_max_generations: Setting<u64>,
-    /// Fleet bounded-queue capacity, at least 1.
-    pub fleet_queue_depth: Setting<usize>,
 }
 
 impl HarnessConfig {
@@ -276,7 +270,6 @@ impl HarnessConfig {
             trace_spill_events: Setting::default_value(Some(8_000_000)),
             fleet_workers: Setting::default_value(1),
             fleet_max_generations: Setting::default_value(8),
-            fleet_queue_depth: Setting::default_value(2),
         }
     }
 
@@ -344,10 +337,6 @@ impl HarnessConfig {
         if let Some(raw) = lookup(VAR_FLEET_MAX_GENERATIONS) {
             let n = parse_positive(VAR_FLEET_MAX_GENERATIONS, &raw, "generation cap")?;
             config.fleet_max_generations = Setting::env_value(n);
-        }
-        if let Some(raw) = lookup(VAR_FLEET_QUEUE_DEPTH) {
-            let n = parse_positive(VAR_FLEET_QUEUE_DEPTH, &raw, "queue depth")?;
-            config.fleet_queue_depth = Setting::env_value(n as usize);
         }
         Ok(config)
     }
@@ -423,7 +412,6 @@ impl HarnessConfig {
             row(VAR_TRACE_SPILL_EVENTS, &self.trace_spill_events, |v| opt(v, "off")),
             row(VAR_FLEET_WORKERS, &self.fleet_workers, ToString::to_string),
             row(VAR_FLEET_MAX_GENERATIONS, &self.fleet_max_generations, ToString::to_string),
-            row(VAR_FLEET_QUEUE_DEPTH, &self.fleet_queue_depth, ToString::to_string),
         ]
     }
 }
@@ -581,20 +569,17 @@ mod tests {
         let config = HarnessConfig::from_lookup(env_of(&[
             ("TWIG_FLEET_WORKERS", "4"),
             ("TWIG_FLEET_MAX_GENERATIONS", "12"),
-            ("TWIG_FLEET_QUEUE_DEPTH", "3"),
         ]))
         .unwrap();
         assert_eq!(config.fleet_workers.value, 4);
         assert_eq!(config.fleet_max_generations.value, 12);
-        assert_eq!(config.fleet_queue_depth.value, 3);
         assert_eq!(config.fleet_workers.source, Source::Env);
 
         let defaults = HarnessConfig::defaults();
         assert_eq!(defaults.fleet_workers.value, 1);
         assert_eq!(defaults.fleet_max_generations.value, 8);
-        assert_eq!(defaults.fleet_queue_depth.value, 2);
 
-        for var in ["TWIG_FLEET_WORKERS", "TWIG_FLEET_MAX_GENERATIONS", "TWIG_FLEET_QUEUE_DEPTH"] {
+        for var in ["TWIG_FLEET_WORKERS", "TWIG_FLEET_MAX_GENERATIONS"] {
             let err = HarnessConfig::from_lookup(env_of(&[(var, "0")])).unwrap_err();
             assert_eq!(err.var, var);
             assert!(err.to_string().contains(">= 1"), "{err}");

@@ -80,3 +80,33 @@ fn twig_env_vars_are_read_in_exactly_one_place() {
         offenders.join("\n")
     );
 }
+
+/// The first-column variable names of the README's configuration
+/// reference table.
+fn readme_knob_table(readme: &str) -> Vec<String> {
+    readme
+        .lines()
+        .skip_while(|line| !line.starts_with("### Configuration reference"))
+        .skip(1)
+        .take_while(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let first = line.strip_prefix('|')?.split('|').next()?.trim();
+            let name = first.strip_prefix('`')?.strip_suffix('`')?;
+            name.starts_with("TWIG_").then(|| name.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn readme_knob_table_lists_exactly_all_vars() {
+    use std::collections::BTreeSet;
+    let readme = std::fs::read_to_string(workspace_root().join("README.md")).expect("read README");
+    let rows = readme_knob_table(&readme);
+    let documented: BTreeSet<&str> = rows.iter().map(String::as_str).collect();
+    assert_eq!(documented.len(), rows.len(), "README lists a knob twice: {rows:?}");
+    let known: BTreeSet<&str> = twig_types::config::ALL_VARS.iter().copied().collect();
+    assert_eq!(
+        documented, known,
+        "README's configuration table and config::ALL_VARS disagree"
+    );
+}
