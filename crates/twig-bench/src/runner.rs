@@ -27,8 +27,7 @@ use twig_sim::{
     speedup_percent, BtbSystem, IntegrityViolation, PlainBtb, SimConfig, SimStats, Simulator,
 };
 use twig_workload::{
-    AnySource, AppId, BlockEvent, InputConfig, Program, ProgramGenerator, Walker, WorkingSet,
-    WorkloadSpec,
+    AppId, BlockEvent, InputConfig, Program, ProgramGenerator, Walker, WorkingSet, WorkloadSpec,
 };
 
 use crate::cache;
@@ -421,13 +420,7 @@ fn run_mono<B: BtbSystem>(
 ) -> Result<SimStats, Box<IntegrityViolation>> {
     let mut sim = Simulator::new(program, config, system);
     sim.set_integrity_label(label);
-    // Match the backing out so the event loop monomorphizes per source
-    // (no per-event enum dispatch in the headline hot path).
-    let stats = match events.source() {
-        AnySource::Mem(source) => sim.try_run(source, budget)?,
-        AnySource::Walker(source) => sim.try_run(source, budget)?,
-        AnySource::Columnar(source) => sim.try_run(source, budget)?,
-    };
+    let stats = sim.try_run(events.source(), budget)?;
     if let Some(snapshot) = sim.metrics_snapshot() {
         crate::telemetry::record_cell_metrics(label, &snapshot);
         if let Ok(Some(trace)) = sim.chrome_trace() {

@@ -40,6 +40,15 @@ fn manifest(dir: &Path) -> String {
     String::from_utf8(read(dir, "run_manifest.json")).expect("manifest is utf-8")
 }
 
+/// The member `key` of a JSON object.
+fn field<'v>(value: &'v twig_serde::Value, key: &str) -> &'v twig_serde::Value {
+    let (_, v) = value
+        .as_object()
+        .and_then(|members| members.iter().find(|(k, _)| k == key))
+        .unwrap_or_else(|| panic!("no `{key}` member"));
+    v
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("twig-ft-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -116,16 +125,33 @@ fn faulted_run_quarantines_and_resume_heals() {
     }
 
     // A poisoned artifact-cache entry is evicted and recomputed without
-    // failing a cell or changing a report.
+    // failing a cell or changing a report. Every headline cell of kafka
+    // reads its prepared entry, so the poison is seen (a poisoned entry
+    // that is never read again is never checked).
     let poison_dir = temp_dir("poison");
     let poisoned = run(
         &poison_dir,
         &[],
-        &[("TWIG_FAULT_SPEC", "corrupt-cache:label=cache:events:kafka")],
+        &[(
+            "TWIG_FAULT_SPEC",
+            "corrupt-cache:label=cache:prepared:kafka",
+        )],
     );
     assert!(poisoned.status.success(), "poisoned run failed: {poisoned:?}");
     let m = manifest(&poison_dir);
     assert!(m.contains("\"failed_cells\": 0"), "{m}");
+    let text = String::from_utf8(read(&poison_dir, "bench_results.json")).unwrap();
+    let report: twig_serde::Value = twig_serde_json::from_str(&text).unwrap();
+    let evictions = field(field(&report, "cache"), "prepared_evictions").as_u64();
+    assert!(
+        evictions >= Some(1),
+        "the poisoned entry was never evicted: {text}"
+    );
+    assert_eq!(
+        field(&report, "cache_exactly_once"),
+        &twig_serde::Value::Bool(true),
+        "{text}"
+    );
     for name in ["fig16.txt", "tab03.txt"] {
         assert_eq!(
             read(&clean_dir, name),

@@ -1,7 +1,6 @@
 //! End-to-end observability tests driving the `experiments` binary as a
 //! subprocess: the observation spec is process-global (`TWIG_OBS` or
-//! `--obs`), so each scenario gets its own process, exactly like CI's
-//! observability lane.
+//! `--obs`), so each scenario gets its own process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -219,8 +219,9 @@ pub struct SimConfig {
     /// per-cycle instrumentation tier is active, jump straight to the next
     /// cycle at which any stage can act, bulk-applying the skipped cycles'
     /// retire-slot accounting. Produces bit-identical statistics to
-    /// cycle-by-cycle stepping (asserted by `tests/sim_behavior.rs`); off
-    /// only for the before/after benchmark groups in `benches/sim.rs`.
+    /// cycle-by-cycle stepping (asserted on kafka and verilator by
+    /// `tests/sim_behavior.rs`); off only as the per-cycle reference in
+    /// tests.
     pub batch_stepping: bool,
     /// Simulation integrity layer: checking tier, watchdog budgets, and
     /// the optional seeded mutation. Defaults from the `TWIG_INTEGRITY`
@@ -473,8 +474,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Batched (idle-skipping) cycle stepping; on by default, off only for
-    /// the before/after performance benchmarks.
+    /// Batched (idle-skipping) cycle stepping; on by default, off only as
+    /// the per-cycle reference in tests.
     pub fn batch_stepping(mut self, batch: bool) -> Self {
         self.config.batch_stepping = batch;
         self

@@ -94,6 +94,12 @@ fn attribution_reconciles_with_aggregate_counters() {
 #[test]
 fn attribution_does_not_perturb_the_simulation() {
     let (off, _) = run_app(AppId::Kafka, "off");
+    // Recording may cost time but must never change the simulation, at
+    // any tier, with or without the attribution table.
+    for obs in ["counters", "trace", "trace=64", "counters,attr"] {
+        let (on, _) = run_app(AppId::Kafka, obs);
+        assert_eq!(off, on, "`{obs}` changed the simulated statistics");
+    }
     let (on, sim) = run_app(AppId::Kafka, "attr.k=8,attr.sample=4");
     assert_eq!(off, on, "attribution changed the simulated statistics");
     // Attribution alone (level off) still yields both snapshots.

@@ -2,11 +2,11 @@
 //! paper's §2 characterization relies on must hold on synthetic workloads.
 
 use twig_sim::{
-    BtbGeometry, DirectionPredictorKind, HistoryEntry, MissObserver, PlainBtb, SimConfig,
-    SimStats, Simulator,
+    BtbGeometry, DirectionPredictorKind, HistoryEntry, IntegrityConfig, MissObserver, ObsConfig,
+    PlainBtb, SimConfig, SimStats, Simulator,
 };
 use twig_types::{BlockId, BranchKind};
-use twig_workload::{InputConfig, ProgramGenerator, Walker, WorkloadSpec};
+use twig_workload::{AppId, InputConfig, ProgramGenerator, Walker, WorkloadSpec};
 
 const BUDGET: u64 = 200_000;
 
@@ -356,4 +356,65 @@ fn wrong_path_prefetch_changes_icache_traffic_only_when_enabled() {
     // IPC moves only modestly (pollution vs accidental warmth).
     let ratio = wp.ipc() / base.ipc();
     assert!((0.7..=1.4).contains(&ratio), "IPC ratio {ratio}");
+}
+
+/// Batched (idle-skipping) stepping and the integrity tiers may cost or
+/// save time but must never change the simulation: each row's full
+/// `SimStats` equals the batched, unchecked run's. Kafka is
+/// frontend-bound and verilator more backend-bound, so the batched leap
+/// is exercised on both kinds of stall. Integrity sampling forces
+/// per-cycle stepping, so its rows double as per-cycle oracles for the
+/// batched default.
+#[test]
+fn batching_and_integrity_tiers_preserve_bit_identical_stats() {
+    const INSTRS: u64 = 100_000;
+    // Pin both tiers: `SimConfig::default()` reads `TWIG_INTEGRITY` and
+    // `TWIG_OBS`, either of which would silently turn batching off.
+    let reference = SimConfig {
+        integrity: IntegrityConfig::off(),
+        obs: ObsConfig::off(),
+        ..SimConfig::default()
+    };
+    let per_cycle = SimConfig {
+        batch_stepping: false,
+        ..reference
+    };
+    let checked = |integrity| SimConfig {
+        integrity,
+        ..reference
+    };
+    let cases: [(AppId, &[(&str, SimConfig)]); 2] = [
+        (
+            AppId::Kafka,
+            &[
+                ("per-cycle stepping", per_cycle),
+                (
+                    "integrity sampled(64)",
+                    checked(IntegrityConfig::sampled(64)),
+                ),
+                (
+                    "integrity sampled(1024)",
+                    checked(IntegrityConfig::sampled(1024)),
+                ),
+                ("integrity paranoid", checked(IntegrityConfig::paranoid())),
+            ],
+        ),
+        (AppId::Verilator, &[("per-cycle stepping", per_cycle)]),
+    ];
+    for (app, rows) in cases {
+        let program = ProgramGenerator::new(WorkloadSpec::preset(app)).generate();
+        let run = |config: SimConfig| {
+            let mut sim = Simulator::new(&program, config, PlainBtb::new(&config));
+            sim.run(Walker::new(&program, InputConfig::numbered(0)), INSTRS)
+        };
+        let expected = run(reference);
+        for &(name, config) in rows {
+            assert_eq!(
+                run(config),
+                expected,
+                "{name} perturbed the simulation on {}",
+                app.name()
+            );
+        }
+    }
 }

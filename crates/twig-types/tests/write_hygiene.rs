@@ -8,7 +8,7 @@
 //!
 //! Scope: `crates/` only — `vendor/` holds third-party stand-ins whose
 //! files are not published run artifacts. Test code (`#[cfg(test)]`
-//! modules, `tests/`, `benches/`, and the drill binaries that *stage*
+//! modules, `tests/`, and the drill binaries that *stage*
 //! corrupt inputs on purpose) is exempt: tests must be able to fabricate
 //! torn files to prove recovery works.
 
@@ -32,8 +32,8 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
         let path = entry.path();
         if path.is_dir() {
             let name = entry.file_name();
-            // Integration tests and benches fabricate residue on purpose.
-            if name != "target" && name != ".git" && name != "tests" && name != "benches" {
+            // Integration tests fabricate residue on purpose.
+            if name != "target" && name != ".git" && name != "tests" {
                 rust_sources(&path, out);
             }
         } else if path.extension().is_some_and(|x| x == "rs") {

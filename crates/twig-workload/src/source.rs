@@ -21,9 +21,10 @@
 //!   the mmap-backed [`ColumnarReader`] in bounded resident memory.
 //!
 //! [`AnySource`] packages the three for call sites that pick a backing
-//! store at runtime (the artifact cache, the CLI); hot loops match on it
-//! once and run each arm monomorphized, mirroring the `Simulator<B>`
-//! pattern from the BTB model.
+//! store at runtime (the artifact cache, the harness, the CLI) and
+//! dispatches per event. The simulator consumes it directly: one
+//! predictable branch per event is noise next to the simulation work
+//! each event costs.
 //!
 //! The trait is **sealed**: simulation results must be reproducible from
 //! a cache key, which only holds if every source kind is known to (and
@@ -346,10 +347,9 @@ impl EventSource for ColumnarSource {
 
 /// A runtime-selected event source: one of the three concrete backings.
 ///
-/// Call sites that know the backing statically should use the concrete
-/// type; hot loops handed an `AnySource` should `match` once and run each
-/// arm monomorphized. The enum also implements [`EventSource`] directly
-/// (delegating per call) for paths where per-event dispatch is noise.
+/// Call sites that know the backing statically use the concrete type.
+/// The enum implements [`EventSource`] by delegating each call to its
+/// backing, so a hot loop handed an `AnySource` runs on it directly.
 #[derive(Debug)]
 pub enum AnySource {
     /// In-memory slice.
