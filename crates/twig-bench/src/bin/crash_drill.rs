@@ -6,9 +6,9 @@
 //!
 //! For every crashpoint registered in `twig_sched::durable::CRASHPOINTS`,
 //! the drill runs the owning workflow as a subprocess with
-//! `TWIG_CRASH_SPEC=<point>` armed, asserts the process died with the
-//! distinctive crash exit code (a point that never fires is a registry
-//! lie and fails the drill), then runs the recovery path — batch
+//! `TWIG_FAULT_SPEC=crash:point=<point>` armed, asserts the process died
+//! with the distinctive crash exit code (a point that never fires is a
+//! registry lie and fails the drill), then runs the recovery path — batch
 //! `--resume`, a fresh `fleet run`, or the next `metrics regress` — and
 //! asserts the recovered outputs are **byte-identical** to an uncrashed
 //! reference. Batch and fleet recovery are proven at 1 and 4 workers
@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use twig_sched::durable::{CRASHPOINTS, CRASH_EXIT_CODE};
+use twig_sched::durable::{CRASHPOINTS, CRASH_EXIT_CODE, JOURNAL_SUFFIX};
 
 /// Crashpoints drilled through `experiments fig16 --obs counters` +
 /// `--resume`.
@@ -140,6 +140,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The fault spec that kills a process at the first hit of `point`.
+fn crash_at(point: &str) -> (&'static str, String) {
+    ("TWIG_FAULT_SPEC", format!("crash:point={point}"))
+}
+
 /// A subprocess command with a scrubbed TWIG_* environment: only the
 /// variables the drill sets explicitly reach the child.
 fn scrubbed(bin: &Path, envs: &[(&str, String)]) -> Command {
@@ -239,11 +244,7 @@ fn drill_batch(
         let what = format!("batch w{workers} @{point}");
         let dir = root.join(format!("batch-w{workers}-{point}"));
         run_expect(
-            scrubbed(
-                experiments,
-                &[threads.clone(), ("TWIG_CRASH_SPEC", point.to_string())],
-            )
-            .args(base_args(&dir)),
+            scrubbed(experiments, &[threads.clone(), crash_at(point)]).args(base_args(&dir)),
             CRASH_EXIT_CODE,
             &format!("{what} crash run"),
         );
@@ -315,11 +316,8 @@ fn drill_fleet(
         let out = root.join(format!("fleet-w{workers}-{point}"));
         let state = out.join("state");
         run_expect(
-            scrubbed(
-                twig_cli,
-                &[fleet_workers.clone(), ("TWIG_CRASH_SPEC", point.to_string())],
-            )
-            .args(fleet_args(&out, &state)),
+            scrubbed(twig_cli, &[fleet_workers.clone(), crash_at(point)])
+                .args(fleet_args(&out, &state)),
             CRASH_EXIT_CODE,
             &format!("{what} crash run"),
         );
@@ -377,8 +375,7 @@ fn drill_trajectory(
             &format!("{what} append 1"),
         );
         run_expect(
-            scrubbed(twig_cli, &[("TWIG_CRASH_SPEC", point.to_string())])
-                .args(regress_args(&traj)),
+            scrubbed(twig_cli, &[crash_at(point)]).args(regress_args(&traj)),
             CRASH_EXIT_CODE,
             &format!("{what} crashed append 2"),
         );
@@ -390,6 +387,12 @@ fn drill_trajectory(
             &format!("{what} healing append 3"),
         );
         assert_same(&reference, &traj, &what);
+        let journal = traj.with_file_name(format!("BENCH_trajectory.json{JOURNAL_SUFFIX}"));
+        assert!(
+            !journal.exists(),
+            "{what}: the healing append left its journal {}",
+            journal.display()
+        );
         drilled.insert(point);
         println!("ok: {what}");
     }

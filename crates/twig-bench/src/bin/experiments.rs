@@ -135,7 +135,7 @@ fn main() {
     twig_sim::IntegrityConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
     harness.obs = harness.obs.with_explicit(obs_flag);
     let obs = twig_obs::ObsConfig::from_harness(&harness).unwrap_or_else(|e| usage_error(&e));
-    let harness = harness.install();
+    harness.install();
     std::fs::create_dir_all(&ctx.results_dir).expect("create results dir");
     // One run per results directory: the `.lock` guard is held for the
     // whole run. A dead holder's lock is stolen; a live one is a hard,
@@ -156,12 +156,8 @@ fn main() {
         eprintln!("recovered crash residue: {healed}");
         manifest::record_healed(&healed.path, healed.action);
     }
-    // Forensic integrity dumps land next to the run's other outputs
-    // (unless the operator already pinned the directory via
-    // TWIG_INTEGRITY_DUMP_DIR).
-    if harness.integrity_dump_dir.value.is_none() {
-        twig_sim::integrity::dump::set_dump_dir(ctx.results_dir.join(".integrity"));
-    }
+    // Forensic integrity dumps land next to the run's other outputs.
+    twig_sim::integrity::dump::set_dump_dir(ctx.results_dir.join(".integrity"));
     // Whenever anything records — counters tier and up, attribution
     // alone, or the windowed timeline — per-cell snapshots (plus traces
     // at the trace tier, attribution profiles, and timeline series when

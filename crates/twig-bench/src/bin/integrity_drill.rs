@@ -22,6 +22,7 @@ use std::process::ExitCode;
 
 use twig_bench::runner::AppSetup;
 use twig_sim::integrity::dump::StateDump;
+use twig_sim::integrity::DEEP_PERIOD;
 use twig_sim::{
     IntegrityConfig, IntegrityViolation, MutationKind, MutationSpec, PlainBtb, SimConfig,
     SimStats, Simulator,
@@ -101,7 +102,7 @@ fn mutate(kind: MutationKind, at_cycle: u64, budget: u64) -> Result<(), String> 
     // scan; counter corruptions (RAS depth) at the next cheap sweep.
     let period = integrity.level.check_period().unwrap_or(1);
     let bound = match kind {
-        MutationKind::BtbOccupancy => integrity.deep_period + period,
+        MutationKind::BtbOccupancy => DEEP_PERIOD + period,
         MutationKind::RasDepth => period,
     };
     if violation.cycle < at_cycle || violation.cycle > at_cycle + bound {
@@ -219,9 +220,9 @@ fn main() -> ExitCode {
                 let Some(text) = args.next() else {
                     return usage_error("--kind needs a mutation kind");
                 };
-                kind = match MutationSpec::parse(&format!("{text}@0")) {
-                    Ok(spec) => spec.kind,
-                    Err(e) => return usage_error(&e),
+                kind = match MutationKind::parse(&text) {
+                    Some(kind) => kind,
+                    None => return usage_error(&format!("unknown mutation kind {text:?}")),
                 };
             }
             other if dump_path.is_none() && !other.starts_with('-') => {

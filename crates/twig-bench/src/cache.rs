@@ -341,17 +341,20 @@ pub struct ArtifactCache {
     // traces; the system name + config Debug rendering pin the run down.
     sims: Shard<(AppId, u32, u64, String, String), Arc<SimStats>>,
     /// Traces past this many events spill to `.twgc` files instead of
-    /// staying resident (`TWIG_TRACE_SPILL_EVENTS`; `None` = never spill).
+    /// staying resident (`None` = never spill).
     spill_threshold: Option<u64>,
 }
 
+/// Event count past which a cached trace spills to a `.twgc` file. Far
+/// above every standard cell, so ordinary runs never touch disk;
+/// big-trace cells cross it and stay in bounded RSS.
+pub const SPILL_EVENTS: u64 = 8_000_000;
+
 impl ArtifactCache {
-    /// Creates an empty cache with the harness-configured spill threshold
+    /// Creates an empty cache spilling traces above [`SPILL_EVENTS`]
     /// (tests use private instances; production code shares [`global`]).
     pub fn new() -> Self {
-        Self::with_spill_threshold(
-            twig_types::HarnessConfig::global().trace_spill_events.value,
-        )
+        Self::with_spill_threshold(Some(SPILL_EVENTS))
     }
 
     /// Creates an empty cache spilling traces above `threshold` events

@@ -103,8 +103,8 @@ impl AppSetup {
 
     /// The walker's event stream for `input`, bounded by `instructions`,
     /// shared through the artifact cache as a spillable [`TraceHandle`]
-    /// (in memory below `TWIG_TRACE_SPILL_EVENTS`, streamed from a
-    /// `.twgc` file above it).
+    /// (in memory below [`cache::SPILL_EVENTS`], streamed from a `.twgc`
+    /// file above it).
     pub fn events(&self, input: u32, instructions: u64) -> TraceHandle {
         cache::global().events(self.app, input, instructions)
     }

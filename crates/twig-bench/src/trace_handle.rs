@@ -3,11 +3,11 @@
 //!
 //! Small traces (every standard cell) stay materialized in memory exactly
 //! as before. A trace whose event count crosses the spill threshold
-//! (`TWIG_TRACE_SPILL_EVENTS`) is written once to an on-disk `.twgc`
-//! columnar file — atomically, via the durability layer — and handed out
-//! as an mmap-backed handle that streams with one chunk resident at a
-//! time, so a 50M-event trace no longer costs gigabytes of heap per
-//! process.
+//! ([`SPILL_EVENTS`](crate::cache::SPILL_EVENTS), 8M events) is written
+//! once to an on-disk `.twgc` columnar file — atomically, via the
+//! durability layer — and handed out as an mmap-backed handle that
+//! streams with one chunk resident at a time, so a 50M-event trace no
+//! longer costs gigabytes of heap per process.
 //!
 //! Either way the handle is keyed and fingerprinted like the old
 //! `Arc<[BlockEvent]>` entries, and [`TraceHandle::source`] yields an

@@ -51,7 +51,7 @@ fn crashed_checkpoint_publish_recovers_byte_identically_with_resume() {
     assert!(status.success(), "clean run failed");
 
     // Kill the harness just before the first checkpoint rename commits.
-    let status = experiments(&[("TWIG_CRASH_SPEC", "ckpt-tmp")])
+    let status = experiments(&[("TWIG_FAULT_SPEC", "crash:point=ckpt-tmp")])
         .args(fig16_args(&crashed))
         .status()
         .unwrap();

@@ -28,9 +28,9 @@ fn malformed_arguments_exit_2_without_panicking() {
         (&["fig16"], &[("TWIG_NUM_THREADS", "abc")]),
         (&["fig16"], &[("TWIG_FAULT_SPEC", "abort-ish:task=0")]),
         (&["fig16"], &[("TWIG_FAULT_SPEC", "abort:task=0")]),
-        (&["fig16"], &[("TWIG_CRASH_SPEC", "nope")]),
+        (&["fig16"], &[("TWIG_FAULT_SPEC", "crash:point=nope")]),
         (&["fig16"], &[("TWIG_INTEGRITY", "bogus")]),
-        (&["fig16"], &[("TWIG_INTEGRITY_MUTATE", "nope")]),
+        (&["fig16"], &[("TWIG_FAULT_SPEC", "mutate:kind=nope,cycle=1")]),
         (&[], &[]),
     ];
     // A scratch results directory first, so a command line that parsed
@@ -41,9 +41,7 @@ fn malformed_arguments_exit_2_without_panicking() {
             .env_remove("TWIG_OBS")
             .env_remove("TWIG_NUM_THREADS")
             .env_remove("TWIG_FAULT_SPEC")
-            .env_remove("TWIG_CRASH_SPEC")
             .env_remove("TWIG_INTEGRITY")
-            .env_remove("TWIG_INTEGRITY_MUTATE")
             .envs(envs.iter().copied())
             .arg("--results-dir")
             .arg(&dir)

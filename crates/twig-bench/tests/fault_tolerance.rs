@@ -9,27 +9,31 @@ use std::process::Command;
 const FIGS: [&str; 2] = ["fig16", "tab03"];
 const BUDGET: &str = "60000";
 
-fn experiments() -> Command {
+/// An `experiments` run of `figs` into `dir`. No `TWIG_*` setting is
+/// inherited from the ambient environment (an ambient `TWIG_INTEGRITY`
+/// or `TWIG_OBS` would leak into the byte-identity checks); each
+/// scenario sets its own.
+fn experiments(
+    figs: &[&str],
+    dir: &Path,
+    extra_args: &[&str],
+    envs: &[(&str, &str)],
+) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-    // Never inherit a fault spec or task policy from the ambient
-    // environment; each scenario sets its own.
-    cmd.env_remove("TWIG_FAULT_SPEC")
-        .env_remove("TWIG_TASK_ATTEMPTS")
-        .env_remove("TWIG_TASK_BACKOFF_MS")
-        .env_remove("TWIG_TASK_TIMEOUT_MS");
-    cmd
+    for var in twig_types::config::ALL_VARS {
+        cmd.env_remove(var);
+    }
+    cmd.env_remove("RAYON_NUM_THREADS")
+        .args(figs)
+        .args(["--instructions", BUDGET, "--results-dir"])
+        .arg(dir)
+        .args(extra_args)
+        .envs(envs.iter().copied());
+    cmd.output().expect("spawn experiments binary")
 }
 
 fn run(dir: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
-    let mut cmd = experiments();
-    cmd.args(FIGS)
-        .args(["--instructions", BUDGET, "--results-dir"])
-        .arg(dir)
-        .args(extra_args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("spawn experiments binary")
+    experiments(&FIGS, dir, extra_args, envs)
 }
 
 fn read(dir: &Path, name: &str) -> Vec<u8> {
@@ -243,4 +247,53 @@ fn cold_run_wipes_stale_checkpoints() {
         "cold runs must not serve stale checkpoints: {m}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seeded integrity violation in one cell degrades that cell, not the
+/// run: kafka's Twig cell reads `FAILED(integrity: …)`, every other
+/// app's rows equal a clean run's, and the forensic dump lands under the
+/// results directory.
+#[test]
+fn integrity_mutation_fails_only_the_matching_cell() {
+    let clean_dir = temp_dir("int-clean");
+    let mutated_dir = temp_dir("int-mutated");
+    let clean = experiments(&["fig16"], &clean_dir, &[], &[]);
+    assert!(clean.status.success(), "clean run failed: {clean:?}");
+    let spec = "mutate:kind=btb-occupancy,cycle=10000,cell=sim:kafka/twig";
+    let envs = [("TWIG_INTEGRITY", "sampled"), ("TWIG_FAULT_SPEC", spec)];
+    let mutated = experiments(&["fig16"], &mutated_dir, &[], &envs);
+    assert!(mutated.status.success(), "violation failed the run: {mutated:?}");
+
+    // Table and chart rows of the eight other apps, and kafka's table row.
+    let rows = |dir: &Path, kafka: bool| -> Vec<String> {
+        let text = String::from_utf8(read(dir, "fig16.txt")).unwrap();
+        text.lines()
+            .filter(|line| {
+                let first = line.split_whitespace().next().unwrap_or("");
+                (first == "kafka") == kafka
+                    && twig_workload::AppId::ALL
+                        .iter()
+                        .any(|app| app.name() == first)
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    let others = rows(&clean_dir, false);
+    assert_eq!(others.len(), 16, "8 table rows + 8 chart rows: {others:?}");
+    assert_eq!(others, rows(&mutated_dir, false));
+    let kafka = rows(&mutated_dir, true);
+    assert!(
+        kafka[0].contains("FAILED(integrity: btb-occupancy"),
+        "{kafka:?}"
+    );
+
+    let dumps = std::fs::read_dir(mutated_dir.join(".integrity")).expect("a dump directory");
+    assert!(
+        dumps
+            .flatten()
+            .any(|entry| entry.path().extension().is_some_and(|x| x == "json")),
+        "no forensic dump under .integrity/"
+    );
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&mutated_dir);
 }

@@ -20,18 +20,16 @@
 //!   frame is discarded (the pre-append document stands). At no instant
 //!   can recovery observe a mix of old and new.
 //!
-//! Deterministic crashpoints (`TWIG_CRASH_SPEC=<point>[@<n>]`, parsed
-//! from [`twig_types::HarnessConfig`] like `TWIG_FAULT_SPEC`) are
-//! instrumented at every durability boundary; a matching point kills the
-//! process with exit code [`CRASH_EXIT_CODE`] on its nth hit. The
+//! Deterministic crashpoints are instrumented at every durability
+//! boundary ([`hit`]); a `crash:point=<name>[,hit=<n>]` clause of
+//! `TWIG_FAULT_SPEC` kills the process with exit code
+//! [`CRASH_EXIT_CODE`] on the named point's nth hit. The
 //! `crash_drill` binary enumerates [`CRASHPOINTS`] and proves recovered
 //! outputs byte-identical to uncrashed runs (see `docs/ROBUSTNESS.md`).
 
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
 /// Exit code of a fired crashpoint — distinct from every CLI and harness
 /// exit code (0–6), so drills can tell "the injected crash fired" from
@@ -50,7 +48,7 @@ pub const JOURNAL_SUFFIX: &str = ".twig-journal";
 pub const LOCK_FILE_NAME: &str = ".lock";
 
 /// Every registered crashpoint, `(name, durability boundary it sits on)`.
-/// `TWIG_CRASH_SPEC` validates against this list, and the `crash_drill`
+/// A `crash:point=` clause must name one of them, and the `crash_drill`
 /// binary refuses to pass unless it exercised every entry — adding a
 /// crashpoint without drilling it is a test failure, not drift.
 pub const CRASHPOINTS: &[(&str, &str)] = &[
@@ -74,110 +72,17 @@ pub fn is_crashpoint(name: &str) -> bool {
     CRASHPOINTS.iter().any(|(p, _)| *p == name)
 }
 
-/// A parsed `TWIG_CRASH_SPEC`: one crashpoint name, optionally `@<n>`
-/// (1-based; default 1) selecting which hit kills the process.
-#[derive(Debug, Default)]
-pub struct CrashSpec {
-    point: Option<String>,
-    nth: u32,
-    hits: AtomicU32,
-    /// The raw spec text, echoed into manifests.
-    pub raw: Option<String>,
-}
-
-impl CrashSpec {
-    /// Parses `<point>[@<n>]`, validating the point name against
-    /// [`CRASHPOINTS`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description naming the unknown point or malformed count.
-    pub fn parse(raw: &str) -> Result<CrashSpec, String> {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Ok(CrashSpec::none());
-        }
-        let (point, nth) = match trimmed.split_once('@') {
-            Some((p, n)) => {
-                let nth: u32 = n
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("crash count {n:?} is not a number in {trimmed:?}"))?;
-                if nth == 0 {
-                    return Err(format!("crash count must be >= 1 in {trimmed:?}"));
-                }
-                (p.trim(), nth)
-            }
-            None => (trimmed, 1),
-        };
-        if !is_crashpoint(point) {
-            let known: Vec<&str> = CRASHPOINTS.iter().map(|(p, _)| *p).collect();
-            return Err(format!(
-                "unknown crashpoint {point:?}; registered points: {}",
-                known.join(", ")
-            ));
-        }
-        Ok(CrashSpec {
-            point: Some(point.to_string()),
-            nth,
-            hits: AtomicU32::new(0),
-            raw: Some(trimmed.to_string()),
-        })
-    }
-
-    /// A spec that never fires.
-    pub fn none() -> CrashSpec {
-        CrashSpec {
-            nth: 1,
-            ..CrashSpec::default()
-        }
-    }
-
-    /// Whether any crashpoint is armed.
-    pub fn is_armed(&self) -> bool {
-        self.point.is_some()
-    }
-
-    /// Records one hit of `point`; kills the process with
-    /// [`CRASH_EXIT_CODE`] when this is the armed point's nth hit.
-    pub fn check(&self, point: &str) {
-        let Some(armed) = self.point.as_deref() else {
-            return;
-        };
-        if armed != point {
-            return;
-        }
-        let count = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
-        if count == self.nth {
-            // stderr is unbuffered; the marker survives the hard exit.
-            eprintln!("twig-crash: injected crash at crashpoint {point:?} (hit {count})");
-            std::process::exit(CRASH_EXIT_CODE);
-        }
-    }
-}
-
-/// Records one hit of a registered crashpoint against the process-wide
-/// spec. Call exactly at the durability boundary the point names; with no
-/// `TWIG_CRASH_SPEC` armed this is two loads and a compare.
+/// Records one hit of a registered crashpoint. Call exactly at the
+/// durability boundary the point names. When a `crash:point=…` clause of
+/// `TWIG_FAULT_SPEC` reaches its hit count here, the process exits with
+/// [`CRASH_EXIT_CODE`]; with no clause armed this is an empty scan.
 pub fn hit(point: &str) {
     debug_assert!(is_crashpoint(point), "unregistered crashpoint {point:?}");
-    global().check(point);
-}
-
-/// The process-wide spec parsed from `TWIG_CRASH_SPEC` (inert when the
-/// variable is unset). A malformed spec panics: silently ignoring an
-/// operator's injection request would make a crash-drill CI job pass
-/// vacuously. Binaries reject it earlier, as a usage error, through
-/// [`crate::check_injection_specs`].
-pub fn global() -> &'static CrashSpec {
-    static SPEC: OnceLock<CrashSpec> = OnceLock::new();
-    SPEC.get_or_init(
-        || match &twig_types::HarnessConfig::global().crash_spec.value {
-            Some(raw) => CrashSpec::parse(raw)
-                .unwrap_or_else(|e| panic!("malformed TWIG_CRASH_SPEC: {e}")),
-            None => CrashSpec::none(),
-        },
-    )
+    if crate::fault::global().crashes_at(point) {
+        // stderr is unbuffered; the marker survives the hard exit.
+        eprintln!("twig-crash: injected crash at crashpoint {point:?}");
+        std::process::exit(CRASH_EXIT_CODE);
+    }
 }
 
 /// The reflected CRC-32 polynomial (ISO-HDLC, zlib).
@@ -808,38 +713,6 @@ mod tests {
             assert_eq!(crc32(&parts), crc32_bitwise(&[&buf]), "len {len}");
             assert_eq!(crc32(&[&buf]), crc32_bitwise(&parts), "len {len}");
         }
-    }
-
-    #[test]
-    fn crash_spec_parses_points_and_counts() {
-        let spec = CrashSpec::parse("ckpt-tmp").unwrap();
-        assert!(spec.is_armed());
-        assert_eq!(spec.point.as_deref(), Some("ckpt-tmp"));
-        assert_eq!(spec.nth, 1);
-        let spec = CrashSpec::parse(" traj-journal@3 ").unwrap();
-        assert_eq!(spec.point.as_deref(), Some("traj-journal"));
-        assert_eq!(spec.nth, 3);
-        assert!(!CrashSpec::parse("").unwrap().is_armed());
-    }
-
-    #[test]
-    fn crash_spec_rejects_unknown_points_and_bad_counts() {
-        let err = CrashSpec::parse("no-such-point").unwrap_err();
-        assert!(err.contains("no-such-point"), "{err}");
-        assert!(err.contains("ckpt-tmp"), "error lists registered points: {err}");
-        assert!(CrashSpec::parse("ckpt-tmp@x").is_err());
-        assert!(CrashSpec::parse("ckpt-tmp@0").is_err());
-    }
-
-    #[test]
-    fn unarmed_and_unmatched_checks_never_fire() {
-        // A firing check would exit the test process; surviving IS the
-        // assertion. Count bookkeeping stays observable via later hits.
-        CrashSpec::none().check("ckpt-tmp");
-        let spec = CrashSpec::parse("manifest-tmp@1000000").unwrap();
-        spec.check("ckpt-tmp");
-        spec.check("manifest-tmp");
-        assert_eq!(spec.hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! corrupt-profile:tenant=t2,gen=1  flip t2's profile fingerprint at generation 1
 //! tenant-churn:tenant=t0,gen=2     t0 churns (resets) at generation 2
 //! disk-full:label=ckpt             tear matching harness writes mid-record
+//! crash:point=manifest-tmp,hit=2   exit 86 at the 2nd hit of a crashpoint
+//! mutate:kind=ras-depth,cycle=5000,cell=sim:kafka/twig
+//!                                  corrupt the RAS of matching simulations
 //! ```
 //!
 //! Selectors (all present selectors must match):
@@ -31,6 +34,14 @@
 //!   firing is a pure predicate of `(tenant, generation)`, which keeps
 //!   fleet runs byte-identical across worker counts.
 //!
+//! `crash` and `mutate` take only their own keys. `crash:point=P` (a
+//! [`CRASHPOINTS`] name, exact match) exits the process with code 86 at
+//! the `hit=N`th (≥ 1, default 1) process-wide hit of `P`.
+//! `mutate:kind=K,cycle=C` corrupts structure `K` at cycle `C` in every
+//! simulation whose integrity label holds each `cell=`/`label=` text,
+//! when an integrity tier is on: a pure predicate of the label, with no
+//! `times` budget, so the same cells fail at any thread count.
+//!
 //! Matching is purely a function of the spec and the task's
 //! `(label, index)` — or, for the service-level kinds, the tenant's
 //! `(name, generation)` — so injected failures land on the same cells on
@@ -40,6 +51,9 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
+use twig_serde::{Deserialize, Serialize};
+
+use crate::durable::{is_crashpoint, CRASHPOINTS};
 use crate::supervise::CancelToken;
 
 /// The kind of fault a clause injects.
@@ -72,6 +86,11 @@ pub enum FaultKind {
     /// burn-rate gauge must catch the sustained breach and degrade the
     /// tenant instead of letting the regression ship silently.
     LatencySpike,
+    /// Exit the process with code 86 at the nth hit of a crashpoint.
+    Crash,
+    /// Seed a corruption into matching simulations (the integrity
+    /// mutation drill).
+    Mutate,
 }
 
 impl FaultKind {
@@ -85,9 +104,49 @@ impl FaultKind {
             "tenant-churn" => Some(FaultKind::TenantChurn),
             "disk-full" => Some(FaultKind::DiskFull),
             "latency-spike" => Some(FaultKind::LatencySpike),
+            "crash" => Some(FaultKind::Crash),
+            "mutate" => Some(FaultKind::Mutate),
             _ => None,
         }
     }
+}
+
+/// Which structure a seeded mutation corrupts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub enum MutationKind {
+    /// Bump a flat-BTB per-set occupancy counter past its live entries.
+    BtbOccupancy,
+    /// Push the RAS depth counter past its capacity.
+    RasDepth,
+}
+
+impl MutationKind {
+    /// Parses the stable kebab-case name.
+    pub fn parse(text: &str) -> Option<MutationKind> {
+        match text.trim() {
+            "btb-occupancy" => Some(MutationKind::BtbOccupancy),
+            "ras-depth" => Some(MutationKind::RasDepth),
+            _ => None,
+        }
+    }
+
+    /// Stable kebab-case name (the `mutate:kind=` grammar).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            MutationKind::BtbOccupancy => "btb-occupancy",
+            MutationKind::RasDepth => "ras-depth",
+        }
+    }
+}
+
+/// A seeded corruption: at `at_cycle`, `kind` is injected into the live
+/// structures so the detection path can be drilled end to end.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct MutationSpec {
+    /// Simulation cycle at which the corruption is applied.
+    pub at_cycle: u64,
+    /// What to corrupt.
+    pub kind: MutationKind,
 }
 
 /// One parsed clause of a fault spec.
@@ -105,6 +164,12 @@ pub struct FaultClause {
     pub ms: u64,
     /// Maximum number of firings (`times=N`).
     pub times: u32,
+    /// The registered crashpoint (`crash` only).
+    pub point: Option<String>,
+    /// Which process-wide hit of `point` crashes (`hit=N`, default 1).
+    pub hit: u32,
+    /// The seeded corruption (`mutate` only).
+    pub mutation: Option<MutationSpec>,
     fired: AtomicU32,
 }
 
@@ -186,8 +251,13 @@ impl FaultSpec {
                 } else {
                     u32::MAX
                 },
+                point: None,
+                hit: 1,
+                mutation: None,
                 fired: AtomicU32::new(0),
             };
+            let mut mutation_kind = None;
+            let mut cycle = None;
             for sel in sels.split(',') {
                 let sel = sel.trim();
                 if sel.is_empty() {
@@ -196,43 +266,62 @@ impl FaultSpec {
                 let (key, value) = sel
                     .split_once('=')
                     .ok_or_else(|| format!("selector {sel:?} is not key=value in {part:?}"))?;
-                match key.trim() {
-                    "task" => {
-                        clause.task = Some(
-                            value
-                                .trim()
-                                .parse()
-                                .map_err(|_| format!("task index {value:?} is not a number"))?,
-                        );
+                let value = value.trim();
+                match (kind, key.trim()) {
+                    (FaultKind::Crash, "point") if is_crashpoint(value) => {
+                        clause.point = Some(value.to_string());
                     }
-                    "cell" | "app" | "label" | "tenant" => {
-                        clause.label_contains.push(value.trim().to_string());
+                    (FaultKind::Crash, "point") => {
+                        let known: Vec<&str> = CRASHPOINTS.iter().map(|(p, _)| *p).collect();
+                        return Err(format!(
+                            "unknown crashpoint {value:?}; registered points: {}",
+                            known.join(", ")
+                        ));
                     }
-                    "gen" => {
-                        clause.gen = Some(
-                            value
-                                .trim()
-                                .parse()
-                                .map_err(|_| format!("generation {value:?} is not a number"))?,
-                        );
+                    (FaultKind::Crash, "hit") => match number("hit", value)? {
+                        0 => return Err(format!("hit must be >= 1 in {part:?}")),
+                        n => clause.hit = n,
+                    },
+                    (FaultKind::Mutate, "kind") => {
+                        mutation_kind = Some(MutationKind::parse(value).ok_or_else(|| {
+                            format!("unknown mutation kind {value:?} (btb-occupancy | ras-depth)")
+                        })?);
                     }
-                    "ms" => {
-                        clause.ms = value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("delay ms {value:?} is not a number"))?;
+                    (FaultKind::Mutate, "cycle") => cycle = Some(number("cycle", value)?),
+                    (FaultKind::Mutate, "cell" | "label") => {
+                        clause.label_contains.push(value.to_string());
                     }
-                    "times" => {
-                        clause.times = value
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("times {value:?} is not a number"))?;
+                    (FaultKind::Crash | FaultKind::Mutate, other) => {
+                        return Err(format!("selector key {other:?} does not apply to {part:?}"))
                     }
-                    other => return Err(format!("unknown selector key {other:?} in {part:?}")),
+                    (_, "task") => clause.task = Some(number("task index", value)?),
+                    (_, "cell" | "app" | "label" | "tenant") => {
+                        clause.label_contains.push(value.to_string());
+                    }
+                    (_, "gen") => clause.gen = Some(number("generation", value)?),
+                    (_, "ms") => clause.ms = number("delay ms", value)?,
+                    (_, "times") => clause.times = number("times", value)?,
+                    (_, other) => {
+                        return Err(format!("unknown selector key {other:?} in {part:?}"))
+                    }
                 }
             }
-            if kind == FaultKind::Delay && clause.ms == 0 {
-                return Err(format!("delay clause {part:?} needs ms=N"));
+            match kind {
+                FaultKind::Delay if clause.ms == 0 => {
+                    return Err(format!("delay clause {part:?} needs ms=N"));
+                }
+                FaultKind::Crash if clause.point.is_none() => {
+                    return Err(format!("crash clause {part:?} needs point=NAME"));
+                }
+                FaultKind::Mutate => {
+                    clause.mutation = match (mutation_kind, cycle) {
+                        (Some(kind), Some(at_cycle)) => Some(MutationSpec { at_cycle, kind }),
+                        _ => {
+                            return Err(format!("mutate clause {part:?} needs kind=K and cycle=C"))
+                        }
+                    };
+                }
+                _ => {}
             }
             clauses.push(clause);
         }
@@ -287,7 +376,9 @@ impl FaultSpec {
                 | FaultKind::CorruptProfile
                 | FaultKind::TenantChurn
                 | FaultKind::DiskFull
-                | FaultKind::LatencySpike => {}
+                | FaultKind::LatencySpike
+                | FaultKind::Crash
+                | FaultKind::Mutate => {}
             }
         }
         !token.is_cancelled()
@@ -320,6 +411,27 @@ impl FaultSpec {
         None
     }
 
+    /// Counts one process-wide hit of crashpoint `point`; true when a
+    /// `crash` clause's `hit` count is reached exactly by this hit.
+    /// [`crate::durable::hit`] exits the process when it is.
+    pub fn crashes_at(&self, point: &str) -> bool {
+        // `any` stops counting only at a crash, which ends the process.
+        self.clauses
+            .iter()
+            .filter(|c| c.kind == FaultKind::Crash && c.point.as_deref() == Some(point))
+            .any(|c| c.fired.fetch_add(1, Ordering::Relaxed) + 1 == c.hit)
+    }
+
+    /// The corruption of the first `mutate` clause whose label selectors
+    /// all match the simulation's integrity `label`, if any. A pure
+    /// predicate, like [`FaultSpec::fires_service`].
+    pub fn mutation(&self, label: &str) -> Option<MutationSpec> {
+        self.clauses
+            .iter()
+            .find(|c| c.kind == FaultKind::Mutate && c.matches(label, 0))
+            .and_then(|c| c.mutation)
+    }
+
     /// Corrupts `fingerprint` when a `corrupt-cache` clause matches
     /// `label`; identity otherwise. Cache populates run this over their
     /// freshly computed integrity fingerprint, so a fired clause makes the
@@ -333,6 +445,13 @@ impl FaultSpec {
         }
         fingerprint
     }
+}
+
+/// Parses a selector's numeric value, naming it on failure.
+fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{what} {value:?} is not a number"))
 }
 
 /// The process-wide spec parsed from `TWIG_FAULT_SPEC` (empty when the
@@ -467,5 +586,57 @@ mod tests {
         let b = spec.corrupt_fingerprint("events:kafka/1", 42);
         assert_eq!(b, 42, "repopulate after eviction is clean");
         assert_eq!(spec.corrupt_fingerprint("events:tomcat/1", 7), 7);
+    }
+
+    #[test]
+    fn crash_clause_crashes_at_its_nth_hit_only() {
+        let spec = FaultSpec::parse("crash:point=manifest-tmp,hit=3;panic:cell=ckpt").unwrap();
+        assert_eq!(spec.clauses[0].point.as_deref(), Some("manifest-tmp"));
+        assert!(!spec.crashes_at("ckpt-tmp"), "other points never count");
+        assert!(!spec.crashes_at("manifest-tmp"));
+        assert!(!spec.crashes_at("manifest-tmp"));
+        assert!(spec.crashes_at("manifest-tmp"), "the third hit crashes");
+        assert!(!spec.crashes_at("manifest-tmp"), "and only the third");
+        let spec = FaultSpec::parse(" crash : point = ckpt-tmp ").unwrap();
+        assert!(spec.crashes_at("ckpt-tmp"), "hit defaults to the first");
+        assert!(!FaultSpec::none().crashes_at("ckpt-tmp"));
+    }
+
+    #[test]
+    fn crash_and_mutate_reject_malformed_clauses() {
+        let err = FaultSpec::parse("crash:point=no-such-point").unwrap_err();
+        assert!(err.contains("ckpt-tmp"), "error lists registered points: {err}");
+        for bad in [
+            "crash:point=ckpt",
+            "crash:point=ckpt-tmp,hit=0",
+            "crash:point=ckpt-tmp,hit=x",
+            "crash:hit=2",
+            "crash:point=ckpt-tmp,cell=x",
+            "panic:point=ckpt-tmp",
+            "mutate:kind=cache,cycle=10",
+            "mutate:kind=ras-depth",
+            "mutate:cycle=10",
+            "mutate:kind=ras-depth,cycle=x",
+            "mutate:kind=ras-depth,cycle=1,times=1",
+        ] {
+            assert!(FaultSpec::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn mutate_clause_matches_the_label_purely() {
+        let spec = FaultSpec::parse("mutate:kind=ras-depth,cycle=5000,cell=sim:kafka/twig;panic")
+            .unwrap();
+        let want = MutationSpec {
+            at_cycle: 5000,
+            kind: MutationKind::RasDepth,
+        };
+        for _ in 0..3 {
+            assert_eq!(spec.mutation("sim:kafka/twig"), Some(want), "no budget to exhaust");
+        }
+        assert_eq!(spec.mutation("sim:kafka/ideal"), None);
+        let spec = FaultSpec::parse("mutate:kind=btb-occupancy,cycle=1").unwrap();
+        let any = spec.mutation("drill:kafka/mutate").map(|m| m.kind);
+        assert_eq!(any, Some(MutationKind::BtbOccupancy), "no selector matches every run");
     }
 }

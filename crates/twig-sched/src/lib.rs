@@ -36,28 +36,24 @@ pub mod fault;
 pub mod supervise;
 
 pub use durable::{
-    publish_atomic, publish_atomic_with, recover_dir, CrashSpec, Healed, Journaled, LockError,
-    RunLock,
+    publish_atomic, publish_atomic_with, recover_dir, Healed, Journaled, LockError, RunLock,
 };
-pub use fault::{FaultKind, FaultSpec};
+pub use fault::{FaultKind, FaultSpec, MutationKind, MutationSpec};
 pub use supervise::{
     jittered_backoff_ms, run_supervised, CancelToken, TaskError, TaskPolicy, TaskReport,
 };
 
-/// Parses the fault and crashpoint injection specs of `harness`, so a
-/// binary can reject a malformed one as a usage error before anything
-/// runs (the process-wide specs panic on first use instead).
+/// Parses the fault-injection spec of `harness`, so a binary can reject
+/// a malformed one as a usage error before anything runs (the
+/// process-wide spec panics on first use instead).
 ///
 /// # Errors
 ///
-/// The first malformed spec, prefixed with its variable's name.
+/// The first malformed clause, prefixed with the variable's name.
 pub fn check_injection_specs(harness: &twig_types::HarnessConfig) -> Result<(), String> {
-    use twig_types::config::{VAR_CRASH_SPEC, VAR_FAULT_SPEC};
+    use twig_types::config::VAR_FAULT_SPEC;
     if let Some(raw) = &harness.fault_spec.value {
         FaultSpec::parse(raw).map_err(|e| format!("{VAR_FAULT_SPEC}: {e}"))?;
-    }
-    if let Some(raw) = &harness.crash_spec.value {
-        CrashSpec::parse(raw).map_err(|e| format!("{VAR_CRASH_SPEC}: {e}"))?;
     }
     Ok(())
 }

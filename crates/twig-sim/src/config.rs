@@ -223,9 +223,9 @@ pub struct SimConfig {
     /// `tests/sim_behavior.rs`); off only as the per-cycle reference in
     /// tests.
     pub batch_stepping: bool,
-    /// Simulation integrity layer: checking tier, watchdog budgets, and
-    /// the optional seeded mutation. Defaults from the `TWIG_INTEGRITY`
-    /// environment (off unless set).
+    /// Simulation integrity layer: checking tier and the optional seeded
+    /// mutation. Defaults from the `TWIG_INTEGRITY` environment (off
+    /// unless set).
     pub integrity: IntegrityConfig,
     /// Observability layer: recording tier, attribution, and timeline
     /// window. Defaults from the `TWIG_OBS` environment (off unless set).

@@ -29,7 +29,10 @@ use crate::frontend_state::{
 use crate::icache::MemoryHierarchy;
 use crate::integrity::dump::{DumpBranch, StateDump, DUMP_VERSION};
 use crate::integrity::watchdog::Watchdogs;
-use crate::integrity::{Fault, IntegrityViolation, MutationKind, Validator, ViolationKind};
+use crate::integrity::{
+    Fault, IntegrityConfig, IntegrityViolation, MutationKind, MutationSpec, Validator,
+    ViolationKind, CYCLE_BUDGET_FACTOR, DEEP_PERIOD,
+};
 use crate::obs::{ObsState, TimelineState};
 use crate::ras::Ras;
 use crate::stats::SimStats;
@@ -200,7 +203,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     /// # Errors
     ///
     /// Returns the first [`IntegrityViolation`] an enabled checking tier
-    /// detects (after writing a forensic dump unless dumping is disabled).
+    /// detects (after writing a forensic dump).
     pub fn try_run(
         &mut self,
         events: impl IntoIterator<Item = BlockEvent>,
@@ -260,22 +263,26 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         // tier, reducing the per-cycle cost to one predictable branch.
         let integrity = self.config.integrity;
         let period = integrity.level.check_period();
-        let mut watchdogs = period.map(|_| Watchdogs::new(&integrity, instruction_budget));
+        let mut watchdogs = period.map(|_| Watchdogs::new(instruction_budget));
         // Safety valve for malformed configurations; with checking enabled
         // the same ceiling is reported as a typed `cycle-budget` violation.
         let max_cycles = match &watchdogs {
             Some(w) => w.max_cycles(),
-            None => instruction_budget.saturating_mul(200).max(1 << 22),
+            None => instruction_budget
+                .saturating_mul(CYCLE_BUDGET_FACTOR)
+                .max(1 << 22),
         };
-        // The seeded mutation drill: armed only when checking is enabled
-        // (a corruption no tier would catch must never skew results) and
-        // the label selector matches.
-        let mutate = match integrity.mutate {
-            Some(spec) if period.is_some() && self.mutation_label_selected() => Some(spec),
-            _ => None,
-        };
+        // The seeded mutation drill, resolved once per run: the config's
+        // own spec, else a `mutate` clause of the fault spec matching this
+        // run's integrity label. Armed only when checking is enabled (a
+        // corruption no tier would catch must never skew results).
+        let mutate = period.and_then(|_| {
+            integrity
+                .mutate
+                .or_else(|| twig_sched::fault::global().mutation(&self.integrity_label))
+        });
         // Next cycle (at or after which) a full structural scan is due.
-        // Tracking the next-due cycle instead of `cycle % deep_period`
+        // Tracking the next-due cycle instead of `cycle % DEEP_PERIOD`
         // keeps the detection-latency bound (one deep period plus one
         // sample period) even when the sample period does not divide it.
         let mut next_deep: u64 = 0;
@@ -474,7 +481,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                 if cycle.is_multiple_of(p) {
                     let deep = cycle >= next_deep;
                     if deep {
-                        next_deep = cycle + integrity.deep_period;
+                        next_deep = cycle + DEEP_PERIOD;
                     }
                     if let Err((fault, component, structure)) =
                         self.sweep(deep, &ftq, &deliveries, &avail, rob_occupancy, mask)
@@ -485,6 +492,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                             structure,
                             cycle,
                             instruction_budget,
+                            mutate,
                         ));
                     }
                     let queued =
@@ -502,6 +510,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                             String::new(),
                             cycle,
                             instruction_budget,
+                            mutate,
                         ));
                     }
                 }
@@ -590,6 +599,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                         String::new(),
                         cycle,
                         instruction_budget,
+                        mutate,
                     ));
                 }
                 break;
@@ -602,7 +612,14 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             if let Err((fault, component, structure)) =
                 self.sweep(true, &ftq, &deliveries, &avail, rob_occupancy, mask)
             {
-                return Err(self.raise(fault, component, structure, cycle, instruction_budget));
+                return Err(self.raise(
+                    fault,
+                    component,
+                    structure,
+                    cycle,
+                    instruction_budget,
+                    mutate,
+                ));
             }
         }
 
@@ -678,18 +695,6 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             .map(|snap| twig_obs::folded_stacks(label, &snap))
     }
 
-    /// Whether the `TWIG_INTEGRITY_MUTATE_LABEL` selector (a substring of
-    /// the integrity label) matches this run. Unset selects every run.
-    fn mutation_label_selected(&self) -> bool {
-        match &twig_types::HarnessConfig::global()
-            .integrity_mutate_label
-            .value
-        {
-            Some(sel) => self.integrity_label.contains(sel.as_str()),
-            None => true,
-        }
-    }
-
     /// Applies the armed seeded corruption (the CI mutation drill).
     fn inject_mutation(&mut self, kind: MutationKind) {
         match kind {
@@ -712,7 +717,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     /// counters only — so the `sampled` tier's cost stays independent of
     /// queue depth. The O(queue) walks (FTQ region ordering, delivery
     /// monotonicity, exact ROB accounting) run on deep scans, bounding
-    /// their detection latency by `deep_period + period` like every
+    /// their detection latency by `DEEP_PERIOD + period` like every
     /// other structural check.
     fn sweep(
         &self,
@@ -837,8 +842,10 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         Ok(())
     }
 
-    /// Builds the typed violation for `fault`, writing a cycle-stamped
-    /// forensic [`StateDump`] unless dumping is disabled.
+    /// Builds the typed violation for `fault` and writes a cycle-stamped
+    /// forensic [`StateDump`]. The dumped config carries the run's
+    /// resolved `mutate`, so a replay of the dump fires it again even
+    /// when it came from the fault spec.
     fn raise(
         &self,
         fault: Fault,
@@ -846,6 +853,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         structure: String,
         cycle: u64,
         instruction_budget: u64,
+        mutate: Option<MutationSpec>,
     ) -> Box<IntegrityViolation> {
         let mut violation = IntegrityViolation {
             kind: fault.kind,
@@ -854,36 +862,40 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             detail: fault.detail,
             dump_path: None,
         };
-        if self.config.integrity.dump {
-            let dump = StateDump {
-                version: DUMP_VERSION,
-                label: self.integrity_label.clone(),
-                kind: violation.kind.as_str().to_string(),
-                component: violation.component.clone(),
-                cycle,
-                detail: violation.detail.clone(),
-                config: self.config,
-                instruction_budget,
-                retired_instructions: self.stats.retired_instructions,
-                events_consumed: self.events_consumed,
-                history: self
-                    .history
-                    .iter()
-                    .map(|h| DumpBranch {
-                        block: h.block.raw(),
-                        cycle: h.cycle,
-                    })
-                    .collect(),
-                structure,
-            };
-            match dump.write() {
-                Ok(path) => violation.dump_path = Some(path),
-                // Dump failure must not mask the violation itself.
-                Err(err) => eprintln!(
-                    "twig-sim: failed to write integrity dump for {}: {err}",
-                    violation.component
-                ),
-            }
+        let dump = StateDump {
+            version: DUMP_VERSION,
+            label: self.integrity_label.clone(),
+            kind: violation.kind.as_str().to_string(),
+            component: violation.component.clone(),
+            cycle,
+            detail: violation.detail.clone(),
+            config: SimConfig {
+                integrity: IntegrityConfig {
+                    mutate,
+                    ..self.config.integrity
+                },
+                ..self.config
+            },
+            instruction_budget,
+            retired_instructions: self.stats.retired_instructions,
+            events_consumed: self.events_consumed,
+            history: self
+                .history
+                .iter()
+                .map(|h| DumpBranch {
+                    block: h.block.raw(),
+                    cycle: h.cycle,
+                })
+                .collect(),
+            structure,
+        };
+        match dump.write() {
+            Ok(path) => violation.dump_path = Some(path),
+            // Dump failure must not mask the violation itself.
+            Err(err) => eprintln!(
+                "twig-sim: failed to write integrity dump for {}: {err}",
+                violation.component
+            ),
         }
         Box::new(violation)
     }

@@ -1,9 +1,10 @@
 //! Forensic state dumps: cycle-stamped snapshots written on violation.
 //!
 //! A dump is one self-contained JSON file under the dump directory
-//! (`TWIG_INTEGRITY_DUMP_DIR`, default `results/.integrity/`) holding
-//! everything needed to reproduce the failure deterministically: the full
-//! [`SimConfig`] (including the integrity tier and any armed mutation),
+//! (`results/.integrity/`, or `<results-dir>/.integrity/` for the
+//! `experiments` binary) holding everything needed to reproduce the
+//! failure deterministically: the full [`SimConfig`] (including the
+//! integrity tier and the run's armed mutation, wherever it came from),
 //! the instruction budget, the trace cursor, the last-M retired branch
 //! blocks (the LBR-style history), and a textual snapshot of the
 //! offending structure. `integrity_drill replay <dump.json>` re-runs the
@@ -16,11 +17,9 @@ use twig_serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 
-/// Dump format version; bump when the schema changes.
-pub const DUMP_VERSION: u32 = 1;
-
-/// Environment variable overriding the dump directory.
-pub const DUMP_DIR_ENV: &str = "TWIG_INTEGRITY_DUMP_DIR";
+/// Dump format version; bump when the schema changes (2: the dumped
+/// integrity config holds only `level` and `mutate`).
+pub const DUMP_VERSION: u32 = 2;
 
 /// Default dump directory, relative to the working directory.
 pub const DEFAULT_DUMP_DIR: &str = "results/.integrity";
@@ -63,28 +62,23 @@ pub struct StateDump {
     pub structure: String,
 }
 
-/// Process-wide explicit override, set once by the harness (an explicit
-/// `--results-dir` outranks the environment, per the precedence rule).
+/// Process-wide override, set once by the harness (the `experiments`
+/// binary points it into its `--results-dir`).
 static DUMP_DIR_OVERRIDE: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
 
-/// Overrides the dump directory for the rest of the process (explicit-arg
-/// tier of the precedence chain). First caller wins; later calls are
-/// ignored so library users cannot redirect an operator's choice.
+/// Overrides the dump directory for the rest of the process. First caller
+/// wins; later calls are ignored.
 pub fn set_dump_dir(dir: impl Into<PathBuf>) {
     let _ = DUMP_DIR_OVERRIDE.set(dir.into());
 }
 
-/// The dump directory: explicit [`set_dump_dir`] override if any, else
-/// `TWIG_INTEGRITY_DUMP_DIR` (via the unified harness configuration),
-/// else `results/.integrity`.
+/// The dump directory: the [`set_dump_dir`] override if any, else
+/// [`DEFAULT_DUMP_DIR`].
 pub fn dump_dir() -> PathBuf {
-    if let Some(dir) = DUMP_DIR_OVERRIDE.get() {
-        return dir.clone();
-    }
-    match &twig_types::HarnessConfig::global().integrity_dump_dir.value {
-        Some(dir) => PathBuf::from(dir),
-        None => PathBuf::from(DEFAULT_DUMP_DIR),
-    }
+    DUMP_DIR_OVERRIDE
+        .get()
+        .cloned()
+        .unwrap_or_else(|| PathBuf::from(DEFAULT_DUMP_DIR))
 }
 
 fn sanitize(label: &str) -> String {

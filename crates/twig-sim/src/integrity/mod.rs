@@ -9,8 +9,8 @@
 //!
 //! * `off` — the default; no checks, zero work in the hot loop.
 //! * `sampled[=N]` — cheap O(1) invariants every `N` cycles (default
-//!   {`DEFAULT_SAMPLE_PERIOD`}), full structural scans every
-//!   [`IntegrityConfig::deep_period`] cycles.
+//!   [`DEFAULT_SAMPLE_PERIOD`]), full structural scans every
+//!   [`DEEP_PERIOD`] cycles.
 //! * `paranoid` — cheap invariants every cycle, plus lockstep differential
 //!   checking of the optimized [`Btb`](crate::Btb)/[`Ras`](crate::Ras)
 //!   against deliberately naive reference models
@@ -20,6 +20,11 @@
 //! abort): the simulator serializes a cycle-stamped [`dump::StateDump`]
 //! to `results/.integrity/` and returns the violation, which the
 //! experiment harness degrades to a `FAILED(integrity: …)` cell.
+//!
+//! The mutation drill seeds a corruption ([`MutationSpec`]) for the
+//! checks to catch: [`IntegrityConfig::mutate`] arms it directly, and a
+//! `mutate:kind=<k>,cycle=<c>[,cell=<s>]` clause of `TWIG_FAULT_SPEC`
+//! arms it in every simulation whose integrity label matches.
 
 pub mod dump;
 pub mod refmodel;
@@ -32,14 +37,26 @@ use twig_serde::{Deserialize, Serialize};
 /// Default cycle period between cheap checks for the `sampled` tier.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
-/// Default cycle period between full structural scans (`sampled` and
-/// `paranoid` tiers). This bounds corruption-detection latency: a seeded
-/// BTB-occupancy corruption is caught within one deep period.
-pub const DEFAULT_DEEP_PERIOD: u64 = 4096;
+/// Cycle period between full structural scans (BTB occupancy vs. live
+/// entries, reference-model equality, cache tag arrays) in the `sampled`
+/// and `paranoid` tiers. This bounds corruption-detection latency: a
+/// seeded BTB-occupancy corruption is caught within one deep period.
+pub const DEEP_PERIOD: u64 = 4096;
 
-/// Default livelock window: cycles with zero retired instructions and no
+/// Livelock window: cycles with zero retired instructions and no
 /// outstanding cache fill before the no-progress watchdog fires.
-pub const DEFAULT_LIVELOCK_WINDOW: u64 = 100_000;
+pub const LIVELOCK_WINDOW: u64 = 100_000;
+
+/// Cycle budget as a multiple of the instruction budget (at least 2²²
+/// cycles). With checking on, exhausting it is a typed `cycle-budget`
+/// violation instead of the silent safety-valve break.
+pub const CYCLE_BUDGET_FACTOR: u64 = 200;
+
+/// Max total queued elements (FTQ + deliveries + retire queue + MSHR
+/// map) before a `heap-budget` violation fires.
+pub const HEAP_BUDGET: usize = 1 << 22;
+
+pub use twig_sched::{MutationKind, MutationSpec};
 
 /// How often invariant checks run inside the simulation loop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
@@ -100,92 +117,25 @@ impl IntegrityLevel {
 }
 
 
-/// Which structure a seeded mutation corrupts (the CI mutation drill).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum MutationKind {
-    /// Bump a flat-BTB per-set occupancy counter past its live entries.
-    BtbOccupancy,
-    /// Push the RAS depth counter past its capacity.
-    RasDepth,
-}
-
-impl MutationKind {
-    /// Stable kebab-case name (the `TWIG_INTEGRITY_MUTATE` grammar).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MutationKind::BtbOccupancy => "btb-occupancy",
-            MutationKind::RasDepth => "ras-depth",
-        }
-    }
-}
-
-/// A seeded corruption: at `at_cycle`, `kind` is injected into the live
-/// structures so the detection path can be drilled end to end.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct MutationSpec {
-    /// Simulation cycle at which the corruption is applied.
-    pub at_cycle: u64,
-    /// What to corrupt.
-    pub kind: MutationKind,
-}
-
-impl MutationSpec {
-    /// Parses `btb-occupancy@CYCLE` | `ras-depth@CYCLE`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let (kind, cycle) = text
-            .split_once('@')
-            .ok_or_else(|| format!("expected <kind>@<cycle>, got {text:?}"))?;
-        let kind = match kind.trim() {
-            "btb-occupancy" => MutationKind::BtbOccupancy,
-            "ras-depth" => MutationKind::RasDepth,
-            other => return Err(format!("unknown mutation kind {other:?}")),
-        };
-        let at_cycle: u64 = cycle
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad mutation cycle {cycle:?}"))?;
-        Ok(MutationSpec { at_cycle, kind })
-    }
-}
-
 /// Integrity-layer knobs, carried inside [`SimConfig`](crate::SimConfig).
 ///
 /// `Copy` on purpose: `SimConfig` is `Copy`, so this struct holds no
-/// heap state. Paths (the dump directory) resolve through the
-/// `TWIG_INTEGRITY_DUMP_DIR` environment variable instead.
+/// heap state. The watchdog limits are the constants above, and a
+/// violation always writes a forensic dump.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct IntegrityConfig {
     /// Checking tier.
     pub level: IntegrityLevel,
-    /// Cycle period between full structural scans (BTB occupancy vs. live
-    /// entries, reference-model equality, cache tag arrays).
-    pub deep_period: u64,
-    /// No-progress window: cycles with zero retirement and zero
-    /// outstanding fills before a `livelock` violation fires.
-    pub livelock_window: u64,
-    /// Cycle budget as a multiple of the instruction budget. Replaces the
-    /// silent safety-valve break with a typed `cycle-budget` violation
-    /// when checking is enabled.
-    pub cycle_budget_factor: u64,
-    /// Max total queued elements (FTQ + deliveries + retire queue + MSHR
-    /// map) before a `heap-budget` violation fires.
-    pub heap_budget: usize,
-    /// Write a forensic state dump when a violation is raised.
-    pub dump: bool,
-    /// Optional seeded corruption (the CI mutation drill).
+    /// Seeded corruption (the mutation drill). When `None`, a matching
+    /// `mutate` clause of `TWIG_FAULT_SPEC` may arm one per run.
     pub mutate: Option<MutationSpec>,
 }
 
 impl IntegrityConfig {
-    /// Checking disabled; all watchdog defaults in place (unused).
+    /// Checking disabled.
     pub fn off() -> Self {
         IntegrityConfig {
             level: IntegrityLevel::Off,
-            deep_period: DEFAULT_DEEP_PERIOD,
-            livelock_window: DEFAULT_LIVELOCK_WINDOW,
-            cycle_budget_factor: 200,
-            heap_budget: 1 << 22,
-            dump: true,
             mutate: None,
         }
     }
@@ -207,40 +157,28 @@ impl IntegrityConfig {
     }
 
     /// Builds from the environment via the unified harness configuration:
-    /// `TWIG_INTEGRITY` selects the tier and
-    /// `TWIG_INTEGRITY_MUTATE=<kind>@<cycle>` arms the mutation drill.
+    /// `TWIG_INTEGRITY` selects the tier.
     pub fn from_env() -> Result<Self, String> {
         Self::from_harness(twig_types::HarnessConfig::global())
     }
 
-    /// Builds from an already-parsed harness configuration (the grammar of
-    /// the tier and mutation strings is owned here, not in `twig-types`).
+    /// Builds from an already-parsed harness configuration (the tier
+    /// grammar is owned here, not in `twig-types`).
     pub fn from_harness(harness: &twig_types::HarnessConfig) -> Result<Self, String> {
-        let mut cfg = IntegrityConfig::off();
-        cfg.level = IntegrityLevel::parse(&harness.integrity.value)
+        let level = IntegrityLevel::parse(&harness.integrity.value)
             .map_err(|e| format!("TWIG_INTEGRITY: {e}"))?;
-        if let Some(spec) = &harness.integrity_mutate.value {
-            cfg.mutate =
-                Some(MutationSpec::parse(spec).map_err(|e| format!("TWIG_INTEGRITY_MUTATE: {e}"))?);
-        }
-        Ok(cfg)
+        Ok(IntegrityConfig {
+            level,
+            ..IntegrityConfig::off()
+        })
     }
 
-    /// Validates watchdog knobs (called from `SimConfig::validate`).
+    /// Validates the tier (called from `SimConfig::validate`).
     pub fn validate(&self) -> Result<(), String> {
         if let IntegrityLevel::Sampled { period } = self.level {
             if period == 0 {
                 return Err("integrity sample period must be >= 1".into());
             }
-        }
-        if self.deep_period == 0 {
-            return Err("integrity deep_period must be >= 1".into());
-        }
-        if self.livelock_window == 0 {
-            return Err("integrity livelock_window must be >= 1".into());
-        }
-        if self.cycle_budget_factor == 0 {
-            return Err("integrity cycle_budget_factor must be >= 1".into());
         }
         Ok(())
     }
@@ -251,8 +189,8 @@ impl Default for IntegrityConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `TWIG_INTEGRITY`/`TWIG_INTEGRITY_MUTATE` are malformed —
-    /// a misconfigured run must not silently fall back to `off`.
+    /// Panics if `TWIG_INTEGRITY` is malformed — a misconfigured run must
+    /// not silently fall back to `off`.
     fn default() -> Self {
         IntegrityConfig::from_env().expect("invalid integrity environment")
     }
@@ -337,7 +275,7 @@ impl Fault {
 ///
 /// `check(false)` must be cheap (amortized O(1)) — it runs every cycle
 /// under `paranoid`. `check(true)` may walk the whole structure; it runs
-/// once per [`IntegrityConfig::deep_period`] and once at end of run.
+/// once per [`DEEP_PERIOD`] and once at end of run.
 pub trait Validator {
     /// Stable component name (`btb`, `ras`, `prefetch-buffer`, …).
     fn component(&self) -> &'static str;
@@ -413,19 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn mutation_spec_parses() {
-        let m = MutationSpec::parse("btb-occupancy@5000").unwrap();
-        assert_eq!(m.kind, MutationKind::BtbOccupancy);
-        assert_eq!(m.at_cycle, 5000);
-        assert_eq!(
-            MutationSpec::parse("ras-depth@1").unwrap().kind,
-            MutationKind::RasDepth
-        );
-        assert!(MutationSpec::parse("btb-occupancy").is_err());
-        assert!(MutationSpec::parse("cache@10").is_err());
-    }
-
-    #[test]
     fn check_periods_match_tiers() {
         assert_eq!(IntegrityLevel::Off.check_period(), None);
         assert_eq!(
@@ -460,7 +385,6 @@ mod tests {
                 at_cycle: 99,
                 kind: MutationKind::RasDepth,
             }),
-            ..IntegrityConfig::off()
         };
         let json = twig_serde_json::to_string(&cfg).unwrap();
         let back: IntegrityConfig = twig_serde_json::from_str(&json).unwrap();

@@ -1,6 +1,6 @@
 //! No-progress and resource watchdogs for the simulation loop.
 
-use super::{Fault, IntegrityConfig, ViolationKind};
+use super::{Fault, ViolationKind, CYCLE_BUDGET_FACTOR, HEAP_BUDGET, LIVELOCK_WINDOW};
 
 /// Tracks retirement progress and resource budgets across cycles.
 ///
@@ -19,13 +19,13 @@ pub struct Watchdogs {
 impl Watchdogs {
     /// Creates watchdogs for a run retiring up to `instruction_budget`
     /// instructions.
-    pub fn new(config: &IntegrityConfig, instruction_budget: u64) -> Self {
+    pub fn new(instruction_budget: u64) -> Self {
         Watchdogs {
-            livelock_window: config.livelock_window,
+            livelock_window: LIVELOCK_WINDOW,
             max_cycles: instruction_budget
-                .saturating_mul(config.cycle_budget_factor)
+                .saturating_mul(CYCLE_BUDGET_FACTOR)
                 .max(1 << 22),
-            heap_budget: config.heap_budget,
+            heap_budget: HEAP_BUDGET,
             last_progress_cycle: 0,
             last_retired: 0,
         }
@@ -91,20 +91,20 @@ impl Watchdogs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrity::IntegrityLevel;
 
-    fn cfg(window: u64, heap: usize) -> IntegrityConfig {
-        IntegrityConfig {
-            level: IntegrityLevel::Paranoid,
-            livelock_window: window,
-            heap_budget: heap,
-            ..IntegrityConfig::off()
+    /// Watchdogs with their own window and heap budget; an unbounded
+    /// instruction budget puts the cycle ceiling at `u64::MAX`.
+    fn watchdogs(livelock_window: u64, heap_budget: usize) -> Watchdogs {
+        Watchdogs {
+            livelock_window,
+            heap_budget,
+            ..Watchdogs::new(u64::MAX)
         }
     }
 
     #[test]
     fn livelock_fires_only_without_progress_or_fills() {
-        let mut w = Watchdogs::new(&cfg(100, usize::MAX), u64::MAX);
+        let mut w = watchdogs(100, usize::MAX);
         // Progress keeps it quiet.
         for c in 0..500 {
             assert!(w.check(c, c, || false, 0).is_ok());
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn cycle_budget_enforced() {
-        let mut w = Watchdogs::new(&cfg(u64::MAX, usize::MAX), u64::MAX);
+        let mut w = watchdogs(u64::MAX, usize::MAX);
         assert!(w.check(w.max_cycles() - 1, 1, || false, 0).is_ok());
         let fault = w.check(w.max_cycles(), 2, || false, 0).unwrap_err();
         assert_eq!(fault.kind, ViolationKind::CycleBudget);
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn heap_budget_enforced() {
-        let mut w = Watchdogs::new(&cfg(u64::MAX, 10), u64::MAX);
+        let mut w = watchdogs(u64::MAX, 10);
         assert!(w.check(0, 1, || false, 10).is_ok());
         let fault = w.check(1, 2, || false, 11).unwrap_err();
         assert_eq!(fault.kind, ViolationKind::HeapBudget);

@@ -55,24 +55,14 @@ pub const VAR_TASK_ATTEMPTS: &str = "TWIG_TASK_ATTEMPTS";
 pub const VAR_TASK_BACKOFF_MS: &str = "TWIG_TASK_BACKOFF_MS";
 /// `TWIG_TASK_TIMEOUT_MS` — per-attempt task deadline (0 disables it).
 pub const VAR_TASK_TIMEOUT_MS: &str = "TWIG_TASK_TIMEOUT_MS";
-/// `TWIG_FAULT_SPEC` — deterministic fault-injection grammar
-/// (parsed by `twig-sched::fault`).
+/// `TWIG_FAULT_SPEC` — deterministic fault-injection grammar (parsed by
+/// `twig-sched::fault`): task, cache and service faults, crashpoints
+/// (`crash:point=<name>[,hit=<n>]`) and seeded integrity mutations
+/// (`mutate:kind=<k>,cycle=<c>[,cell=<s>]`).
 pub const VAR_FAULT_SPEC: &str = "TWIG_FAULT_SPEC";
-/// `TWIG_CRASH_SPEC` — deterministic crashpoint injection
-/// `<point>[@<n>]` (parsed by `twig-sched::durable`): kill the process at
-/// the named durability boundary on its nth hit.
-pub const VAR_CRASH_SPEC: &str = "TWIG_CRASH_SPEC";
 /// `TWIG_INTEGRITY` — simulation integrity tier
 /// (`off | sampled[=N] | paranoid`; parsed by `twig-sim::integrity`).
 pub const VAR_INTEGRITY: &str = "TWIG_INTEGRITY";
-/// `TWIG_INTEGRITY_MUTATE` — seeded corruption `<kind>@<cycle>` for the
-/// integrity mutation drill.
-pub const VAR_INTEGRITY_MUTATE: &str = "TWIG_INTEGRITY_MUTATE";
-/// `TWIG_INTEGRITY_MUTATE_LABEL` — substring selector restricting the
-/// mutation drill to matching run labels.
-pub const VAR_INTEGRITY_MUTATE_LABEL: &str = "TWIG_INTEGRITY_MUTATE_LABEL";
-/// `TWIG_INTEGRITY_DUMP_DIR` — directory for forensic integrity dumps.
-pub const VAR_INTEGRITY_DUMP_DIR: &str = "TWIG_INTEGRITY_DUMP_DIR";
 /// `TWIG_OBS` — the observation configuration, one comma-separated
 /// grammar (parsed by `twig_obs::ObsConfig::parse`): a tier
 /// `off | counters | trace[=N]`, the per-branch attribution items
@@ -80,14 +70,6 @@ pub const VAR_INTEGRITY_DUMP_DIR: &str = "TWIG_INTEGRITY_DUMP_DIR";
 /// (a window boundary every `N` retired instructions). An explicit
 /// `--obs` flag replaces it as a whole.
 pub const VAR_OBS: &str = "TWIG_OBS";
-/// `TWIG_TRACE_SPILL_EVENTS` — event-count threshold above which the
-/// benchmark harness spills cached traces to columnar `.twgc` files and
-/// streams them back instead of holding a `Vec<BlockEvent>` resident
-/// (out-of-core trace engine). `0` disables spilling entirely. The
-/// default (8M events) is far above every standard cell, so ordinary
-/// runs never touch disk; big-trace cells cross it and stay in bounded
-/// RSS.
-pub const VAR_TRACE_SPILL_EVENTS: &str = "TWIG_TRACE_SPILL_EVENTS";
 /// `TWIG_FLEET_WORKERS` — at most this many fleet tenant jobs run at
 /// once, within `TWIG_NUM_THREADS`; at least 1. Results are worker-count
 /// invariant (the fleet manifest is proven byte-identical across
@@ -108,13 +90,8 @@ pub const ALL_VARS: &[&str] = &[
     VAR_TASK_BACKOFF_MS,
     VAR_TASK_TIMEOUT_MS,
     VAR_FAULT_SPEC,
-    VAR_CRASH_SPEC,
     VAR_INTEGRITY,
-    VAR_INTEGRITY_MUTATE,
-    VAR_INTEGRITY_MUTATE_LABEL,
-    VAR_INTEGRITY_DUMP_DIR,
     VAR_OBS,
-    VAR_TRACE_SPILL_EVENTS,
     VAR_FLEET_WORKERS,
     VAR_FLEET_MAX_GENERATIONS,
 ];
@@ -217,7 +194,7 @@ pub struct ConfigEntry {
 /// The harness configuration: every `TWIG_*` knob, parsed once.
 ///
 /// Numeric knobs are fully typed here. Grammar knobs (`TWIG_FAULT_SPEC`,
-/// `TWIG_INTEGRITY*`, `TWIG_OBS`) are carried as raw strings and parsed by
+/// `TWIG_INTEGRITY`, `TWIG_OBS`) are carried as raw strings and parsed by
 /// the crate that owns the grammar — still exactly one *environment read*,
 /// and the owning parser's error message names the variable.
 #[derive(Clone, PartialEq, Debug)]
@@ -232,20 +209,10 @@ pub struct HarnessConfig {
     pub task_timeout_ms: Setting<Option<u64>>,
     /// Raw fault-injection spec, if any.
     pub fault_spec: Setting<Option<String>>,
-    /// Raw crashpoint-injection spec, if any.
-    pub crash_spec: Setting<Option<String>>,
     /// Raw integrity tier (`off` when unset).
     pub integrity: Setting<String>,
-    /// Raw seeded-mutation spec, if any.
-    pub integrity_mutate: Setting<Option<String>>,
-    /// Mutation label selector, if any.
-    pub integrity_mutate_label: Setting<Option<String>>,
-    /// Forensic dump directory override, if any.
-    pub integrity_dump_dir: Setting<Option<String>>,
     /// Raw observation spec (`off` when unset).
     pub obs: Setting<String>,
-    /// Trace-spill threshold in events; `None` = spilling disabled.
-    pub trace_spill_events: Setting<Option<u64>>,
     /// Fleet tenant jobs run at once, at least 1.
     pub fleet_workers: Setting<usize>,
     /// Fleet convergence-watchdog generation cap, at least 1.
@@ -261,13 +228,8 @@ impl HarnessConfig {
             task_backoff_ms: Setting::default_value(100),
             task_timeout_ms: Setting::default_value(Some(600_000)),
             fault_spec: Setting::default_value(None),
-            crash_spec: Setting::default_value(None),
             integrity: Setting::default_value("off".to_string()),
-            integrity_mutate: Setting::default_value(None),
-            integrity_mutate_label: Setting::default_value(None),
-            integrity_dump_dir: Setting::default_value(None),
             obs: Setting::default_value("off".to_string()),
-            trace_spill_events: Setting::default_value(Some(8_000_000)),
             fleet_workers: Setting::default_value(1),
             fleet_max_generations: Setting::default_value(8),
         }
@@ -308,27 +270,11 @@ impl HarnessConfig {
         if let Some(raw) = lookup(VAR_FAULT_SPEC) {
             config.fault_spec = Setting::env_value(non_empty(raw));
         }
-        if let Some(raw) = lookup(VAR_CRASH_SPEC) {
-            config.crash_spec = Setting::env_value(non_empty(raw));
-        }
         if let Some(raw) = lookup(VAR_INTEGRITY) {
             config.integrity = Setting::env_value(raw.trim().to_string());
         }
-        if let Some(raw) = lookup(VAR_INTEGRITY_MUTATE) {
-            config.integrity_mutate = Setting::env_value(non_empty(raw));
-        }
-        if let Some(raw) = lookup(VAR_INTEGRITY_MUTATE_LABEL) {
-            config.integrity_mutate_label = Setting::env_value(non_empty(raw));
-        }
-        if let Some(raw) = lookup(VAR_INTEGRITY_DUMP_DIR) {
-            config.integrity_dump_dir = Setting::env_value(non_empty(raw));
-        }
         if let Some(raw) = lookup(VAR_OBS) {
             config.obs = Setting::env_value(raw.trim().to_string());
-        }
-        if let Some(raw) = lookup(VAR_TRACE_SPILL_EVENTS) {
-            let n = parse_u64(VAR_TRACE_SPILL_EVENTS, &raw)?;
-            config.trace_spill_events = Setting::env_value(if n == 0 { None } else { Some(n) });
         }
         if let Some(raw) = lookup(VAR_FLEET_WORKERS) {
             let n = parse_positive(VAR_FLEET_WORKERS, &raw, "worker count")?;
@@ -403,13 +349,8 @@ impl HarnessConfig {
             row(VAR_TASK_BACKOFF_MS, &self.task_backoff_ms, ToString::to_string),
             row(VAR_TASK_TIMEOUT_MS, &self.task_timeout_ms, |v| opt(v, "none")),
             row(VAR_FAULT_SPEC, &self.fault_spec, |v| opt(v, "none")),
-            row(VAR_CRASH_SPEC, &self.crash_spec, |v| opt(v, "none")),
             row(VAR_INTEGRITY, &self.integrity, Clone::clone),
-            row(VAR_INTEGRITY_MUTATE, &self.integrity_mutate, |v| opt(v, "none")),
-            row(VAR_INTEGRITY_MUTATE_LABEL, &self.integrity_mutate_label, |v| opt(v, "none")),
-            row(VAR_INTEGRITY_DUMP_DIR, &self.integrity_dump_dir, |v| opt(v, "none")),
             row(VAR_OBS, &self.obs, Clone::clone),
-            row(VAR_TRACE_SPILL_EVENTS, &self.trace_spill_events, |v| opt(v, "off")),
             row(VAR_FLEET_WORKERS, &self.fleet_workers, ToString::to_string),
             row(VAR_FLEET_MAX_GENERATIONS, &self.fleet_max_generations, ToString::to_string),
         ]
@@ -542,13 +483,11 @@ mod tests {
 
     #[test]
     fn empty_grammar_values_read_as_unset() {
-        let config = HarnessConfig::from_lookup(env_of(&[
-            ("TWIG_FAULT_SPEC", "   "),
-            ("TWIG_INTEGRITY_MUTATE", ""),
-        ]))
-        .unwrap();
-        assert_eq!(config.fault_spec.value, None);
-        assert_eq!(config.integrity_mutate.value, None);
+        for blank in ["", "   "] {
+            let config =
+                HarnessConfig::from_lookup(env_of(&[("TWIG_FAULT_SPEC", blank)])).unwrap();
+            assert_eq!(config.fault_spec.value, None);
+        }
     }
 
     #[test]
