@@ -716,6 +716,47 @@ mod tests {
     }
 
     #[test]
+    fn crash_spec_parses_points_and_counts() {
+        use crate::fault::FaultSpec;
+        for (point, _) in CRASHPOINTS {
+            let spec = FaultSpec::parse(&format!("crash:point={point}")).unwrap();
+            assert!(spec.crashes_at(point), "{point}: hit defaults to the first");
+        }
+        let spec = FaultSpec::parse(" crash : point = traj-journal , hit = 3 ").unwrap();
+        assert!(!spec.crashes_at("traj-journal"));
+        assert!(!spec.crashes_at("traj-journal"));
+        assert!(spec.crashes_at("traj-journal"), "the third hit crashes");
+        assert!(FaultSpec::parse("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn unarmed_and_unmatched_checks_never_fire() {
+        use crate::fault::FaultSpec;
+        let none = FaultSpec::none();
+        for (point, _) in CRASHPOINTS {
+            assert!(
+                !none.crashes_at(point),
+                "{point}: an unarmed spec never crashes"
+            );
+        }
+        // Hits of other points, and non-crash clauses naming the point,
+        // leave the armed count alone: only the second manifest-tmp hit fires.
+        let spec =
+            FaultSpec::parse("crash:point=manifest-tmp,hit=2;panic:cell=manifest-tmp").unwrap();
+        assert!(!spec.crashes_at("ckpt-tmp"));
+        assert!(!spec.crashes_at("ckpt-tmp"));
+        assert!(!spec.crashes_at("manifest-tmp"));
+        assert!(spec.crashes_at("manifest-tmp"));
+        // A firing hit would exit the test process; surviving IS the
+        // assertion. Only run it when the process-wide spec is unarmed.
+        if crate::fault::global().is_empty() {
+            for (point, _) in CRASHPOINTS {
+                hit(point);
+            }
+        }
+    }
+
+    #[test]
     fn registry_names_are_unique() {
         let mut names: Vec<&str> = CRASHPOINTS.iter().map(|(p, _)| *p).collect();
         let before = names.len();
