@@ -13,9 +13,11 @@
 //!   sample period for structural corruptions), that the run degrades to a
 //!   typed violation instead of aborting, and that the forensic dump both
 //!   loads and replays deterministically.
-//! * `replay <dump.json>` — re-runs the workload named by a drill dump's
-//!   label under the dumped configuration and asserts the same violation
-//!   kind fires at the same cycle.
+//! * `replay <dump.json>` — re-runs the run a dump's label names (a
+//!   `drill:` workload, or a harness `sim:<app>/<slot>` cell under the
+//!   dump's whole configuration) and asserts the same violation kind
+//!   fires at the same cycle, progress and branch history; any other
+//!   label fails.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -129,28 +131,36 @@ fn mutate(kind: MutationKind, at_cycle: u64, budget: u64) -> Result<(), String> 
     Ok(())
 }
 
-/// Re-runs the simulation a drill dump describes and checks the violation
-/// reproduces exactly.
+/// Re-runs the simulation a dump describes and checks the violation
+/// reproduces exactly. A `drill:` dump re-runs this binary's plain-BTB
+/// workload with the dump's integrity tier; a `sim:<app>/<slot>` dump
+/// re-runs that harness cell under the dump's whole configuration.
 fn replay_dump(dump: &StateDump) -> Result<(), String> {
-    let app_name = dump
-        .label
-        .split(':')
-        .nth(1)
-        .and_then(|s| s.split('/').next())
-        .ok_or_else(|| format!("label {:?} does not name an app", dump.label))?;
-    let app = AppId::ALL
-        .iter()
-        .copied()
-        .find(|a| a.name() == app_name)
-        .ok_or_else(|| format!("unknown app {app_name:?} in label {:?}", dump.label))?;
-    let setup = AppSetup::new(app);
-    let replay_label = format!("replay:{app_name}");
-    match run_app(
-        &setup,
-        dump.config.integrity,
-        dump.instruction_budget,
-        &replay_label,
-    ) {
+    let replay_label = format!("replay:{}", dump.label);
+    let outcome = if let Some(cell) = dump.label.strip_prefix("drill:") {
+        let app_name = cell.split('/').next().unwrap_or(cell);
+        let app = AppId::ALL
+            .into_iter()
+            .find(|a| a.name() == app_name)
+            .ok_or_else(|| format!("unknown app {app_name:?} in label {:?}", dump.label))?;
+        let setup = AppSetup::new(app);
+        run_app(&setup, dump.config.integrity, dump.instruction_budget, &replay_label)
+    } else {
+        twig_bench::runner::replay_cell(
+            &dump.label,
+            dump.config,
+            dump.instruction_budget,
+            &replay_label,
+        )
+        .ok_or_else(|| {
+            format!(
+                "label {:?} names neither a drill run nor a headline cell \
+                 (sim:<app>/<slot>)",
+                dump.label
+            )
+        })?
+    };
+    match outcome {
         Ok(_) => Err(format!(
             "replay of {} completed cleanly; expected {} at cycle {}",
             dump.label, dump.kind, dump.cycle
@@ -164,6 +174,23 @@ fn replay_dump(dump: &StateDump) -> Result<(), String> {
                     violation.kind.as_str(),
                     violation.cycle
                 ));
+            }
+            // The same violation in another binary or system would still
+            // differ in progress and branch history; require those too.
+            if let Some(path) = &violation.dump_path {
+                let replayed = StateDump::load(path)?;
+                if (replayed.retired_instructions, replayed.events_consumed, &replayed.history)
+                    != (dump.retired_instructions, dump.events_consumed, &dump.history)
+                {
+                    return Err(format!(
+                        "replay diverged: dump retired {} instructions over {} events, \
+                         replay {} over {} (or a different branch history)",
+                        dump.retired_instructions,
+                        dump.events_consumed,
+                        replayed.retired_instructions,
+                        replayed.events_consumed
+                    ));
+                }
             }
             println!(
                 "replay ok: {} at cycle {} reproduced deterministically",

@@ -14,6 +14,13 @@
 //! `OnceLock::get_or_init` serializes the (expensive) computation outside
 //! the map lock, so unrelated keys never contend.
 //!
+//! Traces are stored as unread [`AnySource`]s and handed out as clones,
+//! each with its own cursor. A budget up to [`SPILL_INSTRUCTIONS`] is
+//! walked into memory; a longer one is streamed into a `.twgc` file that
+//! is mapped and unlinked at once, so it leaves nothing on disk; if that
+//! spill fails, the cache keeps the live walk, which regenerates the
+//! trace on every pass in bounded memory.
+//!
 //! Integrity: every stored entry carries a content fingerprint (sampled
 //! FNV-1a over the artifact's shape and data). Hits re-verify the
 //! fingerprint; a mismatch — a poisoned or corrupted entry, in practice
@@ -24,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -31,18 +39,20 @@ use twig::TwigOptimizer;
 use twig_profile::Profile;
 use twig_serde::Serialize;
 use twig_sim::{IntegrityLevel, SimConfig, SimStats};
-use twig_workload::{AppId, BlockEvent, InputConfig};
+use twig_workload::{
+    AnySource, AppId, ColumnarReader, ColumnarSource, InputConfig, MemSource, Walker,
+    WalkerSource,
+};
 
 use crate::runner::{AppSetup, PreparedApp};
-use crate::trace_handle::TraceHandle;
 
 /// Mixes one word into an FNV-1a style accumulator.
 #[inline]
-pub(crate) fn mix(state: u64, word: u64) -> u64 {
+fn mix(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 fn mix_str(state: u64, s: &str) -> u64 {
     s.bytes().fold(state, |acc, b| mix(acc, u64::from(b)))
@@ -66,16 +76,41 @@ impl Fingerprint for Arc<AppSetup> {
     }
 }
 
-impl Fingerprint for Arc<[BlockEvent]> {
+impl Fingerprint for AnySource {
     fn fingerprint(&self) -> u64 {
-        let mut h = mix(FNV_OFFSET, self.len() as u64);
-        let stride = (self.len() / 64).max(1);
-        for ev in self.iter().step_by(stride) {
-            h = mix(h, u64::from(ev.block.raw()));
-            h = mix(h, u64::from(ev.taken));
-            h = mix(h, ev.target.map_or(u64::MAX, |t| u64::from(t.raw())));
+        match self {
+            AnySource::Mem(source) => {
+                let events = source.as_slice();
+                let mut h = mix(FNV_OFFSET, events.len() as u64);
+                let stride = (events.len() / 64).max(1);
+                for ev in events.iter().step_by(stride) {
+                    h = mix(h, u64::from(ev.block.raw()));
+                    h = mix(h, u64::from(ev.taken));
+                    h = mix(h, ev.target.map_or(u64::MAX, |t| u64::from(t.raw())));
+                }
+                h
+            }
+            // The per-chunk CRCs, checked on decode, already cover a
+            // spilled trace's data; the fingerprint covers the directory
+            // shape (counts and offsets), which is what a poisoned cache
+            // entry would perturb.
+            AnySource::Columnar(source) => {
+                let reader = source.reader();
+                let mut h = mix(FNV_OFFSET, reader.total_events());
+                for s in reader.summaries() {
+                    h = mix(h, s.offset);
+                    h = mix(h, u64::from(s.events));
+                    h = mix(h, u64::from(s.taken));
+                    h = mix(h, u64::from(s.targets));
+                }
+                h
+            }
+            // A live walk holds no data, only what regenerates it.
+            AnySource::Walker(source) => {
+                let h = mix(FNV_OFFSET, source.instruction_budget());
+                mix(h, source.program().num_blocks() as u64)
+            }
         }
-        h
     }
 }
 
@@ -115,7 +150,7 @@ impl Fingerprint for Arc<SimStats> {
 
 impl Fingerprint for Arc<PreparedApp> {
     fn fingerprint(&self) -> u64 {
-        let mut h = mix(FNV_OFFSET, self.events.event_count());
+        let mut h = mix(FNV_OFFSET, self.events.fingerprint());
         h = mix(h, self.working_set_bytes);
         h = mix(h, self.working_set_bytes_twig);
         h = mix(h, self.optimized.rewrite.brprefetch_ops);
@@ -332,7 +367,7 @@ impl CacheStats {
 /// The memoized store handing out shared artifacts.
 pub struct ArtifactCache {
     setups: Shard<AppId, Arc<AppSetup>>,
-    events: Shard<(AppId, u32, u64), TraceHandle>,
+    events: Shard<(AppId, u32, u64), AnySource>,
     // `SimConfig` holds `f64` fields, so the profile key embeds its
     // `Debug` rendering as a config fingerprint instead of deriving Hash.
     profiles: Shard<(AppId, u32, u64, String), Arc<Profile>>,
@@ -340,27 +375,30 @@ pub struct ArtifactCache {
     // Simulations of the *canonical* (unrewritten) binary over canonical
     // traces; the system name + config Debug rendering pin the run down.
     sims: Shard<(AppId, u32, u64, String, String), Arc<SimStats>>,
-    /// Traces past this many events spill to `.twgc` files instead of
-    /// staying resident (`None` = never spill).
-    spill_threshold: Option<u64>,
+    /// Traces whose instruction budget exceeds this spill to `.twgc`
+    /// files instead of staying resident.
+    spill_instructions: u64,
+    /// Where spill files are written (and at once unlinked).
+    spill_dir: PathBuf,
 }
 
-/// Event count past which a cached trace spills to a `.twgc` file. Far
-/// above every standard cell, so ordinary runs never touch disk;
-/// big-trace cells cross it and stay in bounded RSS.
-pub const SPILL_EVENTS: u64 = 8_000_000;
+/// Instruction budget past which a cached trace spills to a `.twgc` file.
+/// The densest app (verilator) averages ~3.5 instructions per 12-byte
+/// event, so a resident trace stays under ~110 MB: 20M-instruction runs
+/// stay in memory, 50M-instruction runs spill.
+pub const SPILL_INSTRUCTIONS: u64 = 32_000_000;
 
 impl ArtifactCache {
-    /// Creates an empty cache spilling traces above [`SPILL_EVENTS`]
+    /// Creates an empty cache spilling traces above [`SPILL_INSTRUCTIONS`]
     /// (tests use private instances; production code shares [`global`]).
     pub fn new() -> Self {
-        Self::with_spill_threshold(Some(SPILL_EVENTS))
+        Self::with_spill_threshold(SPILL_INSTRUCTIONS)
     }
 
-    /// Creates an empty cache spilling traces above `threshold` events
-    /// (`None` disables spilling). Tests use small thresholds to exercise
-    /// the out-of-core path on small traces.
-    pub fn with_spill_threshold(threshold: Option<u64>) -> Self {
+    /// Creates an empty cache spilling traces whose budget exceeds
+    /// `instructions`. Tests use small thresholds to exercise the
+    /// out-of-core path on small traces.
+    pub fn with_spill_threshold(instructions: u64) -> Self {
         ArtifactCache {
             setups: Shard::new(),
             events: Shard::new(),
@@ -372,7 +410,8 @@ impl ArtifactCache {
             profiles: Shard::with_capacity(Some(12)),
             prepared: Shard::new(),
             sims: Shard::new(),
-            spill_threshold: threshold,
+            spill_instructions: instructions,
+            spill_dir: std::env::temp_dir(),
         }
     }
 
@@ -385,24 +424,43 @@ impl ArtifactCache {
     }
 
     /// The walker event trace for `(app, input)`, bounded by
-    /// `instructions` — materialized in memory below the spill threshold,
-    /// streamed from an on-disk `.twgc` file above it. Either backing is
-    /// event-for-event identical to [`AppSetup::fresh_events`].
-    pub fn events(&self, app: AppId, input: u32, instructions: u64) -> TraceHandle {
+    /// `instructions`, as an unread source; callers clone it. It is
+    /// resident ([`AnySource::Mem`]) up to [`SPILL_INSTRUCTIONS`], mapped
+    /// from an unlinked `.twgc` file ([`AnySource::Columnar`]) above, and
+    /// a live walk ([`AnySource::Walker`]) when the spill fails. Every
+    /// backing is event-for-event identical to [`AppSetup::fresh_events`].
+    pub fn events(&self, app: AppId, input: u32, instructions: u64) -> AnySource {
         self.events.get_or_compute(
             (app, input, instructions),
             &format!("cache:events:{}/{input}", app.name()),
-            || {
-                let setup = self.setup(app);
-                crate::trace_handle::collect_trace(
-                    &setup.program,
-                    InputConfig::numbered(input),
-                    instructions,
-                    self.spill_threshold,
-                    || crate::trace_handle::spill_path(app, input, instructions),
-                )
-            },
+            || self.walk(app, input, instructions),
         )
+    }
+
+    /// Walks one trace into the backing its budget calls for.
+    fn walk(&self, app: AppId, input: u32, instructions: u64) -> AnySource {
+        let setup = self.setup(app);
+        let input_config = InputConfig::numbered(input);
+        if instructions <= self.spill_instructions {
+            let events = Walker::new(&setup.program, input_config).run_instructions(instructions);
+            return MemSource::from(events).into();
+        }
+        let walk = WalkerSource::new(Arc::new(setup.program.clone()), input_config, instructions);
+        let path = self.spill_dir.join(format!(
+            "twig-spill-{}-{}-i{input}-n{instructions}.twgc",
+            std::process::id(),
+            app.name()
+        ));
+        match spill(&path, walk.clone()) {
+            Ok(reader) => ColumnarSource::from_reader(Arc::new(reader)).into(),
+            Err(e) => {
+                eprintln!(
+                    "warning: trace spill to {} failed ({e}); replaying the walk instead",
+                    path.display()
+                );
+                walk.into()
+            }
+        }
     }
 
     /// The LBR profile of `app` under `input` at `sim_config`.
@@ -426,12 +484,12 @@ impl ArtifactCache {
             &format!("cache:profile:{}/{input}", app.name()),
             || {
                 let setup = self.setup(app);
-                let events = self.events(app, input, instructions);
+                let mut events = self.events(app, input, instructions);
                 let (profile, stats) = TwigOptimizer::default()
                     .collect_profile_and_stats_from_source(
                         &setup.program,
                         *sim_config,
-                        &mut events.source(),
+                        &mut events,
                         instructions,
                     );
                 // The profiling run is a plain FDIP baseline run with a
@@ -577,6 +635,16 @@ impl Default for ArtifactCache {
     }
 }
 
+/// Streams `walk` into a `.twgc` file at `path`, maps it and unlinks it
+/// at once: the mapping keeps the data alive, and nothing stays on disk
+/// once the reader is dropped (or the process dies).
+fn spill(path: &Path, walk: WalkerSource) -> std::io::Result<ColumnarReader> {
+    twig_workload::write_columnar_file(path, walk)?;
+    let reader = ColumnarReader::open(path).map_err(std::io::Error::other);
+    std::fs::remove_file(path)?;
+    reader
+}
+
 /// The process-wide cache shared by the runner and all `exp` modules.
 pub fn global() -> &'static ArtifactCache {
     static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
@@ -586,6 +654,7 @@ pub fn global() -> &'static ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twig_workload::EventSource;
 
     #[test]
     fn setup_is_shared_and_counted() {
@@ -605,28 +674,63 @@ mod tests {
     fn cached_events_match_fresh_walk() {
         let cache = ArtifactCache::new();
         let cached = cache.events(AppId::Kafka, 2, 5_000);
-        assert!(!cached.is_spilled(), "tiny trace must stay in memory");
+        assert!(matches!(cached, AnySource::Mem(_)), "a small budget stays resident");
         let fresh = cache.setup(AppId::Kafka).fresh_events(2, 5_000);
-        assert_eq!(&cached.materialize()[..], &fresh[..], "cache must be bit-identical");
+        assert_eq!(cached.collect::<Vec<_>>(), fresh, "cache must be bit-identical");
+    }
+
+    /// A fresh, empty directory for one test's spill files.
+    fn spill_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("twig-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn big_traces_spill_and_stream_identically() {
-        let cache = ArtifactCache::with_spill_threshold(Some(500));
+        let dir = spill_dir("spill");
+        let mut cache = ArtifactCache::with_spill_threshold(500);
+        cache.spill_dir = dir.clone();
         let spilled = cache.events(AppId::Kafka, 2, 30_000);
-        assert!(spilled.is_spilled(), "500-event threshold must force a spill");
+        assert!(matches!(spilled, AnySource::Columnar(_)), "a 500-instruction threshold spills");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "the spill file is unlinked once mapped"
+        );
         let fresh = cache.setup(AppId::Kafka).fresh_events(2, 30_000);
-        assert_eq!(spilled.event_count(), fresh.len() as u64);
-        assert_eq!(&spilled.materialize()[..], &fresh[..], "spilled trace must be bit-identical");
+        assert_eq!(spilled.event_count(), Some(fresh.len() as u64));
+        assert_eq!(spilled.collect::<Vec<_>>(), fresh, "spilled trace must be bit-identical");
         // A hit re-verifies the directory-shape fingerprint and serves the
-        // same mmap-backed handle.
+        // same mapping.
         let again = cache.events(AppId::Kafka, 2, 30_000);
         let stats = cache.stats();
         assert_eq!(stats.events_misses, 1);
         assert_eq!(stats.events_hits, 1);
         assert_eq!(stats.events_evictions, 0);
-        let streamed: Vec<BlockEvent> = again.source().collect();
-        assert_eq!(streamed, &fresh[..]);
+        assert_eq!(again.collect::<Vec<_>>(), fresh);
+        std::fs::remove_dir(&dir).expect("the spill directory is still empty");
+    }
+
+    #[test]
+    fn failed_spill_streams_from_the_walker() {
+        // A spill directory below a regular file fails the atomic publish
+        // (ENOTDIR); the trace must still come back complete, as a live
+        // walk rather than a resident copy.
+        let dir = spill_dir("blocked");
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, b"blocker").unwrap();
+        let mut cache = ArtifactCache::with_spill_threshold(500);
+        cache.spill_dir = blocker.join("spill");
+        let trace = cache.events(AppId::Kafka, 1, 20_000);
+        assert!(matches!(trace, AnySource::Walker(_)), "a failed spill keeps the walk");
+        let fresh = cache.setup(AppId::Kafka).fresh_events(1, 20_000);
+        assert_eq!(trace.clone().collect::<Vec<_>>(), fresh);
+        // Every clone replays the same stream, and a hit verifies.
+        assert_eq!(cache.events(AppId::Kafka, 1, 20_000).collect::<Vec<_>>(), fresh);
+        assert_eq!(cache.stats().events_evictions, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -640,7 +744,6 @@ mod tests {
 
     #[test]
     fn cached_profile_matches_fresh_collection() {
-        use twig_workload::MemSource;
         let cache = ArtifactCache::new();
         let setup = cache.setup(AppId::Kafka);
         let cached = cache.profile(AppId::Kafka, 0, 20_000, &setup.sim_config);
@@ -674,8 +777,12 @@ mod tests {
         let events = twig_sched::parallel_map(vec![0u32; 16], |_| {
             cache.events(AppId::Tomcat, 1, 4_000)
         });
+        let data = |e: &AnySource| match e {
+            AnySource::Mem(source) => source.as_slice().as_ptr(),
+            other => panic!("a small trace stays resident: {other:?}"),
+        };
         for e in &events {
-            assert!(Arc::ptr_eq(&e.materialize(), &events[0].materialize()));
+            assert_eq!(data(e), data(&events[0]), "every fetch shares one slice");
         }
         let stats = cache.stats();
         assert_eq!(stats.events_misses, 1, "trace must be walked exactly once");
@@ -688,8 +795,8 @@ mod tests {
         // Corrupt the stored fingerprint by hand (the same effect the
         // `corrupt-cache` fault clause has) and verify the next hit heals
         // the shard while keeping the exactly-once accounting honest.
-        let shard: Shard<u32, TraceHandle> = Shard::new();
-        let make = || -> TraceHandle {
+        let shard: Shard<u32, AnySource> = Shard::new();
+        let make = || -> AnySource {
             ArtifactCache::new().events(AppId::Kafka, 0, 2_000)
         };
         let first = shard.get_or_compute(7, "cache:test", make);
@@ -710,11 +817,8 @@ mod tests {
             shard.lock_map().insert(7, poisoned);
         }
         let healed = shard.get_or_compute(7, "cache:test", make);
-        assert_eq!(
-            &healed.materialize()[..],
-            &first.materialize()[..],
-            "healed value matches"
-        );
+        let first: Vec<_> = first.collect();
+        assert_eq!(healed.collect::<Vec<_>>(), first, "healed value matches");
         assert_eq!(shard.evictions.load(Ordering::Relaxed), 1);
         assert_eq!(shard.misses.load(Ordering::Relaxed), 2);
         assert_eq!(shard.entries(), 1);
@@ -725,13 +829,13 @@ mod tests {
         );
         // Subsequent hits verify cleanly.
         let again = shard.get_or_compute(7, "cache:test", make);
-        assert_eq!(&again.materialize()[..], &first.materialize()[..]);
+        assert_eq!(again.collect::<Vec<_>>(), first);
         assert_eq!(shard.hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn entries_counts_only_initialized_slots() {
-        let shard: Shard<u32, TraceHandle> = Shard::new();
+        let shard: Shard<u32, AnySource> = Shard::new();
         // Simulate a slot abandoned by a panicking computation: present in
         // the map but never initialized.
         shard.lock_map().insert(1, Arc::new(OnceLock::new()));
@@ -750,10 +854,11 @@ mod tests {
         // covers the production budgets.)
         let budget = 20_000u64;
         let setup = AppSetup::new(AppId::Kafka);
-        let events: TraceHandle = setup.fresh_events(1, budget).into();
+        let events = AnySource::from(setup.fresh_events(1, budget));
         // Both the baseline and the ideal cell run the plain BTB.
         let run = |cfg: SimConfig| {
-            setup.run_system(Box::new(twig_sim::PlainBtb::new(&cfg)), cfg, &events, budget)
+            let system = Box::new(twig_sim::PlainBtb::new(&cfg));
+            crate::runner::run_system(&setup.program, system, cfg, &events, budget)
         };
         let base = setup.sim_config;
         // baseline: prefetch buffer capacity is dead.

@@ -7,7 +7,7 @@ use twig_sim::{
 use twig_types::{BlockId, BranchKind};
 use twig_workload::{AppId, WorkingSet};
 
-use crate::runner::{for_all_apps, headline, table, AppSetup, ExpContext};
+use crate::runner::{for_all_apps, headline, run_system, table, AppSetup, ExpContext};
 
 /// Fig. 1: Top-Down pipeline-slot breakdown per application.
 pub fn fig01(ctx: &ExpContext) -> String {
@@ -47,7 +47,7 @@ pub fn fig02(ctx: &ExpContext) -> String {
         // this figure. All three share through the sim-result shard.
         let run = |name: &str, cfg: SimConfig| {
             crate::cache::global().sim_stats(app, 1, budget, name, &cfg, || {
-                setup.run_system(Box::new(PlainBtb::new(&cfg)), cfg, &events, budget)
+                run_system(&setup.program, Box::new(PlainBtb::new(&cfg)), cfg, &events, budget)
             })
         };
         let base = run("baseline", setup.sim_config);
@@ -95,9 +95,8 @@ fn three_c_rows(
     apps.iter()
         .map(|&app| {
             let setup = AppSetup::shared(app);
-            let events = setup.events(1, budget);
             let mut classifier = ThreeCClassifier::new(geometry);
-            for ev in events.source() {
+            for ev in setup.events(1, budget) {
                 if !ev.taken {
                     continue;
                 }
@@ -285,7 +284,7 @@ pub fn fig10(ctx: &ExpContext) -> String {
             setup.sim_config,
             PlainBtb::new(&setup.sim_config),
         );
-        sim.run_observed(events.source(), budget, &mut seq);
+        sim.run_observed(events, budget, &mut seq);
         // Window 12, matching the SHIFT replay depth the baselines use.
         let b = classify_streams_windowed(&seq.0, 12);
         let (r, n, x) = b.fractions();
@@ -304,7 +303,7 @@ pub fn fig11(ctx: &ExpContext) -> String {
     let rows = for_all_apps(|app| {
         let setup = AppSetup::shared(app);
         let mut ws = WorkingSet::new();
-        for ev in setup.events(1, budget).source() {
+        for ev in setup.events(1, budget) {
             ws.observe(&setup.program, ev);
         }
         vec![
@@ -325,7 +324,7 @@ pub fn fig12(ctx: &ExpContext) -> String {
     let rows = for_all_apps(|app| {
         let setup = AppSetup::shared(app);
         let mut analyzer = SpatialRangeAnalyzer::new();
-        for ev in setup.events(1, budget).source() {
+        for ev in setup.events(1, budget) {
             analyzer.observe(&setup.program, ev);
         }
         vec![analyzer.finish().out_of_range_fraction() * 100.0]

@@ -10,10 +10,10 @@
 //! same design space the paper surveys.
 
 use twig::{TwigConfig, TwigOptimizer};
-use twig_sim::{speedup_percent, BtbSystem, SimConfig, SimStats, Simulator};
+use twig_sim::{speedup_percent, BtbSystem, SimConfig};
 use twig_workload::AppId;
 
-use crate::runner::{AppSetup, ExpContext};
+use crate::runner::{run_system, AppSetup, ExpContext};
 
 /// Apps used for the extension studies.
 const EXT_APPS: [AppId; 3] = [AppId::Kafka, AppId::Cassandra, AppId::Verilator];
@@ -22,17 +22,6 @@ const EXT_APPS: [AppId; 3] = [AppId::Kafka, AppId::Cassandra, AppId::Verilator];
 /// go through the shared factory rather than per-callsite constructors).
 fn system(name: &str, config: &SimConfig) -> Box<dyn BtbSystem> {
     twig_prefetchers::by_name(name, config).expect("registered prefetcher")
-}
-
-fn run_on(
-    program: &twig_workload::Program,
-    system: Box<dyn BtbSystem>,
-    config: SimConfig,
-    events: &crate::trace_handle::TraceHandle,
-    budget: u64,
-) -> SimStats {
-    let mut sim = Simulator::new(program, config, system);
-    sim.run(events.source(), budget)
 }
 
 /// ext01 — Twig on top of different BTB organizations.
@@ -58,28 +47,28 @@ pub fn ext01(ctx: &ExpContext) -> String {
         );
         let events = setup.events(1, budget);
 
-        let base = run_on(
+        let base = run_system(
             &setup.program,
             system("twig", &config),
             config,
             &events,
             budget,
         );
-        let plain_twig = run_on(
+        let plain_twig = run_system(
             &optimized.program,
             system("twig", &config),
             config,
             &events,
             budget,
         );
-        let btbx = run_on(
+        let btbx = run_system(
             &setup.program,
             system("btbx", &config),
             config,
             &events,
             budget,
         );
-        let btbx_twig = run_on(
+        let btbx_twig = run_system(
             &optimized.program,
             system("btbx", &config),
             config,
@@ -117,28 +106,28 @@ pub fn ext02(ctx: &ExpContext) -> String {
         let setup = AppSetup::shared(app);
         let config = setup.sim_config;
         let events = setup.events(1, budget);
-        let base = run_on(
+        let base = run_system(
             &setup.program,
             system("twig", &config),
             config,
             &events,
             budget,
         );
-        let btbx = run_on(
+        let btbx = run_system(
             &setup.program,
             system("btbx", &config),
             config,
             &events,
             budget,
         );
-        let phantom = run_on(
+        let phantom = run_system(
             &setup.program,
             system("phantom", &config),
             config,
             &events,
             budget,
         );
-        let two_level = run_on(
+        let two_level = run_system(
             &setup.program,
             system("bulk", &config),
             config,

@@ -9,7 +9,7 @@ use twig::{TwigConfig, TwigOptimizer};
 use twig_sim::{speedup_percent, BtbSystem, PlainBtb, SimConfig, Simulator};
 use twig_workload::AppId;
 
-use crate::runner::{AppSetup, ExpContext};
+use crate::runner::{run_system, AppSetup, ExpContext};
 
 /// Per-configuration result of one sweep point, averaged over apps.
 #[derive(Clone, Copy)]
@@ -76,7 +76,7 @@ fn sweep_point(
             // they go through the artifact cache's sim-result shard.
             let run = |name: &str, cfg: SimConfig| {
                 crate::cache::global().sim_stats(app, 1, budget, name, &cfg, || {
-                    setup.run_system(system(name, &cfg), cfg, &events, budget)
+                    run_system(&setup.program, system(name, &cfg), cfg, &events, budget)
                 })
             };
             let baseline = run("baseline", config);
@@ -89,7 +89,7 @@ fn sweep_point(
             let confluence = run("confluence", config);
             let twig = {
                 let mut sim = Simulator::new(&optimized.program, config, PlainBtb::new(&config));
-                sim.run(events.source(), budget)
+                sim.run(events.clone(), budget)
             };
             // Degenerate configurations (e.g. a 1-entry FTQ) can leave the
             // ideal BTB with ~0% headroom; clamp the denominator so the

@@ -6,7 +6,7 @@ use twig::{MeanStd, OffsetCdf, TwigConfig, TwigOptimizer};
 use twig_sim::{PlainBtb, SimConfig};
 use twig_workload::AppId;
 
-use crate::runner::{for_all_apps, headline, table, AppSetup, ExpContext};
+use crate::runner::{for_all_apps, headline, run_system, table, AppSetup, ExpContext};
 
 /// Fig. 13: worked example of injection-site selection, on real profile
 /// data from the smallest application.
@@ -236,19 +236,25 @@ fn cross_input_matrix(ctx: &ExpContext) -> &'static [CrossInputRow] {
                 // it first so the baseline request is a cache hit.
                 let profile_i = cache.profile(app, input, budget, &config);
                 let baseline = cache.sim_stats(app, input, budget, "baseline", &config, || {
-                    setup.run_system(Box::new(PlainBtb::new(&config)), config, &events, budget)
+                    run_system(&setup.program, Box::new(PlainBtb::new(&config)), config, &events, budget)
                 });
                 let ideal_cfg = SimConfig {
                     ideal_btb: true,
                     ..config
                 };
                 let ideal = cache.sim_stats(app, input, budget, "ideal", &ideal_cfg, || {
-                    setup.run_system(Box::new(PlainBtb::new(&ideal_cfg)), ideal_cfg, &events, budget)
+                    run_system(
+                        &setup.program,
+                        Box::new(PlainBtb::new(&ideal_cfg)),
+                        ideal_cfg,
+                        &events,
+                        budget,
+                    )
                 });
                 let report = optimizer.evaluate_optimized_from_source(
                     trained,
                     config,
-                    &mut events.source(),
+                    &mut events.clone(),
                     budget,
                     (*baseline).clone(),
                     (*ideal).clone(),
@@ -263,7 +269,7 @@ fn cross_input_matrix(ctx: &ExpContext) -> &'static [CrossInputRow] {
                 let own_report = optimizer.evaluate_optimized_from_source(
                     &own,
                     config,
-                    &mut events.source(),
+                    &mut events.clone(),
                     budget,
                     (*baseline).clone(),
                     (*ideal).clone(),

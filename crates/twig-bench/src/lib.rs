@@ -16,12 +16,10 @@ pub mod manifest;
 pub mod runner;
 pub mod shapes;
 pub mod telemetry;
-pub mod trace_handle;
 
 pub use cache::{ArtifactCache, CacheStats};
 pub use checkpoint::CheckpointStore;
 pub use runner::{Cell, CellValue, ExpContext, HeadlineRow, RowMeta};
-pub use trace_handle::TraceHandle;
 
 /// All experiment identifiers, in paper order.
 pub const ALL_EXPERIMENTS: &[&str] = &[

@@ -8,7 +8,14 @@
 //! seed's one-unbounded-thread-per-app scope. Shared inputs (programs,
 //! walker traces, profiles) come from the process-wide
 //! [`crate::cache::ArtifactCache`], so each is generated exactly once no
-//! matter how many figures or tasks consume it.
+//! matter how many figures or tasks consume it. A trace arrives as a
+//! [`twig_workload::AnySource`]; every simulation or analysis pass runs
+//! over its own clone ([`run_system`], `run_mono`), whichever backing
+//! the cache chose.
+//!
+//! [`replay_cell`] re-runs one headline cell by its `sim:<app>/<slot>`
+//! label, which is how `integrity_drill replay` reproduces a harness
+//! violation dump.
 //!
 //! Fault tolerance: every headline cell runs under
 //! [`twig_sched::run_supervised`] — a panicking or hung cell is
@@ -27,11 +34,11 @@ use twig_sim::{
     speedup_percent, BtbSystem, IntegrityViolation, PlainBtb, SimConfig, SimStats, Simulator,
 };
 use twig_workload::{
-    AppId, BlockEvent, InputConfig, Program, ProgramGenerator, Walker, WorkingSet, WorkloadSpec,
+    AnySource, AppId, BlockEvent, InputConfig, Program, ProgramGenerator, Walker, WorkingSet,
+    WorkloadSpec,
 };
 
 use crate::cache;
-use crate::trace_handle::TraceHandle;
 use crate::checkpoint::CheckpointStore;
 use crate::manifest::{self, CellStatus};
 
@@ -102,10 +109,10 @@ impl AppSetup {
     }
 
     /// The walker's event stream for `input`, bounded by `instructions`,
-    /// shared through the artifact cache as a spillable [`TraceHandle`]
-    /// (in memory below [`cache::SPILL_EVENTS`], streamed from a `.twgc`
-    /// file above it).
-    pub fn events(&self, input: u32, instructions: u64) -> TraceHandle {
+    /// shared through the artifact cache (resident up to
+    /// [`cache::SPILL_INSTRUCTIONS`], streamed from an unlinked `.twgc`
+    /// mapping above it). Clone it for each pass.
+    pub fn events(&self, input: u32, instructions: u64) -> AnySource {
         cache::global().events(self.app, input, instructions)
     }
 
@@ -114,19 +121,19 @@ impl AppSetup {
     pub fn fresh_events(&self, input: u32, instructions: u64) -> Vec<BlockEvent> {
         Walker::new(&self.program, InputConfig::numbered(input)).run_instructions(instructions)
     }
+}
 
-    /// Runs one simulation with an arbitrary BTB system over the given
-    /// trace, whichever backing it has.
-    pub fn run_system(
-        &self,
-        system: Box<dyn BtbSystem>,
-        config: SimConfig,
-        events: &TraceHandle,
-        instructions: u64,
-    ) -> SimStats {
-        let mut sim = Simulator::new(&self.program, config, system);
-        sim.run(events.source(), instructions)
-    }
+/// Runs one simulation of `program` with an arbitrary BTB system over a
+/// clone of `events`, whichever backing it has.
+pub fn run_system(
+    program: &Program,
+    system: Box<dyn BtbSystem>,
+    config: SimConfig,
+    events: &AnySource,
+    instructions: u64,
+) -> SimStats {
+    let mut sim = Simulator::new(program, config, system);
+    sim.run(events.clone(), instructions)
 }
 
 /// Runs `f` over all nine applications, preserving order. Scheduling goes
@@ -316,7 +323,7 @@ pub(crate) struct PreparedApp {
     pub(crate) setup: Arc<AppSetup>,
     pub(crate) optimized: twig::OptimizedBinary,
     pub(crate) optimized_sw: twig::OptimizedBinary,
-    pub(crate) events: TraceHandle,
+    pub(crate) events: AnySource,
     pub(crate) working_set_bytes: u64,
     pub(crate) working_set_bytes_twig: u64,
 }
@@ -352,7 +359,7 @@ pub(crate) fn prepare_app(app: AppId, budget: u64) -> PreparedApp {
     // trace.
     let mut ws = WorkingSet::new();
     let mut ws_twig = WorkingSet::new();
-    for ev in events.source() {
+    for ev in events.clone() {
         ws.observe(&setup.program, ev);
         ws_twig.observe(&optimized.program, ev);
     }
@@ -414,13 +421,13 @@ fn run_mono<B: BtbSystem>(
     program: &Program,
     config: SimConfig,
     system: B,
-    events: &TraceHandle,
+    events: &AnySource,
     budget: u64,
     label: &str,
 ) -> Result<SimStats, Box<IntegrityViolation>> {
     let mut sim = Simulator::new(program, config, system);
     sim.set_integrity_label(label);
-    let stats = sim.try_run(events.source(), budget)?;
+    let stats = sim.try_run(events.clone(), budget)?;
     if let Some(snapshot) = sim.metrics_snapshot() {
         crate::telemetry::record_cell_metrics(label, &snapshot);
         if let Ok(Some(trace)) = sim.chrome_trace() {
@@ -443,15 +450,46 @@ fn run_mono<B: BtbSystem>(
     Ok(stats)
 }
 
+/// Simulates one headline cell under `config`: the slot's system over
+/// the slot's binary (pristine, Twig, or software-only rewrite).
+fn simulate_slot(
+    p: &PreparedApp,
+    slot: SimSlot,
+    config: SimConfig,
+    budget: u64,
+    label: &str,
+) -> Result<SimStats, Box<IntegrityViolation>> {
+    let events = &p.events;
+    let program = match slot {
+        SimSlot::Twig => &p.optimized.program,
+        SimSlot::TwigSwOnly => &p.optimized_sw.program,
+        _ => &p.setup.program,
+    };
+    match slot {
+        SimSlot::Shotgun => run_mono(program, config, Shotgun::new(&config), events, budget, label),
+        SimSlot::Confluence => {
+            run_mono(program, config, Confluence::new(&config), events, budget, label)
+        }
+        _ => run_mono(program, config, PlainBtb::new(&config), events, budget, label),
+    }
+}
+
 fn run_slot(
     p: &PreparedApp,
     slot: SimSlot,
     budget: u64,
     label: &str,
 ) -> Result<SimStats, Box<IntegrityViolation>> {
-    let config = p.setup.sim_config;
-    let program = &p.setup.program;
-    let events = &p.events;
+    let base = p.setup.sim_config;
+    let config = match slot {
+        SimSlot::Ideal => SimConfig {
+            ideal_btb: true,
+            ..base
+        },
+        SimSlot::Btb32k => base.with_btb_entries(32 * 1024),
+        _ => base,
+    };
+    let run = || simulate_slot(p, slot, config, budget, label);
     // Slots simulating the canonical (unrewritten) binary share results
     // with other figures through the sim-result shard — keyed by the slot
     // name and the exact config, on the headline's test input (#1). The
@@ -459,60 +497,32 @@ fn run_slot(
     // integrity or observability tiers enabled the cache steps aside
     // (`sim_cacheable`), so `run_mono`'s violation and telemetry paths
     // stay intact; under a cacheable config `run_mono` cannot fail.
-    let cached = |slot_cfg: SimConfig,
-                  run: &dyn Fn() -> Result<SimStats, Box<IntegrityViolation>>|
-     -> Result<SimStats, Box<IntegrityViolation>> {
-        if !crate::cache::ArtifactCache::sim_cacheable(&slot_cfg) {
-            return run();
-        }
-        let app = p.setup.app;
-        let stats = cache::global().sim_stats(app, 1, budget, slot.name(), &slot_cfg, || {
-            run().expect("integrity violations impossible with checking off")
-        });
-        Ok((*stats).clone())
-    };
-    match slot {
-        SimSlot::Baseline => cached(config, &|| {
-            run_mono(program, config, PlainBtb::new(&config), events, budget, label)
-        }),
-        SimSlot::Ideal => {
-            let cfg = SimConfig {
-                ideal_btb: true,
-                ..config
-            };
-            cached(cfg, &|| {
-                run_mono(program, cfg, PlainBtb::new(&cfg), events, budget, label)
-            })
-        }
-        SimSlot::Btb32k => {
-            let cfg = config.with_btb_entries(32 * 1024);
-            cached(cfg, &|| {
-                run_mono(program, cfg, PlainBtb::new(&cfg), events, budget, label)
-            })
-        }
-        SimSlot::Shotgun => cached(config, &|| {
-            run_mono(program, config, Shotgun::new(&config), events, budget, label)
-        }),
-        SimSlot::Confluence => cached(config, &|| {
-            run_mono(program, config, Confluence::new(&config), events, budget, label)
-        }),
-        SimSlot::Twig => run_mono(
-            &p.optimized.program,
-            config,
-            PlainBtb::new(&config),
-            events,
-            budget,
-            label,
-        ),
-        SimSlot::TwigSwOnly => run_mono(
-            &p.optimized_sw.program,
-            config,
-            PlainBtb::new(&config),
-            events,
-            budget,
-            label,
-        ),
+    if matches!(slot, SimSlot::Twig | SimSlot::TwigSwOnly)
+        || !cache::ArtifactCache::sim_cacheable(&config)
+    {
+        return run();
     }
+    let stats = cache::global().sim_stats(p.setup.app, 1, budget, slot.name(), &config, || {
+        run().expect("integrity violations impossible with checking off")
+    });
+    Ok((*stats).clone())
+}
+
+/// Re-runs the headline cell a `sim:<app>/<slot>` label names — its
+/// system over its binary, through the same prepare path — under
+/// `config` at `budget`, stamping `replay_label` on any violation.
+/// `None` when the label names no headline cell.
+pub fn replay_cell(
+    label: &str,
+    config: SimConfig,
+    budget: u64,
+    replay_label: &str,
+) -> Option<Result<SimStats, Box<IntegrityViolation>>> {
+    let (app, slot) = label.strip_prefix("sim:")?.split_once('/')?;
+    let app = AppId::ALL.into_iter().find(|a| a.name() == app)?;
+    let slot = SLOTS.into_iter().find(|s| s.name() == slot)?;
+    let prepared = cache::global().prepared(app, budget);
+    Some(simulate_slot(&prepared, slot, config, budget, replay_label))
 }
 
 /// Outcome of one flat headline task (a simulation cell or an app's
@@ -901,7 +911,7 @@ mod tests {
         let setup = AppSetup::shared(AppId::Kafka);
         let cached = setup.events(3, 4_000);
         let fresh = setup.fresh_events(3, 4_000);
-        assert_eq!(&cached.materialize()[..], &fresh[..]);
+        assert_eq!(cached.collect::<Vec<_>>(), fresh);
     }
 
     #[test]

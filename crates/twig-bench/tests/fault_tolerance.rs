@@ -287,13 +287,85 @@ fn integrity_mutation_fails_only_the_matching_cell() {
         "{kafka:?}"
     );
 
-    let dumps = std::fs::read_dir(mutated_dir.join(".integrity")).expect("a dump directory");
-    assert!(
-        dumps
-            .flatten()
-            .any(|entry| entry.path().extension().is_some_and(|x| x == "json")),
-        "no forensic dump under .integrity/"
+    // The selector picks `sim:kafka/twig` alone, not `sim:kafka/twig-sw`.
+    let dumps = dumps(&mutated_dir);
+    assert_eq!(
+        dumps.iter().map(|d| d.file_name().unwrap()).collect::<Vec<_>>(),
+        ["sim_kafka_twig-btb-occupancy-c12288.json"],
+        "exactly one forensic dump under .integrity/"
     );
+    replay_reproduces(&dumps[0], &mutated_dir);
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&mutated_dir);
+}
+
+/// The forensic dumps under `<dir>/.integrity/`, sorted.
+fn dumps(dir: &Path) -> Vec<PathBuf> {
+    let mut dumps: Vec<PathBuf> = std::fs::read_dir(dir.join(".integrity"))
+        .expect("a dump directory")
+        .flatten()
+        .map(|entry| entry.path())
+        .filter(|path| path.extension().is_some_and(|x| x == "json"))
+        .collect();
+    dumps.sort();
+    dumps
+}
+
+/// `integrity_drill replay <dump>`, run inside `cwd` (its own dumps land
+/// under `cwd/results/.integrity/`).
+fn replay(dump: &Path, cwd: &Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_integrity_drill"))
+        .arg("replay")
+        .arg(dump)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn integrity_drill")
+}
+
+fn replay_reproduces(dump: &Path, cwd: &Path) {
+    let out = replay(dump, cwd);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("reproduced deterministically"),
+        "replay of {dump:?}: {out:?}"
+    );
+}
+
+/// `integrity_drill replay` re-runs the headline cell a harness dump
+/// names, with that cell's system and binary: a Twig dump replays over
+/// the rewritten binary, a `btb32k` dump over the 32K-entry BTB. A dump
+/// replayed as another cell, or whose label names no cell, is not
+/// reported as reproduced.
+#[test]
+fn integrity_drill_replays_harness_cells() {
+    let dir = temp_dir("int-replay");
+    let spec = "mutate:kind=ras-depth,cycle=5000,cell=sim:kafka/twig;\
+                mutate:kind=btb-occupancy,cycle=10000,cell=sim:kafka/btb32k";
+    let envs = [("TWIG_INTEGRITY", "sampled"), ("TWIG_FAULT_SPEC", spec)];
+    let out = experiments(&["fig16"], &dir, &[], &envs);
+    assert!(out.status.success(), "violations failed the run: {out:?}");
+    let dumps = dumps(&dir);
+    let names: Vec<_> = dumps.iter().map(|d| d.file_name().unwrap()).collect();
+    assert_eq!(names.len(), 2, "{names:?}");
+    assert!(names[0].to_string_lossy().starts_with("sim_kafka_btb32k-btb-occupancy-"));
+    assert!(names[1].to_string_lossy().starts_with("sim_kafka_twig-ras-bounds-"));
+    for dump in &dumps {
+        replay_reproduces(dump, &dir);
+    }
+
+    // Relabelled dumps must not reproduce: the Twig dump replayed as the
+    // pristine baseline cell diverges, and a label naming no cell fails.
+    for (dump, from, to) in [
+        (&dumps[1], "sim:kafka/twig", "sim:kafka/baseline"),
+        (&dumps[0], "sim:kafka/btb32k", "fig:kafka/btb32k"),
+    ] {
+        let text = std::fs::read_to_string(dump).unwrap();
+        let relabelled = dir.join("relabelled.json");
+        std::fs::write(&relabelled, text.replace(&format!("\"{from}\""), &format!("\"{to}\"")))
+            .unwrap();
+        let out = replay(&relabelled, &dir);
+        assert!(!out.status.success(), "{to} must not replay {from}'s dump: {out:?}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("reproduced"), "{out:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -165,10 +165,13 @@ fn schema_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Counters-tier metrics are bit-identical for a fixed seed regardless
-/// of worker-thread count, and from run to run: each simulation is
+/// Counters-tier metrics and attribution exports (`.attr.json`,
+/// `.folded.txt`) are bit-identical for a fixed seed regardless of
+/// worker-thread count, and from run to run: each simulation is
 /// single-threaded and the registry holds no clocks, so scheduling must
-/// not leak into the exports.
+/// not leak into the exports. The manifest indexes them under the
+/// canonical obs spec, and every attribution export validates against
+/// the checked-in schema.
 #[test]
 fn metrics_are_deterministic_across_thread_counts_and_runs() {
     let one_dir = temp_dir("t1");
@@ -178,7 +181,7 @@ fn metrics_are_deterministic_across_thread_counts_and_runs() {
     for (dir, threads) in [(&one_dir, "1"), (&four_dir, "4"), (&again_dir, "4")] {
         let out = run(
             dir,
-            &["--obs", "counters"],
+            &["--obs", "counters,attr"],
             &[("TWIG_NUM_THREADS", threads)],
         );
         assert!(out.status.success(), "{threads}-thread run failed: {out:?}");
@@ -186,6 +189,9 @@ fn metrics_are_deterministic_across_thread_counts_and_runs() {
 
     let files = metrics_files(&one_dir);
     assert!(!files.is_empty(), "no metrics exported");
+    for export in ["kafka_twig.json", "kafka_twig.attr.json", "kafka_twig.folded.txt"] {
+        assert!(files.iter().any(|f| f == export), "{export} missing: {files:?}");
+    }
     assert_eq!(files, metrics_files(&four_dir), "export sets differ");
     assert_eq!(files, metrics_files(&again_dir), "export sets differ");
     for file in &files {
@@ -193,6 +199,18 @@ fn metrics_are_deterministic_across_thread_counts_and_runs() {
         let one = read(&one_dir, &name);
         assert_eq!(one, read(&four_dir, &name), "{file} differs across thread counts");
         assert_eq!(one, read(&again_dir, &name), "{file} differs across runs");
+    }
+
+    let manifest = String::from_utf8(read(&one_dir, "run_manifest.json")).unwrap();
+    assert!(manifest.contains("\"obs\": \"counters,attr\""), "{manifest}");
+    assert!(manifest.contains("metrics/kafka_twig.attr.json"), "{manifest}");
+    let schema_text =
+        std::fs::read_to_string(schema_path("attribution-v1.json")).expect("checked-in schema");
+    let schema: twig_serde::Value = twig_serde_json::from_str(&schema_text).unwrap();
+    for file in files.iter().filter(|f| f.ends_with(".attr.json")) {
+        let doc_text = String::from_utf8(read(&one_dir, &format!("metrics/{file}"))).unwrap();
+        let doc: twig_serde::Value = twig_serde_json::from_str(&doc_text).unwrap();
+        twig_obs::validate(&doc, &schema).unwrap_or_else(|e| panic!("{file}: {e}"));
     }
 
     let _ = std::fs::remove_dir_all(&one_dir);

@@ -1,7 +1,6 @@
 //! End-to-end windowed-timeline tests driving the `experiments` binary
 //! as a subprocess: the `window=N` item of `TWIG_OBS` (or `--obs`) is
-//! process-global, so each scenario gets its own process, exactly like
-//! CI's timeline lane.
+//! process-global, so each scenario gets its own process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -139,7 +138,13 @@ fn timelines_are_deterministic_across_threads_and_runs() {
     }
 
     let files = timeline_files(&one_dir);
-    assert!(!files.is_empty(), "no timelines exported");
+    assert!(
+        files.iter().any(|f| f == "kafka_twig.timeline.json"),
+        "kafka_twig.timeline.json missing: {files:?}"
+    );
+    let manifest = String::from_utf8(read(&one_dir, "run_manifest.json")).unwrap();
+    assert!(manifest.contains("\"obs\": \"window=10000\""), "{manifest}");
+    assert!(manifest.contains("metrics/kafka_twig.timeline.json"), "{manifest}");
     assert_eq!(files, timeline_files(&four_dir), "export sets differ");
     assert_eq!(files, timeline_files(&again_dir), "export sets differ");
     for file in &files {

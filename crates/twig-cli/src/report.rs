@@ -13,6 +13,8 @@
 //! optionally appending the run's derived series to a trajectory file
 //! (`BENCH_trajectory.json`).
 
+use twig_fleet::gate::{judge, Verdict, METRICS};
+use twig_fleet::GateMetrics;
 use twig_obs::{AttributionSnapshot, MetricsSnapshot, MissKind, TimelineSnapshot};
 use twig_serde::{Deserialize, Serialize};
 
@@ -54,26 +56,14 @@ fn stem(path: &str) -> String {
 // Derived headline metrics
 // ---------------------------------------------------------------------------
 
-/// The headline figures the sentinel tracks, derived from one snapshot.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Derived {
-    /// Retired instructions per cycle.
-    pub ipc: f64,
-    /// BTB misses per kilo-instruction.
-    pub btb_mpki: f64,
-    /// Fraction of BTB misses covered by the active prefetcher.
-    pub coverage: f64,
-    /// Total simulated cycles.
-    pub cycles: u64,
-}
-
 fn require_counter(snap: &MetricsSnapshot, path: &str, name: &str) -> Result<u64, CliError> {
     snap.counter(name)
         .ok_or_else(|| CliError::Invalid(format!("{path}: missing counter {name}")))
 }
 
-/// Derives the sentinel metrics from a counters-tier snapshot.
-pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Derived, CliError> {
+/// Derives the sentinel metrics (the fleet gate's figures) from a
+/// counters-tier snapshot.
+pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<GateMetrics, CliError> {
     let cycles = require_counter(snap, path, "sim.cycles")?;
     let instructions = require_counter(snap, path, "sim.retired_instructions")?;
     let misses = require_counter(snap, path, "btb.misses.total")?;
@@ -81,7 +71,7 @@ pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Derived, CliError> {
     if cycles == 0 || instructions == 0 {
         return Err(CliError::Invalid(format!("{path}: empty run (0 cycles or instructions)")));
     }
-    Ok(Derived {
+    Ok(GateMetrics {
         ipc: instructions as f64 / cycles as f64,
         btb_mpki: misses as f64 * 1000.0 / instructions as f64,
         coverage: if misses == 0 { 1.0 } else { covered as f64 / misses as f64 },
@@ -428,7 +418,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
         attribution: Vec::new(),
         timelines: Vec::new(),
     };
-    let mut coverage_rows: Vec<(String, Derived)> = Vec::new();
+    let mut coverage_rows: Vec<(String, GateMetrics)> = Vec::new();
     let mut first = true;
     for path in files {
         if !json && !first {
@@ -500,61 +490,6 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 // twig metrics regress
 // ---------------------------------------------------------------------------
-
-/// Outcome of one metric comparison.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// Within the threshold of the baseline.
-    Ok,
-    /// Moved past the threshold in the good direction.
-    Improved,
-    /// Moved past the threshold in the bad direction.
-    Regressed,
-}
-
-impl Verdict {
-    fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Ok => "ok",
-            Verdict::Improved => "improved",
-            Verdict::Regressed => "REGRESSED",
-        }
-    }
-}
-
-struct MetricSpec {
-    name: &'static str,
-    /// Relative change tolerated before a verdict flips (e.g. 0.02 = 2%).
-    threshold: f64,
-    higher_is_better: bool,
-    read: fn(&Derived) -> f64,
-}
-
-/// The sentinel's metric set. Thresholds are relative; the simulator is
-/// bit-deterministic, so a clean rerun of the pinned command reproduces
-/// the baselines exactly and any nonzero delta reflects a real change.
-const METRICS: [MetricSpec; 4] = [
-    MetricSpec { name: "ipc", threshold: 0.005, higher_is_better: true, read: |d| d.ipc },
-    MetricSpec { name: "cycles", threshold: 0.005, higher_is_better: false, read: |d| d.cycles as f64 },
-    MetricSpec { name: "btb_mpki", threshold: 0.02, higher_is_better: false, read: |d| d.btb_mpki },
-    MetricSpec { name: "coverage", threshold: 0.02, higher_is_better: true, read: |d| d.coverage },
-];
-
-fn judge(spec: &MetricSpec, base: f64, current: f64) -> (f64, Verdict) {
-    let delta = if base == 0.0 {
-        if current == 0.0 { 0.0 } else { f64::INFINITY * (current - base).signum() }
-    } else {
-        (current - base) / base
-    };
-    let verdict = if delta.abs() <= spec.threshold {
-        Verdict::Ok
-    } else if (delta > 0.0) == spec.higher_is_better {
-        Verdict::Improved
-    } else {
-        Verdict::Regressed
-    };
-    (delta, verdict)
-}
 
 /// Metrics-snapshot stems (`<app>_<slot>`) in a directory, sorted.
 /// Attribution/trace exports and non-JSON files are skipped.
@@ -655,8 +590,9 @@ fn append_trajectory(
 ///
 /// Every `<stem>.json` in the baseline directory must exist in the
 /// current directory (a missing cell is itself a failure). Each cell is
-/// judged on the derived metric set with per-metric relative thresholds;
-/// any `REGRESSED` verdict makes the command exit 1.
+/// judged on the fleet deploy gate's metric table
+/// ([`twig_fleet::gate::METRICS`]); any `REGRESSED` verdict makes the
+/// command exit 1.
 pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
     let mut baseline_dir: Option<&String> = None;
     let mut trajectory_path: Option<&String> = None;

@@ -1,11 +1,9 @@
 //! The A/B deploy gate: every candidate layout is judged against the
 //! currently deployed one before it ships.
 //!
-//! The metric set and relative thresholds replicate the regression
-//! sentinel in `twig-cli` (`twig metrics regress`) exactly — `twig-cli`
-//! is a binary-only crate, so the table is restated here rather than
-//! imported; the sentinel drill in CI keeps the two in agreement by
-//! construction (both are pinned by tests against the same deltas). A
+//! The metric set and relative thresholds ([`METRICS`], judged by
+//! [`judge`]) are the ones the regression sentinel in `twig-cli`
+//! (`twig metrics regress`) uses too: one table for both verdicts. A
 //! candidate that moves any metric past its threshold in the bad
 //! direction is `Rollback`; one that improves IPC or cycles past the
 //! threshold (with nothing regressing) is `Deploy`; everything inside
@@ -60,22 +58,57 @@ pub enum GateDecision {
     Rollback,
 }
 
-struct MetricSpec {
-    threshold: f64,
-    higher_is_better: bool,
-    read: fn(&GateMetrics) -> f64,
+/// One gated metric: its name, the relative change tolerated before a
+/// verdict flips, and which direction is better.
+pub struct MetricSpec {
+    /// Stable name (the `twig metrics regress` column).
+    pub name: &'static str,
+    /// Relative change tolerated before a verdict flips (0.02 = 2%).
+    pub threshold: f64,
+    /// Whether a larger value is an improvement.
+    pub higher_is_better: bool,
+    /// Reads the metric out of a run's figures.
+    pub read: fn(&GateMetrics) -> f64,
 }
 
-/// The sentinel's metric table (see module docs for why it is restated).
-const METRICS: [MetricSpec; 4] = [
-    MetricSpec { threshold: 0.005, higher_is_better: true, read: |m| m.ipc },
-    MetricSpec { threshold: 0.005, higher_is_better: false, read: |m| m.cycles as f64 },
-    MetricSpec { threshold: 0.02, higher_is_better: false, read: |m| m.btb_mpki },
-    MetricSpec { threshold: 0.02, higher_is_better: true, read: |m| m.coverage },
+/// The metric set and thresholds that both the deploy gate and the
+/// regression sentinel (`twig metrics regress`) judge runs by. The
+/// simulator is bit-deterministic, so a rerun of the same layout has
+/// zero delta and any verdict reflects a real change.
+pub const METRICS: [MetricSpec; 4] = [
+    MetricSpec { name: "ipc", threshold: 0.005, higher_is_better: true, read: |m| m.ipc },
+    MetricSpec { name: "cycles", threshold: 0.005, higher_is_better: false, read: |m| m.cycles as f64 },
+    MetricSpec { name: "btb_mpki", threshold: 0.02, higher_is_better: false, read: |m| m.btb_mpki },
+    MetricSpec { name: "coverage", threshold: 0.02, higher_is_better: true, read: |m| m.coverage },
 ];
 
-fn relative_delta(base: f64, current: f64) -> f64 {
-    if base == 0.0 {
+/// Outcome of one metric comparison.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Within the threshold of the baseline.
+    Ok,
+    /// Moved past the threshold in the good direction.
+    Improved,
+    /// Moved past the threshold in the bad direction.
+    Regressed,
+}
+
+impl Verdict {
+    /// The `twig metrics regress` rendering.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Ok => "ok",
+            Verdict::Improved => "improved",
+            Verdict::Regressed => "REGRESSED",
+        }
+    }
+}
+
+/// The relative change of `spec`'s metric from `base` to `current`, and
+/// its verdict. A zero baseline never divides: any change from zero is
+/// an infinite delta in its direction.
+pub fn judge(spec: &MetricSpec, base: f64, current: f64) -> (f64, Verdict) {
+    let delta = if base == 0.0 {
         if current == 0.0 {
             0.0
         } else {
@@ -83,24 +116,28 @@ fn relative_delta(base: f64, current: f64) -> f64 {
         }
     } else {
         (current - base) / base
-    }
+    };
+    let verdict = if delta.abs() <= spec.threshold {
+        Verdict::Ok
+    } else if (delta > 0.0) == spec.higher_is_better {
+        Verdict::Improved
+    } else {
+        Verdict::Regressed
+    };
+    (delta, verdict)
 }
 
 /// Judges `candidate` against `deployed`.
 pub fn judge_deploy(deployed: &GateMetrics, candidate: &GateMetrics) -> GateDecision {
     let mut improved = false;
     for (i, spec) in METRICS.iter().enumerate() {
-        let delta = relative_delta((spec.read)(deployed), (spec.read)(candidate));
-        if delta.abs() <= spec.threshold {
-            continue;
-        }
-        if (delta > 0.0) == spec.higher_is_better {
+        match judge(spec, (spec.read)(deployed), (spec.read)(candidate)).1 {
+            Verdict::Ok => {}
             // Only the latency-shaped metrics (ipc, cycles) earn a deploy
             // on their own; coverage/MPKI wins that do not move cycles
             // are held, matching the sentinel's headline ordering.
-            improved |= i < 2;
-        } else {
-            return GateDecision::Rollback;
+            Verdict::Improved => improved |= i < 2,
+            Verdict::Regressed => return GateDecision::Rollback,
         }
     }
     if improved {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! panic:task=3                     panic before the 4th task of a batch
-//! panic:cell=sim:kafka/twig        panic in tasks whose label contains the text
+//! panic:cell=sim:kafka/twig        panic in tasks whose label holds the text
 //! delay:app=tomcat,ms=60000        sleep 60s (cooperatively) in matching tasks
 //! corrupt-cache:app=kafka,times=1  poison the first matching cache populate
 //! stall-stream:tenant=t1           tenant t1's profile stream never arrives
@@ -24,7 +24,10 @@
 //!
 //! * `task=N`  — the task's index within its batch equals `N`;
 //! * `cell=S` / `app=S` / `label=S` / `tenant=S` — the task label (or
-//!   tenant name, for service faults) contains `S`;
+//!   tenant name, for service faults) contains `S` ending at the label's
+//!   end or before a character other than an ASCII letter, digit, `-` or
+//!   `_` (so `cell=sim:kafka/twig` does not pick `sim:kafka/twig-sw`,
+//!   and `tenant=t1` does not pick `t10`);
 //! * `gen=N`   — the fleet layout generation equals `N` (service faults
 //!   and torn writes only; batch-task matching ignores it);
 //! * `ms=N`    — delay duration (only meaningful for `delay`);
@@ -158,7 +161,8 @@ pub struct FaultClause {
     pub task: Option<usize>,
     /// Required fleet generation (`gen=N`), if any.
     pub gen: Option<u64>,
-    /// Required label substrings (`cell=`/`app=`/`label=`/`tenant=`).
+    /// Required label selectors (`cell=`/`app=`/`label=`/`tenant=`),
+    /// each matched up to a name boundary (see the module docs).
     pub label_contains: Vec<String>,
     /// Delay duration in milliseconds (`ms=N`).
     pub ms: u64,
@@ -181,7 +185,7 @@ impl FaultClause {
                 return false;
             }
         }
-        self.label_contains.iter().all(|s| label.contains(s))
+        self.label_contains.iter().all(|s| selects(label, s))
     }
 
     /// True when the clause's selectors match a fleet tenant at a
@@ -195,7 +199,7 @@ impl FaultClause {
                 return false;
             }
         }
-        self.label_contains.iter().all(|s| tenant.contains(s))
+        self.label_contains.iter().all(|s| selects(tenant, s))
     }
 
     /// Consumes one firing if the selectors match and the budget allows.
@@ -211,6 +215,18 @@ impl FaultClause {
         }
         true
     }
+}
+
+/// True when `selector` occurs in `label` ending at the label's end or
+/// at a character that cannot continue a name (anything but ASCII
+/// alphanumerics, `-` and `_`). So `sim:kafka/twig` picks that cell but
+/// not `sim:kafka/twig-sw`, and `tomcat` picks every `sim:tomcat/*` cell.
+fn selects(label: &str, selector: &str) -> bool {
+    label.char_indices().any(|(at, _)| {
+        label[at..].strip_prefix(selector).is_some_and(|rest| {
+            !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        })
+    })
 }
 
 /// A parsed `TWIG_FAULT_SPEC`.
@@ -510,6 +526,31 @@ mod tests {
     }
 
     #[test]
+    fn selectors_stop_at_a_name_boundary() {
+        // A full label picks its own cell, not one whose label extends it.
+        let spec = FaultSpec::parse("panic:cell=sim:kafka/twig").unwrap();
+        let c = &spec.clauses[0];
+        assert!(c.matches("sim:kafka/twig", 0));
+        assert!(!c.matches("sim:kafka/twig-sw", 0));
+        assert!(!c.matches("sim:kafka/twig_x", 0));
+        assert!(!c.matches("sim:kafka/twig2", 0));
+        // A later occurrence can still end at a boundary.
+        assert!(c.matches("replay:sim:kafka/twig-sw/sim:kafka/twig", 0));
+        // A name picks every label it heads or ends.
+        let spec = FaultSpec::parse("panic:app=tomcat").unwrap();
+        let c = &spec.clauses[0];
+        for slot in ["baseline", "twig", "twig-sw"] {
+            assert!(c.matches(&format!("sim:tomcat/{slot}"), 0), "{slot}");
+        }
+        assert!(c.matches("cache:setup:tomcat", 0));
+        assert!(!c.matches("sim:tomcat2/twig", 0));
+        // Tenants: `svc-b` is a prefix of `svc-bravo`, not a selector for it.
+        let spec = FaultSpec::parse("stall-stream:tenant=svc-b").unwrap();
+        assert!(!spec.fires_service(FaultKind::StallStream, "svc-bravo", 0));
+        assert!(spec.fires_service(FaultKind::StallStream, "svc-b", 0));
+    }
+
+    #[test]
     fn injected_panic_fires_and_respects_times() {
         let spec = FaultSpec::parse("panic:cell=victim,times=1").unwrap();
         let token = CancelToken::new();
@@ -560,7 +601,7 @@ mod tests {
 
     #[test]
     fn disk_full_tears_the_record_once_per_budget() {
-        let spec = FaultSpec::parse("disk-full:label=ckpt:victim,times=1").unwrap();
+        let spec = FaultSpec::parse("disk-full:label=ckpt:victim-cell,times=1").unwrap();
         let record = vec![0xABu8; 64];
         let torn = spec.apply_write_fault("ckpt:victim-cell", &record).unwrap();
         assert_eq!(torn.len(), 32, "record truncated mid-payload");

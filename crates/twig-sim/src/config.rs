@@ -13,8 +13,7 @@ use crate::integrity::IntegrityConfig;
 
 /// A rejected simulator configuration: which field, and why.
 ///
-/// Produced by [`SimConfig::builder`]'s `build()` and by
-/// [`SimConfig::validate_typed`]; the legacy [`SimConfig::validate`]
+/// Produced by [`SimConfig::validate_typed`]; [`SimConfig::validate`]
 /// flattens it to a string.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SimConfigError {
@@ -291,30 +290,6 @@ impl SimConfig {
         self
     }
 
-    /// Starts a builder seeded with the Table 1 baseline — the preferred
-    /// construction path: every setter takes raw values and `build()`
-    /// reports the first bad one as a typed [`SimConfigError`] instead of
-    /// panicking mid-experiment.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use twig_sim::SimConfig;
-    ///
-    /// let config = SimConfig::builder()
-    ///     .btb(32 * 1024, 4)
-    ///     .ftq_entries(32)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(config.btb.entries, 32 * 1024);
-    ///
-    /// let err = SimConfig::builder().btb(100, 3).build().unwrap_err();
-    /// assert_eq!(err.field, "btb");
-    /// ```
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::default()
-    }
-
     /// Validates cross-field constraints, naming the offending field.
     ///
     /// # Errors
@@ -373,160 +348,6 @@ impl SimConfig {
     }
 }
 
-/// Builder for [`SimConfig`]: mutate freely, validate once at
-/// [`SimConfigBuilder::build`].
-///
-/// Structural fields that can be *shaped wrong* (BTB/IBTB/cache
-/// geometries) are held as raw numbers and only checked at build time, so
-/// a sweep over invalid shapes surfaces as a typed error naming the field
-/// rather than a panic inside a worker thread.
-#[derive(Clone, Debug)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-    btb: (usize, usize),
-    ibtb: (usize, usize),
-    l1i: (usize, usize),
-}
-
-impl Default for SimConfigBuilder {
-    fn default() -> Self {
-        let config = SimConfig::default();
-        SimConfigBuilder {
-            btb: (config.btb.entries, config.btb.ways),
-            ibtb: (config.ibtb.entries, config.ibtb.ways),
-            l1i: (config.l1i.bytes, config.l1i.ways),
-            config,
-        }
-    }
-}
-
-impl SimConfigBuilder {
-    /// Fetch and retire width (instructions per cycle).
-    pub fn widths(mut self, fetch: u32, retire: u32) -> Self {
-        self.config.fetch_width = fetch;
-        self.config.retire_width = retire;
-        self
-    }
-
-    /// Fetch target queue capacity in basic-block regions.
-    pub fn ftq_entries(mut self, entries: usize) -> Self {
-        self.config.ftq_entries = entries;
-        self
-    }
-
-    /// Reorder-buffer capacity.
-    pub fn rob_entries(mut self, entries: usize) -> Self {
-        self.config.rob_entries = entries;
-        self
-    }
-
-    /// Main BTB shape (entries, ways); validated at build.
-    pub fn btb(mut self, entries: usize, ways: usize) -> Self {
-        self.btb = (entries, ways);
-        self
-    }
-
-    /// Indirect-target BTB shape (entries, ways); validated at build.
-    pub fn ibtb(mut self, entries: usize, ways: usize) -> Self {
-        self.ibtb = (entries, ways);
-        self
-    }
-
-    /// L1 instruction cache shape (bytes, ways); validated at build.
-    pub fn l1i(mut self, bytes: usize, ways: usize) -> Self {
-        self.l1i = (bytes, ways);
-        self
-    }
-
-    /// Return address stack depth.
-    pub fn ras_entries(mut self, entries: usize) -> Self {
-        self.config.ras_entries = entries;
-        self
-    }
-
-    /// BTB prefetch buffer capacity.
-    pub fn prefetch_buffer_entries(mut self, entries: usize) -> Self {
-        self.config.prefetch_buffer_entries = entries;
-        self
-    }
-
-    /// Conditional direction predictor.
-    pub fn direction(mut self, kind: DirectionPredictorKind) -> Self {
-        self.config.direction = kind;
-        self
-    }
-
-    /// Extra backend-stall cycles per 1000 retired instructions.
-    pub fn backend_extra_cpki(mut self, cpki: f64) -> Self {
-        self.config.backend_extra_cpki = cpki;
-        self
-    }
-
-    /// Limit study: every BTB lookup hits.
-    pub fn ideal_btb(mut self, ideal: bool) -> Self {
-        self.config.ideal_btb = ideal;
-        self
-    }
-
-    /// Limit study: every I-cache access hits.
-    pub fn ideal_icache(mut self, ideal: bool) -> Self {
-        self.config.ideal_icache = ideal;
-        self
-    }
-
-    /// Batched (idle-skipping) cycle stepping; on by default, off only as
-    /// the per-cycle reference in tests.
-    pub fn batch_stepping(mut self, batch: bool) -> Self {
-        self.config.batch_stepping = batch;
-        self
-    }
-
-    /// Integrity tier (overrides the `TWIG_INTEGRITY` default).
-    pub fn integrity(mut self, integrity: IntegrityConfig) -> Self {
-        self.config.integrity = integrity;
-        self
-    }
-
-    /// Observation configuration (overrides the `TWIG_OBS` default).
-    pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.config.obs = obs;
-        self
-    }
-
-    /// Arbitrary access to the remaining fields (latencies, pipeline
-    /// depths, wrong-path knobs) without one setter per field.
-    pub fn tune(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
-        f(&mut self.config);
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first invalid field as a [`SimConfigError`].
-    pub fn build(self) -> Result<SimConfig, SimConfigError> {
-        let mut config = self.config;
-        config.btb = BtbGeometry::try_new(self.btb.0, self.btb.1)
-            .map_err(|reason| SimConfigError { field: "btb", reason })?;
-        config.ibtb = BtbGeometry::try_new(self.ibtb.0, self.ibtb.1)
-            .map_err(|reason| SimConfigError { field: "ibtb", reason })?;
-        let l1i_sets = self.l1i.0.checked_div(64 * self.l1i.1).unwrap_or(0);
-        if l1i_sets == 0 || !l1i_sets.is_power_of_two() {
-            return Err(SimConfigError {
-                field: "l1i",
-                reason: format!(
-                    "bad cache geometry: {} bytes / {} ways",
-                    self.l1i.0, self.l1i.1
-                ),
-            });
-        }
-        config.l1i = CacheGeometry::new(self.l1i.0, self.l1i.1);
-        config.validate_typed()?;
-        Ok(config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,63 +396,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_default() {
-        let built = SimConfig::builder().build().unwrap();
-        assert_eq!(built, SimConfig::default());
-    }
-
-    #[test]
-    fn builder_reports_typed_errors() {
-        let err = SimConfig::builder().btb(96, 4).build().unwrap_err();
-        assert_eq!(err.field, "btb");
-        assert!(err.to_string().contains("power of two"), "{err}");
-
-        let err = SimConfig::builder().ibtb(0, 4).build().unwrap_err();
-        assert_eq!(err.field, "ibtb");
-
-        let err = SimConfig::builder().l1i(1000, 3).build().unwrap_err();
-        assert_eq!(err.field, "l1i");
-
-        let err = SimConfig::builder()
-            .widths(6, 8)
-            .rob_entries(4)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "rob_entries");
-
-        let err = SimConfig::builder()
-            .backend_extra_cpki(-1.0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "backend_extra_cpki");
-    }
-
-    #[test]
-    fn builder_wires_integrity_and_obs_uniformly() {
-        let config = SimConfig::builder()
-            .integrity(IntegrityConfig::sampled(64))
-            .obs(ObsConfig::counters())
-            .build()
-            .unwrap();
-        assert_eq!(config.integrity, IntegrityConfig::sampled(64));
-        assert_eq!(config.obs, ObsConfig::counters());
-
-        let err = SimConfig::builder()
-            .obs(ObsConfig {
-                window: Some(0),
-                ..ObsConfig::counters()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "obs");
-    }
-
-    #[test]
-    fn builder_tune_reaches_every_field() {
-        let config = SimConfig::builder()
-            .tune(|c| c.redirect_penalty = 9)
-            .build()
-            .unwrap();
-        assert_eq!(config.redirect_penalty, 9);
+    fn validate_typed_names_the_offending_field() {
+        let base = SimConfig::default();
+        let field = |c: SimConfig| c.validate_typed().unwrap_err().field;
+        assert_eq!(field(SimConfig { rob_entries: 4, ..base }), "rob_entries");
+        assert_eq!(field(SimConfig { backend_extra_cpki: -1.0, ..base }), "backend_extra_cpki");
+        let obs = ObsConfig {
+            window: Some(0),
+            ..ObsConfig::counters()
+        };
+        assert_eq!(field(SimConfig { obs, ..base }), "obs");
+        let tiers = SimConfig {
+            integrity: IntegrityConfig::sampled(64),
+            obs: ObsConfig::counters(),
+            ..base
+        };
+        assert_eq!(tiers.validate_typed(), Ok(()));
     }
 }

@@ -44,8 +44,7 @@ pub mod system;
 
 pub use btb::{Btb, BtbEntry};
 pub use config::{
-    BtbGeometry, CacheGeometry, DirectionPredictorKind, SimConfig, SimConfigBuilder,
-    SimConfigError,
+    BtbGeometry, CacheGeometry, DirectionPredictorKind, SimConfig, SimConfigError,
 };
 pub use obs::{ObsState, TimelineState};
 pub use twig_obs::{

@@ -101,11 +101,6 @@ impl MemSource {
     pub fn as_slice(&self) -> &[BlockEvent] {
         &self.events
     }
-
-    /// The backing shared slice.
-    pub fn shared(&self) -> Arc<[BlockEvent]> {
-        Arc::clone(&self.events)
-    }
 }
 
 impl From<Vec<BlockEvent>> for MemSource {
@@ -162,7 +157,7 @@ impl EventSource for MemSource {
 /// have executed (injected prefetch ops do not count), overshooting by at
 /// most one block — so a `WalkerSource` pass equals the `Vec` that
 /// `run_instructions` would have collected, event for event.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WalkerSource {
     program: Arc<Program>,
     input: InputConfig,
@@ -232,7 +227,7 @@ impl EventSource for WalkerSource {
 /// mutated under a running experiment — a fail-fast integrity violation,
 /// handled like every torn artifact in this harness (crash, supervise,
 /// recover).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ColumnarSource {
     reader: Arc<ColumnarReader>,
     chunk: usize,
@@ -350,7 +345,9 @@ impl EventSource for ColumnarSource {
 /// Call sites that know the backing statically use the concrete type.
 /// The enum implements [`EventSource`] by delegating each call to its
 /// backing, so a hot loop handed an `AnySource` runs on it directly.
-#[derive(Debug)]
+/// A clone shares the backing (slice, mapped file, program) and carries
+/// its own cursor, so one unread source can be handed out many times.
+#[derive(Clone, Debug)]
 pub enum AnySource {
     /// In-memory slice.
     Mem(MemSource),

@@ -80,7 +80,7 @@ const MAX_STACK_DEPTH: usize = 512;
 ///     .collect();
 /// assert_eq!(events.len(), 100);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Walker<P: Borrow<Program>> {
     program: P,
     input: InputConfig,
