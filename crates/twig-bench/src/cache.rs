@@ -714,6 +714,33 @@ mod tests {
     }
 
     #[test]
+    fn at_threshold_stays_resident_and_matches_walk() {
+        let cache = ArtifactCache::with_spill_threshold(30_000);
+        let trace = cache.events(AppId::Kafka, 0, 30_000);
+        assert!(matches!(trace, AnySource::Mem(_)), "a budget at the threshold stays resident");
+        let setup = cache.setup(AppId::Kafka);
+        let reference =
+            Walker::new(&setup.program, InputConfig::numbered(0)).run_instructions(30_000);
+        assert_eq!(trace.event_count(), Some(reference.len() as u64));
+        assert_eq!(trace.collect::<Vec<_>>(), reference);
+    }
+
+    #[test]
+    fn just_above_threshold_spills_and_streams_identically() {
+        let dir = spill_dir("boundary");
+        let mut cache = ArtifactCache::with_spill_threshold(29_999);
+        cache.spill_dir = dir.clone();
+        let trace = cache.events(AppId::Kafka, 3, 30_000);
+        assert!(matches!(trace, AnySource::Columnar(_)), "one instruction over spills");
+        let setup = cache.setup(AppId::Kafka);
+        let reference =
+            Walker::new(&setup.program, InputConfig::numbered(3)).run_instructions(30_000);
+        assert_eq!(trace.event_count(), Some(reference.len() as u64));
+        assert_eq!(trace.collect::<Vec<_>>(), reference, "streaming decode must be bit-identical");
+        std::fs::remove_dir(&dir).expect("the spill file is unlinked once mapped");
+    }
+
+    #[test]
     fn failed_spill_streams_from_the_walker() {
         // A spill directory below a regular file fails the atomic publish
         // (ENOTDIR); the trace must still come back complete, as a live

@@ -396,16 +396,21 @@ mod tests {
     }
 
     #[test]
-    fn validate_typed_names_the_offending_field() {
+    fn validate_typed_reports_field_errors() {
         let base = SimConfig::default();
         let field = |c: SimConfig| c.validate_typed().unwrap_err().field;
         assert_eq!(field(SimConfig { rob_entries: 4, ..base }), "rob_entries");
         assert_eq!(field(SimConfig { backend_extra_cpki: -1.0, ..base }), "backend_extra_cpki");
+    }
+
+    #[test]
+    fn validate_typed_accepts_tiers_and_rejects_bad_obs() {
+        let base = SimConfig::default();
         let obs = ObsConfig {
             window: Some(0),
             ..ObsConfig::counters()
         };
-        assert_eq!(field(SimConfig { obs, ..base }), "obs");
+        assert_eq!(SimConfig { obs, ..base }.validate_typed().unwrap_err().field, "obs");
         let tiers = SimConfig {
             integrity: IntegrityConfig::sampled(64),
             obs: ObsConfig::counters(),
