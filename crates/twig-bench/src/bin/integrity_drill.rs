@@ -17,7 +17,8 @@
 //!   `drill:` workload, or a harness `sim:<app>/<slot>` cell under the
 //!   dump's whole configuration) and asserts the same violation kind
 //!   fires at the same cycle, progress and branch history; any other
-//!   label fails.
+//!   label fails. The replay's own dump goes to a per-process temporary
+//!   directory, removed afterwards, so a replay leaves nothing behind.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -135,7 +136,18 @@ fn mutate(kind: MutationKind, at_cycle: u64, budget: u64) -> Result<(), String> 
 /// reproduces exactly. A `drill:` dump re-runs this binary's plain-BTB
 /// workload with the dump's integrity tier; a `sim:<app>/<slot>` dump
 /// re-runs that harness cell under the dump's whole configuration.
+///
+/// The replay's own dump is written to, read back from, and removed with
+/// a per-process temporary directory.
 fn replay_dump(dump: &StateDump) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!("twig-replay-{}", std::process::id()));
+    twig_sim::integrity::dump::set_dump_dir(&dir);
+    let outcome = replay_into(dump);
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome
+}
+
+fn replay_into(dump: &StateDump) -> Result<(), String> {
     let replay_label = format!("replay:{}", dump.label);
     let outcome = if let Some(cell) = dump.label.strip_prefix("drill:") {
         let app_name = cell.split('/').next().unwrap_or(cell);

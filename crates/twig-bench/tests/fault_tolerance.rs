@@ -311,8 +311,8 @@ fn dumps(dir: &Path) -> Vec<PathBuf> {
     dumps
 }
 
-/// `integrity_drill replay <dump>`, run inside `cwd` (its own dumps land
-/// under `cwd/results/.integrity/`).
+/// `integrity_drill replay <dump>`, run inside `cwd` (its own dump goes to
+/// a temporary directory it removes).
 fn replay(dump: &Path, cwd: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_integrity_drill"))
         .arg("replay")
@@ -352,6 +352,7 @@ fn integrity_drill_replays_harness_cells() {
     for dump in &dumps {
         replay_reproduces(dump, &dir);
     }
+    assert!(!dir.join("results").exists(), "a replay wrote under its working directory");
 
     // Relabelled dumps must not reproduce: the Twig dump replayed as the
     // pristine baseline cell diverges, and a label naming no cell fails.
@@ -368,4 +369,44 @@ fn integrity_drill_replays_harness_cells() {
         assert!(!String::from_utf8_lossy(&out.stdout).contains("reproduced"), "{out:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replay leaves nothing behind: run from a fresh working directory it
+/// creates no `results/` tree there, and the temporary directory it wrote
+/// its own dump to is gone when it exits.
+#[test]
+fn integrity_drill_replay_leaves_no_files() {
+    let root = temp_dir("replay-clean");
+    let (mutate_dir, replay_dir, tmp) = (root.join("mutate"), root.join("replay"), root.join("tmp"));
+    for dir in [&mutate_dir, &replay_dir, &tmp] {
+        std::fs::create_dir_all(dir).unwrap();
+    }
+    // `mutate` writes the dump under test to its own working directory
+    // (the default dump location) before replaying it.
+    let out = Command::new(env!("CARGO_BIN_EXE_integrity_drill"))
+        .args(["mutate", "--kind", "ras-depth", "--at", "5000"])
+        .current_dir(&mutate_dir)
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("spawn integrity_drill");
+    assert!(out.status.success(), "mutate drill failed: {out:?}");
+    let dumps = dumps(&mutate_dir.join("results"));
+    assert_eq!(dumps.len(), 1, "{dumps:?}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_integrity_drill"))
+        .arg("replay")
+        .arg(&dumps[0])
+        .current_dir(&replay_dir)
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("spawn integrity_drill");
+    assert!(
+        out.status.success()
+            && String::from_utf8_lossy(&out.stdout).contains("reproduced deterministically"),
+        "replay failed: {out:?}"
+    );
+    let left = |dir: &Path| std::fs::read_dir(dir).unwrap().count();
+    assert_eq!(left(&replay_dir), 0, "the replay wrote under its working directory");
+    assert_eq!(left(&tmp), 0, "the replay left its temporary dump directory behind");
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -20,6 +20,7 @@ use twig_sim::{
     ViolationKind,
 };
 use twig_types::{Addr, BlockId, BranchKind, BranchRecord, CacheLineAddr, FxHashMap};
+use twig_workload::LineIndex;
 
 use crate::stream::StreamTable;
 
@@ -56,6 +57,11 @@ pub struct Confluence {
     /// Lines currently being filled by a stream prefetch (so their
     /// predecoded entries count as prefetched).
     inflight_prefetches: FxHashMap<CacheLineAddr, u64>,
+    /// The simulated binary's line index, built on the first predecode.
+    line_index: Option<LineIndex>,
+    /// Emptied entry lists of evicted or re-predecoded lines, reused so a
+    /// predecode does not allocate.
+    spare: Vec<Vec<(Addr, AirEntry)>>,
 }
 
 impl Confluence {
@@ -66,6 +72,8 @@ impl Confluence {
             streams: StreamTable::with_defaults(),
             stats: PrefetchBufferStats::default(),
             inflight_prefetches: FxHashMap::default(),
+            line_index: None,
+            spare: Vec::new(),
         }
     }
 
@@ -81,21 +89,17 @@ impl Confluence {
         from_prefetch: bool,
         ctx: &mut FrontendCtx<'_>,
     ) {
-        let mut entries = Vec::new();
-        for (block, kind, target) in ctx.program.branches_in_line(line) {
+        let mut entries = self.spare.pop().unwrap_or_default();
+        let index = self.line_index.get_or_insert_with(|| LineIndex::new(ctx.program));
+        for branch in index.branches_in_line(ctx.program, line) {
             // Indirect branches get their most recent target from the IBTB
             // in the frontend; the AirBTB still identifies them. Direct
             // branches carry their decoded target.
-            let target = match target {
-                Some(t) => t,
-                None => Addr::ZERO,
-            };
-            let pc = ctx.program.block(block).branch_pc();
             entries.push((
-                pc,
+                branch.pc,
                 AirEntry {
-                    target,
-                    kind,
+                    target: branch.target.unwrap_or(Addr::ZERO),
+                    kind: branch.kind,
                     ready_at,
                     prefetched_unused: from_prefetch,
                 },
@@ -104,8 +108,11 @@ impl Confluence {
                 self.stats.inserted += 1;
             }
         }
-        if !entries.is_empty() {
-            self.lines.insert(line, entries);
+        if entries.is_empty() {
+            self.spare.push(entries);
+        } else if let Some(mut old) = self.lines.insert(line, entries) {
+            old.clear();
+            self.spare.push(old);
         }
     }
 }
@@ -175,12 +182,13 @@ impl BtbSystem for Confluence {
     }
 
     fn line_evicted(&mut self, line: CacheLineAddr, _ctx: &mut FrontendCtx<'_>) {
-        if let Some(entries) = self.lines.remove(&line) {
-            for (_, e) in entries {
+        if let Some(mut entries) = self.lines.remove(&line) {
+            for (_, e) in entries.drain(..) {
                 if e.prefetched_unused {
                     self.stats.evicted_unused += 1;
                 }
             }
+            self.spare.push(entries);
         }
     }
 

@@ -21,6 +21,7 @@ use twig_sim::{
     PrefetchBufferStats, SimConfig, Validator,
 };
 use twig_types::{Addr, BlockId, BranchKind, BranchRecord, CacheLineAddr};
+use twig_workload::LineIndex;
 
 /// Entries in the unconditional BTB (the paper evaluates 5120 ≈ 63.1 KB).
 pub const UBTB_ENTRIES: usize = 5120;
@@ -63,6 +64,8 @@ pub struct Shotgun {
     /// branch and its target line.
     recording: Option<(Addr, CacheLineAddr)>,
     accumulated: Footprint,
+    /// The simulated binary's line index, built on the first predecode.
+    line_index: Option<LineIndex>,
 }
 
 impl Shotgun {
@@ -76,6 +79,7 @@ impl Shotgun {
             buffer: PrefetchBuffer::new(config.prefetch_buffer_entries),
             recording: None,
             accumulated: 0,
+            line_index: None,
         }
     }
 
@@ -112,13 +116,14 @@ impl Shotgun {
             let fill = ctx.mem.prefetch(line, ctx.cycle);
             // Predecode: conditional branches in the fetched line become
             // C-BTB prefetch-buffer entries, usable once the line arrives.
-            for (block, kind, target_addr) in ctx.program.branches_in_line(line) {
-                if kind != BranchKind::Conditional {
+            let index = self.line_index.get_or_insert_with(|| LineIndex::new(ctx.program));
+            for branch in index.branches_in_line(ctx.program, line) {
+                if branch.kind != BranchKind::Conditional {
                     continue;
                 }
-                let Some(target_addr) = target_addr else { continue };
-                let pc = ctx.program.block(block).branch_pc();
-                self.buffer.insert(pc, target_addr, kind, fill.ready_at);
+                let Some(target_addr) = branch.target else { continue };
+                self.buffer
+                    .insert(branch.pc, target_addr, branch.kind, fill.ready_at);
             }
         }
     }

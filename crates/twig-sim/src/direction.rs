@@ -162,15 +162,52 @@ struct TageTable {
     entries: Vec<TageEntry>,
     history_len: u32,
     mask: u64,
+    /// The last `history_len` history bits folded to the index width.
+    index_fold: Fold,
+    /// The same window folded to the tag width.
+    tag_fold: Fold,
 }
 
+/// A history window of `len` bits XOR-folded into `width` bits (history
+/// bit `i` lands on fold bit `i mod width`), kept current one shift at a
+/// time instead of refolded per search.
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    value: u64,
+    width: u32,
+    /// Where the bit leaving the window sits after the rotate:
+    /// `len mod width`, precomputed.
+    out_pos: u32,
+}
+
+impl Fold {
+    fn new(len: u32, width: u32) -> Self {
+        Fold {
+            value: 0,
+            width,
+            out_pos: len % width,
+        }
+    }
+
+    /// Shifts `new_bit` into the window and `old_bit` (the window's
+    /// oldest bit before the shift) out of it.
+    #[inline]
+    fn shift(&mut self, new_bit: u64, old_bit: u64) {
+        let mask = (1u64 << self.width) - 1;
+        let rotated = ((self.value << 1) | (self.value >> (self.width - 1))) & mask;
+        self.value = rotated ^ (old_bit << self.out_pos) ^ new_bit;
+    }
+}
+
+/// A tagged entry: 4 bytes, so a table is 32 KB of host memory. An entry
+/// is valid once allocated, and an allocated tag always has bit 10 set, so
+/// `tag == 0` marks the never-allocated entries.
 #[derive(Clone, Copy, Debug, Default)]
 struct TageEntry {
     tag: u16,
     /// Counter in `0..=7`; taken when >= 4.
     ctr: u8,
     useful: bool,
-    valid: bool,
 }
 
 // Sized to the paper's 64 KB TAGE-SC-L class: a 64K-entry bimodal base
@@ -178,6 +215,8 @@ struct TageEntry {
 const TAGE_TABLE_BITS: u32 = 13;
 const TAGE_BASE_BITS: u32 = 16;
 const TAGE_HISTORIES: [u32; 4] = [8, 16, 32, 64];
+/// Width of the history fold hashed into a tag.
+const TAGE_TAG_BITS: u32 = 10;
 
 impl TageLite {
     /// Creates the predictor with default geometry (~64 KB-class budget).
@@ -190,6 +229,8 @@ impl TageLite {
                     entries: vec![TageEntry::default(); 1 << TAGE_TABLE_BITS],
                     history_len: h,
                     mask: (1 << TAGE_TABLE_BITS) - 1,
+                    index_fold: Fold::new(h, TAGE_TABLE_BITS),
+                    tag_fold: Fold::new(h, TAGE_TAG_BITS),
                 })
                 .collect(),
             history: 0,
@@ -199,32 +240,15 @@ impl TageLite {
     }
 
     #[inline]
-    fn folded_history(&self, bits: u32, out_bits: u32) -> u64 {
-        // Every history window fits in 64 bits (`TAGE_HISTORIES` tops out
-        // at 64), so the fold runs in native words rather than u128.
-        debug_assert!(bits <= 64);
-        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-        let mut h = (self.history as u64) & mask;
-        let out_mask = (1u64 << out_bits) - 1;
-        let mut folded = 0u64;
-        while h != 0 {
-            folded ^= h & out_mask;
-            h >>= out_bits;
-        }
-        folded
-    }
-
-    #[inline]
     fn table_index(&self, t: usize, pc: Addr) -> usize {
         let tab = &self.tables[t];
-        let fh = self.folded_history(tab.history_len, TAGE_TABLE_BITS);
+        let fh = tab.index_fold.value;
         (((pc.raw() >> 1) ^ fh ^ (pc.raw() >> (TAGE_TABLE_BITS as u64 + 1))) & tab.mask) as usize
     }
 
     #[inline]
     fn table_tag(&self, t: usize, pc: Addr) -> u16 {
-        let tab = &self.tables[t];
-        let fh = self.folded_history(tab.history_len, 10);
+        let fh = self.tables[t].tag_fold.value;
         ((((pc.raw() >> 1) ^ (fh << 1) ^ (pc.raw() >> 11)) & 0x3ff) as u16) | 0x400
     }
 
@@ -241,7 +265,7 @@ impl TageLite {
             let idx = self.table_index(t, pc);
             let tag = self.table_tag(t, pc);
             let e = &self.tables[t].entries[idx];
-            if e.valid && e.tag == tag {
+            if e.tag == tag {
                 result = Some((t, idx));
                 break;
             }
@@ -296,12 +320,11 @@ impl TageLite {
                 let idx = self.table_index(t, pc);
                 let tag = self.table_tag(t, pc);
                 let e = &mut self.tables[t].entries[idx];
-                if !e.valid || !e.useful {
+                if e.tag == 0 || !e.useful {
                     *e = TageEntry {
                         tag,
                         ctr: if taken { 4 } else { 3 },
                         useful: false,
-                        valid: true,
                     };
                     break;
                 }
@@ -310,6 +333,12 @@ impl TageLite {
             }
         }
 
+        let new_bit = u64::from(taken);
+        for tab in &mut self.tables {
+            let old_bit = (self.history >> (tab.history_len - 1)) as u64 & 1;
+            tab.index_fold.shift(new_bit, old_bit);
+            tab.tag_fold.shift(new_bit, old_bit);
+        }
         self.history = (self.history << 1) | u128::from(taken);
         self.history_gen += 1;
     }
@@ -400,6 +429,47 @@ mod tests {
         assert!(oracle.resolve(a(0x3000), false));
         assert!(oracle.resolve(a(0x3000), true));
         assert_eq!(accuracy(DirectionPredictorKind::Oracle, &loop_stream(100)), 1.0);
+    }
+
+    /// The last `bits` history bits XOR-folded into `out_bits` bits, the
+    /// long way: what each table's incremental fold must equal.
+    fn folded_history(history: u128, bits: u32, out_bits: u32) -> u64 {
+        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let mut h = (history as u64) & mask;
+        let mut folded = 0u64;
+        while h != 0 {
+            folded ^= h & ((1u64 << out_bits) - 1);
+            h >>= out_bits;
+        }
+        folded
+    }
+
+    #[test]
+    fn incremental_folds_equal_a_full_refold() {
+        let mut p = TageLite::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..5_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Biased runs as well as coin flips, so long all-taken and
+            // all-not-taken windows occur too.
+            let taken = if step % 1000 < 300 { step % 1000 < 150 } else { state & 1 == 1 };
+            p.update(a(0x4000 + (state >> 40) % 64 * 2), taken);
+            for tab in &p.tables {
+                let len = tab.history_len;
+                assert_eq!(
+                    tab.index_fold.value,
+                    folded_history(p.history, len, TAGE_TABLE_BITS),
+                    "index fold of the {len}-bit table after {step} updates"
+                );
+                assert_eq!(
+                    tab.tag_fold.value,
+                    folded_history(p.history, len, TAGE_TAG_BITS),
+                    "tag fold of the {len}-bit table after {step} updates"
+                );
+            }
+        }
     }
 
     #[test]

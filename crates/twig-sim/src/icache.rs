@@ -1,9 +1,11 @@
 //! The instruction-side memory hierarchy: L1i → L2 → L3 → memory.
 //!
 //! Caches are set-associative tag arrays over 64-byte lines with true LRU.
-//! In-flight fills are tracked in an MSHR-like map so demand accesses that
-//! hit an outstanding prefetch wait only for the remaining latency — the
-//! mechanism by which FDIP hides I-cache misses.
+//! In-flight fills are tracked MSHR-style so demand accesses that hit an
+//! outstanding prefetch wait only for the remaining latency — the
+//! mechanism by which FDIP hides I-cache misses. The MSHR lives in the L1i
+//! tags themselves: each way carries the cycle its fill lands, so the
+//! common case (an L1i hit) costs one set scan and no map probe.
 
 
 use twig_types::{CacheLineAddr, FxHashMap};
@@ -38,83 +40,144 @@ pub struct AccessResult {
     pub filled_l1i: bool,
 }
 
+/// What one way of a [`TagArray`] holds: the tag, plus any per-line state
+/// the level keeps.
+trait Way: Copy + Default {
+    fn tag(self) -> u64;
+}
+
+/// L2/L3 ways hold only the tag.
+impl Way for u64 {
+    #[inline]
+    fn tag(self) -> u64 {
+        self
+    }
+}
+
+/// [`L1iWay::ready`] of a way with no fill tracked.
+const NO_FILL: u64 = u64::MAX;
+
+/// An L1i way: the tag plus its MSHR stamp — the cycle the line's fill
+/// lands, kept from the fill until the first access at or after that
+/// cycle (or [`NO_FILL`]).
+#[derive(Clone, Copy, Debug)]
+struct L1iWay {
+    tag: u64,
+    ready: u64,
+}
+
+impl Default for L1iWay {
+    fn default() -> Self {
+        L1iWay {
+            tag: 0,
+            ready: NO_FILL,
+        }
+    }
+}
+
+impl Way for L1iWay {
+    #[inline]
+    fn tag(self) -> u64 {
+        self.tag
+    }
+}
+
 /// One set-associative tag array (MRU-first true LRU).
 ///
-/// Tags live in a single flat `sets × ways` slab rather than one `Vec` per
+/// Ways live in a single flat `sets × ways` slab rather than one `Vec` per
 /// set: a lookup touches exactly one contiguous stripe (one or two cache
 /// lines of host memory) instead of chasing a per-set heap pointer, and LRU
 /// promotion is an in-place prefix rotation instead of a `remove` +
 /// `insert(0)` pair shifting through a separate allocation. Only the first
 /// `lens[set]` slots of each stripe are meaningful.
 #[derive(Clone, Debug)]
-struct TagArray {
-    /// `sets × ways` tag slots; each set's occupied prefix is MRU-first.
-    tags: Box<[u64]>,
+struct TagArray<W> {
+    /// `sets × ways` slots; each set's occupied prefix is MRU-first.
+    slots: Box<[W]>,
     /// Occupied slot count per set.
     lens: Box<[u32]>,
     ways: usize,
     mask: u64,
+    /// `log2(sets)`, precomputed: the default x86-64 target has no
+    /// POPCNT, so `mask.count_ones()` per access is a software popcount.
+    set_bits: u32,
 }
 
-impl TagArray {
+impl<W: Way> TagArray<W> {
     fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.sets();
         TagArray {
-            tags: vec![0; sets * geometry.ways].into_boxed_slice(),
+            slots: vec![W::default(); sets * geometry.ways].into_boxed_slice(),
             lens: vec![0; sets].into_boxed_slice(),
             ways: geometry.ways,
             mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
         }
     }
 
     #[inline]
     fn set_and_tag(&self, line: CacheLineAddr) -> (usize, u64) {
         let n = line.line_number();
-        ((n & self.mask) as usize, n >> self.mask.count_ones())
+        ((n & self.mask) as usize, n >> self.set_bits)
+    }
+
+    /// The line a `(set, tag)` pair names.
+    #[inline]
+    fn line(&self, set: usize, tag: u64) -> CacheLineAddr {
+        CacheLineAddr::from_line_number((tag << self.set_bits) | set as u64)
+    }
+
+    /// The set's occupied ways, MRU first.
+    #[inline]
+    fn set(&self, set: usize) -> &[W] {
+        &self.slots[set * self.ways..][..self.lens[set] as usize]
+    }
+
+    /// Position of `tag` in `set` (0 = MRU), without touching LRU order.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        self.set(set).iter().position(|w| w.tag() == tag)
+    }
+
+    /// Moves the way at `pos` to MRU.
+    #[inline]
+    fn promote(&mut self, set: usize, pos: usize) {
+        self.slots[set * self.ways..][..=pos].rotate_right(1);
+    }
+
+    /// Inserts `way` (whose tag `set` must not hold) at MRU, returning the
+    /// LRU way it evicts if the set was full.
+    fn insert(&mut self, set: usize, way: W) -> Option<W> {
+        debug_assert!(self.find(set, way.tag()).is_none(), "tag already present");
+        let len = self.lens[set] as usize;
+        let ways = &mut self.slots[set * self.ways..][..self.ways];
+        let victim = if len < self.ways {
+            self.lens[set] = (len + 1) as u32;
+            None
+        } else {
+            Some(ways[len - 1])
+        };
+        ways[..len.min(self.ways - 1) + 1].rotate_right(1);
+        ways[0] = way;
+        victim
     }
 
     /// Hit check with LRU promotion.
+    #[inline]
     fn access(&mut self, line: CacheLineAddr) -> bool {
         let (set, tag) = self.set_and_tag(line);
-        let len = self.lens[set] as usize;
-        let ways = &mut self.tags[set * self.ways..][..len];
-        match ways.iter().position(|&t| t == tag) {
+        match self.find(set, tag) {
             Some(pos) => {
-                ways[..=pos].rotate_right(1);
+                self.promote(set, pos);
                 true
             }
             None => false,
         }
     }
 
-    /// Inserts a line, returning the evicted line if any.
-    fn fill(&mut self, line: CacheLineAddr) -> Option<CacheLineAddr> {
-        let (set, tag) = self.set_and_tag(line);
-        let set_bits = self.mask.count_ones();
-        let len = self.lens[set] as usize;
-        let ways = &mut self.tags[set * self.ways..][..self.ways];
-        if let Some(pos) = ways[..len].iter().position(|&t| t == tag) {
-            ways[..=pos].rotate_right(1);
-            return None;
-        }
-        if len < self.ways {
-            ways[..=len].rotate_right(1);
-            ways[0] = tag;
-            self.lens[set] = (len + 1) as u32;
-            None
-        } else {
-            let victim = ways[len - 1];
-            ways[..len].rotate_right(1);
-            ways[0] = tag;
-            let n = (victim << set_bits) | set as u64;
-            Some(CacheLineAddr::from_line_number(n))
-        }
-    }
-
     fn contains(&self, line: CacheLineAddr) -> bool {
         let (set, tag) = self.set_and_tag(line);
-        let len = self.lens[set] as usize;
-        self.tags[set * self.ways..][..len].contains(&tag)
+        self.find(set, tag).is_some()
     }
 
     /// Structural scan: per-set occupancy within associativity and no
@@ -139,17 +202,26 @@ impl TagArray {
                     format!("{name} set {set}: {len} tags exceed {} ways", self.ways),
                 ));
             }
-            let ways = &self.tags[set * self.ways..][..len.min(self.ways)];
-            for (i, tag) in ways.iter().enumerate() {
-                if ways[..i].contains(tag) {
+            let ways = &self.slots[set * self.ways..][..len];
+            for (i, way) in ways.iter().enumerate() {
+                if ways[..i].iter().any(|w| w.tag() == way.tag()) {
                     return Err(Fault::new(
                         ViolationKind::IcacheAccounting,
-                        format!("{name} set {set}: duplicate tag {tag:#x}"),
+                        format!("{name} set {set}: duplicate tag {:#x}", way.tag()),
                     ));
                 }
             }
         }
         Ok(())
+    }
+}
+
+impl TagArray<u64> {
+    /// Inserts a line known to be absent (L2/L3 evictions are silent in
+    /// the I-side model).
+    fn fill(&mut self, line: CacheLineAddr) {
+        let (set, tag) = self.set_and_tag(line);
+        self.insert(set, tag);
     }
 }
 
@@ -191,10 +263,16 @@ pub struct MemoryStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
-    l1i: TagArray,
-    l2: TagArray,
-    l3: TagArray,
-    inflight: FxHashMap<CacheLineAddr, u64>,
+    /// L1i tags with their MSHR stamps.
+    l1i: TagArray<L1iWay>,
+    l2: TagArray<u64>,
+    l3: TagArray<u64>,
+    /// L1i ways currently stamped.
+    stamped: usize,
+    /// MSHR stamps of lines evicted from L1i while still stamped, kept
+    /// until the line's next access at or after its `ready` cycle (a
+    /// line is never both here and in the L1i tags).
+    evicted_stamps: FxHashMap<CacheLineAddr, u64>,
     stats: MemoryStats,
     l1i_latency: u64,
     l2_latency: u64,
@@ -228,7 +306,8 @@ impl MemoryHierarchy {
             l1i: TagArray::new(config.l1i),
             l2: TagArray::new(config.l2),
             l3: TagArray::new(config.l3),
-            inflight: FxHashMap::default(),
+            stamped: 0,
+            evicted_stamps: FxHashMap::default(),
             stats: MemoryStats::default(),
             l1i_latency: config.l1i_latency,
             l2_latency: config.l2_latency,
@@ -289,12 +368,44 @@ impl MemoryHierarchy {
 
     /// The shared demand/prefetch access path. The second return is
     /// whether the line was resident (L1i or in flight) before the access.
+    ///
+    /// A fill stamps the L1i way with its `ready` cycle; the stamp stays
+    /// until the first access at or after that cycle, which clears it. An
+    /// access before then joins the fill without an LRU update. A line
+    /// evicted while stamped keeps its stamp in `evicted_stamps`, so an
+    /// in-flight or stale stamp alone establishes residency for the
+    /// caller's accounting, exactly like an MSHR entry that outlives its
+    /// line's tag.
     fn access_counted(&mut self, line: CacheLineAddr, cycle: u64) -> (AccessResult, bool) {
-        // Outstanding fill? A line can be in flight yet already evicted
-        // from the L1i tags, so in-flight state alone establishes
-        // residency for the caller's accounting.
+        let (set, tag) = self.l1i.set_and_tag(line);
+        if let Some(pos) = self.l1i.find(set, tag) {
+            let way = &mut self.l1i.slots[set * self.l1i.ways + pos];
+            if way.ready != NO_FILL {
+                if way.ready > cycle {
+                    return (
+                        AccessResult {
+                            ready_at: way.ready,
+                            source: FillSource::InFlight,
+                            filled_l1i: false,
+                        },
+                        true,
+                    );
+                }
+                way.ready = NO_FILL;
+                self.stamped -= 1;
+            }
+            self.l1i.promote(set, pos);
+            return (
+                AccessResult {
+                    ready_at: cycle + self.l1i_latency,
+                    source: FillSource::L1i,
+                    filled_l1i: false,
+                },
+                true,
+            );
+        }
         let mut resident = false;
-        if let Some(&ready) = self.inflight.get(&line) {
+        if let Some(&ready) = self.evicted_stamps.get(&line) {
             resident = true;
             if ready > cycle {
                 return (
@@ -306,17 +417,7 @@ impl MemoryHierarchy {
                     resident,
                 );
             }
-            self.inflight.remove(&line);
-        }
-        if self.l1i.access(line) {
-            return (
-                AccessResult {
-                    ready_at: cycle + self.l1i_latency,
-                    source: FillSource::L1i,
-                    filled_l1i: false,
-                },
-                true,
-            );
+            self.evicted_stamps.remove(&line);
         }
         // Miss: find the line downstream, fill upward.
         let (latency, source) = if self.l2.access(line) {
@@ -324,9 +425,7 @@ impl MemoryHierarchy {
             (self.l2_latency, FillSource::L2)
         } else if self.l3.access(line) {
             self.stats.fills_l3 += 1;
-            if let Some(v) = self.l2.fill(line) {
-                let _ = v; // L2 eviction is silent for the I-side model
-            }
+            self.l2.fill(line);
             (self.l3_latency, FillSource::L3)
         } else {
             self.stats.fills_memory += 1;
@@ -334,15 +433,22 @@ impl MemoryHierarchy {
             self.l2.fill(line);
             (self.mem_latency, FillSource::Memory)
         };
-        let victim = self.l1i.fill(line);
         let ready = cycle + latency;
-        if self.track_line_events {
-            if let Some(victim) = victim {
-                self.evicted_l1i.push(victim);
+        let victim = self.l1i.insert(set, L1iWay { tag, ready });
+        self.stamped += 1;
+        if let Some(victim) = victim {
+            let victim_line = self.l1i.line(set, victim.tag);
+            if victim.ready != NO_FILL {
+                self.stamped -= 1;
+                self.evicted_stamps.insert(victim_line, victim.ready);
             }
+            if self.track_line_events {
+                self.evicted_l1i.push(victim_line);
+            }
+        }
+        if self.track_line_events {
             self.filled_l1i.push((line, ready));
         }
-        self.inflight.insert(line, ready);
         (
             AccessResult {
                 ready_at: ready,
@@ -387,18 +493,28 @@ impl MemoryHierarchy {
         &self.stats
     }
 
-    /// Number of fills tracked in the MSHR-like in-flight map. Removal is
-    /// lazy (a completed fill's entry is dropped on its next access), so
-    /// this is an upper bound on truly outstanding fills.
+    /// Number of fills the MSHR tracks: stamped L1i ways plus the stamps
+    /// of evicted lines. Removal is lazy (a completed fill's stamp is
+    /// dropped on its next access), so this is an upper bound on truly
+    /// outstanding fills.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        self.stamped + self.evicted_stamps.len()
+    }
+
+    /// The ready cycles of every stamped L1i way.
+    fn l1i_stamps(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.l1i.lens.len())
+            .flat_map(move |set| self.l1i.set(set).iter().map(|way| way.ready))
+            .filter(|&ready| ready != NO_FILL)
     }
 
     /// Whether any fill is still genuinely outstanding at `cycle`
     /// (feeds the livelock watchdog: no retirement *and* no pending fill
     /// means the simulation can never make progress again).
     pub fn has_outstanding_fill(&self, cycle: u64) -> bool {
-        self.inflight.values().any(|&ready| ready > cycle)
+        self.l1i_stamps()
+            .chain(self.evicted_stamps.values().copied())
+            .any(|ready| ready > cycle)
     }
 }
 
@@ -448,6 +564,13 @@ impl Validator for MemoryHierarchy {
             // scan, full coverage every few deep periods.
             const DEEP_SCAN_SETS: usize = 256;
             self.l1i.check("l1i")?;
+            let stamped = self.l1i_stamps().count();
+            if stamped != self.stamped {
+                return Err(Fault::new(
+                    ViolationKind::IcacheAccounting,
+                    format!("{stamped} stamped l1i ways, counter says {}", self.stamped),
+                ));
+            }
             let cursor = self.scan_cursor.get();
             self.l2.check_window("l2", cursor, DEEP_SCAN_SETS)?;
             self.l3.check_window("l3", cursor, DEEP_SCAN_SETS)?;
@@ -461,7 +584,7 @@ impl Validator for MemoryHierarchy {
             "icache stats {:?}, {} in-flight fills, {} pending fill events, \
              {} pending eviction events",
             self.stats,
-            self.inflight.len(),
+            self.inflight_len(),
             self.filled_l1i.len(),
             self.evicted_l1i.len()
         )
@@ -579,5 +702,189 @@ mod tests {
         m.drain_filled_l1i(&mut filled);
         assert_eq!(filled.len(), 1);
         assert_eq!(filled.as_ptr(), reused, "drains swap buffers, never reallocate");
+    }
+
+    /// The MSHR as a map beside the tag arrays: every fill inserts
+    /// `line -> ready`, and the first access at or after `ready` removes
+    /// it. Sets are MRU-first `Vec`s. This is the behaviour the stamped
+    /// L1i ways must reproduce.
+    struct Reference {
+        levels: [(Vec<Vec<u64>>, usize); 3],
+        inflight: FxHashMap<CacheLineAddr, u64>,
+        stats: MemoryStats,
+        latencies: [u64; 4],
+        evicted: Vec<CacheLineAddr>,
+        filled: Vec<(CacheLineAddr, u64)>,
+    }
+
+    impl Reference {
+        fn new(config: &SimConfig) -> Self {
+            let level = |g: CacheGeometry| (vec![Vec::new(); g.sets()], g.ways);
+            Reference {
+                levels: [level(config.l1i), level(config.l2), level(config.l3)],
+                inflight: FxHashMap::default(),
+                stats: MemoryStats::default(),
+                latencies: [
+                    config.l1i_latency,
+                    config.l2_latency,
+                    config.l3_latency,
+                    config.mem_latency,
+                ],
+                evicted: Vec::new(),
+                filled: Vec::new(),
+            }
+        }
+
+        /// Hit check with LRU promotion in level `l`.
+        fn hit(&mut self, l: usize, line: CacheLineAddr) -> bool {
+            let (sets, _) = &mut self.levels[l];
+            let n = line.line_number();
+            let index = (n % sets.len() as u64) as usize;
+            let set = &mut sets[index];
+            match set.iter().position(|&x| x == n) {
+                Some(pos) => {
+                    let x = set.remove(pos);
+                    set.insert(0, x);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(&mut self, l: usize, line: CacheLineAddr) -> Option<CacheLineAddr> {
+            let (sets, ways) = &mut self.levels[l];
+            let n = line.line_number();
+            let index = (n % sets.len() as u64) as usize;
+            let set = &mut sets[index];
+            set.insert(0, n);
+            (set.len() > *ways).then(|| CacheLineAddr::from_line_number(set.pop().unwrap()))
+        }
+
+        fn access(&mut self, line: CacheLineAddr, cycle: u64, demand: bool) -> AccessResult {
+            if demand {
+                self.stats.demand_accesses += 1;
+            } else {
+                self.stats.prefetches += 1;
+            }
+            let result = self.resolve(line, cycle, demand);
+            if demand && result.source != FillSource::L1i {
+                self.stats.demand_misses += 1;
+            }
+            if demand && result.source == FillSource::InFlight {
+                self.stats.demand_joined_inflight += 1;
+            }
+            result
+        }
+
+        fn resolve(&mut self, line: CacheLineAddr, cycle: u64, demand: bool) -> AccessResult {
+            let mut resident = false;
+            if let Some(&ready) = self.inflight.get(&line) {
+                resident = true;
+                if ready > cycle {
+                    if !demand {
+                        self.stats.redundant_prefetches += 1;
+                    }
+                    return AccessResult {
+                        ready_at: ready,
+                        source: FillSource::InFlight,
+                        filled_l1i: false,
+                    };
+                }
+                self.inflight.remove(&line);
+            }
+            if self.hit(0, line) {
+                if !demand {
+                    self.stats.redundant_prefetches += 1;
+                }
+                return AccessResult {
+                    ready_at: cycle + self.latencies[0],
+                    source: FillSource::L1i,
+                    filled_l1i: false,
+                };
+            }
+            if resident && !demand {
+                self.stats.redundant_prefetches += 1;
+            }
+            let (latency, source) = if self.hit(1, line) {
+                self.stats.fills_l2 += 1;
+                (self.latencies[1], FillSource::L2)
+            } else if self.hit(2, line) {
+                self.stats.fills_l3 += 1;
+                self.fill(1, line);
+                (self.latencies[2], FillSource::L3)
+            } else {
+                self.stats.fills_memory += 1;
+                self.fill(2, line);
+                self.fill(1, line);
+                (self.latencies[3], FillSource::Memory)
+            };
+            let ready = cycle + latency;
+            if let Some(victim) = self.fill(0, line) {
+                self.evicted.push(victim);
+            }
+            self.filled.push((line, ready));
+            self.inflight.insert(line, ready);
+            AccessResult {
+                ready_at: ready,
+                source,
+                filled_l1i: true,
+            }
+        }
+    }
+
+    /// Random prefetch/demand streams through a 2-set, 2-way L1i evict
+    /// lines while their fills are in flight; the stamped L1i must agree
+    /// with the map-based [`Reference`] on every result, counter, MSHR
+    /// occupancy and fill/eviction event, step by step.
+    #[test]
+    fn stamped_l1i_matches_a_map_based_mshr() {
+        let config = SimConfig {
+            l1i: CacheGeometry::new(256, 2),
+            l2: CacheGeometry::new(512, 2),
+            l3: CacheGeometry::new(1024, 2),
+            ..SimConfig::default()
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..20 {
+            let mut fast = MemoryHierarchy::new(&config);
+            let mut reference = Reference::new(&config);
+            let lines = 6 + round;
+            let mut cycle = 0u64;
+            let (mut filled, mut evicted) = (Vec::new(), Vec::new());
+            let mut evicted_while_stamped = false;
+            for step in 0..3_000 {
+                cycle += next(40);
+                let line = CacheLineAddr::from_line_number(0x4000 + next(lines));
+                let demand = next(3) == 0;
+                let got = if demand {
+                    fast.demand(line, cycle)
+                } else {
+                    fast.prefetch(line, cycle)
+                };
+                let want = reference.access(line, cycle, demand);
+                let at = format!("round {round} step {step}: {line:?} at {cycle}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(fast.stats(), &reference.stats, "{at}");
+                assert_eq!(fast.inflight_len(), reference.inflight.len(), "{at}");
+                for probe in [cycle, cycle + 20, cycle + 250] {
+                    let outstanding = reference.inflight.values().any(|&r| r > probe);
+                    assert_eq!(fast.has_outstanding_fill(probe), outstanding, "{at}");
+                }
+                fast.drain_filled_l1i(&mut filled);
+                fast.drain_evicted_l1i(&mut evicted);
+                assert_eq!(filled, std::mem::take(&mut reference.filled), "{at}");
+                assert_eq!(evicted, std::mem::take(&mut reference.evicted), "{at}");
+                assert!(fast.check(true).is_ok(), "{at}");
+                evicted_while_stamped |= !fast.evicted_stamps.is_empty();
+            }
+            assert!(fast.stats().demand_joined_inflight > 0, "round {round} joined no fill");
+            assert!(evicted_while_stamped, "round {round} evicted no stamped line");
+        }
     }
 }

@@ -358,16 +358,32 @@ fn wrong_path_prefetch_changes_icache_traffic_only_when_enabled() {
     assert!((0.7..=1.4).contains(&ratio), "IPC ratio {ratio}");
 }
 
-/// Batched (idle-skipping) stepping and the integrity tiers may cost or
-/// save time but must never change the simulation: each row's full
-/// `SimStats` equals the batched, unchecked run's. Kafka is
-/// frontend-bound and verilator more backend-bound, so the batched leap
-/// is exercised on both kinds of stall. Integrity sampling forces
-/// per-cycle stepping, so its rows double as per-cycle oracles for the
-/// batched default.
+/// Batched stepping (idle and retire-only leaps) and the integrity tiers
+/// may cost or save time but must never change the simulation: each row's
+/// full `SimStats`, and its timeline when one is recorded, equal the
+/// batched, unchecked run's. Integrity sampling forces per-cycle stepping,
+/// so its rows double as per-cycle oracles for the batched default. The
+/// cases cover a frontend-bound app (kafka), a backend-bound one
+/// (verilator), the app owing the most backend-stall cycles per retired
+/// instruction (finagle-http, the retire leap's deficit path), a windowed
+/// timeline (`on_retire` inside the retire leap), a binary carrying
+/// software prefetch ops (which retire ahead of each block's own
+/// instructions), and the two predecoding prefetchers (their line index).
 #[test]
 fn batching_and_integrity_tiers_preserve_bit_identical_stats() {
+    use twig_prefetchers::{Confluence, Shotgun};
+    use twig_sim::BtbSystem;
+
     const INSTRS: u64 = 100_000;
+    #[derive(Clone, Copy, Debug)]
+    enum System {
+        Plain,
+        /// The plain BTB over a binary with a prefetch op on every third
+        /// block.
+        PlainWithOps,
+        Shotgun,
+        Confluence,
+    }
     // Pin both tiers: `SimConfig::default()` reads `TWIG_INTEGRITY` and
     // `TWIG_OBS`, either of which would silently turn batching off.
     let reference = SimConfig {
@@ -375,19 +391,36 @@ fn batching_and_integrity_tiers_preserve_bit_identical_stats() {
         obs: ObsConfig::off(),
         ..SimConfig::default()
     };
-    let per_cycle = SimConfig {
+    let per_cycle = |base: SimConfig| SimConfig {
         batch_stepping: false,
-        ..reference
+        ..base
     };
     let checked = |integrity| SimConfig {
         integrity,
         ..reference
     };
-    let cases: [(AppId, &[(&str, SimConfig)]); 2] = [
+    let windowed = SimConfig {
+        obs: ObsConfig::windowed(4096),
+        ..reference
+    };
+    let finagle = AppId::FinagleHttp;
+    assert!(
+        AppId::ALL
+            .iter()
+            .all(|&app| WorkloadSpec::preset(app).backend_extra_cpki
+                <= WorkloadSpec::preset(finagle).backend_extra_cpki),
+        "finagle-http no longer owes the most backend stalls"
+    );
+    /// An app and system, the configuration every row must reproduce,
+    /// and the named rows.
+    type Case<'a> = (AppId, System, SimConfig, &'a [(&'a str, SimConfig)]);
+    let cases: [Case; 7] = [
         (
             AppId::Kafka,
+            System::Plain,
+            reference,
             &[
-                ("per-cycle stepping", per_cycle),
+                ("per-cycle stepping", per_cycle(reference)),
                 (
                     "integrity sampled(64)",
                     checked(IntegrityConfig::sampled(64)),
@@ -399,20 +432,96 @@ fn batching_and_integrity_tiers_preserve_bit_identical_stats() {
                 ("integrity paranoid", checked(IntegrityConfig::paranoid())),
             ],
         ),
-        (AppId::Verilator, &[("per-cycle stepping", per_cycle)]),
+        (
+            AppId::Verilator,
+            System::Plain,
+            reference,
+            &[("per-cycle stepping", per_cycle(reference))],
+        ),
+        (
+            finagle,
+            System::Plain,
+            reference,
+            &[("per-cycle stepping", per_cycle(reference))],
+        ),
+        (
+            AppId::Kafka,
+            System::Plain,
+            windowed,
+            &[("per-cycle stepping, window=4096", per_cycle(windowed))],
+        ),
+        (
+            AppId::Kafka,
+            System::PlainWithOps,
+            reference,
+            &[("per-cycle stepping", per_cycle(reference))],
+        ),
+        (
+            AppId::Tomcat,
+            System::Shotgun,
+            reference,
+            &[("per-cycle stepping", per_cycle(reference))],
+        ),
+        (
+            AppId::Tomcat,
+            System::Confluence,
+            reference,
+            &[("per-cycle stepping", per_cycle(reference))],
+        ),
     ];
-    for (app, rows) in cases {
-        let program = ProgramGenerator::new(WorkloadSpec::preset(app)).generate();
+    for (app, system, base, rows) in cases {
+        let spec = WorkloadSpec::preset(app);
+        let generator = ProgramGenerator::new(spec.clone());
+        let mut program = generator.generate();
+        if let System::PlainWithOps = system {
+            let ops = (0..program.num_blocks() as u32)
+                .step_by(3)
+                .map(|i| {
+                    let op = twig_types::PrefetchOp::BrPrefetch {
+                        branch_block: BlockId::new(i / 2),
+                    };
+                    (BlockId::new(i), op)
+                })
+                .collect();
+            program.set_prefetch_ops(ops);
+            twig_workload::layout::assign_layout(&mut program, &generator.layout_options());
+        }
+        fn run<B: BtbSystem>(
+            program: &twig_workload::Program,
+            config: SimConfig,
+            system: B,
+        ) -> (SimStats, Option<twig_obs::TimelineSnapshot>) {
+            let mut sim = Simulator::new(program, config, system);
+            let stats = sim.run(Walker::new(program, InputConfig::numbered(0)), INSTRS);
+            (stats, sim.timeline_snapshot())
+        }
         let run = |config: SimConfig| {
-            let mut sim = Simulator::new(&program, config, PlainBtb::new(&config));
-            sim.run(Walker::new(&program, InputConfig::numbered(0)), INSTRS)
+            let config = SimConfig {
+                backend_extra_cpki: spec.backend_extra_cpki,
+                ..config
+            };
+            match system {
+                System::Plain | System::PlainWithOps => {
+                    run(&program, config, PlainBtb::new(&config))
+                }
+                System::Shotgun => run(&program, config, Shotgun::new(&config)),
+                System::Confluence => run(&program, config, Confluence::new(&config)),
+            }
         };
-        let expected = run(reference);
+        let expected = run(base);
+        if let System::PlainWithOps = system {
+            assert!(expected.0.retired_prefetch_ops > 0, "no prefetch op retired");
+        }
+        assert_eq!(
+            expected.1.is_some(),
+            base.obs.window.is_some(),
+            "a windowed run records a timeline"
+        );
         for &(name, config) in rows {
             assert_eq!(
                 run(config),
                 expected,
-                "{name} perturbed the simulation on {}",
+                "{name} perturbed the {system:?} simulation on {}",
                 app.name()
             );
         }

@@ -67,7 +67,9 @@ pub use inputs::InputConfig;
 pub use layout::{LayoutOptions, LibrarySplit};
 pub use mapped::MappedBytes;
 pub use phases::{LoadPhase, PhaseSchedule};
-pub use program::{BasicBlock, Function, Program, TargetSpan, TargetTables, Terminator};
+pub use program::{
+    BasicBlock, Function, LineBranch, LineIndex, Program, TargetSpan, TargetTables, Terminator,
+};
 pub use source::{AnySource, ColumnarSource, EventSource, MemSource, WalkerSource};
 pub use spec::{AppId, Span, Span1, SpecError, TerminatorMix, WorkloadSpec};
 pub use stats::{StaticStats, WorkingSet};

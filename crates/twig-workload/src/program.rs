@@ -555,55 +555,165 @@ impl Program {
         Some(self.addrs[target.index()])
     }
 
-    /// Block ids whose bytes overlap the given cache line.
-    ///
-    /// Relies on the layout invariant that block addresses are globally
-    /// non-decreasing in block-id order (functions are placed in id order
-    /// and blocks are contiguous within functions).
-    ///
-    /// Used by predecode-style prefetchers (Confluence, Shotgun) that
-    /// extract the branches of a fetched/prefetched I-cache line.
-    pub fn blocks_overlapping_line(
-        &self,
-        line: twig_types::CacheLineAddr,
-    ) -> impl Iterator<Item = BlockId> + '_ {
-        let base = line.base();
-        let end = line.next().base();
-        // First block whose end extends past the line base: only the last
-        // block starting at or before `base` can straddle it.
-        let mut start = self.addrs.partition_point(|&a| a <= base);
-        if start > 0 && self.block(BlockId::new(start as u32 - 1)).end_addr() > base {
-            start -= 1;
-        }
-        self.addrs[start..]
-            .iter()
-            .take_while(move |&&a| a < end)
-            .enumerate()
-            .map(move |(i, _)| BlockId::new((start + i) as u32))
-    }
-
-    /// Blocks whose *terminator branch instruction* lies in the given line,
-    /// together with their statically known target (direct branches only).
-    pub fn branches_in_line(
-        &self,
-        line: twig_types::CacheLineAddr,
-    ) -> impl Iterator<Item = (BlockId, twig_types::BranchKind, Option<Addr>)> + '_ {
-        self.blocks_overlapping_line(line).filter_map(move |id| {
-            let block = self.block(id);
-            let kind = block.branch_kind()?;
-            if block.branch_pc().line() != line {
-                return None;
-            }
-            Some((id, kind, self.direct_branch_target_addr(id)))
-        })
-    }
-
     /// Total text-segment size in bytes (blocks plus coalesce table),
     /// assuming the current layout is packed.
     pub fn text_bytes(&self) -> u64 {
         let body: u64 = self.cfg.blocks.iter().map(|b| u64::from(b.body_bytes)).sum();
         let ops: u64 = self.ops.iter().map(|op| u64::from(op.encoded_bytes())).sum();
         body + ops + self.coalesce_table.len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES)
+    }
+}
+
+/// Cache line → the branches predecode finds in it, for predecode-style
+/// prefetchers (Confluence, Shotgun) that extract the branches of every
+/// fetched or prefetched I-cache line.
+///
+/// A line's first query walks the blocks overlapping it, found by one
+/// array lookup instead of a binary search over every block address, and
+/// keeps the branches it finds; every later query of the line reads them
+/// back. An index describes the layout of the one binary it was built
+/// from; a rewrite needs its own. It is built on a prefetcher's first
+/// predecode, so programs that are never predecoded never pay for one.
+/// Lines are stored densely over runs of covered lines; the distant
+/// library region starts a second run instead of a gap-sized array.
+///
+/// # Examples
+///
+/// ```
+/// use twig_workload::{LineIndex, ProgramGenerator, WorkloadSpec};
+///
+/// let program = ProgramGenerator::new(WorkloadSpec::tiny_test()).generate();
+/// let mut index = LineIndex::new(&program);
+/// let (_, block) = program.blocks().find(|(_, b)| b.branch_kind().is_some()).unwrap();
+/// let pc = block.branch_pc();
+/// assert!(index.branches_in_line(&program, pc.line()).iter().any(|b| b.pc == pc));
+/// ```
+#[derive(Clone, Debug)]
+pub struct LineIndex {
+    /// Runs of covered lines, ascending: `(first line, last line, offset
+    /// of the first line's entries in `first_block` and `found`)`.
+    runs: Vec<(u64, u64, usize)>,
+    /// Per line of each run: the first block that can overlap it — the
+    /// last block starting at or before the line's base if it reaches
+    /// past it, else the first block starting after it.
+    first_block: Vec<u32>,
+    /// Per line of each run: its branches' range in `branches`, or
+    /// `UNSCANNED` until the line's first query.
+    found: Vec<(u32, u32)>,
+    /// The branches of every line queried so far, grouped by line.
+    branches: Vec<LineBranch>,
+    /// Blocks in the indexed binary (a cheap check against a mismatched
+    /// program).
+    num_blocks: usize,
+}
+
+/// A branch as predecode extracts it from a line.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct LineBranch {
+    /// The branch kind.
+    pub kind: twig_types::BranchKind,
+    /// Address of the branch instruction.
+    pub pc: Addr,
+    /// Statically known target (direct branches only).
+    pub target: Option<Addr>,
+}
+
+/// [`LineIndex::found`] of a line not queried yet.
+const UNSCANNED: (u32, u32) = (u32::MAX, 0);
+
+/// Uncovered lines between two covered runs that still join them into one
+/// run (64 KiB of text): function padding stays inside a run, and only the
+/// far library region starts a new one.
+const MAX_RUN_GAP_LINES: u64 = 1024;
+
+impl LineIndex {
+    /// Indexes `program`'s layout.
+    ///
+    /// Relies on the layout invariant that block addresses are globally
+    /// non-decreasing in block-id order (functions are placed in id order
+    /// and blocks are contiguous within functions).
+    pub fn new(program: &Program) -> Self {
+        let addrs = &program.addrs;
+        debug_assert!(addrs.is_sorted(), "block addresses must follow block ids");
+        // Functions are contiguous block ranges, so their extents give
+        // the covered lines without visiting every block.
+        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
+        for function in program.functions().filter(|f| f.first_block < f.last_block) {
+            let first = addrs[function.first_block as usize].line().line_number();
+            let last_block = program.block(BlockId::new(function.last_block - 1));
+            let last_byte = last_block.end_addr().raw().saturating_sub(1).max(last_block.addr.raw());
+            let last = Addr::new(last_byte).line().line_number();
+            match runs.last_mut() {
+                Some((_, run_last, _)) if first <= run_last.saturating_add(MAX_RUN_GAP_LINES) => {
+                    *run_last = (*run_last).max(last);
+                }
+                _ => runs.push((first, last, 0)),
+            }
+        }
+        let mut first_block = Vec::new();
+        // Blocks starting at or before the current line's base.
+        let mut started = 0usize;
+        for (first, last, offset) in &mut runs {
+            *offset = first_block.len();
+            for line in *first..=*last {
+                let base = twig_types::CacheLineAddr::from_line_number(line).base();
+                while started < addrs.len() && addrs[started] <= base {
+                    started += 1;
+                }
+                let straddles = started > 0
+                    && program.block(BlockId::new(started as u32 - 1)).end_addr() > base;
+                first_block.push((started - usize::from(straddles)) as u32);
+            }
+        }
+        LineIndex {
+            runs,
+            found: vec![UNSCANNED; first_block.len()],
+            first_block,
+            branches: Vec::new(),
+            num_blocks: addrs.len(),
+        }
+    }
+
+    /// The branches whose instruction lies in `line`, in address order.
+    /// `program` must be the binary the index was built from.
+    pub fn branches_in_line(
+        &mut self,
+        program: &Program,
+        line: twig_types::CacheLineAddr,
+    ) -> &[LineBranch] {
+        debug_assert_eq!(program.num_blocks(), self.num_blocks, "index of another binary");
+        let n = line.line_number();
+        // Lines outside every run hold no block.
+        let Some(&(first, _, offset)) = self
+            .runs
+            .iter()
+            .find(|&&(_, last, _)| n <= last)
+            .filter(|&&(first, _, _)| n >= first)
+        else {
+            return &[];
+        };
+        let k = offset + (n - first) as usize;
+        if self.found[k] == UNSCANNED {
+            let start = self.branches.len();
+            let end = line.next().base();
+            let from = self.first_block[k] as usize;
+            for (i, _) in program.addrs[from..].iter().take_while(|&&a| a < end).enumerate() {
+                let id = BlockId::new((from + i) as u32);
+                let block = program.block(id);
+                let Some(kind) = block.branch_kind() else { continue };
+                let pc = block.branch_pc();
+                if pc.line() == line {
+                    self.branches.push(LineBranch {
+                        kind,
+                        pc,
+                        target: program.direct_branch_target_addr(id),
+                    });
+                }
+            }
+            self.found[k] = (start as u32, self.branches.len() as u32);
+        }
+        let (start, end) = self.found[k];
+        &self.branches[start as usize..end as usize]
     }
 }
 
@@ -728,8 +838,10 @@ mod tests {
         assert!(Arc::ptr_eq(&p.cfg, &q.cfg));
     }
 
-    /// `blocks_overlapping_line` and `branches_in_line` against a scan of
-    /// every block, on a pristine binary and on one grown by injected ops.
+    /// `LineIndex::branches_in_line` against a scan of every block, on a
+    /// pristine binary and on one grown by injected ops, including lines
+    /// outside the text, in the gap before the library region, and past
+    /// the end.
     #[test]
     fn line_queries_match_a_full_scan() {
         use crate::layout::assign_layout;
@@ -752,7 +864,9 @@ mod tests {
         assert_ne!(rewritten.block(BlockId::new(5)).addr, pristine.block(BlockId::new(5)).addr);
 
         for p in [&pristine, &rewritten] {
-            let lines: std::collections::BTreeSet<_> = p
+            let mut index = LineIndex::new(p);
+            assert!(index.runs.len() >= 2, "the library region starts its own run");
+            let mut lines: std::collections::BTreeSet<_> = p
                 .blocks()
                 .flat_map(|(_, b)| {
                     let first = b.addr.line();
@@ -760,24 +874,25 @@ mod tests {
                     [before, first, b.branch_pc().line(), b.end_addr().line()]
                 })
                 .collect();
+            let gap = (index.runs[0].1 + index.runs[1].0) / 2;
+            let past = index.runs.last().unwrap().1 + 1;
+            for n in [0, index.runs[0].1 + 1, gap, index.runs[1].0 - 1, past, u64::MAX / 64 - 1] {
+                lines.insert(twig_types::CacheLineAddr::from_line_number(n));
+            }
             for &line in &lines {
-                let (base, end) = (line.base(), line.next().base());
-                let overlapping: Vec<BlockId> = p
-                    .blocks()
-                    .filter(|(_, b)| b.addr < end && b.end_addr() > base)
-                    .map(|(id, _)| id)
-                    .collect();
-                assert_eq!(
-                    p.blocks_overlapping_line(line).collect::<Vec<_>>(),
-                    overlapping,
-                    "{line:?}"
-                );
                 let branches: Vec<_> = p
                     .blocks()
                     .filter(|(_, b)| b.branch_kind().is_some() && b.branch_pc().line() == line)
-                    .map(|(id, b)| (id, b.branch_kind().unwrap(), p.direct_branch_target_addr(id)))
+                    .map(|(id, b)| LineBranch {
+                        kind: b.branch_kind().unwrap(),
+                        pc: b.branch_pc(),
+                        target: p.direct_branch_target_addr(id),
+                    })
                     .collect();
-                assert_eq!(p.branches_in_line(line).collect::<Vec<_>>(), branches, "{line:?}");
+                // Twice: the first query scans the line, the second reads
+                // back what the first kept.
+                assert_eq!(index.branches_in_line(p, line), branches, "{line:?}");
+                assert_eq!(index.branches_in_line(p, line), branches, "{line:?} again");
             }
         }
     }

@@ -87,25 +87,44 @@ pub trait EventSource: Iterator<Item = BlockEvent> + Send + sealed::Sealed {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemSource {
-    events: Arc<[BlockEvent]>,
+    events: SharedEvents,
     pos: usize,
+}
+
+/// The shared backing of a [`MemSource`]: a shared slice as handed in, or
+/// a `Vec` moved behind an `Arc` (`Arc<[T]>::from(vec)` would copy it).
+#[derive(Clone, Debug)]
+enum SharedEvents {
+    Slice(Arc<[BlockEvent]>),
+    Vec(Arc<Vec<BlockEvent>>),
 }
 
 impl MemSource {
     /// Wraps a shared slice without copying.
     pub fn new(events: Arc<[BlockEvent]>) -> Self {
-        MemSource { events, pos: 0 }
+        MemSource {
+            events: SharedEvents::Slice(events),
+            pos: 0,
+        }
     }
 
     /// The backing slice (all events, independent of the cursor).
+    #[inline]
     pub fn as_slice(&self) -> &[BlockEvent] {
-        &self.events
+        match &self.events {
+            SharedEvents::Slice(events) => events,
+            SharedEvents::Vec(events) => events,
+        }
     }
 }
 
+/// Moves the events behind an `Arc` without copying them.
 impl From<Vec<BlockEvent>> for MemSource {
     fn from(events: Vec<BlockEvent>) -> Self {
-        MemSource::new(events.into())
+        MemSource {
+            events: SharedEvents::Vec(Arc::new(events)),
+            pos: 0,
+        }
     }
 }
 
@@ -118,14 +137,15 @@ impl From<Arc<[BlockEvent]>> for MemSource {
 impl Iterator for MemSource {
     type Item = BlockEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<BlockEvent> {
-        let ev = self.events.get(self.pos).copied()?;
+        let ev = self.as_slice().get(self.pos).copied()?;
         self.pos += 1;
         Some(ev)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.events.len() - self.pos;
+        let left = self.as_slice().len() - self.pos;
         (left, Some(left))
     }
 }
@@ -138,14 +158,14 @@ impl EventSource for MemSource {
     }
 
     fn event_count(&self) -> Option<u64> {
-        Some(self.events.len() as u64)
+        Some(self.as_slice().len() as u64)
     }
 
     fn skip_events(&mut self, n: u64) {
         self.pos = self
             .pos
             .saturating_add(usize::try_from(n).unwrap_or(usize::MAX))
-            .min(self.events.len());
+            .min(self.as_slice().len());
     }
 }
 
@@ -437,6 +457,23 @@ mod tests {
 
     fn tiny() -> Arc<Program> {
         Arc::new(ProgramGenerator::new(WorkloadSpec::tiny_test()).generate())
+    }
+
+    /// `From<Vec>` moves the events: the source reads the `Vec`'s own
+    /// buffer, and clones share it.
+    #[test]
+    fn mem_source_from_vec_keeps_the_buffer() {
+        let events = Walker::new(&*tiny(), crate::InputConfig::numbered(0)).run_instructions(5_000);
+        let (ptr, expect) = (events.as_ptr(), events.clone());
+        let mut source = MemSource::from(events);
+        assert_eq!(source.as_slice().as_ptr(), ptr);
+        let clone = source.clone();
+        assert_eq!(clone.as_slice().as_ptr(), ptr);
+        assert_eq!(source.event_count(), Some(expect.len() as u64));
+        assert_eq!(source.by_ref().collect::<Vec<_>>(), expect);
+        source.reset();
+        source.skip_events(3);
+        assert_eq!(source.next(), Some(expect[3]));
     }
 
     #[test]
