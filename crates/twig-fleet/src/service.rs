@@ -189,7 +189,7 @@ pub struct FleetOutcome {
 /// A job's trace for its phase.
 enum Trace {
     /// The tenant's cached events.
-    Cached(Arc<[BlockEvent]>),
+    Cached(Arc<Vec<BlockEvent>>),
     /// No trace yet: the worker walks the pristine binary under this input.
     Walk(InputConfig),
 }
@@ -227,7 +227,7 @@ enum Verdict {
 /// A profiled and gated tenant-generation coming back from a worker.
 struct ProfileChunk {
     /// The phase's trace, for the control thread to cache.
-    events: Arc<[BlockEvent]>,
+    events: Arc<Vec<BlockEvent>>,
     profile: Profile,
     stats: SimStats,
     fingerprint: u64,
@@ -273,7 +273,7 @@ struct TenantState {
     /// re-tried, which is what bounds the generation loop (every branch
     /// ends up deployed or rejected, then only holds remain).
     rejected: Arc<FxHashSet<u32>>,
-    events: Vec<(LoadPhase, Arc<[BlockEvent]>)>,
+    events: Vec<(LoadPhase, Arc<Vec<BlockEvent>>)>,
     health: HealthTracker,
     holds: u32,
     converged: bool,
@@ -424,17 +424,17 @@ fn run_job(
     }
     let events = match &job.trace {
         Trace::Cached(events) => Arc::clone(events),
-        Trace::Walk(input) => Walker::new(job.pristine.as_ref(), *input)
-            .run_instructions(job.instructions)
-            .into(),
+        Trace::Walk(input) => Arc::new(
+            Walker::new(job.pristine.as_ref(), *input).run_instructions(job.instructions),
+        ),
     };
-    // The sampled stream arrives as a shared slice; feeding it through a
+    // The sampled stream arrives as a shared `Vec`; feeding it through a
     // `MemSource` keeps the worker on the same source-based path the
     // out-of-core readers use.
     let (profile, stats) = optimizer.collect_profile_and_stats_from_source(
         &job.deployed,
         job.sim,
-        &mut MemSource::new(Arc::clone(&events)),
+        &mut MemSource::from(Arc::clone(&events)),
         job.instructions,
     );
     let mut fingerprint = profile_fingerprint(&profile);

@@ -69,73 +69,6 @@ impl MissObserver for () {
 /// Depth of the block history kept for the observer (Intel LBR records 32).
 pub const LBR_DEPTH: usize = 32;
 
-/// Where a retire-only span ends (see the batched stepping in
-/// [`Simulator::try_run_observed`]).
-#[derive(Clone, Copy)]
-struct RetireSpan {
-    /// The first cycle another stage acts regardless of the ROB: the BPU
-    /// resumes or a decode delivery lands (capped at `max_cycles`).
-    end: u64,
-    /// The first cycle fetch can issue the FTQ head if the ROB has room.
-    fetch_at: u64,
-    rob_entries: usize,
-    budget: u64,
-}
-
-impl RetireSpan {
-    /// The first cycle outside the span while the ROB holds
-    /// `rob_occupancy` instructions.
-    #[inline]
-    fn stop(self, rob_occupancy: usize) -> u64 {
-        if rob_occupancy < self.rob_entries {
-            self.end.min(self.fetch_at)
-        } else {
-            self.end
-        }
-    }
-
-    /// Whether the cycle after `cycle` belongs to the span: no other
-    /// stage acts in it, given the ROB occupancy retire has left.
-    #[inline]
-    fn continues(self, cycle: u64, rob_occupancy: usize) -> bool {
-        cycle + 1 < self.stop(rob_occupancy)
-    }
-}
-
-/// The whole backend-stall cycles a deficit of `deficit` owes: retire
-/// subtracts 1.0 once per stall cycle while the deficit is at least 1.0,
-/// which is `floor(deficit)` cycles. Each subtraction is exact (the deficit
-/// stays far below 2^53), so subtracting a run of `k` at once gives the
-/// same `f64` as `k` single subtractions.
-#[inline]
-fn owed_stalls(deficit: f64) -> u64 {
-    debug_assert!(deficit < (1u64 << 52) as f64);
-    if deficit >= 1.0 {
-        deficit as u64
-    } else {
-        0
-    }
-}
-
-/// The retire end of the machine: decoded instructions waiting to retire,
-/// the ROB occupancy fetch checks, and the backend-stall deficit.
-struct Backend {
-    /// Instructions decoded and waiting to retire: `(original, ops)` FIFO.
-    avail: RetireRing,
-    /// Decoded-but-unretired instructions (deliveries in flight plus the
-    /// `avail` queue). Fetch stalls when the ROB is full.
-    rob_occupancy: usize,
-    /// Backend-stall cycles owed: a cycle that retires `r` instructions
-    /// adds `owed[r]`, and each whole cycle owed is one cycle retire spends
-    /// backend-bound.
-    deficit: f64,
-    width: u32,
-    /// `owed[r] = r * backend_extra_cpki / 1000` for `r` in `0..=width`,
-    /// tabulated: the same values the formula gives, without a division
-    /// per retire cycle.
-    owed: Box<[f64]>,
-}
-
 /// The frontend simulator. Drives a [`BtbSystem`] over a block-event stream.
 ///
 /// # Examples
@@ -304,15 +237,12 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         let mut fetch_free_at: u64 = 0;
         let mut head_ready_at: Option<u64> = None;
         let mut deliveries = DeliveryRing::new();
-        let mut backend = Backend {
-            avail: RetireRing::new(),
-            rob_occupancy: 0,
-            deficit: 0.0,
-            width: self.config.retire_width,
-            owed: (0..=self.config.retire_width)
-                .map(|r| f64::from(r) * self.config.backend_extra_cpki / 1000.0)
-                .collect(),
-        };
+        // Instructions decoded and waiting to retire: (original, ops) FIFO.
+        let mut avail = RetireRing::new();
+        // ROB occupancy: decoded-but-unretired instructions (deliveries in
+        // flight plus the avail queue). Fetch stalls when the ROB is full.
+        let mut rob_occupancy: usize = 0;
+        let mut backend_deficit: f64 = 0.0;
         // Active resteer (for Top-Down attribution of empty-frontend slots).
         let mut resteer_until: u64 = 0;
         let mut resteer_is_exec = false;
@@ -331,6 +261,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         let decode_pipe = self.config.decode_pipe;
         let exec_pipe = self.config.exec_pipe;
         let redirect_penalty = self.config.redirect_penalty;
+        let backend_extra_cpki = self.config.backend_extra_cpki;
 
         // Integrity instrumentation. `period` is `None` for the `off`
         // tier, reducing the per-cycle cost to one predictable branch.
@@ -406,7 +337,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                 let (first_line, last_line) = ftq.head_lines();
                 head_ready_at = Some(self.probe_head_lines(first_line, last_line, cycle));
             }
-            if fetch_free_at <= cycle && backend.rob_occupancy < rob_entries
+            if fetch_free_at <= cycle && rob_occupancy < rob_entries
                 && head_ready_at.is_some_and(|ready| ready <= cycle) {
                     let entry = ftq.pop_front();
                     if ftq.is_empty() {
@@ -420,7 +351,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                     let decode_done = fetch_free_at + decode_pipe;
                     deliveries.push_back(decode_done, entry.instrs, entry.ops);
                     mask.set(activity::DELIVERIES);
-                    backend.rob_occupancy += (entry.instrs + entry.ops) as usize;
+                    rob_occupancy += (entry.instrs + entry.ops) as usize;
                     if let Some(obs) = self.obs.as_deref_mut() {
                         obs.registry
                             .record(obs.fetch_region_instrs, u64::from(total));
@@ -477,22 +408,71 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                 if deliveries.is_empty() {
                     mask.clear(activity::DELIVERIES);
                 }
-                backend.avail.push_back(instrs, ops);
+                avail.push_back(instrs, ops);
                 mask.set(activity::RETIRE);
             }
-            self.retire_cycle(
-                &mut backend,
-                &mut mask,
-                cycle,
-                cycle < resteer_until && resteer_is_exec,
-            );
+
+            let width = retire_width;
+            if backend_deficit >= 1.0 {
+                backend_deficit -= 1.0;
+                self.stats.topdown.backend_bound += u64::from(width);
+            } else {
+                let mut slots = width;
+                let mut retired_orig: u32 = 0;
+                while slots > 0 {
+                    let Some((orig, ops)) = avail.front_mut() else { break };
+                    // Prefetch ops sit at block start: retire them first.
+                    if *ops > 0 {
+                        let take = (*ops).min(slots);
+                        *ops -= take;
+                        slots -= take;
+                        rob_occupancy -= take as usize;
+                        self.stats.retired_prefetch_ops += u64::from(take);
+                        self.stats.topdown.retiring += u64::from(take);
+                    } else if *orig > 0 {
+                        let take = (*orig).min(slots);
+                        *orig -= take;
+                        slots -= take;
+                        rob_occupancy -= take as usize;
+                        retired_orig += take;
+                        self.stats.topdown.retiring += u64::from(take);
+                    }
+                    if *orig == 0 && *ops == 0 {
+                        avail.pop_front();
+                        if avail.is_empty() {
+                            mask.clear(activity::RETIRE);
+                        }
+                    }
+                }
+                self.stats.retired_instructions += u64::from(retired_orig);
+                if retired_orig > 0 {
+                    if let Some(obs) = self.obs.as_deref_mut() {
+                        if let Some(ring) = obs.ring.as_mut() {
+                            ring.record(Stage::Commit, "retire", cycle, 0);
+                        }
+                    }
+                    if let Some(timeline) = self.timeline.as_deref_mut() {
+                        timeline.on_retire(cycle, &self.stats);
+                    }
+                }
+                backend_deficit +=
+                    f64::from(retired_orig) * backend_extra_cpki / 1000.0;
+                if slots > 0 {
+                    // Starved: frontend latency, or wrong-path recovery.
+                    if cycle < resteer_until && resteer_is_exec {
+                        self.stats.topdown.bad_speculation += u64::from(slots);
+                    } else {
+                        self.stats.topdown.frontend_bound += u64::from(slots);
+                    }
+                }
+            }
 
             // ---- Observability: per-cycle occupancy histograms. ----------
             // One never-taken branch per cycle at the `off` tier, exactly
             // like the integrity gate below.
             if let Some(obs) = self.obs.as_deref_mut() {
                 obs.registry.record(obs.ftq_occupancy, ftq.len() as u64);
-                obs.registry.record(obs.rob_occupancy, backend.rob_occupancy as u64);
+                obs.registry.record(obs.rob_occupancy, rob_occupancy as u64);
             }
 
             // ---- Integrity: mutation drill, invariant sweep, watchdogs. --
@@ -508,7 +488,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                         next_deep = cycle + DEEP_PERIOD;
                     }
                     if let Err((fault, component, structure)) =
-                        self.sweep(deep, &ftq, &deliveries, &backend, mask)
+                        self.sweep(deep, &ftq, &deliveries, &avail, rob_occupancy, mask)
                     {
                         return Err(self.raise(
                             fault,
@@ -520,7 +500,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                         ));
                     }
                     let queued =
-                        ftq.len() + deliveries.len() + backend.avail.len() + self.mem.inflight_len();
+                        ftq.len() + deliveries.len() + avail.len() + self.mem.inflight_len();
                     let watchdogs = watchdogs.as_mut().expect("checking enabled");
                     if let Err(fault) = watchdogs.check(
                         cycle,
@@ -540,88 +520,59 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                 }
             }
 
-            // ---- Batched stepping: leap spans where only retire acts. ----
-            // Every stage but retire acts at a pure function of already-
-            // scheduled times: the BPU resumes at `bpu_stalled_until`, the
-            // decode pipe drains at its head's `ready_at`, and fetch issues
-            // at `max(head_ready_at, fetch_free_at)` once the ROB has room.
-            // Until the earliest of those, the loop below runs the retire
-            // stage alone, cycle by cycle, with the stepped loop's exact
-            // deficit, slot and timeline arithmetic. It stops at the
-            // instruction budget and at `max_cycles` like the stepped loop,
-            // and when the retire queue drains, where the quiescent leap
-            // below takes over. The ROB check is redone every cycle:
-            // retiring is what frees it.
-            if batch && self.stats.retired_instructions < instruction_budget {
+            // ---- Batched stepping: skip runs of quiescent cycles. --------
+            // With the retire queue drained, every remaining stage's next
+            // action is a pure function of already-scheduled times: the
+            // BPU resumes at `bpu_stalled_until`, fetch at
+            // `max(head_ready_at, fetch_free_at)`, and the decode pipe
+            // drains at its head's `ready_at`. Jump to the earliest of
+            // those and bulk-apply the skipped cycles' only state changes
+            // — the backend-deficit drain and the integer Top-Down slot
+            // tallies — in the same order the stepped loop would, so the
+            // statistics stay bit-identical. (`backend_deficit` would also
+            // accumulate `0.0 * cpki / 1000.0` per skipped cycle, which is
+            // exact identity for the non-negative deficit.)
+            // Skipping must also stop at the instruction budget: once the
+            // retire stage crosses it, the loop breaks right after the
+            // cycle increment, so there are no further cycles to attribute.
+            if batch
+                && !mask.contains(activity::RETIRE)
+                && self.stats.retired_instructions < instruction_budget
+            {
                 let e_bpu = if !events_done && !ftq.is_full() {
                     bpu_stalled_until
                 } else {
                     u64::MAX
                 };
-                // `head_ready_at` is `Some` iff the FTQ is non-empty here.
-                let e_fetch = head_ready_at.map_or(u64::MAX, |ready| ready.max(fetch_free_at));
+                // `head_ready_at` is `Some` iff the FTQ is non-empty here;
+                // a full ROB keeps fetch blocked until the decode pipe
+                // drains, which `e_decode` already bounds.
+                let e_fetch = match head_ready_at {
+                    Some(ready) if rob_occupancy < rob_entries => ready.max(fetch_free_at),
+                    _ => u64::MAX,
+                };
                 let e_decode = deliveries.front_ready().unwrap_or(u64::MAX);
-                if mask.contains(activity::RETIRE) {
-                    let span = RetireSpan {
-                        end: e_bpu.min(e_decode).min(max_cycles),
-                        fetch_at: e_fetch,
-                        rob_entries,
-                        budget: instruction_budget,
-                    };
-                    let exec_recovery = |cycle: u64| cycle < resteer_until && resteer_is_exec;
-                    if self.timeline.is_none() {
-                        self.retire_span(&mut backend, &mut mask, &mut cycle, span, exec_recovery);
-                    } else {
-                        while self.stats.retired_instructions < instruction_budget
-                            && mask.contains(activity::RETIRE)
-                            && span.continues(cycle, backend.rob_occupancy)
-                        {
-                            cycle += 1;
-                            self.retire_cycle(&mut backend, &mut mask, cycle, exec_recovery(cycle));
-                        }
+                let next = e_bpu.min(e_fetch).min(e_decode);
+                if next != u64::MAX && next > cycle + 1 {
+                    let target = next.min(max_cycles).max(cycle + 1);
+                    let mut skipped = cycle + 1;
+                    while skipped < target && backend_deficit >= 1.0 {
+                        backend_deficit -= 1.0;
+                        self.stats.topdown.backend_bound += u64::from(retire_width);
+                        skipped += 1;
                     }
-                }
-
-                // ---- Batched stepping: skip runs of quiescent cycles. ----
-                // With the retire queue drained as well, jump to the
-                // earliest event and bulk-apply the skipped cycles' only
-                // state changes — the backend-deficit drain (one run of
-                // whole stall cycles, see `owed_stalls`) and the integer
-                // Top-Down slot tallies — in the same order the stepped
-                // loop would, so the statistics stay bit-identical.
-                // (`backend.deficit` would also accumulate `owed[0] = 0.0`
-                // per skipped cycle, which is exact identity for the
-                // non-negative deficit.) A full ROB keeps
-                // fetch blocked until the decode pipe drains, which
-                // `e_decode` already bounds.
-                if !mask.contains(activity::RETIRE)
-                    && self.stats.retired_instructions < instruction_budget
-                {
-                    let e_fetch = if backend.rob_occupancy < rob_entries {
-                        e_fetch
-                    } else {
-                        u64::MAX
-                    };
-                    let next = e_bpu.min(e_fetch).min(e_decode);
-                    if next != u64::MAX && next > cycle + 1 {
-                        let target = next.min(max_cycles).max(cycle + 1);
-                        let stalls = owed_stalls(backend.deficit).min(target - (cycle + 1));
-                        backend.deficit -= stalls as f64;
-                        self.stats.topdown.backend_bound += u64::from(retire_width) * stalls;
-                        let skipped = cycle + 1 + stalls;
-                        if skipped < target {
-                            let idle = target - skipped;
-                            let bad = if resteer_is_exec {
-                                resteer_until.saturating_sub(skipped).min(idle)
-                            } else {
-                                0
-                            };
-                            self.stats.topdown.bad_speculation += u64::from(retire_width) * bad;
-                            self.stats.topdown.frontend_bound +=
-                                u64::from(retire_width) * (idle - bad);
-                        }
-                        cycle = target - 1;
+                    if skipped < target {
+                        let idle = target - skipped;
+                        let bad = if resteer_is_exec {
+                            resteer_until.saturating_sub(skipped).min(idle)
+                        } else {
+                            0
+                        };
+                        self.stats.topdown.bad_speculation += u64::from(retire_width) * bad;
+                        self.stats.topdown.frontend_bound +=
+                            u64::from(retire_width) * (idle - bad);
                     }
+                    cycle = target - 1;
                 }
             }
 
@@ -663,7 +614,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         // even if the sampling cadence never lined up mid-run.
         if period.is_some() {
             if let Err((fault, component, structure)) =
-                self.sweep(true, &ftq, &deliveries, &backend, mask)
+                self.sweep(true, &ftq, &deliveries, &avail, rob_occupancy, mask)
             {
                 return Err(self.raise(
                     fault,
@@ -777,10 +728,10 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         deep: bool,
         ftq: &FtqRing,
         deliveries: &DeliveryRing,
-        backend: &Backend,
+        avail: &RetireRing,
+        rob_occupancy: usize,
         mask: ActivityMask,
     ) -> Result<(), (Fault, &'static str, String)> {
-        let (avail, rob_occupancy) = (&backend.avail, backend.rob_occupancy);
         if ftq.len() > self.config.ftq_entries {
             return Err((
                 Fault::new(
@@ -956,139 +907,6 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     /// The LBR window: the last (up to) `LBR_DEPTH` blocks, oldest first.
     fn lbr(&self) -> &[HistoryEntry] {
         &self.history[self.history.len().saturating_sub(LBR_DEPTH)..]
-    }
-
-    /// One cycle of the retire stage: a backend-bound cycle while a whole
-    /// stall cycle is owed, else up to `width` slots drained from the
-    /// retire queue (prefetch ops first), with starved slots charged to
-    /// bad speculation during an execute-resteer recovery and to the
-    /// frontend otherwise.
-    #[inline]
-    fn retire_cycle(
-        &mut self,
-        backend: &mut Backend,
-        mask: &mut ActivityMask,
-        cycle: u64,
-        exec_recovery: bool,
-    ) {
-        let width = backend.width;
-        if backend.deficit >= 1.0 {
-            backend.deficit -= 1.0;
-            self.stats.topdown.backend_bound += u64::from(width);
-            return;
-        }
-        let (orig, ops) = backend.avail.drain(width);
-        if backend.avail.is_empty() {
-            mask.clear(activity::RETIRE);
-        }
-        backend.rob_occupancy -= (orig + ops) as usize;
-        self.stats.retired_prefetch_ops += u64::from(ops);
-        self.stats.topdown.retiring += u64::from(orig + ops);
-        self.stats.retired_instructions += u64::from(orig);
-        if orig > 0 {
-            if let Some(obs) = self.obs.as_deref_mut() {
-                if let Some(ring) = obs.ring.as_mut() {
-                    ring.record(Stage::Commit, "retire", cycle, 0);
-                }
-            }
-            if let Some(timeline) = self.timeline.as_deref_mut() {
-                timeline.on_retire(cycle, &self.stats);
-            }
-        }
-        backend.deficit += backend.owed[orig as usize];
-        let starved = u64::from(width - orig - ops);
-        if starved > 0 {
-            // Starved: frontend latency, or wrong-path recovery.
-            if exec_recovery {
-                self.stats.topdown.bad_speculation += starved;
-            } else {
-                self.stats.topdown.frontend_bound += starved;
-            }
-        }
-    }
-
-    /// The retire leap: runs [`Self::retire_cycle`]'s arithmetic for every
-    /// cycle of `span` after `*cycle`, with the counters in registers and
-    /// each run of backend-stall cycles as one step, until the instruction
-    /// budget is reached or the retire queue drains; advances `*cycle` to
-    /// the last cycle run. Only for runs without a timeline, whose
-    /// `on_retire` reads the counters every retiring cycle.
-    ///
-    /// With no prefetch op queued, the retire queue is one stream of
-    /// original instructions, so a cycle retires `min(width, queued)` of
-    /// them and the groups are drained once, at the end.
-    #[inline]
-    fn retire_span(
-        &mut self,
-        backend: &mut Backend,
-        mask: &mut ActivityMask,
-        cycle: &mut u64,
-        span: RetireSpan,
-        exec_recovery: impl Fn(u64) -> bool,
-    ) {
-        let width = backend.width;
-        let (mut c, mut deficit, mut rob) = (*cycle, backend.deficit, backend.rob_occupancy);
-        let retired_before = self.stats.retired_instructions;
-        let mut retired = retired_before;
-        let (mut ops_retired, mut slots_used, mut stalls) = (0u64, 0u64, 0u64);
-        let (mut frontend, mut bad) = (0u64, 0u64);
-        let (mut stream, queued_ops) = backend.avail.queued();
-        let ops_free = queued_ops == 0;
-        while retired < span.budget {
-            let stop = span.stop(rob);
-            if c + 1 >= stop {
-                break;
-            }
-            if deficit >= 1.0 {
-                let run = owed_stalls(deficit).min(stop - 1 - c);
-                deficit -= run as f64;
-                stalls += run;
-                c += run;
-                continue;
-            }
-            c += 1;
-            let (orig, ops) = if ops_free {
-                let orig = stream.min(u64::from(width)) as u32;
-                stream -= u64::from(orig);
-                (orig, 0)
-            } else {
-                backend.avail.drain(width)
-            };
-            rob -= (orig + ops) as usize;
-            retired += u64::from(orig);
-            ops_retired += u64::from(ops);
-            slots_used += u64::from(orig + ops);
-            deficit += backend.owed[orig as usize];
-            let starved = u64::from(width - orig - ops);
-            if starved > 0 {
-                if exec_recovery(c) {
-                    bad += starved;
-                } else {
-                    frontend += starved;
-                }
-            }
-            if (ops_free && stream == 0) || (!ops_free && backend.avail.is_empty()) {
-                break;
-            }
-        }
-        if ops_free {
-            let drained = (retired - retired_before) as u32;
-            let taken = backend.avail.drain(drained);
-            debug_assert_eq!(taken, (drained, 0));
-        }
-        if backend.avail.is_empty() {
-            mask.clear(activity::RETIRE);
-        }
-        *cycle = c;
-        backend.deficit = deficit;
-        backend.rob_occupancy = rob;
-        let stats = &mut self.stats;
-        stats.retired_instructions = retired;
-        stats.retired_prefetch_ops += ops_retired;
-        stats.topdown.retiring += slots_used;
-        stats.topdown.backend_bound += stalls * u64::from(width);
-        stats.topdown.frontend_bound += frontend;
-        stats.topdown.bad_speculation += bad;
     }
 
     /// The statistics collected so far (valid after [`Self::run`]).
@@ -1310,8 +1128,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         }
         if let BranchOutcome::Taken(_) = rec.outcome {
             self.stats.btb_misses[kind.index()] += 1;
-            let lbr = &self.history[self.history.len().saturating_sub(LBR_DEPTH)..];
-            observer.on_btb_miss(ev.block, kind, lbr, cycle);
+            observer.on_btb_miss(ev.block, kind, self.lbr(), cycle);
             // Install at resolution (the BPU stalls until then anyway).
             let mut ctx = FrontendCtx {
                 cycle,

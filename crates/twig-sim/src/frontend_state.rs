@@ -449,8 +449,6 @@ pub(crate) struct RetireRing {
     ops: Vec<u32>,
     head: usize,
     len: usize,
-    /// Original instructions and prefetch ops queued over all groups.
-    queued: (u64, u64),
 }
 
 impl RetireRing {
@@ -461,7 +459,6 @@ impl RetireRing {
             ops: Vec::new(),
             head: 0,
             len: 0,
-            queued: (0, 0),
         }
     }
 
@@ -495,53 +492,35 @@ impl RetireRing {
 
     /// Appends a decoded group.
     pub fn push_back(&mut self, orig: u32, ops: u32) {
-        debug_assert!(orig + ops > 0, "an empty group would never drain");
         if self.len == self.orig.len() {
             self.grow();
         }
-        self.queued.0 += u64::from(orig);
-        self.queued.1 += u64::from(ops);
         let slot = (self.head + self.len) & (self.orig.len() - 1);
         self.orig[slot] = orig;
         self.ops[slot] = ops;
         self.len += 1;
     }
 
-    /// Retires up to `slots` instructions oldest-first, each group's
-    /// prefetch ops before its original instructions (ops sit at block
-    /// start), and drops every group it exhausts. Returns the
-    /// `(original, ops)` instructions retired.
+    /// Mutable access to the head group as `(&mut orig, &mut ops)`.
     #[inline]
-    pub fn drain(&mut self, mut slots: u32) -> (u32, u32) {
-        let (mut orig_taken, mut ops_taken) = (0, 0);
-        while slots > 0 && self.len > 0 {
+    pub fn front_mut(&mut self) -> Option<(&mut u32, &mut u32)> {
+        if self.len == 0 {
+            None
+        } else {
             let slot = self.head;
-            let (orig, ops) = (&mut self.orig[slot], &mut self.ops[slot]);
-            if *ops > 0 {
-                let take = (*ops).min(slots);
-                *ops -= take;
-                slots -= take;
-                ops_taken += take;
-            } else if *orig > 0 {
-                let take = (*orig).min(slots);
-                *orig -= take;
-                slots -= take;
-                orig_taken += take;
-            }
-            if *orig == 0 && *ops == 0 {
-                self.head = (self.head + 1) & (self.orig.len() - 1);
-                self.len -= 1;
-            }
+            Some((&mut self.orig[slot], &mut self.ops[slot]))
         }
-        self.queued.0 -= u64::from(orig_taken);
-        self.queued.1 -= u64::from(ops_taken);
-        (orig_taken, ops_taken)
     }
 
-    /// `(original, ops)` instructions queued over all groups.
-    #[inline]
-    pub fn queued(&self) -> (u64, u64) {
-        self.queued
+    /// Drops the (exhausted) head group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is empty.
+    pub fn pop_front(&mut self) {
+        assert!(self.len > 0, "pop_front on empty retire ring");
+        self.head = (self.head + 1) & (self.orig.len() - 1);
+        self.len -= 1;
     }
 
     /// Iterates `(orig, ops)` oldest-first.
@@ -664,24 +643,17 @@ mod tests {
     }
 
     #[test]
-    fn retire_ring_drains_ops_first_across_groups() {
+    fn retire_ring_front_mut_and_pop() {
         let mut ring = RetireRing::new();
         ring.push_back(5, 2);
-        ring.push_back(7, 1);
-        // Ops, then original instructions, of the head group first.
-        assert_eq!(ring.drain(4), (2, 2));
-        assert_eq!(ring.iter().collect::<Vec<_>>(), vec![(3, 0), (7, 1)]);
-        // Exhausting a group drops it and moves on to the next.
-        assert_eq!(ring.drain(6), (5, 1));
-        assert_eq!(ring.iter().collect::<Vec<_>>(), vec![(5, 0)]);
-        // More slots than work: the ring drains and the rest go unused.
-        assert_eq!(ring.drain(9), (5, 0));
-        assert!(ring.is_empty());
-        assert_eq!(ring.drain(3), (0, 0));
-        assert_eq!(ring.queued(), (0, 0));
-        ring.push_back(4, 1);
-        ring.push_back(2, 0);
-        assert_eq!(ring.queued(), (6, 1));
+        ring.push_back(7, 0);
+        {
+            let (orig, ops) = ring.front_mut().unwrap();
+            *ops = 0;
+            *orig = 0;
+        }
+        ring.pop_front();
+        assert_eq!(ring.iter().collect::<Vec<_>>(), vec![(7, 0)]);
     }
 
     #[test]

@@ -358,17 +358,17 @@ fn wrong_path_prefetch_changes_icache_traffic_only_when_enabled() {
     assert!((0.7..=1.4).contains(&ratio), "IPC ratio {ratio}");
 }
 
-/// Batched stepping (idle and retire-only leaps) and the integrity tiers
-/// may cost or save time but must never change the simulation: each row's
-/// full `SimStats`, and its timeline when one is recorded, equal the
-/// batched, unchecked run's. Integrity sampling forces per-cycle stepping,
-/// so its rows double as per-cycle oracles for the batched default. The
-/// cases cover a frontend-bound app (kafka), a backend-bound one
-/// (verilator), the app owing the most backend-stall cycles per retired
-/// instruction (finagle-http, the retire leap's deficit path), a windowed
-/// timeline (`on_retire` inside the retire leap), a binary carrying
-/// software prefetch ops (which retire ahead of each block's own
-/// instructions), and the two predecoding prefetchers (their line index).
+/// Batched stepping and the integrity tiers may cost or save time but
+/// must never change the simulation: each row's full `SimStats`, and its
+/// timeline when one is recorded, equal the batched, unchecked run's.
+/// Integrity sampling forces per-cycle stepping, so its rows double as
+/// per-cycle oracles for the batched default. The cases cover a
+/// frontend-bound app (kafka), a backend-bound one (verilator), the app
+/// owing the most backend-stall cycles per retired instruction
+/// (finagle-http, the leap's closed-form deficit drain), a windowed
+/// timeline (`on_retire` around leapt spans), a binary carrying software
+/// prefetch ops (which retire ahead of each block's own instructions),
+/// and the two predecoding prefetchers (their line index).
 #[test]
 fn batching_and_integrity_tiers_preserve_bit_identical_stats() {
     use twig_prefetchers::{Confluence, Shotgun};

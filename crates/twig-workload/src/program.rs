@@ -568,14 +568,17 @@ impl Program {
 /// prefetchers (Confluence, Shotgun) that extract the branches of every
 /// fetched or prefetched I-cache line.
 ///
-/// A line's first query walks the blocks overlapping it, found by one
-/// array lookup instead of a binary search over every block address, and
-/// keeps the branches it finds; every later query of the line reads them
-/// back. An index describes the layout of the one binary it was built
-/// from; a rewrite needs its own. It is built on a prefetcher's first
-/// predecode, so programs that are never predecoded never pay for one.
-/// Lines are stored densely over runs of covered lines; the distant
-/// library region starts a second run instead of a gap-sized array.
+/// One pass over the blocks buckets every branch block by the line of its
+/// branch instruction, so a query reads one slice of block ids instead of
+/// binary-searching every block address and scanning the blocks that
+/// overlap the line. Branch targets are read at query time: most lines are
+/// never predecoded, and resolving every target up front costs a random
+/// read per branch of the binary. An index describes the layout of the one
+/// binary it was built from; a rewrite needs its own. It is built on a
+/// prefetcher's first predecode, so programs that are never predecoded
+/// never pay for one. Lines are stored densely over runs of covered lines;
+/// the distant library region starts a second run instead of a gap-sized
+/// array.
 ///
 /// # Examples
 ///
@@ -583,28 +586,21 @@ impl Program {
 /// use twig_workload::{LineIndex, ProgramGenerator, WorkloadSpec};
 ///
 /// let program = ProgramGenerator::new(WorkloadSpec::tiny_test()).generate();
-/// let mut index = LineIndex::new(&program);
+/// let index = LineIndex::new(&program);
 /// let (_, block) = program.blocks().find(|(_, b)| b.branch_kind().is_some()).unwrap();
 /// let pc = block.branch_pc();
-/// assert!(index.branches_in_line(&program, pc.line()).iter().any(|b| b.pc == pc));
+/// assert!(index.branches_in_line(&program, pc.line()).any(|b| b.pc == pc));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LineIndex {
     /// Runs of covered lines, ascending: `(first line, last line, offset
-    /// of the first line's entries in `first_block` and `found`)`.
+    /// of the first line's entry in `offsets`)`.
     runs: Vec<(u64, u64, usize)>,
-    /// Per line of each run: the first block that can overlap it — the
-    /// last block starting at or before the line's base if it reaches
-    /// past it, else the first block starting after it.
-    first_block: Vec<u32>,
-    /// Per line of each run: its branches' range in `branches`, or
-    /// `UNSCANNED` until the line's first query.
-    found: Vec<(u32, u32)>,
-    /// The branches of every line queried so far, grouped by line.
-    branches: Vec<LineBranch>,
-    /// Blocks in the indexed binary (a cheap check against a mismatched
-    /// program).
-    num_blocks: usize,
+    /// Per line of each run, plus one past the last: where the line's
+    /// blocks start in `blocks` (they end where the next line's start).
+    offsets: Vec<u32>,
+    /// Every block that ends in a branch, in address order.
+    blocks: Vec<BlockId>,
 }
 
 /// A branch as predecode extracts it from a line.
@@ -618,9 +614,6 @@ pub struct LineBranch {
     pub target: Option<Addr>,
 }
 
-/// [`LineIndex::found`] of a line not queried yet.
-const UNSCANNED: (u32, u32) = (u32::MAX, 0);
-
 /// Uncovered lines between two covered runs that still join them into one
 /// run (64 KiB of text): function padding stays inside a run, and only the
 /// far library region starts a new one.
@@ -631,13 +624,15 @@ impl LineIndex {
     ///
     /// Relies on the layout invariant that block addresses are globally
     /// non-decreasing in block-id order (functions are placed in id order
-    /// and blocks are contiguous within functions).
+    /// and blocks are contiguous within functions), so branch addresses
+    /// are too.
     pub fn new(program: &Program) -> Self {
         let addrs = &program.addrs;
         debug_assert!(addrs.is_sorted(), "block addresses must follow block ids");
         // Functions are contiguous block ranges, so their extents give
         // the covered lines without visiting every block.
         let mut runs: Vec<(u64, u64, usize)> = Vec::new();
+        let mut lines = 0;
         for function in program.functions().filter(|f| f.first_block < f.last_block) {
             let first = addrs[function.first_block as usize].line().line_number();
             let last_block = program.block(BlockId::new(function.last_block - 1));
@@ -645,75 +640,66 @@ impl LineIndex {
             let last = Addr::new(last_byte).line().line_number();
             match runs.last_mut() {
                 Some((_, run_last, _)) if first <= run_last.saturating_add(MAX_RUN_GAP_LINES) => {
+                    lines += (last.max(*run_last) - *run_last) as usize;
                     *run_last = (*run_last).max(last);
                 }
-                _ => runs.push((first, last, 0)),
-            }
-        }
-        let mut first_block = Vec::new();
-        // Blocks starting at or before the current line's base.
-        let mut started = 0usize;
-        for (first, last, offset) in &mut runs {
-            *offset = first_block.len();
-            for line in *first..=*last {
-                let base = twig_types::CacheLineAddr::from_line_number(line).base();
-                while started < addrs.len() && addrs[started] <= base {
-                    started += 1;
+                _ => {
+                    runs.push((first, last, lines));
+                    lines += (last - first + 1) as usize;
                 }
-                let straddles = started > 0
-                    && program.block(BlockId::new(started as u32 - 1)).end_addr() > base;
-                first_block.push((started - usize::from(straddles)) as u32);
             }
         }
-        LineIndex {
+        let mut index = LineIndex {
             runs,
-            found: vec![UNSCANNED; first_block.len()],
-            first_block,
-            branches: Vec::new(),
-            num_blocks: addrs.len(),
+            offsets: Vec::with_capacity(lines + 1),
+            blocks: Vec::with_capacity(addrs.len()),
+        };
+        for (id, block) in program.blocks() {
+            if block.branch_kind().is_none() {
+                continue;
+            }
+            let slot = index.slot(block.branch_pc().line()).expect("every block lies in a run");
+            while index.offsets.len() <= slot {
+                index.offsets.push(index.blocks.len() as u32);
+            }
+            index.blocks.push(id);
         }
+        index.offsets.resize(lines + 1, index.blocks.len() as u32);
+        index
+    }
+
+    /// The position of `line` in `offsets`, if a run covers it.
+    #[inline]
+    fn slot(&self, line: twig_types::CacheLineAddr) -> Option<usize> {
+        let n = line.line_number();
+        let &(first, _, offset) = self
+            .runs
+            .iter()
+            .find(|&&(_, last, _)| n <= last)
+            .filter(|&&(first, _, _)| n >= first)?;
+        Some(offset + (n - first) as usize)
     }
 
     /// The branches whose instruction lies in `line`, in address order.
     /// `program` must be the binary the index was built from.
-    pub fn branches_in_line(
-        &mut self,
-        program: &Program,
+    pub fn branches_in_line<'a>(
+        &'a self,
+        program: &'a Program,
         line: twig_types::CacheLineAddr,
-    ) -> &[LineBranch] {
-        debug_assert_eq!(program.num_blocks(), self.num_blocks, "index of another binary");
-        let n = line.line_number();
+    ) -> impl Iterator<Item = LineBranch> + 'a {
         // Lines outside every run hold no block.
-        let Some(&(first, _, offset)) = self
-            .runs
-            .iter()
-            .find(|&&(_, last, _)| n <= last)
-            .filter(|&&(first, _, _)| n >= first)
-        else {
-            return &[];
+        let blocks = match self.slot(line) {
+            Some(k) => &self.blocks[self.offsets[k] as usize..self.offsets[k + 1] as usize],
+            None => &[],
         };
-        let k = offset + (n - first) as usize;
-        if self.found[k] == UNSCANNED {
-            let start = self.branches.len();
-            let end = line.next().base();
-            let from = self.first_block[k] as usize;
-            for (i, _) in program.addrs[from..].iter().take_while(|&&a| a < end).enumerate() {
-                let id = BlockId::new((from + i) as u32);
-                let block = program.block(id);
-                let Some(kind) = block.branch_kind() else { continue };
-                let pc = block.branch_pc();
-                if pc.line() == line {
-                    self.branches.push(LineBranch {
-                        kind,
-                        pc,
-                        target: program.direct_branch_target_addr(id),
-                    });
-                }
+        blocks.iter().map(move |&id| {
+            let block = program.block(id);
+            LineBranch {
+                kind: block.branch_kind().expect("indexed blocks end in a branch"),
+                pc: block.branch_pc(),
+                target: program.direct_branch_target_addr(id),
             }
-            self.found[k] = (start as u32, self.branches.len() as u32);
-        }
-        let (start, end) = self.found[k];
-        &self.branches[start as usize..end as usize]
+        })
     }
 }
 
@@ -864,7 +850,7 @@ mod tests {
         assert_ne!(rewritten.block(BlockId::new(5)).addr, pristine.block(BlockId::new(5)).addr);
 
         for p in [&pristine, &rewritten] {
-            let mut index = LineIndex::new(p);
+            let index = LineIndex::new(p);
             assert!(index.runs.len() >= 2, "the library region starts its own run");
             let mut lines: std::collections::BTreeSet<_> = p
                 .blocks()
@@ -889,10 +875,7 @@ mod tests {
                         target: p.direct_branch_target_addr(id),
                     })
                     .collect();
-                // Twice: the first query scans the line, the second reads
-                // back what the first kept.
-                assert_eq!(index.branches_in_line(p, line), branches, "{line:?}");
-                assert_eq!(index.branches_in_line(p, line), branches, "{line:?} again");
+                assert_eq!(index.branches_in_line(p, line).collect::<Vec<_>>(), branches, "{line:?}");
             }
         }
     }

@@ -91,8 +91,10 @@ pub struct MemSource {
     pos: usize,
 }
 
-/// The shared backing of a [`MemSource`]: a shared slice as handed in, or
-/// a `Vec` moved behind an `Arc` (`Arc<[T]>::from(vec)` would copy it).
+/// The shared backing of a [`MemSource`]. Traces built in memory arrive as
+/// a `Vec` and stay one behind an `Arc` (`Arc<[T]>::from(vec)` would copy
+/// the whole trace); the slice arm serves callers that already hold an
+/// `Arc<[BlockEvent]>` (the `perfbench` harness's traces) without a copy.
 #[derive(Clone, Debug)]
 enum SharedEvents {
     Slice(Arc<[BlockEvent]>),
@@ -121,8 +123,15 @@ impl MemSource {
 /// Moves the events behind an `Arc` without copying them.
 impl From<Vec<BlockEvent>> for MemSource {
     fn from(events: Vec<BlockEvent>) -> Self {
+        Arc::new(events).into()
+    }
+}
+
+/// Shares the events without copying them.
+impl From<Arc<Vec<BlockEvent>>> for MemSource {
+    fn from(events: Arc<Vec<BlockEvent>>) -> Self {
         MemSource {
-            events: SharedEvents::Vec(Arc::new(events)),
+            events: SharedEvents::Vec(events),
             pos: 0,
         }
     }
