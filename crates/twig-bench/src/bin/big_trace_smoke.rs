@@ -74,22 +74,21 @@ fn main() {
 
     // Phase 2: Fig. 16-shaped cells. Train Twig on the in-memory 1M-event
     // prefix (training is cheap and bounded), then score baseline, ideal,
-    // and Twig over the full streamed trace — three bounded-memory passes
-    // of one resettable source.
+    // and Twig over the full streamed trace — three bounded-memory passes,
+    // each over its own clone of one source.
     let t = Instant::now();
-    let mut prefix = MemSource::from(
+    let prefix = MemSource::from(
         ColumnarSource::from_reader(Arc::clone(&reader))
             .take(PREFIX_EVENTS)
             .collect::<Vec<_>>(),
     );
     let optimizer = TwigOptimizer::new(TwigConfig::default());
     let (profile, _) =
-        optimizer.collect_profile_and_stats_from_source(&program, config, &mut prefix, u64::MAX);
+        optimizer.collect_profile_and_stats_from_source(&program, config, &prefix, u64::MAX);
     let plans = optimizer.analyze_for(&profile, &program);
     let optimized = optimizer.rewrite_of(&program, &generator.layout_options(), &plans);
-    let mut source = ColumnarSource::from_reader(Arc::clone(&reader));
-    let report =
-        optimizer.evaluate_with_source(&program, &optimized, config, &mut source, u64::MAX);
+    let source = ColumnarSource::from_reader(Arc::clone(&reader));
+    let report = optimizer.evaluate_with_source(&program, &optimized, config, &source, u64::MAX);
     println!(
         "fig16 cell kafka: twig +{:.2}% ideal +{:.2}% ({:.0}% of ideal) in {:.1}s",
         report.speedup_percent,

@@ -484,12 +484,12 @@ impl ArtifactCache {
             &format!("cache:profile:{}/{input}", app.name()),
             || {
                 let setup = self.setup(app);
-                let mut events = self.events(app, input, instructions);
+                let events = self.events(app, input, instructions);
                 let (profile, stats) = TwigOptimizer::default()
                     .collect_profile_and_stats_from_source(
                         &setup.program,
                         *sim_config,
-                        &mut events,
+                        &events,
                         instructions,
                     );
                 // The profiling run is a plain FDIP baseline run with a
@@ -654,7 +654,6 @@ pub fn global() -> &'static ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_workload::EventSource;
 
     #[test]
     fn setup_is_shared_and_counted() {
@@ -700,7 +699,7 @@ mod tests {
             "the spill file is unlinked once mapped"
         );
         let fresh = cache.setup(AppId::Kafka).fresh_events(2, 30_000);
-        assert_eq!(spilled.event_count(), Some(fresh.len() as u64));
+        assert_eq!(spilled.size_hint(), (fresh.len(), Some(fresh.len())));
         assert_eq!(spilled.collect::<Vec<_>>(), fresh, "spilled trace must be bit-identical");
         // A hit re-verifies the directory-shape fingerprint and serves the
         // same mapping.
@@ -721,7 +720,7 @@ mod tests {
         let setup = cache.setup(AppId::Kafka);
         let reference =
             Walker::new(&setup.program, InputConfig::numbered(0)).run_instructions(30_000);
-        assert_eq!(trace.event_count(), Some(reference.len() as u64));
+        assert_eq!(trace.size_hint(), (reference.len(), Some(reference.len())));
         assert_eq!(trace.collect::<Vec<_>>(), reference);
     }
 
@@ -735,7 +734,7 @@ mod tests {
         let setup = cache.setup(AppId::Kafka);
         let reference =
             Walker::new(&setup.program, InputConfig::numbered(3)).run_instructions(30_000);
-        assert_eq!(trace.event_count(), Some(reference.len() as u64));
+        assert_eq!(trace.size_hint(), (reference.len(), Some(reference.len())));
         assert_eq!(trace.collect::<Vec<_>>(), reference, "streaming decode must be bit-identical");
         std::fs::remove_dir(&dir).expect("the spill file is unlinked once mapped");
     }
@@ -777,7 +776,7 @@ mod tests {
         let (fresh, _) = TwigOptimizer::default().collect_profile_and_stats_from_source(
             &setup.program,
             setup.sim_config,
-            &mut MemSource::from(setup.fresh_events(0, 20_000)),
+            &MemSource::from(setup.fresh_events(0, 20_000)),
             20_000,
         );
         assert_eq!(*cached, fresh, "cached profile must equal a fresh one");

@@ -254,7 +254,7 @@ fn cross_input_matrix(ctx: &ExpContext) -> &'static [CrossInputRow] {
                 let report = optimizer.evaluate_optimized_from_source(
                     trained,
                     config,
-                    &mut events.clone(),
+                    &events,
                     budget,
                     (*baseline).clone(),
                     (*ideal).clone(),
@@ -269,7 +269,7 @@ fn cross_input_matrix(ctx: &ExpContext) -> &'static [CrossInputRow] {
                 let own_report = optimizer.evaluate_optimized_from_source(
                     &own,
                     config,
-                    &mut events.clone(),
+                    &events,
                     budget,
                     (*baseline).clone(),
                     (*ideal).clone(),

@@ -10,7 +10,6 @@
 
 pub mod cache;
 pub mod chart;
-pub mod checkpoint;
 pub mod exp;
 pub mod manifest;
 pub mod runner;
@@ -18,7 +17,6 @@ pub mod shapes;
 pub mod telemetry;
 
 pub use cache::{ArtifactCache, CacheStats};
-pub use checkpoint::CheckpointStore;
 pub use runner::{Cell, CellValue, ExpContext, HeadlineRow, RowMeta};
 
 /// All experiment identifiers, in paper order.

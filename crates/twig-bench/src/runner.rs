@@ -21,7 +21,7 @@
 //! [`twig_sched::run_supervised`] — a panicking or hung cell is
 //! quarantined as [`Cell::Failed`] instead of aborting the run, figures
 //! render such cells as `FAILED(<reason>)`, and completed cells are
-//! persisted through [`crate::checkpoint::CheckpointStore`] so a killed
+//! persisted through [`CheckpointStore`] so a killed
 //! run resumes from where it stopped (see `docs/ROBUSTNESS.md`).
 
 use std::sync::{Arc, OnceLock};
@@ -39,7 +39,7 @@ use twig_workload::{
 };
 
 use crate::cache;
-use crate::checkpoint::CheckpointStore;
+use twig_sched::CheckpointStore;
 use crate::manifest::{self, CellStatus};
 
 /// Experiment context: instruction budget and output directory.

@@ -56,8 +56,8 @@ commands:
                                          regression)
   fleet     run [--out DIR] [--tenants N] [--faults SPEC] [--state-dir DIR]
                                          run the continuous-PGO fleet service
-                                         (TWIG_FLEET_*, TWIG_FAULT_SPEC) and
-                                         write DIR/fleet_manifest.json
+                                         (TWIG_FLEET_WORKERS, TWIG_FAULT_SPEC)
+                                         and write DIR/fleet_manifest.json
   fleet     report MANIFEST.json         per-tenant health/deploy/latency
                                          table from a fleet manifest
   bench     budget BENCH_RESULTS.json --budget BUDGET.json [--slack X]
@@ -321,18 +321,13 @@ fn simulate(args: &Args<'_>) -> Result<SimStats, CliError> {
     }
     let system = build_system(registry_name, &config)?;
     let mut sim = Simulator::new(&program, config, system);
-    let skip: u64 = args.parse_or("skip-events", 0)?;
+    let skip: usize = args.parse_or("skip-events", 0)?;
     let stats = match args.flag("trace") {
         Some(path) => {
-            // Traces stream via the mmap'd chunked reader; the chunk
-            // directory makes `--skip-events` a macro-block leap over
+            // Traces stream via the mmap'd chunked reader; its `nth` (which
+            // `skip` calls) makes `--skip-events` a macro-block leap over
             // whole chunks instead of a decode-and-discard loop.
-            use twig_workload::EventSource;
-            let mut source = open_trace_source(path)?;
-            if skip > 0 {
-                source.skip_events(skip);
-            }
-            sim.run(source, instructions)
+            sim.run(open_trace_source(path)?.skip(skip), instructions)
         }
         None => {
             if skip > 0 {

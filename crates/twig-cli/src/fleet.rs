@@ -2,7 +2,7 @@
 //! its manifest.
 //!
 //! `fleet run` executes the demo fleet under the typed harness
-//! configuration (`TWIG_FLEET_*`, `TWIG_FAULT_SPEC`) and writes the
+//! configuration (`TWIG_FLEET_WORKERS`, `TWIG_FAULT_SPEC`) and writes the
 //! deterministic `fleet_manifest.json`; the job counters go to stderr
 //! so the manifest stays byte-comparable.
 //! `fleet report` renders a manifest as a per-tenant health table.

@@ -11,7 +11,6 @@ fn twig(args: &[&str], envs: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_twig-cli"))
         .env_remove("TWIG_FAULT_SPEC")
         .env_remove("TWIG_FLEET_WORKERS")
-        .env_remove("TWIG_FLEET_MAX_GENERATIONS")
         .envs(envs.iter().copied())
         .args(args)
         .output()

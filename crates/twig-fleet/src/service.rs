@@ -36,12 +36,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use twig::{MissPlan, TwigConfig, TwigOptimizer};
-use twig_bench::CheckpointStore;
 use twig_obs::timeseries::{TimeSeriesRing, DEFAULT_TIMELINE_CAPACITY};
 use twig_obs::{Hist64, TrackKind};
 use twig_profile::Profile;
 use twig_sched::fault::FaultSpec;
-use twig_sched::{run_supervised, FaultKind, TaskError, TaskPolicy, TaskReport};
+use twig_sched::{run_supervised, CheckpointStore, FaultKind, TaskError, TaskPolicy, TaskReport};
 use twig_serde::{Deserialize, Serialize};
 use twig_sim::{PlainBtb, SimConfig, SimStats, Simulator};
 use twig_types::fxhash::FxHashSet;
@@ -91,13 +90,16 @@ impl TenantSpec {
     }
 }
 
-/// Knobs for one fleet run (see `TWIG_FLEET_*` in the README).
+/// Layout generations the convergence watchdog allows a demo fleet run.
+pub const MAX_GENERATIONS: u64 = 8;
+
+/// Knobs for one fleet run (see `TWIG_FLEET_WORKERS` in the README).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Tenant jobs run at once (`TWIG_FLEET_WORKERS`), within the
     /// process-wide thread cap.
     pub workers: usize,
-    /// Layout-generation cap (`TWIG_FLEET_MAX_GENERATIONS`).
+    /// Layout-generation cap of the convergence watchdog.
     pub max_generations: u64,
     /// Full-phase profiling budget per generation, instructions.
     pub instructions: u64,
@@ -126,7 +128,7 @@ impl FleetConfig {
     pub fn demo() -> FleetConfig {
         FleetConfig {
             workers: 1,
-            max_generations: 8,
+            max_generations: MAX_GENERATIONS,
             instructions: 60_000,
             converge_after: 2,
             requests_per_generation: 256,
@@ -138,7 +140,7 @@ impl FleetConfig {
         }
     }
 
-    /// Wires the typed harness configuration (`TWIG_FLEET_*`) and the
+    /// Wires the typed harness configuration (`TWIG_FLEET_WORKERS`) and the
     /// process-wide fault spec into the demo defaults.
     ///
     /// # Errors
@@ -153,7 +155,6 @@ impl FleetConfig {
         };
         Ok(FleetConfig {
             workers: harness.fleet_workers.value,
-            max_generations: harness.fleet_max_generations.value,
             faults: Arc::new(faults),
             ..FleetConfig::demo()
         })
@@ -434,7 +435,7 @@ fn run_job(
     let (profile, stats) = optimizer.collect_profile_and_stats_from_source(
         &job.deployed,
         job.sim,
-        &mut MemSource::from(Arc::clone(&events)),
+        &MemSource::from(Arc::clone(&events)),
         job.instructions,
     );
     let mut fingerprint = profile_fingerprint(&profile);

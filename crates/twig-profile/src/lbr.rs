@@ -57,10 +57,8 @@ impl LbrRecorder {
 
     /// Accounts one executed block (exact execution counts; production
     /// tooling estimates these from the same samples). Takes the event by
-    /// value — [`BlockEvent`] is `Copy`-sized — so one [`EventSource`]
+    /// value — [`BlockEvent`] is `Copy`-sized — so one event stream
     /// drives the recorder and the simulator without a collect.
-    ///
-    /// [`EventSource`]: twig_workload::EventSource
     pub fn observe_event(&mut self, program: &Program, event: BlockEvent) {
         self.profile.block_executions[event.block.index()] += 1;
         self.profile.instructions += u64::from(program.block(event.block).num_instrs);

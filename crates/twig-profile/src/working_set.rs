@@ -65,7 +65,7 @@ impl SpatialRangeAnalyzer {
 
     /// Feeds one executed block event.
     /// Takes the event by value (`BlockEvent` is `Copy`-sized), so an
-    /// `EventSource` drives the analyzer directly.
+    /// event source drives the analyzer directly.
     pub fn observe(&mut self, program: &Program, event: BlockEvent) {
         let block = program.block(event.block);
         let Some(kind) = block.branch_kind() else {

@@ -10,7 +10,7 @@
 //! cell recomputed, never silently served.
 //!
 //! A record is one `durable` frame (magic `"TWCK"`, see
-//! [`twig_sched::durable::encode_frame`]) whose payload is, little-endian:
+//! [`crate::durable::encode_frame`]) whose payload is, little-endian:
 //!
 //! ```text
 //! keylen  u32           length of the cell key
@@ -27,7 +27,7 @@
 
 use std::path::{Path, PathBuf};
 
-use twig_sched::durable::{decode_frame, encode_frame};
+use crate::durable::{decode_frame, encode_frame};
 
 /// On-disk record format version; bump on any layout or semantic change.
 /// Version 2 moved the record into the shared `durable` frame.
@@ -60,7 +60,7 @@ impl CheckpointStore {
                     let path = entry.path();
                     let name = entry.file_name().to_string_lossy().into_owned();
                     if path.extension().is_some_and(|e| e == "ckpt")
-                        || name.ends_with(twig_sched::durable::TMP_SUFFIX)
+                        || name.ends_with(crate::durable::TMP_SUFFIX)
                     {
                         let _ = std::fs::remove_file(&path);
                     }
@@ -128,7 +128,7 @@ impl CheckpointStore {
     /// failure to persist is a warning, not an error: the run's results
     /// are unaffected, only a future resume loses this cell.
     pub fn store(&self, key: &str, payload: &[u8]) {
-        self.store_with_faults(key, payload, twig_sched::fault::global());
+        self.store_with_faults(key, payload, crate::fault::global());
     }
 
     /// [`Self::store`] with an explicit fault spec — the injection seam
@@ -137,7 +137,7 @@ impl CheckpointStore {
     /// reaches disk: the deterministic stand-in for `ENOSPC` or a crash
     /// between `write` and `fsync`. The CRC layer guarantees such a
     /// record is evicted on load, never parsed as truth.
-    pub fn store_with_faults(&self, key: &str, payload: &[u8], faults: &twig_sched::FaultSpec) {
+    pub fn store_with_faults(&self, key: &str, payload: &[u8], faults: &crate::FaultSpec) {
         let Some(path) = self.path_for(key) else {
             return;
         };
@@ -154,7 +154,7 @@ impl CheckpointStore {
             }
             None => record,
         };
-        let write = twig_sched::durable::publish_atomic(
+        let write = crate::durable::publish_atomic(
             &path,
             &record,
             Some("ckpt-tmp"),
@@ -222,7 +222,7 @@ mod tests {
         let dir = temp_dir("torn");
         let store = CheckpointStore::open(&dir, false);
         let spec =
-            twig_sched::FaultSpec::parse("disk-full:label=ckpt:victim,times=1").unwrap();
+            crate::FaultSpec::parse("disk-full:label=ckpt:victim,times=1").unwrap();
         // The injected tear truncates the record mid-payload; the write
         // itself "succeeds" (rename lands), exactly like ENOSPC after a
         // partial write or a crash before fsync.

@@ -401,9 +401,9 @@ impl FaultSpec {
     }
 
     /// True when a service-level clause of `kind` matches `tenant` at
-    /// `generation`. Purely functional (no firing budget — see
-    /// [`FaultClause::matches_service`]), so fleet chaos drills are
-    /// deterministic at any worker count.
+    /// `generation`. Purely functional (no firing budget is consumed, so
+    /// the outcome does not depend on the order workers reach tenants),
+    /// so fleet chaos drills are deterministic at any worker count.
     pub fn fires_service(&self, kind: FaultKind, tenant: &str, generation: u64) -> bool {
         self.clauses
             .iter()

@@ -31,10 +31,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+pub mod checkpoint;
 pub mod durable;
 pub mod fault;
 pub mod supervise;
 
+pub use checkpoint::CheckpointStore;
 pub use durable::{
     publish_atomic, publish_atomic_with, recover_dir, Healed, Journaled, LockError, RunLock,
 };

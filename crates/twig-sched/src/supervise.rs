@@ -201,6 +201,9 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
+/// Total attempts (first run + one retry) every supervised task gets.
+pub const TASK_ATTEMPTS: u32 = 2;
+
 /// Retry/deadline policy for supervised tasks.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskPolicy {
@@ -215,7 +218,7 @@ pub struct TaskPolicy {
 impl Default for TaskPolicy {
     fn default() -> Self {
         TaskPolicy {
-            attempts: 2,
+            attempts: TASK_ATTEMPTS,
             backoff_ms: 100,
             timeout_ms: Some(600_000),
         }
@@ -223,8 +226,8 @@ impl Default for TaskPolicy {
 }
 
 impl TaskPolicy {
-    /// The default policy with `TWIG_TASK_ATTEMPTS`, `TWIG_TASK_BACKOFF_MS`
-    /// and `TWIG_TASK_TIMEOUT_MS` (0 = no deadline) applied on top, via
+    /// The default policy with `TWIG_TASK_BACKOFF_MS` and
+    /// `TWIG_TASK_TIMEOUT_MS` (0 = no deadline) applied on top, via
     /// the unified harness configuration (malformed values abort there
     /// with the variable named, instead of silently using defaults).
     pub fn from_env() -> Self {
@@ -234,9 +237,9 @@ impl TaskPolicy {
     /// The policy carried by an already-parsed harness configuration.
     pub fn from_config(config: &twig_types::HarnessConfig) -> Self {
         TaskPolicy {
-            attempts: config.task_attempts.value,
             backoff_ms: config.task_backoff_ms.value,
             timeout_ms: config.task_timeout_ms.value,
+            ..TaskPolicy::default()
         }
     }
 

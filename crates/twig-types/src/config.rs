@@ -4,7 +4,7 @@
 //! Before this module existed, ~10 `TWIG_*` knobs were parsed ad-hoc in
 //! `twig-sched` (threads, task supervision, fault injection), `twig-sim`
 //! (integrity tiers, forensic dumps), and `twig-bench`. Each call site had
-//! its own tolerance for garbage, so a typo like `TWIG_TASK_ATTEMPTS=tree`
+//! its own tolerance for garbage, so a typo like `TWIG_TASK_BACKOFF_MS=tree`
 //! silently fell back to the default in one crate and aborted in another.
 //!
 //! [`HarnessConfig`] is now the only place environment variables are read:
@@ -30,16 +30,16 @@
 //! use twig_types::config::{HarnessConfig, Source};
 //!
 //! let config = HarnessConfig::from_lookup(|var| match var {
-//!     "TWIG_TASK_ATTEMPTS" => Some("5".to_string()),
+//!     "TWIG_TASK_BACKOFF_MS" => Some("5".to_string()),
 //!     _ => None,
 //! })
 //! .unwrap();
-//! assert_eq!(config.task_attempts.value, 5);
-//! assert_eq!(config.task_attempts.source, Source::Env);
+//! assert_eq!(config.task_backoff_ms.value, 5);
+//! assert_eq!(config.task_backoff_ms.source, Source::Env);
 //! // Explicit arguments win over the environment:
-//! let attempts = config.task_attempts.with_explicit(Some(2));
-//! assert_eq!(attempts.value, 2);
-//! assert_eq!(attempts.source, Source::Explicit);
+//! let backoff = config.task_backoff_ms.with_explicit(Some(2));
+//! assert_eq!(backoff.value, 2);
+//! assert_eq!(backoff.source, Source::Explicit);
 //! ```
 
 use std::fmt;
@@ -48,9 +48,6 @@ use std::sync::OnceLock;
 /// `TWIG_NUM_THREADS` — worker-thread cap for the experiment scheduler
 /// (`RAYON_NUM_THREADS` is honored as a fallback spelling).
 pub const VAR_NUM_THREADS: &str = "TWIG_NUM_THREADS";
-/// `TWIG_TASK_ATTEMPTS` — total supervised-task attempts (first try +
-/// retries), minimum 1.
-pub const VAR_TASK_ATTEMPTS: &str = "TWIG_TASK_ATTEMPTS";
 /// `TWIG_TASK_BACKOFF_MS` — base backoff between task retries.
 pub const VAR_TASK_BACKOFF_MS: &str = "TWIG_TASK_BACKOFF_MS";
 /// `TWIG_TASK_TIMEOUT_MS` — per-attempt task deadline (0 disables it).
@@ -75,9 +72,6 @@ pub const VAR_OBS: &str = "TWIG_OBS";
 /// invariant (the fleet manifest is proven byte-identical across
 /// settings), so this is purely a throughput knob.
 pub const VAR_FLEET_WORKERS: &str = "TWIG_FLEET_WORKERS";
-/// `TWIG_FLEET_MAX_GENERATIONS` — layout-generation cap for the fleet
-/// convergence watchdog, at least 1.
-pub const VAR_FLEET_MAX_GENERATIONS: &str = "TWIG_FLEET_MAX_GENERATIONS";
 
 /// The process-wide configuration behind [`HarnessConfig::global`].
 static GLOBAL: OnceLock<HarnessConfig> = OnceLock::new();
@@ -86,14 +80,12 @@ static GLOBAL: OnceLock<HarnessConfig> = OnceLock::new();
 /// order. The README's reference table and the manifest dump iterate this.
 pub const ALL_VARS: &[&str] = &[
     VAR_NUM_THREADS,
-    VAR_TASK_ATTEMPTS,
     VAR_TASK_BACKOFF_MS,
     VAR_TASK_TIMEOUT_MS,
     VAR_FAULT_SPEC,
     VAR_INTEGRITY,
     VAR_OBS,
     VAR_FLEET_WORKERS,
-    VAR_FLEET_MAX_GENERATIONS,
 ];
 
 /// Where a setting's effective value came from.
@@ -201,8 +193,6 @@ pub struct ConfigEntry {
 pub struct HarnessConfig {
     /// Worker-thread cap; `None` = machine parallelism.
     pub num_threads: Setting<Option<usize>>,
-    /// Supervised-task attempts (first run + retries), at least 1.
-    pub task_attempts: Setting<u32>,
     /// Base backoff between retries, milliseconds.
     pub task_backoff_ms: Setting<u64>,
     /// Per-attempt deadline, milliseconds; `None` = no deadline.
@@ -215,8 +205,6 @@ pub struct HarnessConfig {
     pub obs: Setting<String>,
     /// Fleet tenant jobs run at once, at least 1.
     pub fleet_workers: Setting<usize>,
-    /// Fleet convergence-watchdog generation cap, at least 1.
-    pub fleet_max_generations: Setting<u64>,
 }
 
 impl HarnessConfig {
@@ -224,14 +212,12 @@ impl HarnessConfig {
     pub fn defaults() -> Self {
         HarnessConfig {
             num_threads: Setting::default_value(None),
-            task_attempts: Setting::default_value(2),
             task_backoff_ms: Setting::default_value(100),
             task_timeout_ms: Setting::default_value(Some(600_000)),
             fault_spec: Setting::default_value(None),
             integrity: Setting::default_value("off".to_string()),
             obs: Setting::default_value("off".to_string()),
             fleet_workers: Setting::default_value(1),
-            fleet_max_generations: Setting::default_value(8),
         }
     }
 
@@ -256,10 +242,6 @@ impl HarnessConfig {
                 break;
             }
         }
-        if let Some(raw) = lookup(VAR_TASK_ATTEMPTS) {
-            let n = parse_u64(VAR_TASK_ATTEMPTS, &raw)?;
-            config.task_attempts = Setting::env_value((n as u32).max(1));
-        }
         if let Some(raw) = lookup(VAR_TASK_BACKOFF_MS) {
             config.task_backoff_ms = Setting::env_value(parse_u64(VAR_TASK_BACKOFF_MS, &raw)?);
         }
@@ -279,10 +261,6 @@ impl HarnessConfig {
         if let Some(raw) = lookup(VAR_FLEET_WORKERS) {
             let n = parse_positive(VAR_FLEET_WORKERS, &raw, "worker count")?;
             config.fleet_workers = Setting::env_value(n as usize);
-        }
-        if let Some(raw) = lookup(VAR_FLEET_MAX_GENERATIONS) {
-            let n = parse_positive(VAR_FLEET_MAX_GENERATIONS, &raw, "generation cap")?;
-            config.fleet_max_generations = Setting::env_value(n);
         }
         Ok(config)
     }
@@ -345,14 +323,12 @@ impl HarnessConfig {
         }
         vec![
             row(VAR_NUM_THREADS, &self.num_threads, |v| opt(v, "auto")),
-            row(VAR_TASK_ATTEMPTS, &self.task_attempts, ToString::to_string),
             row(VAR_TASK_BACKOFF_MS, &self.task_backoff_ms, ToString::to_string),
             row(VAR_TASK_TIMEOUT_MS, &self.task_timeout_ms, |v| opt(v, "none")),
             row(VAR_FAULT_SPEC, &self.fault_spec, |v| opt(v, "none")),
             row(VAR_INTEGRITY, &self.integrity, Clone::clone),
             row(VAR_OBS, &self.obs, Clone::clone),
             row(VAR_FLEET_WORKERS, &self.fleet_workers, ToString::to_string),
-            row(VAR_FLEET_MAX_GENERATIONS, &self.fleet_max_generations, ToString::to_string),
         ]
     }
 }
@@ -416,7 +392,7 @@ mod tests {
         for entry in config.entries() {
             assert_eq!(entry.source, "default", "{}", entry.name);
         }
-        assert_eq!(config.task_attempts.value, 2);
+        assert_eq!(config.task_backoff_ms.value, 100);
         assert_eq!(config.task_timeout_ms.value, Some(600_000));
         assert_eq!(config.integrity.value, "off");
         assert_eq!(config.obs.value, "off");
@@ -442,14 +418,15 @@ mod tests {
 
     #[test]
     fn explicit_beats_env_beats_default() {
-        let config = HarnessConfig::from_lookup(env_of(&[("TWIG_TASK_ATTEMPTS", "5")])).unwrap();
-        assert_eq!(config.task_attempts.value, 5);
-        assert_eq!(config.task_attempts.source, Source::Env);
-        let explicit = config.task_attempts.with_explicit(Some(9));
+        let config =
+            HarnessConfig::from_lookup(env_of(&[("TWIG_TASK_BACKOFF_MS", "5")])).unwrap();
+        assert_eq!(config.task_backoff_ms.value, 5);
+        assert_eq!(config.task_backoff_ms.source, Source::Env);
+        let explicit = config.task_backoff_ms.with_explicit(Some(9));
         assert_eq!(explicit.value, 9);
         assert_eq!(explicit.source, Source::Explicit);
         // `None` keeps the env layer.
-        let kept = config.task_attempts.with_explicit(None);
+        let kept = config.task_backoff_ms.with_explicit(None);
         assert_eq!(kept.value, 5);
         assert_eq!(kept.source, Source::Env);
     }
@@ -469,10 +446,10 @@ mod tests {
 
     #[test]
     fn bad_values_name_the_variable() {
-        let err = HarnessConfig::from_lookup(env_of(&[("TWIG_TASK_ATTEMPTS", "tree")]))
+        let err = HarnessConfig::from_lookup(env_of(&[("TWIG_TASK_BACKOFF_MS", "tree")]))
             .unwrap_err();
-        assert_eq!(err.var, "TWIG_TASK_ATTEMPTS");
-        assert!(err.to_string().contains("TWIG_TASK_ATTEMPTS"), "{err}");
+        assert_eq!(err.var, "TWIG_TASK_BACKOFF_MS");
+        assert!(err.to_string().contains("TWIG_TASK_BACKOFF_MS"), "{err}");
         assert!(err.to_string().contains("tree"), "{err}");
 
         let err =
@@ -505,30 +482,15 @@ mod tests {
 
     #[test]
     fn fleet_knobs_parse_and_reject_zero() {
-        let config = HarnessConfig::from_lookup(env_of(&[
-            ("TWIG_FLEET_WORKERS", "4"),
-            ("TWIG_FLEET_MAX_GENERATIONS", "12"),
-        ]))
-        .unwrap();
-        assert_eq!(config.fleet_workers.value, 4);
-        assert_eq!(config.fleet_max_generations.value, 12);
-        assert_eq!(config.fleet_workers.source, Source::Env);
-
-        let defaults = HarnessConfig::defaults();
-        assert_eq!(defaults.fleet_workers.value, 1);
-        assert_eq!(defaults.fleet_max_generations.value, 8);
-
-        for var in ["TWIG_FLEET_WORKERS", "TWIG_FLEET_MAX_GENERATIONS"] {
-            let err = HarnessConfig::from_lookup(env_of(&[(var, "0")])).unwrap_err();
-            assert_eq!(err.var, var);
-            assert!(err.to_string().contains(">= 1"), "{err}");
-        }
-    }
-
-    #[test]
-    fn attempts_floor_at_one() {
         let config =
-            HarnessConfig::from_lookup(env_of(&[("TWIG_TASK_ATTEMPTS", "0")])).unwrap();
-        assert_eq!(config.task_attempts.value, 1);
+            HarnessConfig::from_lookup(env_of(&[("TWIG_FLEET_WORKERS", "4")])).unwrap();
+        assert_eq!(config.fleet_workers.value, 4);
+        assert_eq!(config.fleet_workers.source, Source::Env);
+        assert_eq!(HarnessConfig::defaults().fleet_workers.value, 1);
+
+        let err =
+            HarnessConfig::from_lookup(env_of(&[("TWIG_FLEET_WORKERS", "0")])).unwrap_err();
+        assert_eq!(err.var, "TWIG_FLEET_WORKERS");
+        assert!(err.to_string().contains(">= 1"), "{err}");
     }
 }

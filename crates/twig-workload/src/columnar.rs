@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! file   := header chunk* directory footer
-//! header := magic "TWGC" | version u8 (=1) | chunk_target u32
+//! header := magic "TWGC" | version u8 (=1) | chunk_target u32 (advisory)
 //! chunk  := count u32 | taken u32 | targets u32
 //!           | blocks_len u32 | targets_len u32 | crc u32
 //!           | taken_bits ⌈count/8⌉ | target_bits ⌈count/8⌉
@@ -35,9 +35,9 @@
 //!   plus one mapped window resident.
 //! * **Macro-block fast-forward** — each directory entry repeats the
 //!   chunk's event count and branch-density summary (taken / has-target
-//!   counts), so [`ColumnarReader`] consumers can leap whole chunks
-//!   without touching their pages — the trace-level analogue of the
-//!   simulator's batched idle stepping.
+//!   counts), so [`crate::ColumnarSource`]'s `nth` (hence `.skip(n)`)
+//!   leaps whole chunks without touching their pages — the trace-level
+//!   analogue of the simulator's batched idle stepping.
 //! * **Streamed writes** — [`ColumnarWriter`] emits chunks as events
 //!   arrive and appends the directory at the end, so a trace larger than
 //!   RAM is written through `twig_sched::durable::publish_atomic_with`
@@ -223,18 +223,6 @@ pub struct ChunkSummary {
     pub taken: u32,
     /// Events carrying a target (taken branches).
     pub targets: u32,
-}
-
-impl ChunkSummary {
-    /// Fraction of events whose branch was taken — the chunk's branch
-    /// density. Quiescent (fall-through-heavy) regions score near zero.
-    pub fn taken_density(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            f64::from(self.taken) / f64::from(self.events)
-        }
-    }
 }
 
 /// Streaming `.twgc` encoder over any [`Write`] sink.
@@ -459,7 +447,6 @@ pub struct ColumnarReader {
     /// Index of each chunk's first event, then the total.
     first_events: Vec<u64>,
     total: u64,
-    chunk_target: u32,
 }
 
 impl ColumnarReader {
@@ -490,7 +477,6 @@ impl ColumnarReader {
         if bytes[4] != VERSION {
             return Err(TraceError::BadVersion(bytes[4]));
         }
-        let chunk_target = u32::from_le_bytes(bytes[5..9].try_into().unwrap());
         if bytes.len() < HEADER_LEN + FOOTER_LEN {
             return Err(TraceError::Corrupt {
                 offset: bytes.len() as u64,
@@ -609,7 +595,6 @@ impl ColumnarReader {
             dir,
             first_events,
             total,
-            chunk_target,
         })
     }
 
@@ -621,11 +606,6 @@ impl ColumnarReader {
     /// Number of chunks.
     pub fn chunk_count(&self) -> usize {
         self.dir.len()
-    }
-
-    /// The writer's nominal events-per-chunk.
-    pub fn chunk_target(&self) -> u32 {
-        self.chunk_target
     }
 
     /// Index of chunk `index`'s first event in the trace; `chunk_count()`

@@ -33,10 +33,10 @@
 //!   (macro-block fast-forward);
 //! * **reader** — mmap'd, one chunk resident at a time.
 //!
-//! Consumers are backing-agnostic: anything that takes an [`EventSource`]
-//! accepts an in-memory slice ([`MemSource`]), a live generative walk
-//! ([`WalkerSource`]), or an out-of-core columnar stream
-//! ([`ColumnarSource`]) — see [`source`] for the contract.
+//! Consumers are backing-agnostic: anything that takes a cloneable
+//! `Iterator<Item = BlockEvent>` accepts an in-memory slice
+//! ([`MemSource`]), a live generative walk ([`WalkerSource`]), or an
+//! out-of-core columnar stream ([`ColumnarSource`]) — see [`source`].
 
 // `deny` rather than `forbid`: the one `#[allow(unsafe_code)]` island is
 // the hand-written mmap binding in `mapped::sys`, which the out-of-core
@@ -70,7 +70,7 @@ pub use phases::{LoadPhase, PhaseSchedule};
 pub use program::{
     BasicBlock, Function, LineBranch, LineIndex, Program, TargetSpan, TargetTables, Terminator,
 };
-pub use source::{AnySource, ColumnarSource, EventSource, MemSource, WalkerSource};
+pub use source::{AnySource, ColumnarSource, MemSource, WalkerSource};
 pub use spec::{AppId, Span, Span1, SpecError, TerminatorMix, WorkloadSpec};
 pub use stats::{StaticStats, WorkingSet};
 pub use walker::{BlockEvent, Walker};

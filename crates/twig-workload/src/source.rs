@@ -1,35 +1,34 @@
-//! The streaming trace-ingestion API: owned, resettable [`EventSource`]s.
+//! The streaming trace-ingestion API: owned, cloneable event iterators.
 //!
 //! Every consumer of dynamic control flow — the simulator, the LBR
 //! profiler, the benchmark harness, the fleet service — used to receive a
 //! materialized `Vec<BlockEvent>`/`Arc<[BlockEvent]>`, capping cells at
-//! what fits in RAM. An [`EventSource`] is the replacement contract: an
-//! **owned** (no borrowed program, no `Rc<RefCell>` graph), **resettable**
-//! (replayable from the start, so the profile pass and the simulation
-//! pass read the same stream), **sized** (exact event count when the
-//! backing store knows it) iterator of owned [`BlockEvent`]s.
+//! what fits in RAM. A trace is now any `Iterator<Item = BlockEvent> +
+//! Clone`: **owned** (no borrowed program, no `Rc<RefCell>` graph) and
+//! **replayable by cloning** — a clone shares the backing store and
+//! carries its own cursor, so an unread source handed to several passes
+//! (profile, baseline, ideal, Twig) yields the identical stream to each.
 //!
-//! Three monomorphized implementations cover the design space:
+//! Three implementations cover the design space:
 //!
 //! * [`MemSource`] — a shared in-memory slice; the right choice for small
 //!   traces and tests, and the representation every cached artifact used
 //!   before this API existed.
 //! * [`WalkerSource`] — generates events on the fly from an owned
-//!   [`Walker`], never materializing; replays deterministically because a
-//!   reset reseeds the walker RNG from the input.
+//!   [`Walker`], never materializing; a clone carries the walker's RNG
+//!   state, so it replays the same suffix.
 //! * [`ColumnarSource`] — streams a `.twgc` file chunk by chunk through
-//!   the mmap-backed [`ColumnarReader`] in bounded resident memory.
+//!   the mmap-backed [`ColumnarReader`] in bounded resident memory. Its
+//!   [`Iterator::nth`] leaps whole chunks through the directory, so
+//!   `.skip(n)` never decodes the chunks it skips.
 //!
 //! [`AnySource`] packages the three for call sites that pick a backing
 //! store at runtime (the artifact cache, the harness, the CLI) and
 //! dispatches per event. The simulator consumes it directly: one
 //! predictable branch per event is noise next to the simulation work
 //! each event costs.
-//!
-//! The trait is **sealed**: simulation results must be reproducible from
-//! a cache key, which only holds if every source kind is known to (and
-//! replay-tested by) this crate.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use crate::columnar::{ColumnarReader, TraceError};
@@ -37,53 +36,20 @@ use crate::inputs::InputConfig;
 use crate::program::Program;
 use crate::walker::{BlockEvent, Walker};
 
-mod sealed {
-    /// Seals [`super::EventSource`]; see the module docs for why.
-    pub trait Sealed {}
-}
-
-/// An owned, resettable, exactly-sized producer of [`BlockEvent`]s.
-///
-/// `EventSource` extends [`Iterator`]: any `&mut source` can be handed
-/// straight to `Simulator::run` / `try_run` (which take
-/// `impl IntoIterator<Item = BlockEvent>`), and the caller keeps the
-/// source to [`reset`](EventSource::reset) it for a second pass.
-pub trait EventSource: Iterator<Item = BlockEvent> + Send + sealed::Sealed {
-    /// Rewinds to the first event. The next pass yields the identical
-    /// stream (replay determinism is property-tested per implementation).
-    fn reset(&mut self);
-
-    /// Exact number of events a full pass yields from reset, when the
-    /// backing store knows it (`MemSource`, `ColumnarSource`). `None` for
-    /// generative sources bounded by an instruction budget.
-    fn event_count(&self) -> Option<u64>;
-
-    /// Skips `n` events without handing them to the consumer. Backends
-    /// with a directory ([`ColumnarSource`]) leap whole chunks without
-    /// decoding (macro-block fast-forward); others step.
-    fn skip_events(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.next().is_none() {
-                break;
-            }
-        }
-    }
-}
-
 /// In-memory event source over a shared slice.
 ///
 /// # Examples
 ///
 /// ```
-/// use twig_workload::{BlockEvent, EventSource, MemSource};
+/// use twig_workload::{BlockEvent, MemSource};
 /// use twig_types::BlockId;
 ///
 /// let ev = BlockEvent { block: BlockId::new(1), taken: false, target: None };
 /// let mut source = MemSource::from(vec![ev; 3]);
-/// assert_eq!(source.event_count(), Some(3));
+/// let replay = source.clone();
 /// assert_eq!(source.by_ref().count(), 3);
-/// source.reset();
-/// assert_eq!(source.next(), Some(ev));
+/// assert_eq!(source.next(), None);
+/// assert_eq!(replay.size_hint(), (3, Some(3)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemSource {
@@ -159,103 +125,73 @@ impl Iterator for MemSource {
     }
 }
 
-impl sealed::Sealed for MemSource {}
-
-impl EventSource for MemSource {
-    fn reset(&mut self) {
-        self.pos = 0;
-    }
-
-    fn event_count(&self) -> Option<u64> {
-        Some(self.as_slice().len() as u64)
-    }
-
-    fn skip_events(&mut self, n: u64) {
-        self.pos = self
-            .pos
-            .saturating_add(usize::try_from(n).unwrap_or(usize::MAX))
-            .min(self.as_slice().len());
-    }
-}
-
-/// Generate-on-the-fly event source: an owned [`Walker`] bounded by an
+/// Generate-on-the-fly event source: a [`Walker`] bounded by an
 /// instruction budget, never materializing the stream.
 ///
-/// Budget semantics match [`Walker::run_instructions`]: events are
-/// emitted until at least `instructions` *original program* instructions
-/// have executed (injected prefetch ops do not count), overshooting by at
-/// most one block — so a `WalkerSource` pass equals the `Vec` that
-/// `run_instructions` would have collected, event for event.
+/// The budget rule lives here alone: events are emitted until at least
+/// `instructions` *original program* instructions have executed (injected
+/// prefetch ops do not count), overshooting by at most one block.
+/// [`Walker::run_instructions`] collects exactly this stream, so a
+/// `WalkerSource` pass equals its `Vec`, event for event.
+///
+/// Generic over how the program is held, like [`Walker`]; the owning
+/// `Arc<Program>` default is the self-contained source the harness caches.
 #[derive(Clone, Debug)]
-pub struct WalkerSource {
-    program: Arc<Program>,
-    input: InputConfig,
+pub struct WalkerSource<P: Borrow<Program> = Arc<Program>> {
+    walker: Walker<P>,
     instructions: u64,
-    walker: Walker<Arc<Program>>,
     executed: u64,
 }
 
-impl WalkerSource {
-    /// Starts a budgeted walk over an owned program.
-    pub fn new(program: Arc<Program>, input: InputConfig, instructions: u64) -> Self {
-        let walker = Walker::new(Arc::clone(&program), input);
+impl<P: Borrow<Program>> WalkerSource<P> {
+    /// Starts a budgeted walk of `program` under `input`.
+    pub fn new(program: P, input: InputConfig, instructions: u64) -> Self {
+        Self::budgeted(Walker::new(program, input), instructions)
+    }
+
+    /// Bounds an existing walk by `instructions`.
+    pub(crate) fn budgeted(walker: Walker<P>, instructions: u64) -> Self {
         WalkerSource {
-            program,
-            input,
-            instructions,
             walker,
+            instructions,
             executed: 0,
         }
     }
 
     /// The walked program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
+    pub fn program(&self) -> &Program {
+        self.walker.program()
     }
 
-    /// The instruction budget bounding each pass.
+    /// The instruction budget bounding the walk.
     pub fn instruction_budget(&self) -> u64 {
         self.instructions
     }
 }
 
-impl Iterator for WalkerSource {
+impl<P: Borrow<Program>> Iterator for WalkerSource<P> {
     type Item = BlockEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<BlockEvent> {
         if self.executed >= self.instructions {
             return None;
         }
-        let ev = self.walker.next().expect("walker is infinite");
-        self.executed += u64::from(self.program.block(ev.block).num_instrs);
+        let ev = self.walker.next()?;
+        self.executed += u64::from(self.walker.program().block(ev.block).num_instrs);
         Some(ev)
-    }
-}
-
-impl sealed::Sealed for WalkerSource {}
-
-impl EventSource for WalkerSource {
-    fn reset(&mut self) {
-        self.walker = Walker::new(Arc::clone(&self.program), self.input);
-        self.executed = 0;
-    }
-
-    fn event_count(&self) -> Option<u64> {
-        // Bounded by instructions, not a pre-known event count.
-        None
     }
 }
 
 /// Out-of-core event source streaming a `.twgc` file chunk by chunk.
 ///
-/// Holds one decoded chunk (`chunk_target` events) resident at a time;
-/// pages of consumed chunks are returned to the OS, so RSS stays flat
-/// over arbitrarily long traces. Decode failures after a successful open
-/// (a chunk whose CRC no longer matches) panic: the file validated
-/// structurally at open, so mid-stream corruption means the storage
-/// mutated under a running experiment — a fail-fast integrity violation,
-/// handled like every torn artifact in this harness (crash, supervise,
-/// recover).
+/// Holds one decoded chunk resident at a time; pages of consumed chunks
+/// are returned to the OS, so RSS stays flat over arbitrarily long
+/// traces. Decode failures after a successful open (a chunk whose CRC no
+/// longer matches) panic: the file validated structurally at open, so
+/// mid-stream corruption means the storage mutated under a running
+/// experiment — a fail-fast integrity violation, handled like every torn
+/// artifact in this harness (crash, supervise, recover).
 #[derive(Clone, Debug)]
 pub struct ColumnarSource {
     reader: Arc<ColumnarReader>,
@@ -329,33 +265,20 @@ impl Iterator for ColumnarSource {
         let left = usize::try_from(left).unwrap_or(usize::MAX);
         (left, Some(left))
     }
-}
 
-impl sealed::Sealed for ColumnarSource {}
-
-impl EventSource for ColumnarSource {
-    fn reset(&mut self) {
-        self.chunk = 0;
-        self.buf.clear();
-        self.pos = 0;
-    }
-
-    fn event_count(&self) -> Option<u64> {
-        Some(self.reader.total_events())
-    }
-
-    fn skip_events(&mut self, mut n: u64) {
-        // Drain the resident chunk first.
-        let buffered = (self.buf.len() - self.pos) as u64;
-        if n <= buffered {
-            self.pos += n as usize;
-            return;
+    /// Macro-block fast-forward: drains the resident chunk, then leaps
+    /// whole chunks via the directory without decoding (or faulting in)
+    /// their payloads, decoding only the chunk it lands in. `Skip` calls
+    /// this, so `.skip(n)` costs at most one chunk decode.
+    fn nth(&mut self, n: usize) -> Option<BlockEvent> {
+        let buffered = self.buf.len() - self.pos;
+        if n < buffered {
+            self.pos += n;
+            return self.next();
         }
-        n -= buffered;
+        let mut n = (n - buffered) as u64;
         self.buf.clear();
         self.pos = 0;
-        // Macro-block fast-forward: leap whole chunks via the directory
-        // without decoding (or faulting in) their payloads.
         while let Some(summary) = self.reader.summaries().get(self.chunk) {
             if u64::from(summary.events) > n {
                 break;
@@ -363,19 +286,21 @@ impl EventSource for ColumnarSource {
             n -= u64::from(summary.events);
             self.chunk += 1;
         }
-        if n > 0 && self.load_next_chunk() {
-            self.pos = (n as usize).min(self.buf.len());
+        if !self.load_next_chunk() {
+            return None;
         }
+        // The landing chunk holds more than `n` events.
+        self.pos = n as usize;
+        self.next()
     }
 }
 
 /// A runtime-selected event source: one of the three concrete backings.
 ///
-/// Call sites that know the backing statically use the concrete type.
-/// The enum implements [`EventSource`] by delegating each call to its
-/// backing, so a hot loop handed an `AnySource` runs on it directly.
-/// A clone shares the backing (slice, mapped file, program) and carries
-/// its own cursor, so one unread source can be handed out many times.
+/// Call sites that know the backing statically use the concrete type; a
+/// hot loop handed an `AnySource` runs on it directly. A clone shares the
+/// backing (slice, mapped file, program) and carries its own cursor, so
+/// one unread source can be handed out many times.
 #[derive(Clone, Debug)]
 pub enum AnySource {
     /// In-memory slice.
@@ -430,34 +355,6 @@ impl Iterator for AnySource {
     }
 }
 
-impl sealed::Sealed for AnySource {}
-
-impl EventSource for AnySource {
-    fn reset(&mut self) {
-        match self {
-            AnySource::Mem(s) => s.reset(),
-            AnySource::Walker(s) => s.reset(),
-            AnySource::Columnar(s) => s.reset(),
-        }
-    }
-
-    fn event_count(&self) -> Option<u64> {
-        match self {
-            AnySource::Mem(s) => s.event_count(),
-            AnySource::Walker(s) => s.event_count(),
-            AnySource::Columnar(s) => s.event_count(),
-        }
-    }
-
-    fn skip_events(&mut self, n: u64) {
-        match self {
-            AnySource::Mem(s) => s.skip_events(n),
-            AnySource::Walker(s) => s.skip_events(n),
-            AnySource::Columnar(s) => s.skip_events(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,8 +365,13 @@ mod tests {
         Arc::new(ProgramGenerator::new(WorkloadSpec::tiny_test()).generate())
     }
 
+    fn columnar(events: &[BlockEvent], chunk: u32) -> ColumnarSource {
+        let bytes = encode_columnar_chunked(events, chunk);
+        ColumnarSource::from_reader(Arc::new(ColumnarReader::from_bytes(bytes).unwrap()))
+    }
+
     /// `From<Vec>` moves the events: the source reads the `Vec`'s own
-    /// buffer, and clones share it.
+    /// buffer, and clones share it and replay from their own cursor.
     #[test]
     fn mem_source_from_vec_keeps_the_buffer() {
         let events = Walker::new(&*tiny(), crate::InputConfig::numbered(0)).run_instructions(5_000);
@@ -478,11 +380,11 @@ mod tests {
         assert_eq!(source.as_slice().as_ptr(), ptr);
         let clone = source.clone();
         assert_eq!(clone.as_slice().as_ptr(), ptr);
-        assert_eq!(source.event_count(), Some(expect.len() as u64));
+        assert_eq!(source.size_hint(), (expect.len(), Some(expect.len())));
         assert_eq!(source.by_ref().collect::<Vec<_>>(), expect);
-        source.reset();
-        source.skip_events(3);
-        assert_eq!(source.next(), Some(expect[3]));
+        assert_eq!(source.next(), None);
+        assert_eq!(clone.clone().nth(3), Some(expect[3]));
+        assert_eq!(clone.collect::<Vec<_>>(), expect);
     }
 
     #[test]
@@ -495,66 +397,75 @@ mod tests {
         assert_eq!(streamed, reference);
     }
 
+    /// A clone taken before the first event replays the whole walk; one
+    /// taken mid-walk replays the same suffix under the same budget.
     #[test]
-    fn walker_source_reset_replays_identically() {
+    fn walker_source_clone_replays_identically() {
         let p = tiny();
         let mut source = WalkerSource::new(p, InputConfig::numbered(1), 5_000);
-        let first: Vec<_> = source.by_ref().collect();
-        source.reset();
-        let second: Vec<_> = source.by_ref().collect();
-        assert_eq!(first, second);
-        assert!(!first.is_empty());
+        let replay = source.clone();
+        let head: Vec<_> = source.by_ref().take(100).collect();
+        let mid = source.clone();
+        let tail: Vec<_> = source.collect();
+        let first: Vec<_> = replay.collect();
+        assert_eq!(first, [head, tail.clone()].concat());
+        assert_eq!(mid.collect::<Vec<_>>(), tail);
+        assert!(!tail.is_empty());
     }
 
     #[test]
-    fn columnar_source_streams_and_resets() {
+    fn columnar_source_streams_and_clones_replay() {
         let p = tiny();
         let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(0))
             .take(5_000)
             .collect();
-        let bytes = encode_columnar_chunked(&events, 300);
-        let reader = Arc::new(ColumnarReader::from_bytes(bytes).unwrap());
-        let mut source = ColumnarSource::from_reader(reader);
-        assert_eq!(source.event_count(), Some(events.len() as u64));
+        let mut source = columnar(&events, 300);
+        let replay = source.clone();
+        assert_eq!(source.size_hint(), (events.len(), Some(events.len())));
         let first: Vec<_> = source.by_ref().collect();
         assert_eq!(first, events);
-        source.reset();
-        let second: Vec<_> = source.by_ref().collect();
+        assert_eq!(source.next(), None);
+        let second: Vec<_> = replay.collect();
         assert_eq!(second, events);
     }
 
+    /// `.skip(n)` and `nth(n)` land on the same event on every backing,
+    /// including at and across chunk boundaries and past the end.
     #[test]
     fn skip_events_agrees_across_sources() {
         let p = tiny();
-        let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(2))
-            .take(4_000)
-            .collect();
-        let bytes = encode_columnar_chunked(&events, 128);
-        for skip in [0u64, 1, 127, 128, 129, 1000, 3_999, 4_000, 9_999] {
-            let expect: Vec<_> = events.iter().copied().skip(skip as usize).collect();
-            let mut mem = MemSource::from(events.clone());
-            mem.skip_events(skip);
-            assert_eq!(mem.collect::<Vec<_>>(), expect, "mem skip={skip}");
-            let mut col = ColumnarSource::from_reader(Arc::new(
-                ColumnarReader::from_bytes(bytes.clone()).unwrap(),
-            ));
-            col.skip_events(skip);
-            assert_eq!(col.collect::<Vec<_>>(), expect, "columnar skip={skip}");
+        let walk = WalkerSource::new(Arc::clone(&p), InputConfig::numbered(2), 16_000);
+        let events: Vec<_> = walk.clone().collect();
+        let n = events.len();
+        assert!(n > 1_000, "the walk spans several chunks: {n}");
+        let col = columnar(&events, 128);
+        let sources: Vec<AnySource> = vec![
+            MemSource::from(events.clone()).into(),
+            walk.into(),
+            col.clone().into(),
+        ];
+        for skip in [0, 1, 127, 128, 129, 1000, n - 1, n, n + 5_999] {
+            let expect: Vec<_> = events.iter().copied().skip(skip).collect();
+            for source in &sources {
+                assert_eq!(source.clone().skip(skip).collect::<Vec<_>>(), expect, "skip={skip}");
+                assert_eq!(source.clone().nth(skip), events.get(skip).copied(), "nth={skip}");
+            }
+            // `AnySource` steps; the concrete columnar source leaps chunks.
+            assert_eq!(col.clone().skip(skip).collect::<Vec<_>>(), expect, "columnar skip={skip}");
+            assert_eq!(col.clone().nth(skip), events.get(skip).copied(), "columnar nth={skip}");
         }
     }
 
     /// `size_hint` is exact before, inside and across chunk boundaries,
-    /// after skips, at the end and after a reset.
+    /// after chunk leaps and at the end; a clone keeps the full count.
     #[test]
     fn columnar_size_hint_is_exact() {
         let p = tiny();
         let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(0))
             .take(1_000)
             .collect();
-        let bytes = encode_columnar_chunked(&events, 64);
-        let mut source = ColumnarSource::from_reader(Arc::new(
-            ColumnarReader::from_bytes(bytes).unwrap(),
-        ));
+        let mut source = columnar(&events, 64);
+        let replay = source.clone();
         let exact = |source: &ColumnarSource, left: usize| {
             assert_eq!(source.size_hint(), (left, Some(left)));
         };
@@ -563,55 +474,60 @@ mod tests {
             source.next().unwrap();
             exact(&source, 1_000 - consumed);
         }
-        source.skip_events(300);
+        assert_eq!(source.nth(299), Some(events[499]));
         exact(&source, 500);
-        source.skip_events(64);
+        assert_eq!(source.nth(63), Some(events[563]));
         exact(&source, 436);
         let rest: Vec<_> = source.by_ref().take(436).collect();
         assert!(rest.capacity() < 512, "one allocation of the exact size");
         exact(&source, 0);
         assert_eq!(source.next(), None);
-        source.reset();
-        exact(&source, 1_000);
-        let any = AnySource::from(source);
+        exact(&replay, 1_000);
+        let any = AnySource::from(replay);
         assert_eq!(any.size_hint(), (1_000, Some(1_000)));
     }
 
+    /// Stepping, then leaping across several chunk boundaries, resumes
+    /// mid-chunk at the right event; repeated `nth` equals stepping.
     #[test]
     fn columnar_skip_then_resume_mid_chunk() {
         let p = tiny();
         let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(0))
             .take(1_000)
             .collect();
-        let bytes = encode_columnar_chunked(&events, 64);
-        let mut source = ColumnarSource::from_reader(Arc::new(
-            ColumnarReader::from_bytes(bytes).unwrap(),
-        ));
-        // Consume a few, then skip across several chunk boundaries.
+        let mut source = columnar(&events, 64);
         let head: Vec<_> = source.by_ref().take(10).collect();
         assert_eq!(head, events[..10]);
-        source.skip_events(500);
-        let tail: Vec<_> = source.collect();
+        let tail: Vec<_> = source.by_ref().skip(500).collect();
         assert_eq!(tail, events[510..]);
+
+        let mut leaping = columnar(&events, 64);
+        let mut stepping = events.iter().copied();
+        for gap in [0, 3, 60, 64, 65, 127, 200, 1, 0, 400] {
+            assert_eq!(leaping.nth(gap), stepping.nth(gap), "gap={gap}");
+        }
     }
 
+    /// Every backing streams the same events through the enum, and a
+    /// clone taken mid-chunk replays the same suffix as its original.
     #[test]
     fn any_source_dispatches_all_backings() {
         let p = tiny();
-        let events: Vec<_> = Walker::new(p.as_ref(), InputConfig::numbered(0))
-            .take(200)
-            .collect();
-        let bytes = encode_columnar_chunked(&events, 64);
+        let walk = WalkerSource::new(Arc::clone(&p), InputConfig::numbered(0), 2_000);
+        let events: Vec<_> = walk.clone().collect();
+        assert!(events.len() > 200);
         let sources: Vec<AnySource> = vec![
             MemSource::from(events.clone()).into(),
-            ColumnarSource::from_reader(Arc::new(ColumnarReader::from_bytes(bytes).unwrap()))
-                .into(),
+            walk.into(),
+            columnar(&events, 64).into(),
         ];
-        for mut source in sources {
-            let collected: Vec<_> = source.by_ref().collect();
-            assert_eq!(collected, events);
-            source.reset();
-            assert_eq!(source.count(), events.len());
+        for source in sources {
+            assert_eq!(source.clone().collect::<Vec<_>>(), events);
+            let mut source = source;
+            assert_eq!(source.by_ref().take(100).count(), 100);
+            let mid = source.clone();
+            assert_eq!(source.collect::<Vec<_>>(), events[100..]);
+            assert_eq!(mid.collect::<Vec<_>>(), events[100..]);
         }
     }
 }

@@ -67,7 +67,7 @@ const MAX_STACK_DEPTH: usize = 512;
 /// Generic over how the program is held: `Walker::new(&program, ..)` borrows
 /// (the common case), while an owning holder such as `Arc<Program>` yields a
 /// self-contained walker — what [`crate::WalkerSource`] uses to be an owned,
-/// resettable event source.
+/// cloneable event source.
 ///
 /// # Examples
 ///
@@ -120,15 +120,18 @@ impl<P: Borrow<Program>> Walker<P> {
     ///
     /// Injected prefetch ops do not count toward the budget, so the same
     /// budget covers the same *program work* before and after rewriting.
-    pub fn run_instructions(mut self, instructions: u64) -> Vec<BlockEvent> {
+    /// The budget rule is [`WalkerSource`]'s; this collects that stream.
+    ///
+    /// [`WalkerSource`]: crate::WalkerSource
+    pub fn run_instructions(self, instructions: u64) -> Vec<BlockEvent> {
         let mut events = Vec::with_capacity((instructions / 4) as usize);
-        let mut executed = 0u64;
-        while executed < instructions {
-            let ev = self.next().expect("walker is infinite");
-            executed += u64::from(self.program.borrow().block(ev.block).num_instrs);
-            events.push(ev);
-        }
+        events.extend(crate::WalkerSource::budgeted(self, instructions));
         events
+    }
+
+    /// The walked program.
+    pub(crate) fn program(&self) -> &Program {
+        self.program.borrow()
     }
 
     /// Resolves the dynamic successor of `block` and returns the event.

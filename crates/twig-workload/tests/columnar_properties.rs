@@ -1,7 +1,7 @@
 //! Property tests for the columnar `.twgc` trace format: lossless
 //! round-trips on arbitrary event streams and chunk sizes, rejection of
 //! torn tails and single-bit flips anywhere in the CRC-covered region,
-//! and reset-replay determinism of the chunked reader behind
+//! and clone-replay determinism of the chunked reader behind
 //! [`ColumnarSource`].
 
 use std::sync::Arc;
@@ -10,7 +10,6 @@ use twig_proptest::prelude::*;
 use twig_types::BlockId;
 use twig_workload::{
     decode_columnar, encode_columnar_chunked, BlockEvent, ColumnarReader, ColumnarSource,
-    EventSource,
 };
 
 /// Bytes before the first chunk: magic (4) + version (1) + chunk_target
@@ -77,11 +76,12 @@ proptest! {
         prop_assert!(rejected, "bit {bit} flip at byte {at} went undetected");
     }
 
-    /// The chunked reader is deterministic under replay: a reset source
-    /// re-yields the identical stream, and skipping `n` events lands
-    /// exactly where iterate-and-drop would.
+    /// The chunked reader is deterministic under replay: a clone of an
+    /// unread source re-yields the identical stream, a clone taken after
+    /// `n` events replays the same suffix, and skipping `n` events (a
+    /// chunk leap) lands exactly where iterate-and-drop would.
     #[test]
-    fn reset_replay_is_deterministic(
+    fn clone_replay_is_deterministic(
         events in arb_events(),
         chunk in 1u32..300,
         skip in any::<usize>(),
@@ -89,15 +89,19 @@ proptest! {
         let bytes = encode_columnar_chunked(&events, chunk);
         let reader = Arc::new(ColumnarReader::from_bytes(bytes).expect("open"));
         let mut source = ColumnarSource::from_reader(reader);
+        let replay = source.clone();
         let first: Vec<BlockEvent> = source.by_ref().collect();
         prop_assert_eq!(&first, &events);
-        source.reset();
-        let second: Vec<BlockEvent> = source.by_ref().collect();
+        let second: Vec<BlockEvent> = replay.clone().collect();
         prop_assert_eq!(&second, &events);
         let n = skip % (events.len() + 1);
-        source.reset();
-        source.skip_events(n as u64);
-        let tail: Vec<BlockEvent> = source.collect();
+        let tail: Vec<BlockEvent> = replay.clone().skip(n).collect();
         prop_assert_eq!(&tail[..], &events[n..]);
+        let mut stepped = replay;
+        for _ in 0..n {
+            stepped.next();
+        }
+        let suffix: Vec<BlockEvent> = stepped.clone().collect();
+        prop_assert_eq!(&suffix[..], &events[n..]);
     }
 }

@@ -9,7 +9,7 @@ use twig_serde::{Deserialize, Serialize};
 use twig_profile::{LbrRecorder, Profile};
 use twig_sim::{speedup_percent, PlainBtb, SimConfig, SimStats, Simulator};
 use twig_workload::{
-    EventSource, InputConfig, LayoutOptions, MemSource, Program, ProgramGenerator, Walker,
+    BlockEvent, InputConfig, LayoutOptions, MemSource, Program, ProgramGenerator, Walker,
     WorkloadSpec,
 };
 
@@ -95,21 +95,23 @@ impl TwigOptimizer {
     /// FDIP baseline run over the same events — callers that need both get
     /// the baseline run for free with the profile.
     ///
-    /// The profile pass consumes one full pass of the source, the source
-    /// is reset, and the simulation replays the identical stream (replay
-    /// determinism is the source contract).
-    pub fn collect_profile_and_stats_from_source<S: EventSource>(
+    /// The profile pass and the simulation each read their own clone of
+    /// `source`, so both see the identical stream (a clone replays from
+    /// the source's cursor; the source itself is not advanced).
+    pub fn collect_profile_and_stats_from_source<S>(
         &self,
         program: &Program,
         sim_config: SimConfig,
-        source: &mut S,
+        source: &S,
         instructions: u64,
-    ) -> (Profile, SimStats) {
+    ) -> (Profile, SimStats)
+    where
+        S: Iterator<Item = BlockEvent> + Clone,
+    {
         let mut recorder = LbrRecorder::new(program, 1);
-        recorder.observe_events(program, source.by_ref());
-        source.reset();
+        recorder.observe_events(program, source.clone());
         let mut sim = Simulator::new(program, sim_config, PlainBtb::new(&sim_config));
-        let stats = sim.run_observed(source.by_ref(), instructions, &mut recorder);
+        let stats = sim.run_observed(source.clone(), instructions, &mut recorder);
         (recorder.into_profile(), stats)
     }
 
@@ -148,65 +150,72 @@ impl TwigOptimizer {
 
     /// Simulates the FDIP baseline and the ideal BTB for `original` over
     /// `source` — the two reference runs every evaluation is scored
-    /// against. The baseline pass runs, the source resets, the ideal pass
-    /// replays. They depend only on the original binary and the input,
+    /// against, each over its own clone of `source`. They depend only on
+    /// the original binary and the input,
     /// not on the optimized variant, so callers evaluating several
     /// rewrites of the same program under the same input compute them
     /// once and feed them to [`Self::evaluate_optimized_from_source`]
     /// repeatedly.
-    pub fn reference_stats_from_source<S: EventSource>(
+    pub fn reference_stats_from_source<S>(
         original: &Program,
         sim_config: SimConfig,
-        source: &mut S,
+        source: &S,
         instructions: u64,
-    ) -> (SimStats, SimStats) {
+    ) -> (SimStats, SimStats)
+    where
+        S: Iterator<Item = BlockEvent> + Clone,
+    {
         let mut base_sim = Simulator::new(original, sim_config, PlainBtb::new(&sim_config));
-        let baseline = base_sim.run(source.by_ref(), instructions);
-        source.reset();
+        let baseline = base_sim.run(source.clone(), instructions);
         let ideal_cfg = SimConfig {
             ideal_btb: true,
             ..sim_config
         };
         let mut ideal_sim = Simulator::new(original, ideal_cfg, PlainBtb::new(&ideal_cfg));
-        let ideal = ideal_sim.run(source.by_ref(), instructions);
+        let ideal = ideal_sim.run(source.clone(), instructions);
         (baseline, ideal)
     }
 
     /// Scores one optimized binary against precomputed reference runs
     /// (see [`Self::reference_stats_from_source`]); runs only the Twig
-    /// simulation. Resets the source first, so it composes after a
-    /// reference pass. The optimized binary replays the same control flow
-    /// (block ids are stable across the rewrite).
-    pub fn evaluate_optimized_from_source<S: EventSource>(
+    /// simulation, over a clone of `source`, so it composes after a
+    /// reference pass over the same source. The optimized binary replays
+    /// the same control flow (block ids are stable across the rewrite).
+    pub fn evaluate_optimized_from_source<S>(
         &self,
         optimized: &OptimizedBinary,
         sim_config: SimConfig,
-        source: &mut S,
+        source: &S,
         instructions: u64,
         baseline: SimStats,
         ideal: SimStats,
-    ) -> EvalReport {
-        source.reset();
+    ) -> EvalReport
+    where
+        S: Iterator<Item = BlockEvent> + Clone,
+    {
         let mut twig_sim = Simulator::new(
             &optimized.program,
             sim_config,
             PlainBtb::new(&sim_config),
         );
-        let twig = twig_sim.run(source.by_ref(), instructions);
+        let twig = twig_sim.run(source.clone(), instructions);
         self.score(twig, baseline, ideal)
     }
 
     /// Evaluates an optimized binary against the baseline and the ideal BTB
-    /// over one input: three bounded-memory passes (baseline, ideal, Twig)
-    /// over one resettable stream.
-    pub fn evaluate_with_source<S: EventSource>(
+    /// over one input: three bounded-memory passes (baseline, ideal, Twig),
+    /// each over its own clone of `source`.
+    pub fn evaluate_with_source<S>(
         &self,
         original: &Program,
         optimized: &OptimizedBinary,
         sim_config: SimConfig,
-        source: &mut S,
+        source: &S,
         instructions: u64,
-    ) -> EvalReport {
+    ) -> EvalReport
+    where
+        S: Iterator<Item = BlockEvent> + Clone,
+    {
         let (baseline, ideal) =
             Self::reference_stats_from_source(original, sim_config, source, instructions);
         self.evaluate_optimized_from_source(
@@ -260,20 +269,14 @@ impl TwigOptimizer {
         let (profile, _) = self.collect_profile_and_stats_from_source(
             &program,
             sim_config,
-            &mut walk(train),
+            &walk(train),
             instructions,
         );
         let plans = self.analyze_for(&profile, &program);
         let optimized = self.rewrite_of(&program, &generator.layout_options(), &plans);
         test.iter()
             .map(|&i| {
-                self.evaluate_with_source(
-                    &program,
-                    &optimized,
-                    sim_config,
-                    &mut walk(i),
-                    instructions,
-                )
+                self.evaluate_with_source(&program, &optimized, sim_config, &walk(i), instructions)
             })
             .collect()
     }
@@ -350,18 +353,17 @@ mod tests {
         // The materialized trace, the live walk, and the out-of-core
         // columnar stream must agree exactly — profiles, stats, and reports.
         let columnar = twig_workload::columnar::encode_columnar_chunked(&events, 4096);
-        let mut sources: Vec<AnySource> = vec![
+        let sources: Vec<AnySource> = vec![
             MemSource::from(events).into(),
             WalkerSource::new(Arc::clone(&program), input, budget).into(),
             ColumnarSource::from_reader(Arc::new(ColumnarReader::from_bytes(columnar).unwrap()))
                 .into(),
         ];
-        let mut runs = sources.iter_mut().map(|source| {
+        let mut runs = sources.iter().map(|source| {
             let (profile, stats) =
                 optimizer.collect_profile_and_stats_from_source(&program, sim, source, budget);
             let plans = optimizer.analyze_for(&profile, &program);
             let optimized = optimizer.rewrite_of(&program, &generator.layout_options(), &plans);
-            source.reset();
             let report = optimizer.evaluate_with_source(&program, &optimized, sim, source, budget);
             (profile, stats, report)
         });
@@ -383,7 +385,7 @@ mod tests {
         let (profile, _) = optimizer.collect_profile_and_stats_from_source(
             &program,
             sim,
-            &mut MemSource::from(events),
+            &MemSource::from(events),
             100_000,
         );
         assert!(profile.num_samples() > 0);

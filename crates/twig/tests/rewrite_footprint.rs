@@ -63,7 +63,7 @@ fn rewritten_kafka_holds_at_most_16_bytes_per_block() {
     let (profile, _) = optimizer.collect_profile_and_stats_from_source(
         &pristine,
         sim,
-        &mut MemSource::from(train),
+        &MemSource::from(train),
         PROFILE_INSTRUCTIONS,
     );
     let plans = optimizer.analyze_for(&profile, &pristine);

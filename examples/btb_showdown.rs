@@ -65,7 +65,7 @@ fn main() {
     let (profile, _) = optimizer.collect_profile_and_stats_from_source(
         &program,
         config,
-        &mut MemSource::from(train),
+        &MemSource::from(train),
         instructions,
     );
     let plans = optimizer.analyze_for(&profile, &program);

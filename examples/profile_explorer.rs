@@ -28,7 +28,7 @@ fn main() {
     let (profile, _) = optimizer.collect_profile_and_stats_from_source(
         &program,
         config,
-        &mut MemSource::from(train),
+        &MemSource::from(train),
         instructions,
     );
     println!(

@@ -77,15 +77,15 @@ fn same_input_profile_is_at_least_as_good_on_average() {
         let (p, _) = optimizer.collect_profile_and_stats_from_source(
             &program,
             sim,
-            &mut walk(input),
+            &walk(input),
             BUDGET,
         );
         optimizer.rewrite_of(&program, &generator.layout_options(), &optimizer.analyze(&p))
     };
     let (trained, own) = (optimize(0), optimize(2));
     let trained_report =
-        optimizer.evaluate_with_source(&program, &trained, sim, &mut walk(2), BUDGET);
-    let own_report = optimizer.evaluate_with_source(&program, &own, sim, &mut walk(2), BUDGET);
+        optimizer.evaluate_with_source(&program, &trained, sim, &walk(2), BUDGET);
+    let own_report = optimizer.evaluate_with_source(&program, &own, sim, &walk(2), BUDGET);
     assert!(
         own_report.coverage >= trained_report.coverage * 0.8,
         "same-input profile much worse than training profile: {:.3} vs {:.3}",

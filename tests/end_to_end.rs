@@ -44,7 +44,7 @@ fn optimize(
     let (profile, _) = optimizer.collect_profile_and_stats_from_source(
         program,
         sim,
-        &mut walk(program, 0, budget),
+        &walk(program, 0, budget),
         budget,
     );
     optimizer.rewrite_of(program, &generator.layout_options(), &optimizer.analyze(&profile))
@@ -106,8 +106,8 @@ fn overheads_are_within_paper_bands() {
     let generator = ProgramGenerator::new(spec.clone());
     let program = generator.generate();
     let optimized = optimize(&optimizer, &generator, &program, sim, BUDGET);
-    let mut test_walk = walk(&program, 1, BUDGET);
-    let report = optimizer.evaluate_with_source(&program, &optimized, sim, &mut test_walk, BUDGET);
+    let test_walk = walk(&program, 1, BUDGET);
+    let report = optimizer.evaluate_with_source(&program, &optimized, sim, &test_walk, BUDGET);
 
     // Paper: static < 10%, dynamic < 12.6% in the worst case.
     assert!(
