@@ -353,15 +353,6 @@ impl CacheStats {
             && self.prepared_misses == self.prepared_entries + self.prepared_evictions
             && self.sim_misses == self.sim_entries + self.sim_evictions
     }
-
-    /// Total integrity evictions across all shards.
-    pub fn total_evictions(&self) -> u64 {
-        self.setup_evictions
-            + self.events_evictions
-            + self.profile_evictions
-            + self.prepared_evictions
-            + self.sim_evictions
-    }
 }
 
 /// The memoized store handing out shared artifacts.

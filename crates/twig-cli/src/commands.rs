@@ -8,7 +8,9 @@ use twig_workload::{
 };
 
 use crate::error::CliError;
-use crate::io::{open_trace_source, read_json, read_profile, write_json, write_profile, Args};
+use crate::io::{
+    open_trace_source, read_json, read_profile, read_snapshot, write_json, write_profile, Args,
+};
 
 const USAGE: &str = "\
 twig — profile-guided BTB prefetching toolkit (MICRO'21 reproduction)
@@ -323,12 +325,7 @@ fn simulate(args: &Args<'_>) -> Result<SimStats, CliError> {
     let mut sim = Simulator::new(&program, config, system);
     let skip: usize = args.parse_or("skip-events", 0)?;
     let stats = match args.flag("trace") {
-        Some(path) => {
-            // Traces stream via the mmap'd chunked reader; its `nth` (which
-            // `skip` calls) makes `--skip-events` a macro-block leap over
-            // whole chunks instead of a decode-and-discard loop.
-            sim.run(open_trace_source(path)?.skip(skip), instructions)
-        }
+        Some(path) => replay_trace(&mut sim, &program, path, skip, instructions)?,
         None => {
             if skip > 0 {
                 return Err(CliError::Usage(
@@ -380,14 +377,41 @@ fn simulate(args: &Args<'_>) -> Result<SimStats, CliError> {
     Ok(stats)
 }
 
-fn read_snapshot(path: &str) -> Result<twig_obs::MetricsSnapshot, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
-    twig_obs::MetricsSnapshot::from_json(&text).map_err(|e| CliError::decode(path, e))
-}
-
-fn read_timeline_snapshot(path: &str) -> Result<twig_obs::TimelineSnapshot, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
-    twig_obs::TimelineSnapshot::from_json(&text).map_err(|e| CliError::decode(path, e))
+/// Simulates the `.twgc` trace at `path` after skipping `skip` events.
+/// The trace streams through the mmap'd chunked reader, whose `try_nth`
+/// makes the skip a leap over whole chunks. The stream ends at the first
+/// corrupt chunk or the first event `program` could not have produced (a
+/// trace recorded from another spec), and that is the error: the events
+/// are checked one by one as they stream, never collected.
+fn replay_trace(
+    sim: &mut Simulator<'_, Box<dyn BtbSystem>>,
+    program: &Program,
+    path: &str,
+    mut skip: usize,
+    instructions: u64,
+) -> Result<SimStats, CliError> {
+    let mut source = open_trace_source(path)?;
+    let mut fault = None;
+    let events = std::iter::from_fn(|| match source.try_nth(std::mem::take(&mut skip)) {
+        Ok(Some(ev)) if !ev.fits(program) => {
+            fault = Some(CliError::Decode {
+                path: path.to_string(),
+                source: format!(
+                    "{ev:?} is not a step of this spec's program; \
+                     was the trace recorded from another spec?"
+                )
+                .into(),
+            });
+            None
+        }
+        Ok(next) => next,
+        Err(e) => {
+            fault = Some(CliError::decode(path, e));
+            None
+        }
+    });
+    let stats = sim.run(events, instructions);
+    fault.map_or(Ok(stats), Err)
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
@@ -408,8 +432,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
                 return Err(usage());
             }
             let [a, b] = [args.get(2).ok_or_else(usage)?, args.get(3).ok_or_else(usage)?];
-            let before = read_timeline_snapshot(a)?;
-            let after = read_timeline_snapshot(b)?;
+            let before = read_snapshot(a, twig_obs::TimelineSnapshot::from_json)?;
+            let after = read_snapshot(b, twig_obs::TimelineSnapshot::from_json)?;
             let diff = twig_obs::diff_timelines(&before, &after);
             out!("{diff}");
             if diff.is_empty() {
@@ -423,8 +447,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
         }
         "diff" => {
             let [a, b] = [args.get(1).ok_or_else(usage)?, args.get(2).ok_or_else(usage)?];
-            let before = read_snapshot(a)?;
-            let after = read_snapshot(b)?;
+            let before = read_snapshot(a, twig_obs::MetricsSnapshot::from_json)?;
+            let after = read_snapshot(b, twig_obs::MetricsSnapshot::from_json)?;
             let diff = twig_obs::diff_snapshots(&before, &after);
             out!("{diff}");
             if diff.is_empty() {
@@ -671,6 +695,12 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(e.exit_code(), 4);
+        // A missing trace is I/O (3) as well, not a decode failure.
+        let spec = dir.join("spec.json").to_string_lossy().into_owned();
+        crate::io::write_json(&spec, &WorkloadSpec::tiny_test()).unwrap();
+        let missing = dir.join("missing.twgc").to_string_lossy().into_owned();
+        let e = dispatch(&strs(&["simulate", "--spec", &spec, "--trace", &missing])).unwrap_err();
+        assert_eq!(e.exit_code(), 3, "{e:?}");
         // Semantically invalid: (5).
         let e = dispatch(&strs(&["spec", "--app", "not-an-app", "--out", "/tmp/x"])).unwrap_err();
         assert_eq!(e.exit_code(), 5);
@@ -982,6 +1012,53 @@ mod tests {
         ]))
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Records a trace of `traced`, applies `corrupt` to its bytes,
+    /// simulates it under `simulated` and returns the cause of the decode
+    /// error (exit 4) that must follow.
+    fn simulate_bad_trace(
+        tag: &str,
+        traced: &WorkloadSpec,
+        simulated: &WorkloadSpec,
+        corrupt: impl FnOnce(&mut [u8]),
+    ) -> String {
+        let dir = std::env::temp_dir().join(format!("twig-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        crate::io::write_json(&p("traced.json"), traced).unwrap();
+        crate::io::write_json(&p("simulated.json"), simulated).unwrap();
+        let (spec, trace) = (p("traced.json"), p("t.twgc"));
+        dispatch(&strs(&["trace", "--spec", &spec, "--out", &trace])).unwrap();
+        let mut bytes = std::fs::read(&trace).unwrap();
+        corrupt(&mut bytes);
+        std::fs::write(&trace, &bytes).unwrap();
+        let spec = p("simulated.json");
+        let e = dispatch(&strs(&["simulate", "--spec", &spec, "--trace", &trace])).unwrap_err();
+        assert_eq!(e.exit_code(), 4, "{e:?}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::error::Error::source(&e).unwrap().to_string()
+    }
+
+    /// A flipped bit in a chunk of an otherwise intact trace is found when
+    /// that chunk streams in: exit 4, not a panic.
+    #[test]
+    fn corrupt_trace_chunk_is_a_decode_error() {
+        let mut spec = WorkloadSpec::tiny_test();
+        spec.app_funcs = 200;
+        // Past the 13-byte head and the first chunk's 9-byte frame head.
+        let cause = simulate_bad_trace("flip", &spec, &spec, |t| t[13 + 9 + 40] ^= 0x04);
+        assert!(cause.contains("checksum mismatch"), "{cause}");
+    }
+
+    /// A trace recorded from one app, simulated against another app's
+    /// spec, stops at its first event that spec's program could not have
+    /// produced: exit 4, not a panic.
+    #[test]
+    fn trace_from_another_spec_is_a_decode_error() {
+        let [kafka, verilator] = [AppId::Kafka, AppId::Verilator].map(WorkloadSpec::preset);
+        let cause = simulate_bad_trace("foreign", &kafka, &verilator, |_| {});
+        assert!(cause.contains("another spec"), "{cause}");
     }
 
     #[test]

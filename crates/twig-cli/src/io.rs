@@ -37,6 +37,17 @@ pub fn read_json<T: DeserializeOwned>(path: &str) -> Result<T, CliError> {
     twig_serde_json::from_str(&text).map_err(|e| CliError::decode(path, e))
 }
 
+/// Reads an observability export (a metrics, attribution or timeline
+/// snapshot) through its type's own parser, e.g.
+/// `read_snapshot(path, MetricsSnapshot::from_json)`.
+pub fn read_snapshot<T, E>(path: &str, parse: fn(&str) -> Result<T, E>) -> Result<T, CliError>
+where
+    E: std::error::Error + Send + Sync + 'static,
+{
+    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
+    parse(&text).map_err(|e| CliError::decode(path, e))
+}
+
 /// Writes a JSON artifact (pretty-printed), atomically.
 pub fn write_json<T: Serialize>(path: &str, value: &T) -> Result<(), CliError> {
     let text = twig_serde_json::to_string_pretty(value).map_err(|e| CliError::decode(path, e))?;
@@ -75,12 +86,15 @@ pub fn write_profile(path: &str, profile: &twig_profile::Profile) -> Result<(), 
     }
 }
 
-/// Opens a `.twgc` trace as a resettable event source streaming through
-/// the mmap'd chunked reader (bounded resident memory, never
-/// materialized). Any other file fails the magic check as a
-/// [`CliError::Decode`].
+/// Opens a `.twgc` trace as an event source streaming through the mmap'd
+/// chunked reader (bounded resident memory, never materialized). A file
+/// that cannot be read is a [`CliError::Io`]; any other file fails the
+/// frame check as a [`CliError::Decode`].
 pub fn open_trace_source(path: &str) -> Result<twig_workload::ColumnarSource, CliError> {
-    twig_workload::ColumnarSource::open(Path::new(path)).map_err(|e| CliError::decode(path, e))
+    twig_workload::ColumnarSource::open(Path::new(path)).map_err(|e| match e {
+        twig_workload::TraceError::Io(e) => CliError::io("read", path, e),
+        e => CliError::decode(path, e),
+    })
 }
 
 /// Tiny argument cursor: `--key value` flags plus positionals.

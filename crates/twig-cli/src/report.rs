@@ -19,6 +19,7 @@ use twig_obs::{AttributionSnapshot, MetricsSnapshot, MissKind, TimelineSnapshot}
 use twig_serde::{Deserialize, Serialize};
 
 use crate::error::CliError;
+use crate::io::read_snapshot;
 
 /// Schema version of `BENCH_trajectory.json`.
 pub const TRAJECTORY_VERSION: u32 = 1;
@@ -26,21 +27,6 @@ pub const TRAJECTORY_VERSION: u32 = 1;
 /// Schema version of the `report --json` digest
 /// (`docs/schema/report-v1.json`).
 pub const REPORT_DIGEST_VERSION: u32 = 1;
-
-fn read_metrics(path: &str) -> Result<MetricsSnapshot, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
-    MetricsSnapshot::from_json(&text).map_err(|e| CliError::decode(path, e))
-}
-
-fn read_attribution(path: &str) -> Result<AttributionSnapshot, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
-    AttributionSnapshot::from_json(&text).map_err(|e| CliError::decode(path, e))
-}
-
-fn read_timeline(path: &str) -> Result<TimelineSnapshot, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::io("read", path, e))?;
-    TimelineSnapshot::from_json(&text).map_err(|e| CliError::decode(path, e))
-}
 
 /// File stem without the export suffixes: `m/kafka_twig.attr.json` →
 /// `kafka_twig`.
@@ -426,7 +412,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
         }
         first = false;
         if path.ends_with(".attr.json") {
-            let attr = read_attribution(path)?;
+            let attr = read_snapshot(path, AttributionSnapshot::from_json)?;
             if json {
                 digest.attribution.push(DigestAttrCell {
                     id: stem(path),
@@ -440,7 +426,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
                 print_attribution_section(path, &attr, top);
             }
         } else if path.ends_with(".timeline.json") {
-            let tl = read_timeline(path)?;
+            let tl = read_snapshot(path, TimelineSnapshot::from_json)?;
             if json {
                 digest.timelines.push(DigestTimelineCell {
                     id: stem(path),
@@ -453,7 +439,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
                 print_timeline_section(path, &tl);
             }
         } else {
-            let snap = read_metrics(path)?;
+            let snap = read_snapshot(path, MetricsSnapshot::from_json)?;
             if json {
                 digest.metrics.push(digest_metrics(path, &snap)?);
             } else {
@@ -647,8 +633,9 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
             regressions += 1;
             continue;
         }
-        let base = derive(&base_path, &read_metrics(&base_path)?)?;
-        let current = derive(&cur_path, &read_metrics(&cur_path)?)?;
+        let read = |path| read_snapshot(path, MetricsSnapshot::from_json);
+        let base = derive(&base_path, &read(&base_path)?)?;
+        let current = derive(&cur_path, &read(&cur_path)?)?;
         for spec in &METRICS {
             let (delta, verdict) = judge(spec, (spec.read)(&base), (spec.read)(&current));
             if verdict == Verdict::Regressed {

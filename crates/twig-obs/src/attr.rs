@@ -72,11 +72,6 @@ impl MissKind {
         }
     }
 
-    /// Whether this kind is a BTB structure miss (vs a predictor miss).
-    pub fn is_btb_miss(&self) -> bool {
-        matches!(self, MissKind::BtbMissDecode | MissKind::BtbMissExecute)
-    }
-
     /// Dense index (position in [`MissKind::ALL`]).
     pub fn index(&self) -> usize {
         *self as usize

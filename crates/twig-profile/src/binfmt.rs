@@ -5,11 +5,12 @@
 //! roughly 20× smaller and is what the `twig` CLI writes for `.twpf`
 //! files. Each sample's history window is written in full; the decoder
 //! rebuilds the profile's shared log through [`Profile::push_sample`].
-//! Layout (little-endian, varint = LEB128):
+//!
+//! A `.twpf` file is one `twig_sched::durable` frame (magic `"TWPF"`,
+//! version 2), so a flipped bit or a torn write fails its checksum. The
+//! payload is (varint = LEB128):
 //!
 //! ```text
-//! magic   "TWPF"           4 bytes
-//! version u8               currently 1
 //! period  varint           sampling period
 //! instrs  varint           instructions profiled
 //! nblocks varint           block-execution array length
@@ -25,22 +26,21 @@
 //!   history nhist × (varint block, varint cycle-delta-from-previous)
 //! ```
 
-use twig_bytes::{Buf, BufMut, Bytes, BytesMut};
+use twig_sched::durable::{decode_record, get_varint, put_varint, write_frame, FrameError};
 use twig_types::{BlockId, BranchKind};
 
 use crate::profile::Profile;
 
 const MAGIC: &[u8; 4] = b"TWPF";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 /// Errors produced when decoding a binary profile.
 #[derive(Debug)]
 pub enum ProfileCodecError {
-    /// Not a binary profile (bad magic).
-    BadMagic,
-    /// Unsupported version.
-    BadVersion(u8),
-    /// Stream ended mid-structure.
+    /// The bytes are not one intact profile frame: another file kind,
+    /// another format version, a torn write or a flipped bit.
+    Frame(FrameError),
+    /// The payload ended mid-structure.
     Truncated,
     /// Invalid enum encoding.
     BadKind(u8),
@@ -68,8 +68,7 @@ pub enum ProfileCodecError {
 impl std::fmt::Display for ProfileCodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProfileCodecError::BadMagic => write!(f, "not a twig binary profile"),
-            ProfileCodecError::BadVersion(v) => write!(f, "unsupported profile version {v}"),
+            ProfileCodecError::Frame(e) => write!(f, "not an intact twig binary profile: {e}"),
             ProfileCodecError::Truncated => write!(f, "profile ended unexpectedly"),
             ProfileCodecError::BadKind(k) => write!(f, "invalid branch kind {k}"),
             ProfileCodecError::Oversized {
@@ -101,10 +100,8 @@ impl std::error::Error for ProfileCodecError {}
 /// let bytes = encode_profile(&profile);
 /// assert_eq!(decode_profile(&bytes).unwrap(), profile);
 /// ```
-pub fn encode_profile(profile: &Profile) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + profile.num_samples() * 48);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+pub fn encode_profile(profile: &Profile) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + profile.num_samples() * 48);
     put_varint(&mut buf, u64::from(profile.sample_period));
     put_varint(&mut buf, profile.instructions);
     put_varint(&mut buf, profile.block_executions.len() as u64);
@@ -115,9 +112,9 @@ pub fn encode_profile(profile: &Profile) -> Bytes {
     for s in profile.samples() {
         let history = profile.history(s);
         put_varint(&mut buf, u64::from(s.branch_block.raw()));
-        buf.put_u8(s.kind.index() as u8);
+        buf.push(s.kind.index() as u8);
         put_varint(&mut buf, s.cycle);
-        buf.put_u8(history.len() as u8);
+        buf.push(history.len() as u8);
         let mut prev_cycle = 0u64;
         for &(block, cycle) in history {
             put_varint(&mut buf, u64::from(block.raw()));
@@ -125,7 +122,9 @@ pub fn encode_profile(profile: &Profile) -> Bytes {
             prev_cycle = cycle;
         }
     }
-    buf.freeze()
+    let mut out = Vec::with_capacity(buf.len() + twig_sched::durable::FRAME_OVERHEAD);
+    write_frame(&mut out, MAGIC, VERSION, &[&buf]).expect("writing to a Vec cannot fail");
+    out
 }
 
 /// Decodes a binary profile.
@@ -133,55 +132,42 @@ pub fn encode_profile(profile: &Profile) -> Bytes {
 /// # Errors
 ///
 /// Returns [`ProfileCodecError`] on malformed input.
-pub fn decode_profile(mut buf: &[u8]) -> Result<Profile, ProfileCodecError> {
-    if buf.len() < 5 || &buf[..4] != MAGIC {
-        return Err(ProfileCodecError::BadMagic);
-    }
-    let version = buf[4];
-    if version != VERSION {
-        return Err(ProfileCodecError::BadVersion(version));
-    }
-    buf.advance(5);
-    let sample_period = get_u32(&mut buf, "sample period")?;
-    let instructions = get_varint(&mut buf)?;
+pub fn decode_profile(bytes: &[u8]) -> Result<Profile, ProfileCodecError> {
+    let buf = &mut decode_record(bytes, MAGIC, VERSION).map_err(ProfileCodecError::Frame)?;
+    let sample_period = get_u32(buf, "sample period")?;
+    let instructions = get_u64(buf)?;
     // Every declared count is validated against the bytes actually left
     // before any allocation sized by it: each block execution is at least
     // one varint byte, each sample at least four bytes (block, kind,
     // cycle, history length), each history entry at least two. A header
     // claiming more than that is corrupt — reject it with a typed error
     // instead of reserving gigabytes.
-    let nblocks = get_count(&mut buf, "block execution", 1)?;
+    let nblocks = get_count(buf, "block execution", 1)?;
     let mut block_executions = Vec::with_capacity(nblocks);
     for _ in 0..nblocks {
-        block_executions.push(get_varint(&mut buf)?);
+        block_executions.push(get_u64(buf)?);
     }
-    let nsamples = get_count(&mut buf, "sample", 4)?;
+    let nsamples = get_count(buf, "sample", 4)?;
     let mut profile = Profile::new(0, sample_period);
     profile.block_executions = block_executions;
     profile.instructions = instructions;
     let mut history = Vec::with_capacity(u8::MAX as usize);
     for _ in 0..nsamples {
-        let branch_block = get_block(&mut buf, "branch block id")?;
-        if !buf.has_remaining() {
-            return Err(ProfileCodecError::Truncated);
-        }
-        let kind_idx = buf.get_u8();
+        let branch_block = get_block(buf, "branch block id")?;
+        let kind_idx = get_u8(buf)?;
         let kind = *BranchKind::ALL
             .get(kind_idx as usize)
             .ok_or(ProfileCodecError::BadKind(kind_idx))?;
-        let cycle = get_varint(&mut buf)?;
-        if !buf.has_remaining() {
-            return Err(ProfileCodecError::Truncated);
-        }
-        let nhist = buf.get_u8() as usize;
-        if buf.remaining() < nhist * 2 {
+        let cycle = get_u64(buf)?;
+        let nhist = get_u8(buf)? as usize;
+        if buf.len() < nhist * 2 {
             return Err(ProfileCodecError::Truncated);
         }
         history.clear();
         let mut prev_cycle = 0u64;
         for _ in 0..nhist {
-            let block = get_block(&mut buf, "history block id")?;
-            let delta = get_varint(&mut buf)?;
+            let block = get_block(buf, "history block id")?;
+            let delta = get_u64(buf)?;
             prev_cycle = prev_cycle.saturating_add(delta);
             history.push((block, prev_cycle));
         }
@@ -191,21 +177,21 @@ pub fn decode_profile(mut buf: &[u8]) -> Result<Profile, ProfileCodecError> {
     Ok(profile)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
+/// Splits one byte off the front of `buf`.
+fn get_u8(buf: &mut &[u8]) -> Result<u8, ProfileCodecError> {
+    let (&byte, rest) = buf.split_first().ok_or(ProfileCodecError::Truncated)?;
+    *buf = rest;
+    Ok(byte)
+}
+
+/// Decodes a varint.
+fn get_u64(buf: &mut &[u8]) -> Result<u64, ProfileCodecError> {
+    get_varint(buf).ok_or(ProfileCodecError::Truncated)
 }
 
 /// Decodes a varint that must fit in `u32` (block ids, sample period).
 fn get_u32(buf: &mut &[u8], field: &'static str) -> Result<u32, ProfileCodecError> {
-    let value = get_varint(buf)?;
+    let value = get_u64(buf)?;
     u32::try_from(value).map_err(|_| ProfileCodecError::Overflow { field, value })
 }
 
@@ -225,8 +211,8 @@ fn get_count(
     field: &'static str,
     min_bytes: u64,
 ) -> Result<usize, ProfileCodecError> {
-    let declared = get_varint(buf)?;
-    let budget = buf.remaining() as u64 / min_bytes;
+    let declared = get_u64(buf)?;
+    let budget = buf.len() as u64 / min_bytes;
     if declared > budget {
         return Err(ProfileCodecError::Oversized {
             field,
@@ -237,25 +223,11 @@ fn get_count(
     Ok(declared as usize)
 }
 
-fn get_varint(buf: &mut &[u8]) -> Result<u64, ProfileCodecError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(ProfileCodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(ProfileCodecError::Truncated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LbrRecorder;
+    use twig_sched::durable::FRAME_HEAD;
     use twig_sim::{PlainBtb, SimConfig, Simulator};
     use twig_workload::{InputConfig, ProgramGenerator, Walker, WorkloadSpec};
 
@@ -288,19 +260,50 @@ mod tests {
         assert!(bin * 4 < json, "binary {bin} bytes vs JSON {json} bytes");
     }
 
+    /// One `.twpf` frame around a hand-written payload.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_frame(&mut out, MAGIC, VERSION, &[body]).unwrap();
+        out
+    }
+
     #[test]
     fn rejects_garbage_and_truncation() {
         assert!(matches!(
             decode_profile(b"NOPE\x01"),
-            Err(ProfileCodecError::BadMagic)
+            Err(ProfileCodecError::Frame(FrameError::BadMagic))
         ));
         assert!(matches!(
             decode_profile(b"TWPF\x07\x00"),
-            Err(ProfileCodecError::BadVersion(7))
+            Err(ProfileCodecError::Frame(FrameError::BadVersion(7)))
+        ));
+        // A version-1 profile (the bare varint body, no checksum): no v1
+        // reader is kept.
+        assert!(matches!(
+            decode_profile(b"TWPF\x01\x01\x00\x00\x00"),
+            Err(ProfileCodecError::Frame(FrameError::BadVersion(1)))
         ));
         let bytes = encode_profile(&real_profile());
         for cut in [5, 9, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_profile(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// Every single-bit flip anywhere in an encoded profile is rejected:
+    /// the frame's checksum covers the whole payload, so no flip decodes
+    /// to a different profile.
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        let bytes = encode_profile(&crate::profile::tests::hand_built());
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    decode_profile(&flipped).is_err(),
+                    "bit {bit} flip at byte {at} decoded"
+                );
+            }
         }
     }
 
@@ -316,22 +319,22 @@ mod tests {
     fn oversized_counts_rejected_before_allocating() {
         // Header declaring u64::MAX blocks with no bytes behind it: must
         // fail with the typed error, instantly, without reserving memory.
-        let mut bytes = b"TWPF\x01\x01\x00".to_vec();
-        bytes.extend_from_slice(&[0xff; 9]);
-        bytes.push(0x01); // varint u64::MAX-ish block count
+        let mut body = b"\x01\x00".to_vec();
+        body.extend_from_slice(&[0xff; 9]);
+        body.push(0x01); // varint u64::MAX block count
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::Oversized {
                 field: "block execution",
                 ..
             })
         ));
         // Same for the sample count after a valid empty block array.
-        let mut bytes = b"TWPF\x01\x01\x00\x00".to_vec();
-        bytes.extend_from_slice(&[0xff; 9]);
-        bytes.push(0x01);
+        let mut body = b"\x01\x00\x00".to_vec();
+        body.extend_from_slice(&[0xff; 9]);
+        body.push(0x01);
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::Oversized {
                 field: "sample",
                 ..
@@ -343,11 +346,11 @@ mod tests {
     fn out_of_range_values_are_typed_errors_not_truncations() {
         // period=1, instrs=0, nblocks=0, nsamples=1, branch block id
         // 2^40 — above u32::MAX, which the old decoder truncated silently.
-        let mut bytes = b"TWPF\x01\x01\x00\x00\x01".to_vec();
-        bytes.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x40]); // varint 2^40
-        bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
+        let mut body = b"\x01\x00\x00\x01".to_vec();
+        body.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x40]); // varint 2^40
+        body.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::Overflow {
                 field: "branch block id",
                 ..
@@ -355,37 +358,38 @@ mod tests {
         ));
     }
 
-    /// The format writes every window in full, shared log or not: these
-    /// are the bytes of the format's first version.
+    /// The format writes every window in full, shared log or not. The
+    /// payload bytes are those of the format's first version; version 2
+    /// wraps them in a frame.
     #[test]
     fn golden_bytes_are_unchanged() {
-        const GOLDEN: [u8; 36] = [
-            84, 87, 80, 70, 1, 2, 232, 7, 3, 5, 0, 130, 1, 2, 2, 2, 40, 3, 0, 10, 1, 15, 2, 15, 1,
-            0, 172, 2, 3, 1, 25, 2, 15, 1, 132, 2,
+        const GOLDEN: [u8; 44] = [
+            84, 87, 80, 70, 2, 31, 0, 0, 0, 2, 232, 7, 3, 5, 0, 130, 1, 2, 2, 2, 40, 3, 0, 10, 1,
+            15, 2, 15, 1, 0, 172, 2, 3, 1, 25, 2, 15, 1, 132, 2, 130, 78, 1, 82,
         ];
         let profile = crate::profile::tests::hand_built();
-        assert_eq!(encode_profile(&profile).to_vec(), GOLDEN);
+        assert_eq!(encode_profile(&profile), GOLDEN);
         assert_eq!(decode_profile(&GOLDEN).unwrap(), profile);
     }
 
     #[test]
     fn u32_max_block_id_is_a_typed_error() {
         // period=1, instrs=0, nblocks=0, nsamples=1, branch block u32::MAX.
-        let mut bytes = b"TWPF\x01\x01\x00\x00\x01".to_vec();
-        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
-        bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
+        let mut body = b"\x01\x00\x00\x01".to_vec();
+        body.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        body.extend_from_slice(&[0x00, 0x00, 0x00]); // kind, cycle, nhist
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::Overflow {
                 field: "branch block id",
                 value: 0xffff_ffff,
             })
         ));
         // The same id inside a history.
-        let mut bytes = b"TWPF\x01\x01\x00\x00\x01\x00\x00\x00\x01".to_vec();
-        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0x00]);
+        let mut body = b"\x01\x00\x00\x01\x00\x00\x00\x01".to_vec();
+        body.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x0f, 0x00]);
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::Overflow {
                 field: "history block id",
                 ..
@@ -402,13 +406,14 @@ mod tests {
             5,
             &[(BlockId::new(0), 5)],
         );
-        let mut bytes = encode_profile(&p).to_vec();
+        let bytes = encode_profile(&p);
+        let mut body = bytes[FRAME_HEAD..bytes.len() - 4].to_vec();
         // Tail layout: kind, cycle, nhist, hist-block, hist-delta — each
         // one byte for this tiny profile, so the kind sits 5 from the end.
-        let kind_pos = bytes.len() - 5;
-        bytes[kind_pos] = 99;
+        let kind_pos = body.len() - 5;
+        body[kind_pos] = 99;
         assert!(matches!(
-            decode_profile(&bytes),
+            decode_profile(&framed(&body)),
             Err(ProfileCodecError::BadKind(99))
         ));
     }

@@ -9,8 +9,8 @@
 //! payload — a torn, truncated, or bit-flipped record is evicted and the
 //! cell recomputed, never silently served.
 //!
-//! A record is one `durable` frame (magic `"TWCK"`, see
-//! [`crate::durable::encode_frame`]) whose payload is, little-endian:
+//! A record is one [`crate::durable`] frame (magic `"TWCK"`) whose
+//! payload is, little-endian:
 //!
 //! ```text
 //! keylen  u32           length of the cell key
@@ -27,10 +27,10 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::durable::{decode_frame, encode_frame};
+use crate::durable::{decode_record, write_frame};
 
 /// On-disk record format version; bump on any layout or semantic change.
-/// Version 2 moved the record into the shared `durable` frame.
+/// Version 2 moved the record into the shared frame.
 pub const CHECKPOINT_VERSION: u8 = 2;
 
 const MAGIC: &[u8; 4] = b"TWCK";
@@ -38,7 +38,11 @@ const MAGIC: &[u8; 4] = b"TWCK";
 /// Serializes one record.
 fn encode_record(key: &str, payload: &[u8]) -> Vec<u8> {
     let keylen = (key.len() as u32).to_le_bytes();
-    encode_frame(MAGIC, CHECKPOINT_VERSION, &[&keylen, key.as_bytes(), payload])
+    let mut record = Vec::new();
+    let parts = [&keylen[..], key.as_bytes(), payload];
+    write_frame(&mut record, MAGIC, CHECKPOINT_VERSION, &parts)
+        .expect("writing to a Vec cannot fail");
+    record
 }
 
 /// The per-run checkpoint directory, or a disabled stub (unit tests and
@@ -103,25 +107,24 @@ impl CheckpointStore {
     pub fn load(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.path_for(key)?;
         let bytes = std::fs::read(&path).ok()?;
-        let payload = decode_frame(&bytes, MAGIC, CHECKPOINT_VERSION)
-            .filter(|(_, rest)| rest.is_empty())
-            .and_then(|(body, _)| {
-                let (keylen, body) = body.split_first_chunk::<4>()?;
-                let (stored_key, payload) =
-                    body.split_at_checked(u32::from_le_bytes(*keylen) as usize)?;
-                (stored_key == key.as_bytes()).then_some(payload)
-            });
-        match payload {
-            Some(payload) => Some(payload.to_vec()),
-            None => {
-                eprintln!(
-                    "warning: evicting corrupt checkpoint {} (bad checksum/version/key)",
-                    path.display()
-                );
-                let _ = std::fs::remove_file(&path);
-                None
+        let reason = match decode_record(&bytes, MAGIC, CHECKPOINT_VERSION) {
+            Ok(body) => {
+                let stored = body.split_first_chunk::<4>().and_then(|(keylen, body)| {
+                    body.split_at_checked(u32::from_le_bytes(*keylen) as usize)
+                });
+                match stored {
+                    Some((stored_key, payload)) if stored_key == key.as_bytes() => {
+                        return Some(payload.to_vec())
+                    }
+                    _ => "foreign or malformed key".to_string(),
+                }
             }
-        }
+            Err(e) => e.to_string(),
+        };
+        let path_shown = path.display();
+        eprintln!("warning: evicting corrupt checkpoint {path_shown} ({reason})");
+        let _ = std::fs::remove_file(&path);
+        None
     }
 
     /// Atomically persists `payload` for `key` (temp file + rename). A

@@ -1,6 +1,23 @@
-//! Crash-only durability layer: atomic artifact publication, journaled
-//! read-modify-write, startup recovery, deterministic crashpoint
-//! injection, and the concurrent-run lock.
+//! Crash-only durability layer: the one checksummed record frame, atomic
+//! artifact publication, journaled read-modify-write, startup recovery,
+//! deterministic crashpoint injection, and the concurrent-run lock.
+//!
+//! **The record frame** ([`write_frame`], [`decode_frame`]) is the only
+//! binary record layout in the repository, and this module owns it with
+//! its CRC-32 ([`crc32`]) and the one LEB128 varint codec
+//! ([`put_varint`], [`get_varint`]). Every byte the program reads back
+//! from disk passes through [`decode_frame`], under one of four magics:
+//!
+//! | magic | what the frame holds |
+//! |---|---|
+//! | `TWJL` | a write-ahead journal entry ([`Journaled`]) |
+//! | `TWCK` | a checkpoint record ([`crate::CheckpointStore`]) |
+//! | `TWGC` | a `.twgc` trace head, chunk, directory or tail |
+//! | `TWPF` | a `.twpf` binary profile |
+//!
+//! A torn write, a truncation or a flipped bit fails the frame it touches
+//! with a typed [`FrameError`]; the decoder never panics and never
+//! allocates, whatever the input.
 //!
 //! The harness's fault kinds (`TWIG_FAULT_SPEC`) model failures *inside*
 //! a live process — panics, hangs, torn buffers. This module models the
@@ -85,6 +102,41 @@ pub fn hit(point: &str) {
     }
 }
 
+/// Bytes a frame adds around its payload: magic, version, length, CRC.
+pub const FRAME_OVERHEAD: usize = FRAME_HEAD + 4;
+
+/// Bytes before the payload: magic, version, length.
+pub const FRAME_HEAD: usize = 4 + 1 + 4;
+
+/// Why bytes are not the expected frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FrameError {
+    /// The bytes do not begin with the expected magic.
+    BadMagic,
+    /// The magic matches but the format version does not.
+    BadVersion(u8),
+    /// The bytes end before the frame does.
+    Truncated,
+    /// The payload fails its CRC (a flipped bit or a torn write).
+    Checksum,
+    /// A record that must fill its bytes exactly is followed by more.
+    Trailing,
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::BadMagic => write!(f, "bad magic"),
+            FrameError::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            FrameError::Truncated => write!(f, "truncated frame"),
+            FrameError::Checksum => write!(f, "checksum mismatch"),
+            FrameError::Trailing => write!(f, "trailing bytes after the record"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
 /// The reflected CRC-32 polynomial (ISO-HDLC, zlib).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
@@ -120,8 +172,8 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (ISO-HDLC, the zlib polynomial) over the concatenation of
-/// `parts` without materializing it, eight bytes per step. Shared by
-/// checkpoint records, journal frames, and `.twgc` trace chunks.
+/// `parts` without materializing it, eight bytes per step. Frames are its
+/// only callers.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = !0;
@@ -143,6 +195,121 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
         }
     }
     !crc
+}
+
+/// Writes one frame whose payload is the concatenation of `parts`, and
+/// returns its length in bytes. In-memory callers pass a `&mut Vec<u8>`.
+/// The layout, little-endian:
+///
+/// ```text
+/// magic   4 bytes       the record kind ("TWJL", "TWCK", "TWGC", "TWPF")
+/// version u8            the format version of that kind
+/// paylen  u32           payload length
+/// payload paylen bytes
+/// crc     u32           CRC-32/ISO-HDLC over the payload
+/// ```
+///
+/// # Errors
+///
+/// Propagates the sink's write errors.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn write_frame<W: Write + ?Sized>(
+    out: &mut W,
+    magic: &[u8; 4],
+    version: u8,
+    parts: &[&[u8]],
+) -> io::Result<usize> {
+    let paylen: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(paylen).expect("a frame payload fits in u32");
+    out.write_all(magic)?;
+    out.write_all(&[version])?;
+    out.write_all(&len.to_le_bytes())?;
+    for part in parts {
+        out.write_all(part)?;
+    }
+    out.write_all(&crc32(parts).to_le_bytes())?;
+    Ok(paylen + FRAME_OVERHEAD)
+}
+
+/// Decodes the frame at the front of `bytes`: `(payload, rest)` when the
+/// magic and version match, the frame is complete and its CRC verifies.
+///
+/// # Errors
+///
+/// The first check that fails, in the order magic, version, length, CRC.
+pub fn decode_frame<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u8,
+) -> Result<(&'a [u8], &'a [u8]), FrameError> {
+    let rest = match bytes.strip_prefix(magic) {
+        Some(rest) => rest,
+        None if bytes.len() < 4 && magic.starts_with(bytes) => return Err(FrameError::Truncated),
+        None => return Err(FrameError::BadMagic),
+    };
+    let (&found, rest) = rest.split_first().ok_or(FrameError::Truncated)?;
+    if found != version {
+        return Err(FrameError::BadVersion(found));
+    }
+    let (len, rest) = rest.split_first_chunk::<4>().ok_or(FrameError::Truncated)?;
+    let (payload, rest) = rest
+        .split_at_checked(u32::from_le_bytes(*len) as usize)
+        .ok_or(FrameError::Truncated)?;
+    let (crc, rest) = rest.split_first_chunk::<4>().ok_or(FrameError::Truncated)?;
+    if crc32(&[payload]) != u32::from_le_bytes(*crc) {
+        return Err(FrameError::Checksum);
+    }
+    Ok((payload, rest))
+}
+
+/// Decodes a record that is exactly one frame, returning its payload.
+///
+/// # Errors
+///
+/// Any [`decode_frame`] error, or [`FrameError::Trailing`] when bytes
+/// follow the frame.
+pub fn decode_record<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    version: u8,
+) -> Result<&'a [u8], FrameError> {
+    match decode_frame(bytes, magic, version)? {
+        (payload, []) => Ok(payload),
+        _ => Err(FrameError::Trailing),
+    }
+}
+
+/// Appends `v` as an LEB128 varint (seven bits per byte, low first).
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Decodes the LEB128 varint at the front of `buf` and advances past it.
+/// `None` when `buf` ends inside the varint or the value overflows `u64`.
+#[inline]
+pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
+        let bits = u64::from(byte & 0x7f);
+        if shift == 63 && bits > 1 {
+            return None;
+        }
+        v |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
 }
 
 /// The temp-file path [`publish_atomic`] stages `path` under.
@@ -245,52 +412,6 @@ pub fn publish_atomic_with<T>(
     publish
 }
 
-/// Serializes one CRC-checked frame whose payload is the concatenation of
-/// `parts`. Journals and checkpoint records share this layout
-/// (little-endian), told apart by their magic:
-///
-/// ```text
-/// magic   4 bytes       "TWJL" journal, "TWCK" checkpoint record
-/// version u8            the format version of that kind
-/// paylen  u32           payload length
-/// payload paylen bytes
-/// crc     u32           CRC-32/ISO-HDLC over the payload
-/// ```
-pub fn encode_frame(magic: &[u8; 4], version: u8, parts: &[&[u8]]) -> Vec<u8> {
-    let paylen: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(4 + 1 + 4 + paylen + 4);
-    out.extend_from_slice(magic);
-    out.push(version);
-    out.extend_from_slice(&(paylen as u32).to_le_bytes());
-    for part in parts {
-        out.extend_from_slice(part);
-    }
-    out.extend_from_slice(&crc32(parts).to_le_bytes());
-    out
-}
-
-/// Decodes the frame at the front of `bytes`: `(payload, rest)` when the
-/// magic and version match, the frame is complete and its CRC verifies;
-/// `None` otherwise.
-pub fn decode_frame<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 4],
-    version: u8,
-) -> Option<(&'a [u8], &'a [u8])> {
-    let (&found, rest) = bytes.strip_prefix(magic)?.split_first()?;
-    if found != version {
-        return None;
-    }
-    let (len_bytes, rest) = rest.split_first_chunk::<4>()?;
-    let paylen = u32::from_le_bytes(*len_bytes) as usize;
-    if rest.len() < paylen {
-        return None;
-    }
-    let (payload, rest) = rest.split_at(paylen);
-    let (crc_bytes, rest) = rest.split_first_chunk::<4>()?;
-    (crc32(&[payload]) == u32::from_le_bytes(*crc_bytes)).then_some((payload, rest))
-}
-
 /// Journal frame magic.
 const JOURNAL_MAGIC: &[u8; 4] = b"TWJL";
 
@@ -299,7 +420,10 @@ pub const JOURNAL_VERSION: u8 = 1;
 
 /// Serializes one journal frame holding the complete new document.
 pub fn encode_journal_frame(payload: &[u8]) -> Vec<u8> {
-    encode_frame(JOURNAL_MAGIC, JOURNAL_VERSION, &[payload])
+    let mut frame = Vec::new();
+    write_frame(&mut frame, JOURNAL_MAGIC, JOURNAL_VERSION, &[payload])
+        .expect("writing to a Vec cannot fail");
+    frame
 }
 
 /// Replays journal bytes: scans frames front to back and returns the
@@ -311,7 +435,7 @@ pub fn encode_journal_frame(payload: &[u8]) -> Vec<u8> {
 pub fn replay_journal(bytes: &[u8]) -> Option<Vec<u8>> {
     let mut rest = bytes;
     let mut last_valid = None;
-    while let Some((payload, after)) = decode_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION) {
+    while let Ok((payload, after)) = decode_frame(rest, JOURNAL_MAGIC, JOURNAL_VERSION) {
         last_valid = Some(payload);
         rest = after;
     }
@@ -701,7 +825,9 @@ mod tests {
         for _ in 0..200 {
             let len = (next() % 300) as usize;
             let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
-            let mut cuts: Vec<usize> = (0..next() % 5).map(|_| (next() as usize) % (len + 1)).collect();
+            let mut cuts: Vec<usize> = (0..next() % 5)
+                .map(|_| (next() as usize) % (len + 1))
+                .collect();
             cuts.sort_unstable();
             let mut parts: Vec<&[u8]> = Vec::new();
             let mut at = 0;
@@ -713,6 +839,30 @@ mod tests {
             assert_eq!(crc32(&parts), crc32_bitwise(&[&buf]), "len {len}");
             assert_eq!(crc32(&[&buf]), crc32_bitwise(&parts), "len {len}");
         }
+    }
+
+    #[test]
+    fn varint_boundaries() {
+        let mut buf = Vec::new();
+        let widths = (1..10).flat_map(|width| [(1u64 << (7 * width)) - 1, 1 << (7 * width)]);
+        for v in widths.chain([0, u64::MAX]) {
+            buf.clear();
+            put_varint(&mut buf, v);
+            let mut rest = &buf[..];
+            assert_eq!(get_varint(&mut rest), Some(v));
+            assert!(rest.is_empty(), "{v} consumed exactly");
+            // Every strict prefix ends inside the varint.
+            for cut in 0..buf.len() {
+                assert_eq!(get_varint(&mut &buf[..cut]), None, "{v} cut at {cut}");
+            }
+        }
+        // A tenth byte above 1 overflows u64, as does an eleventh byte.
+        let mut over = vec![0xff; 9];
+        over.push(0x02);
+        assert_eq!(get_varint(&mut &over[..]), None);
+        let mut long = vec![0x80; 10];
+        long.push(0);
+        assert_eq!(get_varint(&mut &long[..]), None);
     }
 
     #[test]

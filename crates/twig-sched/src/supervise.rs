@@ -242,12 +242,6 @@ impl TaskPolicy {
             ..TaskPolicy::default()
         }
     }
-
-    /// This policy with a different deadline.
-    pub fn with_timeout_ms(mut self, ms: Option<u64>) -> Self {
-        self.timeout_ms = ms;
-        self
-    }
 }
 
 /// Outcome of one supervised task, with attempt/wall-time accounting for

@@ -113,11 +113,6 @@ impl RefBtb {
         self.sets.iter().map(Vec::len).sum()
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// The MRU-first live entries of `set`.
     pub fn set_entries(&self, set: usize) -> &[RefEntry] {
         &self.sets[set]

@@ -1,30 +1,30 @@
-//! The columnar on-disk trace format `.twgc`: out-of-core event streams
-//! with CRC-framed chunks, per-chunk branch-density summaries, and a
-//! trailing directory for macro-block fast-forward.
+//! The columnar on-disk trace format `.twgc` v2: out-of-core event
+//! streams in checksummed chunks, with per-chunk branch-density summaries
+//! in a trailing directory for macro-block fast-forward.
 //!
 //! Plays the role of the paper's Intel Processor Trace captures (§4.1): a
 //! trace stores only the *dynamic control-flow decisions* — like real PT
 //! packets, static information (block geometry, direct-branch targets) is
 //! reconstructed from the binary, so traces are small and layout-independent.
 //! Events are split into fixed-size chunks and each chunk is stored *by
-//! column*:
+//! column*. Every part of the file is one `twig_sched::durable` frame with
+//! magic `"TWGC"` and version 2, so one decoder checks every byte:
 //!
 //! ```text
-//! file   := header chunk* directory footer
-//! header := magic "TWGC" | version u8 (=1) | chunk_target u32 (advisory)
-//! chunk  := count u32 | taken u32 | targets u32
-//!           | blocks_len u32 | targets_len u32 | crc u32
-//!           | taken_bits ⌈count/8⌉ | target_bits ⌈count/8⌉
-//!           | blocks (count × LEB128) | target_col (targets × LEB128)
-//! dirent := offset u64 | count u32 | taken u32 | targets u32
-//! footer := total u64 | dir_offset u64 | chunk_count u32
-//!           | dir_crc u32 | footer_crc u32 | end magic "CGWT"
+//! file    := head chunk* dir tail
+//! head    := frame(empty)
+//! chunk   := frame(count u32 | blocks_len u32
+//!                  | taken_bits ⌈count/8⌉ | target_bits ⌈count/8⌉
+//!                  | blocks (count × LEB128) | targets (LEB128 each))
+//! dir     := frame(dirent*)
+//! dirent  := offset u64 | count u32 | taken u32 | targets u32
+//! tail    := frame(total u64 | dir_offset u64)      fixed size
 //! ```
 //!
-//! Every multi-byte integer is little-endian. The chunk `crc` covers the
-//! five leading length/summary words plus the payload, so a bit flip or a
-//! torn write invalidates exactly the chunk it touches; the footer and
-//! directory carry their own CRCs, so a torn tail is rejected at open.
+//! Every multi-byte integer is little-endian. A bit flip or a torn write
+//! fails exactly the frame it touches; the head carries the version, and
+//! the fixed-size tail locates the directory, so a torn tail or an old
+//! version is rejected at open.
 //!
 //! Design properties the streaming engine relies on:
 //!
@@ -32,7 +32,8 @@
 //!   ([`crate::MappedBytes`]) and decodes one chunk at a time into a
 //!   reusable buffer; consumed pages are returned to the OS, so a
 //!   sequential scan of a multi-GB trace holds one chunk (~64Ki events)
-//!   plus one mapped window resident.
+//!   plus one mapped window resident. Opening reads only the head, the
+//!   directory and the tail; a chunk's CRC is checked when it is decoded.
 //! * **Macro-block fast-forward** — each directory entry repeats the
 //!   chunk's event count and branch-density summary (taken / has-target
 //!   counts), so [`crate::ColumnarSource`]'s `nth` (hence `.skip(n)`)
@@ -46,21 +47,20 @@
 use std::io::{self, Write};
 use std::path::Path;
 
-use twig_bytes::{BufMut, BytesMut};
-use twig_sched::durable::{crc32, publish_atomic_with};
+use twig_sched::durable::{
+    decode_record, get_varint, publish_atomic_with, put_varint, write_frame, FrameError,
+    FRAME_OVERHEAD,
+};
 use twig_types::BlockId;
 
 use crate::mapped::MappedBytes;
 use crate::walker::BlockEvent;
 
 const MAGIC: &[u8; 4] = b"TWGC";
-const END_MAGIC: &[u8; 4] = b"CGWT";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
-const HEADER_LEN: usize = 4 + 1 + 4;
-const CHUNK_HEADER_LEN: usize = 6 * 4;
 const DIRENT_LEN: usize = 8 + 3 * 4;
-const FOOTER_LEN: usize = 8 + 8 + 4 + 4 + 4 + 4;
+const TAIL_LEN: usize = FRAME_OVERHEAD + 2 * 8;
 
 /// Default nominal events per chunk. 64Ki events ≈ 200–300 KB encoded:
 /// large enough that chunk overhead vanishes, small enough that the
@@ -70,31 +70,23 @@ pub const DEFAULT_CHUNK_EVENTS: u32 = 64 * 1024;
 /// Errors produced when opening or decoding a `.twgc` trace.
 #[derive(Debug)]
 pub enum TraceError {
-    /// The stream does not begin with the trace magic.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// A column ended mid-varint or a varint overflowed.
-    Truncated {
-        /// Absolute byte offset where decoding failed.
+    /// A frame of the file (its head, a chunk, the directory or the tail)
+    /// failed to decode: a foreign file, another format version, a torn
+    /// write or a flipped bit.
+    Frame {
+        /// Absolute byte offset of the frame.
         offset: u64,
-        /// Index of the first event of the chunk whose column ended.
-        event: u64,
+        /// What the frame decoder rejected.
+        error: FrameError,
     },
-    /// A structural invariant of the container failed (bad directory,
-    /// impossible length, ...); `what` names the violated invariant.
+    /// A checksummed frame holds an impossible structure (bad directory,
+    /// short column, out-of-range block id); `what` names the violated
+    /// invariant.
     Corrupt {
-        /// Absolute byte offset of the rejected structure.
+        /// Absolute byte offset of the frame that holds it.
         offset: u64,
         /// The violated invariant.
         what: &'static str,
-    },
-    /// A CRC-framed chunk failed its checksum (bit flip or torn write).
-    ChecksumMismatch {
-        /// Index of the rejected chunk.
-        chunk: u32,
-        /// Absolute byte offset of the chunk.
-        offset: u64,
     },
     /// Underlying I/O failure.
     Io(io::Error),
@@ -103,31 +95,20 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceError::BadMagic => write!(f, "stream is not a twig trace (bad magic)"),
-            TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::Truncated { offset, event } => write!(
-                f,
-                "trace ended unexpectedly at byte {offset} (event {event})"
-            ),
+            TraceError::Frame { offset, error } => {
+                write!(f, "trace frame at byte {offset}: {error}")
+            }
             TraceError::Corrupt { offset, what } => {
                 write!(f, "corrupt trace at byte {offset}: {what}")
-            }
-            TraceError::ChecksumMismatch { chunk, offset } => {
-                write!(f, "trace chunk {chunk} at byte {offset} failed its checksum")
             }
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
         }
     }
 }
 
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+/// The message already names the frame error or I/O error behind it, so
+/// no `source` repeats it in a printed cause chain.
+impl std::error::Error for TraceError {}
 
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
@@ -135,80 +116,19 @@ impl From<io::Error> for TraceError {
     }
 }
 
-/// Appends a LEB128 varint.
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
+/// Decodes the frame that fills `bytes[start..end]` exactly.
+fn frame_at(bytes: &[u8], start: usize, end: usize) -> Result<&[u8], TraceError> {
+    decode_record(&bytes[start..end], MAGIC, VERSION).map_err(|error| TraceError::Frame {
+        offset: start as u64,
+        error,
+    })
 }
 
-/// A LEB128 cursor over one id column that knows its absolute position in
-/// the file (`base`) and the index of the chunk's first event, so a short
-/// column is a located [`TraceError::Truncated`].
-struct ColumnDecoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Absolute file offset of `buf[0]`.
-    base: u64,
-    /// Index of the chunk's first event.
-    event: u64,
-}
-
-impl<'a> ColumnDecoder<'a> {
-    fn new(buf: &'a [u8], base: u64, event: u64) -> Self {
-        ColumnDecoder {
-            buf,
-            pos: 0,
-            base,
-            event,
-        }
-    }
-
-    /// Bytes consumed from the column so far.
-    fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    fn truncated(&self) -> TraceError {
-        TraceError::Truncated {
-            offset: self.base + self.pos as u64,
-            event: self.event,
-        }
-    }
-
-    /// Decodes the next block id; a value with no [`BlockId`] (`u32::MAX`
-    /// and above) is [`TraceError::Corrupt`].
-    fn block_id(&mut self) -> Result<BlockId, TraceError> {
-        let at = self.base + self.pos as u64;
-        let raw = self.varint()?;
-        u32::try_from(raw)
-            .ok()
-            .and_then(BlockId::try_new)
-            .ok_or(TraceError::Corrupt {
-                offset: at,
-                what: "block id out of range",
-            })
-    }
-
-    /// Decodes the next varint.
-    fn varint(&mut self) -> Result<u64, TraceError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = *self.buf.get(self.pos).ok_or_else(|| self.truncated())?;
-            self.pos += 1;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(self.truncated())
-    }
+/// Splits `N` bytes off the front of `bytes`.
+fn take<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
 }
 
 /// Branch-density summary of one chunk, replicated in its directory entry
@@ -228,7 +148,7 @@ pub struct ChunkSummary {
 /// Streaming `.twgc` encoder over any [`Write`] sink.
 ///
 /// Push events one at a time; chunks are emitted as they fill, and
-/// [`ColumnarWriter::finish`] appends the directory and footer. Nothing
+/// [`ColumnarWriter::finish`] appends the directory and tail. Nothing
 /// larger than one chunk is ever buffered.
 pub struct ColumnarWriter<W: Write> {
     out: W,
@@ -242,13 +162,13 @@ pub struct ColumnarWriter<W: Write> {
     targets: u32,
     taken_bits: Vec<u8>,
     target_bits: Vec<u8>,
-    blocks: BytesMut,
-    target_col: BytesMut,
+    blocks: Vec<u8>,
+    target_col: Vec<u8>,
 }
 
 impl<W: Write> ColumnarWriter<W> {
     /// Starts a columnar stream with the default chunk size, writing the
-    /// file header immediately.
+    /// file head immediately.
     ///
     /// # Errors
     ///
@@ -265,14 +185,11 @@ impl<W: Write> ColumnarWriter<W> {
     ///
     /// Propagates I/O errors from the sink.
     pub fn with_chunk_events(mut out: W, chunk_target: u32) -> io::Result<Self> {
-        let chunk_target = chunk_target.max(1);
-        out.write_all(MAGIC)?;
-        out.write_all(&[VERSION])?;
-        out.write_all(&chunk_target.to_le_bytes())?;
+        let written = write_frame(&mut out, MAGIC, VERSION, &[])? as u64;
         Ok(ColumnarWriter {
             out,
-            written: HEADER_LEN as u64,
-            chunk_target,
+            written,
+            chunk_target: chunk_target.max(1),
             dir: Vec::new(),
             total: 0,
             count: 0,
@@ -280,8 +197,8 @@ impl<W: Write> ColumnarWriter<W> {
             targets: 0,
             taken_bits: Vec::new(),
             target_bits: Vec::new(),
-            blocks: BytesMut::new(),
-            target_col: BytesMut::new(),
+            blocks: Vec::new(),
+            target_col: Vec::new(),
         })
     }
 
@@ -318,36 +235,24 @@ impl<W: Write> ColumnarWriter<W> {
         if self.count == 0 {
             return Ok(());
         }
-        let mut header = [0u8; CHUNK_HEADER_LEN];
-        header[0..4].copy_from_slice(&self.count.to_le_bytes());
-        header[4..8].copy_from_slice(&self.taken.to_le_bytes());
-        header[8..12].copy_from_slice(&self.targets.to_le_bytes());
-        header[12..16].copy_from_slice(&(self.blocks.len() as u32).to_le_bytes());
-        header[16..20].copy_from_slice(&(self.target_col.len() as u32).to_le_bytes());
-        let crc = crc32(&[
-            &header[0..20],
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&self.count.to_le_bytes());
+        header[4..].copy_from_slice(&(self.blocks.len() as u32).to_le_bytes());
+        let parts: [&[u8]; 5] = [
+            &header,
             &self.taken_bits,
             &self.target_bits,
             &self.blocks,
             &self.target_col,
-        ]);
-        header[20..24].copy_from_slice(&crc.to_le_bytes());
-        self.out.write_all(&header)?;
-        self.out.write_all(&self.taken_bits)?;
-        self.out.write_all(&self.target_bits)?;
-        self.out.write_all(&self.blocks)?;
-        self.out.write_all(&self.target_col)?;
+        ];
+        let len = write_frame(&mut self.out, MAGIC, VERSION, &parts)?;
         self.dir.push(ChunkSummary {
             offset: self.written,
             events: self.count,
             taken: self.taken,
             targets: self.targets,
         });
-        self.written += (CHUNK_HEADER_LEN
-            + self.taken_bits.len()
-            + self.target_bits.len()
-            + self.blocks.len()
-            + self.target_col.len()) as u64;
+        self.written += len as u64;
         self.count = 0;
         self.taken = 0;
         self.targets = 0;
@@ -358,7 +263,7 @@ impl<W: Write> ColumnarWriter<W> {
         Ok(())
     }
 
-    /// Flushes the final partial chunk, writes the directory and footer,
+    /// Flushes the final partial chunk, writes the directory and tail,
     /// and returns the total number of events written.
     ///
     /// # Errors
@@ -366,24 +271,16 @@ impl<W: Write> ColumnarWriter<W> {
     /// Propagates I/O errors from the sink.
     pub fn finish(mut self) -> io::Result<u64> {
         self.flush_chunk()?;
-        let dir_offset = self.written;
-        let mut dir_bytes = Vec::with_capacity(self.dir.len() * DIRENT_LEN);
+        let mut dir = Vec::with_capacity(self.dir.len() * DIRENT_LEN);
         for entry in &self.dir {
-            dir_bytes.extend_from_slice(&entry.offset.to_le_bytes());
-            dir_bytes.extend_from_slice(&entry.events.to_le_bytes());
-            dir_bytes.extend_from_slice(&entry.taken.to_le_bytes());
-            dir_bytes.extend_from_slice(&entry.targets.to_le_bytes());
+            dir.extend_from_slice(&entry.offset.to_le_bytes());
+            dir.extend_from_slice(&entry.events.to_le_bytes());
+            dir.extend_from_slice(&entry.taken.to_le_bytes());
+            dir.extend_from_slice(&entry.targets.to_le_bytes());
         }
-        self.out.write_all(&dir_bytes)?;
-        let mut footer = [0u8; FOOTER_LEN];
-        footer[0..8].copy_from_slice(&self.total.to_le_bytes());
-        footer[8..16].copy_from_slice(&dir_offset.to_le_bytes());
-        footer[16..20].copy_from_slice(&(self.dir.len() as u32).to_le_bytes());
-        footer[20..24].copy_from_slice(&crc32(&[&dir_bytes]).to_le_bytes());
-        let footer_crc = crc32(&[&footer[0..24]]);
-        footer[24..28].copy_from_slice(&footer_crc.to_le_bytes());
-        footer[28..32].copy_from_slice(END_MAGIC);
-        self.out.write_all(&footer)?;
+        write_frame(&mut self.out, MAGIC, VERSION, &[&dir])?;
+        let tail = [self.total.to_le_bytes(), self.written.to_le_bytes()];
+        write_frame(&mut self.out, MAGIC, VERSION, &[&tail[0], &tail[1]])?;
         Ok(self.total)
     }
 }
@@ -436,14 +333,17 @@ pub fn write_columnar_file(
 
 /// Zero-copy `.twgc` reader over a mapped file (or owned buffer).
 ///
-/// Opening validates the header, footer, and directory (rejecting torn
-/// tails outright); chunk payloads are validated lazily, CRC-checked as
-/// each chunk is first decoded, so corruption is detected exactly when it
-/// would be consumed and untouched regions never cost a page fault.
+/// Opening decodes the head, tail and directory frames (rejecting torn
+/// tails and other versions outright); chunk frames are decoded lazily,
+/// CRC-checked as each chunk is first decoded, so corruption is detected
+/// exactly when it would be consumed and untouched regions never cost a
+/// page fault.
 #[derive(Debug)]
 pub struct ColumnarReader {
     map: MappedBytes,
     dir: Vec<ChunkSummary>,
+    /// Where the directory frame starts (the last chunk ends there).
+    dir_offset: u64,
     /// Index of each chunk's first event, then the total.
     first_events: Vec<u64>,
     total: u64,
@@ -471,102 +371,57 @@ impl ColumnarReader {
 
     fn from_map(map: MappedBytes) -> Result<Self, TraceError> {
         let bytes = map.bytes();
-        if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        if bytes[4] != VERSION {
-            return Err(TraceError::BadVersion(bytes[4]));
-        }
-        if bytes.len() < HEADER_LEN + FOOTER_LEN {
-            return Err(TraceError::Corrupt {
-                offset: bytes.len() as u64,
-                what: "file too short for footer",
-            });
-        }
-        let footer_at = bytes.len() - FOOTER_LEN;
-        let footer = &bytes[footer_at..];
-        if &footer[28..32] != END_MAGIC {
-            return Err(TraceError::Corrupt {
-                offset: footer_at as u64 + 28,
-                what: "missing end magic (torn tail)",
-            });
-        }
-        let footer_crc = u32::from_le_bytes(footer[24..28].try_into().unwrap());
-        if crc32(&[&footer[0..24]]) != footer_crc {
-            return Err(TraceError::Corrupt {
-                offset: footer_at as u64,
-                what: "footer checksum mismatch",
-            });
-        }
-        let total = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-        let dir_offset = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        let chunk_count = u32::from_le_bytes(footer[16..20].try_into().unwrap()) as usize;
-        let dir_crc = u32::from_le_bytes(footer[20..24].try_into().unwrap());
-        let dir_len = chunk_count
-            .checked_mul(DIRENT_LEN)
-            .ok_or(TraceError::Corrupt {
-                offset: footer_at as u64,
-                what: "directory size overflow",
+        let len = bytes.len();
+        frame_at(bytes, 0, FRAME_OVERHEAD.min(len))?;
+        let tail_at = len
+            .checked_sub(TAIL_LEN)
+            .filter(|&at| at >= FRAME_OVERHEAD)
+            .ok_or(TraceError::Frame {
+                offset: len as u64,
+                error: FrameError::Truncated,
             })?;
-        let dir_end = (dir_offset as usize).checked_add(dir_len);
-        if dir_end != Some(footer_at) || (dir_offset as usize) < HEADER_LEN {
-            return Err(TraceError::Corrupt {
-                offset: footer_at as u64,
-                what: "directory does not abut footer",
-            });
+        let corrupt = |offset: usize, what| TraceError::Corrupt {
+            offset: offset as u64,
+            what,
+        };
+        let mut tail = frame_at(bytes, tail_at, len)?;
+        let (Some(total), Some(dir_offset)) = (take::<8>(&mut tail), take::<8>(&mut tail)) else {
+            return Err(corrupt(tail_at, "short tail"));
+        };
+        let total = u64::from_le_bytes(total);
+        let dir_offset = u64::from_le_bytes(dir_offset);
+        let dir_at = usize::try_from(dir_offset)
+            .ok()
+            .filter(|at| (FRAME_OVERHEAD..=tail_at).contains(at))
+            .ok_or(corrupt(tail_at, "directory offset out of bounds"))?;
+        let entries = frame_at(bytes, dir_at, tail_at)?;
+        if entries.len() % DIRENT_LEN != 0 {
+            return Err(corrupt(dir_at, "directory holds a partial entry"));
         }
-        let dir_bytes = &bytes[dir_offset as usize..footer_at];
-        if crc32(&[dir_bytes]) != dir_crc {
-            return Err(TraceError::Corrupt {
-                offset: dir_offset,
-                what: "directory checksum mismatch",
-            });
-        }
+        let chunk_count = entries.len() / DIRENT_LEN;
         let mut dir = Vec::with_capacity(chunk_count);
         let mut first_events = Vec::with_capacity(chunk_count + 1);
-        let mut expected_offset = HEADER_LEN as u64;
         let mut summed = 0u64;
-        for entry in dir_bytes.chunks_exact(DIRENT_LEN) {
-            let offset = u64::from_le_bytes(entry[0..8].try_into().unwrap());
-            let events = u32::from_le_bytes(entry[8..12].try_into().unwrap());
-            let taken = u32::from_le_bytes(entry[12..16].try_into().unwrap());
-            let targets = u32::from_le_bytes(entry[16..20].try_into().unwrap());
-            if offset != expected_offset || events == 0 || taken > events || targets > events {
-                return Err(TraceError::Corrupt {
-                    offset,
-                    what: "inconsistent directory entry",
+        for entry in entries.chunks_exact(DIRENT_LEN) {
+            let word = |at: usize| {
+                u32::from_le_bytes([entry[at], entry[at + 1], entry[at + 2], entry[at + 3]])
+            };
+            let offset = u64::from(word(0)) | u64::from(word(4)) << 32;
+            let (events, taken, targets) = (word(8), word(12), word(16));
+            // Chunks follow the head in file order, each at least a frame
+            // long; the frame itself is checked when the chunk is decoded.
+            let in_order = dir
+                .last()
+                .map_or(offset == FRAME_OVERHEAD as u64, |prev: &ChunkSummary| {
+                    offset >= prev.offset + FRAME_OVERHEAD as u64
                 });
-            }
-            // Advance past this chunk using its header (bounds-checked
-            // against the directory region).
-            let header_end = offset as usize + CHUNK_HEADER_LEN;
-            if header_end > dir_offset as usize {
-                return Err(TraceError::Corrupt {
-                    offset,
-                    what: "chunk header out of bounds",
-                });
-            }
-            let chunk = &bytes[offset as usize..header_end];
-            let count = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
-            let blocks_len = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
-            let targets_len = u32::from_le_bytes(chunk[16..20].try_into().unwrap());
-            if count != events {
-                return Err(TraceError::Corrupt {
-                    offset,
-                    what: "chunk/directory event count mismatch",
-                });
-            }
-            let bits = count.div_ceil(8) as u64;
-            expected_offset = offset
-                + CHUNK_HEADER_LEN as u64
-                + 2 * bits
-                + u64::from(blocks_len)
-                + u64::from(targets_len);
-            if expected_offset > dir_offset {
-                return Err(TraceError::Corrupt {
-                    offset,
-                    what: "chunk payload out of bounds",
-                });
+            if !in_order
+                || offset > dir_offset - FRAME_OVERHEAD as u64
+                || events == 0
+                || taken > events
+                || targets > events
+            {
+                return Err(corrupt(dir_at, "inconsistent directory entry"));
             }
             first_events.push(summed);
             summed += u64::from(events);
@@ -577,22 +432,17 @@ impl ColumnarReader {
                 targets,
             });
         }
-        if expected_offset != dir_offset {
-            return Err(TraceError::Corrupt {
-                offset: expected_offset,
-                what: "gap between last chunk and directory",
-            });
+        if dir.is_empty() && dir_at != FRAME_OVERHEAD {
+            return Err(corrupt(dir_at, "bytes between head and directory"));
         }
         if summed != total {
-            return Err(TraceError::Corrupt {
-                offset: footer_at as u64,
-                what: "footer event total disagrees with directory",
-            });
+            return Err(corrupt(tail_at, "tail total disagrees with directory"));
         }
         first_events.push(total);
         Ok(ColumnarReader {
             map,
             dir,
+            dir_offset,
             first_events,
             total,
         })
@@ -624,13 +474,21 @@ impl ColumnarReader {
         &self.dir
     }
 
+    /// The byte range of chunk `index`'s frame: up to the next chunk, or
+    /// to the directory for the last one.
+    fn span(&self, index: usize) -> (usize, usize) {
+        let next = self.dir.get(index + 1);
+        let end = next.map_or(self.dir_offset, |n| n.offset);
+        (self.dir[index].offset as usize, end as usize)
+    }
+
     /// Decodes chunk `index` into `out` (cleared first), CRC-checking the
-    /// payload.
+    /// frame.
     ///
     /// # Errors
     ///
-    /// [`TraceError::ChecksumMismatch`] on a corrupt chunk, or a
-    /// structural error if the columns disagree with the header.
+    /// [`TraceError::Frame`] on a corrupt chunk frame, or
+    /// [`TraceError::Corrupt`] if its columns disagree with its counts.
     ///
     /// # Panics
     ///
@@ -641,56 +499,55 @@ impl ColumnarReader {
         out: &mut Vec<BlockEvent>,
     ) -> Result<(), TraceError> {
         out.clear();
-        let summary = self.dir[index];
-        let bytes = self.map.bytes();
-        let at = summary.offset as usize;
-        let header = &bytes[at..at + CHUNK_HEADER_LEN];
-        let count = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let blocks_len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
-        let targets_len = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
-        let crc_stored = u32::from_le_bytes(header[20..24].try_into().unwrap());
-        let bits_len = count.div_ceil(8);
-        let payload_at = at + CHUNK_HEADER_LEN;
-        let payload = &bytes[payload_at..payload_at + 2 * bits_len + blocks_len + targets_len];
-        if crc32(&[&header[0..20], payload]) != crc_stored {
-            return Err(TraceError::ChecksumMismatch {
-                chunk: index as u32,
-                offset: summary.offset,
-            });
+        let (start, end) = self.span(index);
+        let corrupt = |what| TraceError::Corrupt {
+            offset: start as u64,
+            what,
+        };
+        let mut payload = frame_at(self.map.bytes(), start, end)?;
+        let (Some(count), Some(blocks_len)) = (take::<4>(&mut payload), take::<4>(&mut payload))
+        else {
+            return Err(corrupt("chunk shorter than its header"));
+        };
+        let count = u32::from_le_bytes(count);
+        if count != self.dir[index].events {
+            return Err(corrupt("chunk/directory event count mismatch"));
         }
-        let taken_bits = &payload[..bits_len];
-        let target_bits = &payload[bits_len..2 * bits_len];
-        let blocks_col = &payload[2 * bits_len..2 * bits_len + blocks_len];
-        let target_col = &payload[2 * bits_len + blocks_len..];
-        let event_base = self.first_events[index];
-        let mut blocks =
-            ColumnDecoder::new(blocks_col, (payload_at + 2 * bits_len) as u64, event_base);
-        let mut targets = ColumnDecoder::new(
-            target_col,
-            (payload_at + 2 * bits_len + blocks_len) as u64,
-            event_base,
-        );
+        let count = count as usize;
+        let bits_len = count.div_ceil(8);
+        let (taken_bits, payload) = payload
+            .split_at_checked(bits_len)
+            .ok_or(corrupt("chunk shorter than its bitmaps"))?;
+        let (target_bits, payload) = payload
+            .split_at_checked(bits_len)
+            .ok_or(corrupt("chunk shorter than its bitmaps"))?;
+        let (mut blocks, mut targets) = payload
+            .split_at_checked(u32::from_le_bytes(blocks_len) as usize)
+            .ok_or(corrupt("block column overruns the chunk"))?;
+        let block_id = |column: &mut &[u8]| {
+            let raw = get_varint(column).ok_or(corrupt("column ended mid-varint"))?;
+            u32::try_from(raw)
+                .ok()
+                .and_then(BlockId::try_new)
+                .ok_or(corrupt("block id out of range"))
+        };
         out.reserve(count);
         for i in 0..count {
             let bit = 1u8 << (i % 8);
-            let taken = taken_bits[i / 8] & bit != 0;
-            let block = blocks.block_id()?;
+            let block = block_id(&mut blocks)?;
             let target = if target_bits[i / 8] & bit != 0 {
-                Some(targets.block_id()?)
+                Some(block_id(&mut targets)?)
             } else {
                 None
             };
             out.push(BlockEvent {
                 block,
-                taken,
+                taken: taken_bits[i / 8] & bit != 0,
                 target,
             });
         }
-        if blocks.consumed() != blocks_len || targets.consumed() != targets_len {
-            return Err(TraceError::Corrupt {
-                offset: summary.offset,
-                what: "column lengths disagree with event count",
-            });
+        if !blocks.is_empty() || !targets.is_empty() {
+            return Err(corrupt("column lengths disagree with event count"));
         }
         Ok(())
     }
@@ -698,14 +555,8 @@ impl ColumnarReader {
     /// Returns consumed chunk pages to the OS (best-effort) — called by
     /// the sequential reader after it moves past a chunk.
     pub fn release_chunk(&self, index: usize) {
-        let summary = self.dir[index];
-        let end = self
-            .dir
-            .get(index + 1)
-            .map(|next| next.offset as usize)
-            .unwrap_or(summary.offset as usize);
-        self.map
-            .advise_dont_need(summary.offset as usize, end.max(summary.offset as usize));
+        let (start, end) = self.span(index);
+        self.map.advise_dont_need(start, end);
     }
 
     /// Decodes the entire trace (validation helper; defeats the bounded-
@@ -752,12 +603,22 @@ mod tests {
 
     #[test]
     fn rejects_bad_version() {
+        let version = |bytes: Vec<u8>| match ColumnarReader::from_bytes(bytes) {
+            Err(TraceError::Frame {
+                offset: 0,
+                error: FrameError::BadVersion(v),
+            }) => Some(v),
+            _ => None,
+        };
         let mut bytes = encode_columnar(&sample_events(10));
         bytes[4] = 0x63;
-        assert!(matches!(
-            ColumnarReader::from_bytes(bytes),
-            Err(TraceError::BadVersion(0x63))
-        ));
+        assert_eq!(version(bytes), Some(0x63));
+        // A version-1 file: magic, version, the chunk-size word, then its
+        // first chunk header. No v1 reader is kept.
+        let mut v1 = b"TWGC\x01".to_vec();
+        v1.extend_from_slice(&DEFAULT_CHUNK_EVENTS.to_le_bytes());
+        v1.extend_from_slice(&[0; 64]);
+        assert_eq!(version(v1), Some(1));
     }
 
     #[test]
@@ -766,20 +627,32 @@ mod tests {
         bytes[..4].copy_from_slice(b"NOPE");
         assert!(matches!(
             ColumnarReader::from_bytes(bytes),
-            Err(TraceError::BadMagic)
+            Err(TraceError::Frame {
+                error: FrameError::BadMagic,
+                ..
+            })
         ));
     }
 
+    /// Block ids on both sides of every LEB128 length boundary round-trip
+    /// through the block and target columns.
     #[test]
     fn varint_boundaries() {
-        let mut buf = BytesMut::new();
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64] {
-            buf.clear();
-            put_varint(&mut buf, v);
-            let mut dec = ColumnDecoder::new(&buf, 0, 0);
-            assert_eq!(dec.varint().unwrap(), v);
-            assert_eq!(dec.consumed(), buf.len());
-        }
+        let ids: Vec<u32> = (1..5)
+            .flat_map(|width| [(1 << (7 * width)) - 1, 1 << (7 * width)])
+            .chain([0, u32::MAX - 1])
+            .collect();
+        let events: Vec<BlockEvent> = ids
+            .iter()
+            .zip(ids.iter().rev())
+            .map(|(&block, &target)| BlockEvent {
+                block: BlockId::new(block),
+                taken: true,
+                target: Some(BlockId::new(target)),
+            })
+            .collect();
+        let decoded = decode_columnar(&encode_columnar_chunked(&events, 4)).unwrap();
+        assert_eq!(decoded, events);
     }
 
     #[test]
@@ -816,20 +689,18 @@ mod tests {
     fn rejects_every_single_bit_flip_in_a_chunk() {
         let events = sample_events(300);
         let bytes = encode_columnar_chunked(&events, 128);
-        let reader = ColumnarReader::from_bytes(bytes.clone()).unwrap();
-        let first_chunk = reader.summaries()[0];
-        let chunk_end = reader.summaries()[1].offset as usize;
-        drop(reader);
-        // Flip one bit at a few positions spread across the first chunk;
-        // either open or the chunk decode must reject each.
-        for at in (first_chunk.offset as usize..chunk_end).step_by(17) {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= 0x10;
-            let rejected = match ColumnarReader::from_bytes(mutated) {
-                Err(_) => true,
-                Ok(r) => r.read_all().is_err(),
-            };
-            assert!(rejected, "bit flip at byte {at} went undetected");
+        // Every bit of the file is inside a frame: either open or a chunk
+        // decode must reject each flip.
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= 1 << bit;
+                let rejected = match ColumnarReader::from_bytes(mutated) {
+                    Err(_) => true,
+                    Ok(r) => r.read_all().is_err(),
+                };
+                assert!(rejected, "bit {bit} flip at byte {at} went undetected");
+            }
         }
     }
 
@@ -847,14 +718,14 @@ mod tests {
         let mut bytes = encode_columnar(&[ev(3), ev(u32::MAX - 1)]);
         let reader = ColumnarReader::from_bytes(bytes.clone()).unwrap();
         let at = reader.summaries()[0].offset as usize;
-        drop(reader);
-        let payload_at = at + CHUNK_HEADER_LEN;
-        let id_at = payload_at + 2 + 1;
+        let payload_at = at + twig_sched::durable::FRAME_HEAD;
+        let paylen = u32::from_le_bytes(bytes[at + 5..payload_at].try_into().unwrap()) as usize;
+        // count, blocks_len, one byte per bitmap, then the first id.
+        let id_at = payload_at + 8 + 2 + 1;
         assert_eq!(bytes[id_at..id_at + 5], [0xfe, 0xff, 0xff, 0xff, 0x0f]);
         bytes[id_at] = 0xff;
-        let blocks_len = u32::from_le_bytes(bytes[at + 12..at + 16].try_into().unwrap()) as usize;
-        let crc = crc32(&[&bytes[at..at + 20], &bytes[payload_at..payload_at + 2 + blocks_len]]);
-        bytes[at + 20..at + 24].copy_from_slice(&crc.to_le_bytes());
+        let crc = twig_sched::durable::crc32(&[&bytes[payload_at..payload_at + paylen]]);
+        bytes[payload_at + paylen..payload_at + paylen + 4].copy_from_slice(&crc.to_le_bytes());
         let reader = ColumnarReader::from_bytes(bytes).unwrap();
         assert!(matches!(
             reader.read_all(),

@@ -23,12 +23,13 @@
 //!
 //! # Trace format
 //!
-//! Traces live on disk in one encoding, `.twgc` v1 ([`columnar`]):
+//! Traces live on disk in one encoding, `.twgc` v2 ([`columnar`]):
 //!
 //! * **layout** — columnar chunks: packed taken/target bits + LEB128 id
 //!   columns;
-//! * **integrity** — CRC per chunk + CRC'd directory/footer; torn tails
-//!   are rejected at open;
+//! * **integrity** — every part (head, chunks, directory, tail) is one
+//!   checksummed `twig_sched::durable` frame; torn tails and other
+//!   versions are rejected at open, a corrupt chunk when it is decoded;
 //! * **random access** — a chunk directory with branch-density summaries
 //!   (macro-block fast-forward);
 //! * **reader** — mmap'd, one chunk resident at a time.

@@ -8,7 +8,7 @@
 //!
 //! Why mmap at all: the columnar `.twgc` reader promises *bounded resident
 //! memory* on arbitrarily large traces. Mapping the file gives zero-copy
-//! access to each CRC-framed chunk, and [`MappedBytes::advise_dont_need`]
+//! access to each checksummed chunk frame, and [`MappedBytes::advise_dont_need`]
 //! returns consumed pages to the OS so a sequential scan's RSS stays flat
 //! instead of growing to the file size.
 //!

@@ -187,11 +187,13 @@ impl<P: Borrow<Program>> Iterator for WalkerSource<P> {
 ///
 /// Holds one decoded chunk resident at a time; pages of consumed chunks
 /// are returned to the OS, so RSS stays flat over arbitrarily long
-/// traces. Decode failures after a successful open (a chunk whose CRC no
-/// longer matches) panic: the file validated structurally at open, so
-/// mid-stream corruption means the storage mutated under a running
-/// experiment — a fail-fast integrity violation, handled like every torn
-/// artifact in this harness (crash, supervise, recover).
+/// traces. A chunk's checksum is verified as it is decoded: callers that
+/// read traces they did not just write step with [`Self::try_nth`],
+/// which returns a corrupt chunk as a [`TraceError`]. As an [`Iterator`]
+/// the source panics on one instead: the harness reads only traces it
+/// wrote itself, so mid-stream corruption means the storage mutated under
+/// a running experiment — a fail-fast integrity violation, handled like
+/// every torn artifact in this harness (crash, supervise, recover).
 #[derive(Clone, Debug)]
 pub struct ColumnarSource {
     reader: Arc<ColumnarReader>,
@@ -201,7 +203,7 @@ pub struct ColumnarSource {
 }
 
 impl ColumnarSource {
-    /// Opens a `.twgc` file (validating header, directory, and footer).
+    /// Opens a `.twgc` file (validating its head, directory and tail).
     ///
     /// # Errors
     ///
@@ -226,55 +228,22 @@ impl ColumnarSource {
         &self.reader
     }
 
-    /// Loads the next chunk into the reuse buffer; false at end of trace.
-    fn load_next_chunk(&mut self) -> bool {
-        if self.chunk >= self.reader.chunk_count() {
-            return false;
-        }
-        self.reader
-            .decode_chunk_into(self.chunk, &mut self.buf)
-            .unwrap_or_else(|e| panic!("trace chunk {} corrupted mid-stream: {e}", self.chunk));
-        if self.chunk > 0 {
-            self.reader.release_chunk(self.chunk - 1);
-        }
-        self.chunk += 1;
-        self.pos = 0;
-        true
-    }
-}
-
-impl Iterator for ColumnarSource {
-    type Item = BlockEvent;
-
-    fn next(&mut self) -> Option<BlockEvent> {
-        loop {
-            if let Some(ev) = self.buf.get(self.pos).copied() {
-                self.pos += 1;
-                return Some(ev);
-            }
-            if !self.load_next_chunk() {
-                return None;
-            }
-        }
-    }
-
-    /// Exact: the rest of the resident chunk plus every later chunk.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let later = self.reader.total_events() - self.reader.first_event(self.chunk);
-        let left = (self.buf.len() - self.pos) as u64 + later;
-        let left = usize::try_from(left).unwrap_or(usize::MAX);
-        (left, Some(left))
-    }
-
+    /// [`Iterator::nth`] that returns a corrupt chunk as an error.
+    ///
     /// Macro-block fast-forward: drains the resident chunk, then leaps
     /// whole chunks via the directory without decoding (or faulting in)
-    /// their payloads, decoding only the chunk it lands in. `Skip` calls
-    /// this, so `.skip(n)` costs at most one chunk decode.
-    fn nth(&mut self, n: usize) -> Option<BlockEvent> {
+    /// their payloads, decoding only the chunk it lands in. `try_nth(0)`
+    /// is the fallible `next`.
+    ///
+    /// # Errors
+    ///
+    /// The [`TraceError`] of the chunk it lands in; the source then stays
+    /// before that chunk.
+    pub fn try_nth(&mut self, n: usize) -> Result<Option<BlockEvent>, TraceError> {
         let buffered = self.buf.len() - self.pos;
         if n < buffered {
-            self.pos += n;
-            return self.next();
+            self.pos += n + 1;
+            return Ok(Some(self.buf[self.pos - 1]));
         }
         let mut n = (n - buffered) as u64;
         self.buf.clear();
@@ -286,12 +255,50 @@ impl Iterator for ColumnarSource {
             n -= u64::from(summary.events);
             self.chunk += 1;
         }
-        if !self.load_next_chunk() {
-            return None;
+        if self.chunk >= self.reader.chunk_count() {
+            return Ok(None);
         }
+        if let Err(e) = self.reader.decode_chunk_into(self.chunk, &mut self.buf) {
+            self.buf.clear();
+            return Err(e);
+        }
+        if self.chunk > 0 {
+            self.reader.release_chunk(self.chunk - 1);
+        }
+        self.chunk += 1;
         // The landing chunk holds more than `n` events.
-        self.pos = n as usize;
-        self.next()
+        self.pos = n as usize + 1;
+        Ok(Some(self.buf[n as usize]))
+    }
+}
+
+impl Iterator for ColumnarSource {
+    type Item = BlockEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<BlockEvent> {
+        match self.buf.get(self.pos) {
+            Some(&ev) => {
+                self.pos += 1;
+                Some(ev)
+            }
+            None => self.nth(0),
+        }
+    }
+
+    /// Exact: the rest of the resident chunk plus every later chunk.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let later = self.reader.total_events() - self.reader.first_event(self.chunk);
+        let left = (self.buf.len() - self.pos) as u64 + later;
+        let left = usize::try_from(left).unwrap_or(usize::MAX);
+        (left, Some(left))
+    }
+
+    /// [`Self::try_nth`], panicking on a corrupt chunk. `Skip` calls this,
+    /// so `.skip(n)` costs at most one chunk decode.
+    fn nth(&mut self, n: usize) -> Option<BlockEvent> {
+        self.try_nth(n)
+            .unwrap_or_else(|e| panic!("trace chunk {} corrupted mid-stream: {e}", self.chunk))
     }
 }
 

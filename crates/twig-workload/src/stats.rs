@@ -100,7 +100,6 @@ pub struct WorkingSet {
     taken_branch_sites: HashSet<BlockId>,
     uncond_sites: HashSet<BlockId>,
     cond_sites: HashSet<BlockId>,
-    dynamic_instrs: u64,
     dynamic_branches_by_kind: [u64; 6],
 }
 
@@ -115,7 +114,6 @@ impl WorkingSet {
     pub fn observe(&mut self, program: &Program, event: BlockEvent) {
         let block = program.block(event.block);
         self.executed_blocks.insert(event.block);
-        self.dynamic_instrs += u64::from(block.num_instrs);
         if let Some(kind) = block.branch_kind() {
             self.dynamic_branches_by_kind[kind.index()] += 1;
             if event.taken {
@@ -158,11 +156,6 @@ impl WorkingSet {
     /// Distinct executed conditional branch sites.
     pub fn conditional_branch_sites(&self) -> usize {
         self.cond_sites.len()
-    }
-
-    /// Total executed original instructions.
-    pub fn dynamic_instructions(&self) -> u64 {
-        self.dynamic_instrs
     }
 
     /// Dynamic branch-execution counts per kind.

@@ -53,6 +53,27 @@ impl BlockEvent {
         }
         program.resolve_branch(self.block, self.taken, self.target)
     }
+
+    /// Whether walking `program` could have produced this event: its
+    /// blocks exist, and its direction and target agree with the block's
+    /// terminator, a direct branch landing on its static target. Events
+    /// read from a file are checked with it before they are simulated,
+    /// since one that fails would index outside `program`.
+    pub fn fits(&self, program: &Program) -> bool {
+        let blocks = program.num_blocks();
+        if self.block.index() >= blocks || self.target.is_some_and(|t| t.index() >= blocks) {
+            return false;
+        }
+        use Terminator as T;
+        let target = self.target;
+        match (&program.block(self.block).term, self.taken) {
+            (T::FallThrough { .. } | T::Conditional { .. }, false) => target.is_none(),
+            (T::Conditional { taken: t, .. } | T::Jump { target: t }, true) => target == Some(*t),
+            (T::Call { callee, .. }, true) => target == Some(program.function(*callee).entry),
+            (T::IndirectJump { .. } | T::IndirectCall { .. } | T::Return, true) => target.is_some(),
+            _ => false,
+        }
+    }
 }
 
 /// Maximum call-stack depth the walker tolerates before treating a call as
@@ -319,6 +340,26 @@ mod tests {
         let a: Vec<_> = Walker::new(&p, InputConfig::numbered(0)).take(5000).collect();
         let b: Vec<_> = Walker::new(&p, InputConfig::numbered(1)).take(5000).collect();
         assert_ne!(a, b);
+    }
+
+    /// Every walked event fits its program; flipping its direction, or
+    /// naming a block past the program's end, does not.
+    #[test]
+    fn walked_events_fit_and_altered_ones_do_not() {
+        let p = tiny();
+        let past_end = BlockId::new(p.num_blocks() as u32);
+        for ev in Walker::new(&p, InputConfig::numbered(0)).take(20_000) {
+            assert!(ev.fits(&p), "{ev:?}");
+            let flipped = BlockEvent {
+                taken: !ev.taken,
+                ..ev
+            };
+            assert!(!flipped.fits(&p), "{flipped:?}");
+            assert!(!BlockEvent { block: past_end, ..ev }.fits(&p));
+            if ev.target.is_some() {
+                assert!(!BlockEvent { target: Some(past_end), ..ev }.fits(&p));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the columnar `.twgc` trace format: lossless
 //! round-trips on arbitrary event streams and chunk sizes, rejection of
-//! torn tails and single-bit flips anywhere in the CRC-covered region,
+//! torn tails and single-bit flips anywhere in the file,
 //! and clone-replay determinism of the chunked reader behind
 //! [`ColumnarSource`].
 
@@ -11,11 +11,6 @@ use twig_types::BlockId;
 use twig_workload::{
     decode_columnar, encode_columnar_chunked, BlockEvent, ColumnarReader, ColumnarSource,
 };
-
-/// Bytes before the first chunk: magic (4) + version (1) + chunk_target
-/// (4). The chunk-size hint is advisory and not checksummed, so the
-/// bit-flip property starts past it.
-const HEADER_LEN: usize = 9;
 
 fn arb_event() -> impl Strategy<Value = BlockEvent> {
     (0u32..100_000, any::<bool>(), prop::option::of(0u32..100_000)).prop_map(
@@ -43,7 +38,7 @@ proptest! {
     }
 
     /// Every strict prefix of a columnar file is rejected at open — the
-    /// footer magic and checksums catch torn tails of any length.
+    /// fixed-size tail frame catches torn tails of any length.
     #[test]
     fn torn_tail_is_rejected(events in arb_events(), frac in 0.0f64..1.0) {
         let bytes = encode_columnar_chunked(&events, 64);
@@ -57,8 +52,8 @@ proptest! {
         );
     }
 
-    /// Flipping any single bit past the (unchecksummed, advisory) header
-    /// is detected: either open fails, or decoding the touched chunk does.
+    /// Flipping any single bit of the file is detected: every byte is in
+    /// a frame, so either open fails, or decoding the touched chunk does.
     #[test]
     fn single_bit_flip_is_detected(
         events in prop::collection::vec(arb_event(), 1..400),
@@ -66,7 +61,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let bytes = encode_columnar_chunked(&events, 64);
-        let at = HEADER_LEN + pos % (bytes.len() - HEADER_LEN);
+        let at = pos % bytes.len();
         let mut mutated = bytes;
         mutated[at] ^= 1 << bit;
         let rejected = match ColumnarReader::from_bytes(mutated) {

@@ -7,7 +7,7 @@
 //! remainder goes through the coalesce table (§3.2).
 
 use twig_serde::{Deserialize, Serialize};
-use twig_types::{Addr, BlockId};
+use twig_types::BlockId;
 use twig_workload::Program;
 
 /// Whether the `(site, branch)` pair can be encoded by a `brprefetch`
@@ -110,12 +110,6 @@ fn required_bits(v: i64) -> u32 {
     } else {
         64 - v.leading_ones() + 1
     }
-}
-
-/// Convenience: the distance helper used when an op's concrete placement
-/// matters (the op sits at the site block's start).
-pub fn op_address(program: &Program, site: BlockId) -> Addr {
-    program.block(site).addr
 }
 
 #[cfg(test)]

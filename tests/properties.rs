@@ -35,7 +35,8 @@ proptest! {
     }
 
     /// Truncating an encoded trace never panics and never decodes: the
-    /// footer is written last, so every strict prefix is rejected.
+    /// fixed-size tail frame is written last, so every strict prefix is
+    /// rejected.
     #[test]
     fn trace_truncation_is_detected(
         events in prop::collection::vec(arb_event(), 1..100),
@@ -233,35 +234,28 @@ proptest! {
     #[test]
     fn profile_decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_profile(&bytes);
-        // Magic-prefixed garbage exercises the post-header paths.
-        let mut with_magic = b"TWPF\x01".to_vec();
-        with_magic.extend_from_slice(&bytes);
-        let _ = decode_profile(&with_magic);
+        // Garbage in an intact frame exercises the payload decoder.
+        let mut framed = Vec::new();
+        twig_sched::durable::write_frame(&mut framed, b"TWPF", 2, &[&bytes]).unwrap();
+        let _ = decode_profile(&framed);
     }
 
     /// Corrupting one byte of a valid encoding never panics and never
-    /// yields an unclassified failure.
+    /// decodes: the frame's CRC-32 catches every burst of up to 32 bits.
     #[test]
     fn profile_decoder_survives_single_byte_corruption(
         profile in arb_profile(),
         pos_fraction in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let mut bytes = encode_profile(&profile).to_vec();
-        prop_assume!(!bytes.is_empty());
+        let mut bytes = encode_profile(&profile);
         let pos = ((bytes.len() - 1) as f64 * pos_fraction) as usize;
         bytes[pos] ^= xor;
-        match decode_profile(&bytes) {
-            Ok(_) => {}
-            Err(
-                ProfileCodecError::BadMagic
-                | ProfileCodecError::BadVersion(_)
-                | ProfileCodecError::Truncated
-                | ProfileCodecError::BadKind(_)
-                | ProfileCodecError::Oversized { .. }
-                | ProfileCodecError::Overflow { .. },
-            ) => {}
-        }
+        let decoded = decode_profile(&bytes);
+        prop_assert!(
+            matches!(decoded, Err(ProfileCodecError::Frame(_))),
+            "byte {} ^ {:#x}: {:?}", pos, xor, decoded.map(|_| ())
+        );
     }
 
     /// Truncating a valid encoding at any point is either an error or (at
